@@ -55,6 +55,10 @@ class CacheChecksumError(CacheError):
     """Payload bytes fail the stored CRC32."""
 
 
+class CachePayloadError(CacheError):
+    """A payload byte lies outside {0, 1, 2}, so it is no mu(n)+1."""
+
+
 @dataclass(frozen=True, eq=False)
 class ArithTable:
     """Immutable arithmetic tables covering 1..limit.
@@ -357,7 +361,14 @@ def cache_summary(path) -> dict:
     summary["crc_ok"] = zlib.crc32(payload) == crc
     if not summary["crc_ok"]:
         summary["status"] = "bad-checksum"
+    elif not _payload_in_range(payload):
+        summary["status"] = "bad-payload"
     return summary
+
+
+def _payload_in_range(payload: bytes) -> bool:
+    """Every stored byte is some mu(n)+1, i.e. 0, 1 or 2."""
+    return int(np.frombuffer(payload, dtype=np.uint8).max()) <= 2
 
 
 def load_cache(path) -> ArithTable:
@@ -386,6 +397,8 @@ def load_cache(path) -> ArithTable:
     (crc,) = struct.unpack_from("<I", data, _HEADER.size + limit)
     if zlib.crc32(payload) != crc:
         raise CacheChecksumError(f"{path}: payload CRC mismatch")
+    if not _payload_in_range(payload):
+        raise CachePayloadError(f"{path}: payload byte outside {{0, 1, 2}}")
     mu = np.empty(limit + 1, dtype=np.int8)
     mu[0] = 0
     mu[1:] = np.frombuffer(payload, dtype=np.uint8).astype(np.int8) - 1

@@ -221,13 +221,24 @@ def _cmd_mertens(config: RunConfig) -> CommandOutput:
     limit = config.params["limit"]
     every = config.params["every"]
     table = acquire_table(limit, config.cache_dir)
-    values = np.cumsum(table.mu[1 : limit + 1], dtype=np.int64)
     grid = np.arange(every, limit + 1, every, dtype=np.int64)
     if grid.size == 0:
         grid = np.array([limit], dtype=np.int64)
-    ratios = values[grid - 1] / np.sqrt(grid.astype(np.float64))
-    rows = [(int(n), int(values[n - 1]), float(r))
-            for n, r in zip(grid.tolist(), ratios.tolist())]
+    # M at the grid rows only, from an int32 prefix built one chunk at a
+    # time with a carry: |M(n)| <= n <= MAX_LIMIT < 2^31, and no
+    # full-length prefix or cast temporary is ever formed.
+    values = np.empty(grid.size, dtype=np.int32)
+    carry = 0
+    chunk = 1 << 20
+    for lo in range(0, limit, chunk):
+        part = np.cumsum(table.mu[lo + 1 : lo + chunk + 1], dtype=np.int32)
+        part += carry
+        carry = int(part[-1])
+        hit = slice(*np.searchsorted(grid, (lo + 1, lo + part.size + 1)))
+        values[hit] = part[grid[hit] - lo - 1]
+    ratios = values / np.sqrt(grid.astype(np.float64))
+    rows = [(int(n), int(m), float(r))
+            for n, m, r in zip(grid.tolist(), values.tolist(), ratios.tolist())]
     stats = {"observed_min_ratio": float(ratios.min()),
              "observed_max_ratio": float(ratios.max())}
     return _make_output(config, ("n", "M", "ratio"), rows, stats)

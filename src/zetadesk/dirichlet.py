@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable, MertensPrefix, mangoldt_weight
+from .arith import ArithTable, MertensPrefix
 from .constants import euler_constant
 from .reports import ScanReport, build_scan_report, geometric_grid
 

@@ -9,6 +9,7 @@ of zeta at the origin to trapezoid defects of (log x)^k.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -268,66 +269,133 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _PANEL_SPLIT = 40
 _PANEL_COUNT = 4
 
+# Cells beyond the split are walked in fixed chunks, so a working array
+# (14 sample rows of a chunk, 1.8 MB) stays in cache whatever n is; a
+# fixed size keeps the summation, and so the result, bit-reproducible.
+_CHUNK_CELLS = 1 << 14
 
-_PHI_ORDER = 20  # delta never exceeds log(3/2), so delta^i/i! past this
-                 # order sits far below the rounding floor
+# leggauss returns symmetric nodes in ascending order, so the last six
+# are the positive halves of the six +-u pairs. A body cell is sampled
+# at u = +-(trapezoid offset, 0.5 * node) / c: positive offsets in the
+# first seven rows, their negations in the last seven.
+_PAIR_OFFSETS = np.append(0.5, 0.5 * _GL_NODES[6:])[:, None]
+_PAIR_HALF_WEIGHTS = 0.5 * _GL_WEIGHTS[6:]
+
+# Ceiling on the series order in delta. The order actually used is the
+# smallest one whose omitted tail is at most _TAIL_RATIO * delta^2 at
+# the largest |delta| of the chunk; delta never exceeds log(3/2) in
+# magnitude, where order 16 already meets the bound.
+_PHI_ORDER = 20
+_TAIL_RATIO = 2.0 ** -64
+
+
+def _series_order(delta_max: float) -> int:
+    """Smallest order N <= _PHI_ORDER with
+    sum_{i>N} |delta|^i/i! <= _TAIL_RATIO * delta^2 for |delta| <= delta_max.
+
+    For |delta| < 1 that tail is at most twice its first term
+    |delta|^(N+1)/(N+1)!, so 2 delta_max^(N-1)/(N+1)! <= _TAIL_RATIO is
+    sufficient. Times base = k l0^(k-1) it bounds the truncation error
+    of phi by 2^-64 base delta^2, far below the rounding of the terms
+    kept (2^-53 times the same scale) and so below the accumulation
+    floor of the defect sum. The bound only grows with delta_max, so
+    cells further out never need a higher order."""
+    for order in range(2, _PHI_ORDER):
+        bound = 2.0 * delta_max ** (order - 1) / math.factorial(order + 1)
+        if bound <= _TAIL_RATIO:
+            return order
+    return _PHI_ORDER
 
 
 def _centered_log_power(k: int, l0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(log x)^k minus its tangent-line-in-u affine part at the cell
     center, with u = (x - c)/c and l0 = log c.
 
-    Expanded in powers of delta = log1p(u) with one fused coefficient
-    per power: using delta - u = -(sum of delta^i/i!, i >= 2) exactly
-    merges the tangent defect into the binomial terms, so the dominant
-    quadratic contributions are never formed separately and cancelled.
-    The naive f - affine difference loses all significant digits once
-    c is large."""
+    u holds one row per sample offset and one column per cell, l0 one
+    entry per cell. Expanded in powers of delta = log1p(u) with one
+    fused coefficient per power: using delta - u = -(sum of delta^i/i!,
+    i >= 2) exactly merges the tangent defect into the binomial terms,
+    so the dominant quadratic contributions are never formed separately
+    and cancelled. The naive f - affine difference loses all
+    significant digits once c is large.
+
+    The coefficients are computed once per call, for all rows, and the
+    series runs by Horner in delta up to the order _series_order picks
+    for the largest |delta| in u (never below k, so the binomial part
+    is always complete)."""
     delta = np.log1p(u)
+    delta_max = max(float(delta.max(initial=0.0)),
+                    -float(delta.min(initial=0.0)))
+    top = max(_series_order(delta_max), k)
     base = k * l0 ** (k - 1)
-    power = delta * delta
-    out = np.zeros_like(delta)
-    for i in range(2, _PHI_ORDER + 1):
-        coeff = -base / math.factorial(i)
-        if i <= k:
-            coeff = coeff + math.comb(k, i) * l0 ** (k - i)
-        out = out + coeff * power
-        power = power * delta
+    coeffs = [-base / math.factorial(i) for i in range(2, top + 1)]
+    for i in range(2, k + 1):
+        coeffs[i - 2] = coeffs[i - 2] + math.comb(k, i) * l0 ** (k - i)
+    out = coeffs[-1] * delta
+    for coeff in reversed(coeffs[:-1]):
+        out += coeff
+        out *= delta
+    out *= delta
     return out
+
+
+def _head_defects(k: int, split: int) -> np.ndarray:
+    """Defects of the cells m = 2..split, each integrated over
+    _PANEL_COUNT subpanels of 12 nodes, all in one evaluation."""
+    m = np.arange(2, split + 1, dtype=np.float64)
+    c = m - 0.5
+    half = 0.5 / c
+    width = 1.0 / _PANEL_COUNT
+    panel = np.arange(_PANEL_COUNT, dtype=np.float64)[:, None, None]
+    x = (m - 1.0) + (panel + 0.5) * width + (0.5 * width * _GL_NODES)[:, None]
+    nodes = _PANEL_COUNT * _GL_NODES.size
+    u = np.vstack([half, -half, ((x - c) / c).reshape(nodes, c.size)])
+    phi = _centered_log_power(k, np.log(c), u)
+    panels = phi[2:].reshape(_PANEL_COUNT, _GL_NODES.size, c.size)
+    integral = np.zeros_like(c)
+    for p in range(_PANEL_COUNT):
+        integral += 0.5 * width * (_GL_WEIGHTS @ panels[p])
+    return 0.5 * (phi[0] + phi[1]) - integral
+
+
+def _body_defects(k: int, m_lo: int, m_hi: int) -> np.ndarray:
+    """Defects of the cells m_lo <= m < m_hi, each integrated by one
+    12-node panel, folded into its six symmetric node pairs."""
+    c = np.arange(m_lo, m_hi, dtype=np.float64) - 0.5
+    rows = len(_PAIR_OFFSETS)
+    u = np.empty((2 * rows, c.size))
+    np.divide(_PAIR_OFFSETS, c, out=u[:rows])
+    np.negative(u[:rows], out=u[rows:])
+    phi = _centered_log_power(k, np.log(c), u)
+    integral = _PAIR_HALF_WEIGHTS @ (phi[1:rows] + phi[rows + 1:])
+    return 0.5 * (phi[0] + phi[rows]) - integral
 
 
 def _defect_sum(k: int, n: int) -> tuple[float, float]:
     """Sum over cells [m-1, m], m = 2..n, of
     (f(m-1)+f(m))/2 - integral of f, for f = (log x)^k.
-    Returns (sum, absolute-value sum) accumulated exactly."""
-    m = np.arange(2, n + 1, dtype=np.float64)
-    c = m - 0.5
-    l0 = np.log(c)
-    half = 0.5 / c
-    trapz = 0.5 * (_centered_log_power(k, l0, half)
-                   + _centered_log_power(k, l0, -half))
-    integral = np.zeros_like(c)
+    Returns (sum, absolute-value sum).
+
+    The cells are walked in chunks of _CHUNK_CELLS, so memory stays
+    bounded whatever n is. The signed sum is one exact fsum over every
+    cell's defect; the absolute sum, which only sizes the accumulation
+    floor, is an exact fsum of per-chunk pairwise sums."""
+    abs_parts = []
+
+    def cell_values():
+        for defects in _chunk_defects(k, n):
+            abs_parts.append(float(np.abs(defects).sum()))
+            yield defects.tolist()
+
+    total = math.fsum(itertools.chain.from_iterable(cell_values()))
+    return total, math.fsum(abs_parts)
+
+
+def _chunk_defects(k: int, n: int):
     split = min(_PANEL_SPLIT, n)
-    # single 12-node panel over each full cell of m > split
-    body = slice(split - 1, None)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        u = (0.5 * node) / c[body]
-        integral[body] += 0.5 * weight * _centered_log_power(k, l0[body], u)
-    # subdivided panels for the cells of m = 2..split, same centered
-    # integrand
-    for i in range(split - 1):
-        cc = c[i]
-        ll = l0[i]
-        acc = 0.0
-        width = 1.0 / _PANEL_COUNT
-        for p in range(_PANEL_COUNT):
-            mid = (m[i] - 1.0) + (p + 0.5) * width
-            x = mid + 0.5 * width * _GL_NODES
-            phi = _centered_log_power(k, np.full_like(x, ll), (x - cc) / cc)
-            acc += 0.5 * width * float(np.dot(_GL_WEIGHTS, phi))
-        integral[i] = acc
-    defects = trapz - integral
-    return math.fsum(defects), math.fsum(np.abs(defects))
+    yield _head_defects(k, split)
+    for lo in range(split + 1, n + 1, _CHUNK_CELLS):
+        yield _body_defects(k, lo, min(lo + _CHUNK_CELLS, n + 1))
 
 
 def _derivative_polys(k: int, r_max: int) -> list[np.ndarray]:

@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetadesk.arith import (CacheChecksumError, CacheMagicError,
-                            CacheTruncatedError, CacheVersionError,
+                            CachePayloadError, CacheTruncatedError, CacheVersionError,
                             MAX_LIMIT, build_tables, cache_summary,
                             cauchy_schwarz_prefix_bound, chebyshev_theta,
                             load_cache, mangoldt_weight,
@@ -197,3 +199,17 @@ def test_cache_summary_statuses(tmp_path, table4):
     bad = tmp_path / "crc.stjz"
     bad.write_bytes(bytes(blob))
     assert cache_summary(bad)["status"] == "bad-checksum"
+
+
+def test_cache_rejects_out_of_range_payload(tmp_path, table4):
+    path = tmp_path / "mu-10000.stjz"
+    save_cache(table4, path)
+    blob = bytearray(path.read_bytes())
+    header = 16  # magic, version, limit
+    blob[header + 10] = 7  # would load as mu(11) = 6
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[header:-4])))
+    path.write_bytes(bytes(blob))
+    info = cache_summary(path)
+    assert info["crc_ok"] and info["status"] == "bad-payload"
+    with pytest.raises(CachePayloadError):
+        load_cache(path)

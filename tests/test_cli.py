@@ -16,6 +16,9 @@ square roots), so they are stable across conforming IEEE-754 platforms.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,32 @@ def test_prime_window_matches_golden(tmp_path):
 def test_identity_explore_matches_golden(tmp_path):
     got = run_ok(["identity-explore", "--n", "100"], tmp_path / "i.csv")
     assert got == (GOLDEN / "identity_explore_n100.csv").read_bytes()
+
+
+# Spawns argv[1:] under this interpreter and prints its exit code and
+# peak RSS in kilobytes (Linux units). It runs as its own small process
+# because a child exec'd straight from the test process inherits the
+# test process's RSS high-water mark.
+_PEAK_RSS_PROBE = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]],
+                     os.environ, file_actions=[
+                         (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_mertens_peak_memory_stays_bounded():
+    src = str(Path(arith.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
+         "mertens", "--limit", "10000000", "--every", "10000"],
+        env=env, capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, probe.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 < 150, f"mertens peaked at {peak_kb / 1024:.0f} MB"
 
 
 def test_csv_line_endings_and_header(tmp_path):

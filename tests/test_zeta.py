@@ -1,13 +1,16 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetadesk.constants import euler_constant
-from zetadesk.zeta import (IM_MAX, RE_MAX, RE_MIN, completed_zeta,
+from zetadesk.zeta import (_CHUNK_CELLS, _PANEL_SPLIT, _PHI_ORDER, _TAIL_RATIO,
+                           IM_MAX, RE_MAX, RE_MIN, _defect_sum,
+                           _series_order, completed_zeta,
                            functional_equation_residual, gauss_pi,
                            log_gamma, log_power_constant,
                            log_power_constant_contour, origin_constants,
@@ -164,6 +167,44 @@ def test_defect_route_matches_references():
         ref = ORIGIN_CONSTANTS[k]
         assert abs(got.value - ref) < 1e-11, k
         assert abs(got.value - ref) <= 5.0 * got.error_estimate + 1e-15, k
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_defect_sum_matches_exact_route(n):
+    # sum (log m)^k - (log n)^k / 2 - [F(n) - F(1)] at 40 digits, with
+    # F(x) = x sum_j (-1)^j k!/(k-j)! (log x)^(k-j) the antiderivative
+    with mpmath.workdps(40):
+        logs = [mpmath.log(m) for m in range(2, n + 1)]
+        for k in range(1, 9):
+            def antiderivative(x, log_x):
+                return x * mpmath.fsum(
+                    (-1) ** j * (math.factorial(k) // math.factorial(k - j))
+                    * log_x ** (k - j) for j in range(k + 1))
+            exact = (mpmath.fsum(lm ** k for lm in logs) - logs[-1] ** k / 2
+                     - (antiderivative(n, logs[-1])
+                        - antiderivative(1, mpmath.mpf(0))))
+            got, abs_sum = _defect_sum(k, n)
+            assert abs(got - float(exact)) <= 4e-16 * (1.0 + abs_sum), k
+
+
+def test_series_order_bounds_the_tail():
+    # largest |delta| of the head cells and of each body chunk's first cell
+    centers = [1.5] + [m - 0.5 for m in range(_PANEL_SPLIT + 1, 2_000_001,
+                                              _CHUNK_CELLS)]
+    orders = []
+    for c in centers:
+        delta_max = -math.log1p(-0.5 / c)
+        order = _series_order(delta_max)
+        orders.append(order)
+        with mpmath.workdps(40):
+            for delta in (mpmath.mpf(delta_max), -mpmath.mpf(delta_max)):
+                kept = mpmath.fsum(delta ** i / mpmath.factorial(i)
+                                   for i in range(order + 1))
+                tail = abs(mpmath.exp(delta) - kept)
+                assert tail <= _TAIL_RATIO * delta ** 2, c
+    assert max(orders) <= _PHI_ORDER
+    assert all(b <= a for a, b in zip(orders, orders[1:]))
+    assert orders[-1] < orders[0]
 
 
 def test_defect_route_without_acceleration():
