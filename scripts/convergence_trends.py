@@ -15,13 +15,11 @@ from pathlib import Path
 from zetadesk.arith import build_tables
 from zetadesk.asymptotics import (divisor_ratio_scan, prime_count_gap_scan,
                                   theta_deviation_scan)
+from zetadesk.reports import render_csv_table
 
 
 def _write(report, path: Path) -> None:
-    lines = [",".join(report.columns)]
-    for row in report.rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(render_csv_table(report.columns, report.data))
     print(f"wrote {path}: {report.stats}")
 
 

@@ -12,6 +12,10 @@ import sys
 from pathlib import Path
 
 from zetadesk.arith import build_tables, mertens_prefix, mertens_ratio_window
+from zetadesk.reports import columns_from_rows, render_csv_table
+
+COLUMNS = ("decade_end", "min_ratio", "argmin", "max_ratio", "argmax",
+           "running_min", "running_max")
 
 
 def main() -> int:
@@ -24,8 +28,7 @@ def main() -> int:
 
     table = build_tables(args.limit)
     prefix = mertens_prefix(table)
-    lines = ["decade_end,min_ratio,argmin,max_ratio,argmax,"
-             "running_min,running_max"]
+    rows = []
     running_min = 0.0
     running_max = 0.0
     lo = 1
@@ -35,12 +38,12 @@ def main() -> int:
         w = mertens_ratio_window(prefix, lo, hi)
         running_min = min(running_min, w.observed_min_ratio)
         running_max = max(running_max, w.observed_max_ratio)
-        lines.append(f"{hi},{w.observed_min_ratio:.17g},{w.argmin},"
-                     f"{w.observed_max_ratio:.17g},{w.argmax},"
-                     f"{running_min:.17g},{running_max:.17g}")
+        rows.append((hi, w.observed_min_ratio, w.argmin,
+                     w.observed_max_ratio, w.argmax, running_min, running_max))
         lo = hi + 1
         hi *= 10
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text(
+        render_csv_table(COLUMNS, columns_from_rows(rows)))
     print(f"wrote {args.out}: sup |M|/sqrt(n) = "
           f"{max(-running_min, running_max):.6f} up to {args.limit}")
     return 0

@@ -12,6 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from zetadesk.reports import columns_from_rows, render_csv_table
 from zetadesk.zeta import riemann_von_mangoldt, zero_scan
 
 
@@ -23,12 +24,13 @@ def main() -> int:
     args = ap.parse_args()
 
     report = zero_scan(args.t_max, args.step)
-    lines = ["T,count,smooth_estimate,gap"]
+    rows = []
     for t_ladder in range(10, int(args.t_max) + 1, 10):
         count = int((report.zeros <= t_ladder).sum())
         est = riemann_von_mangoldt(float(t_ladder))
-        lines.append(f"{t_ladder},{count},{est:.17g},{count - est:.17g}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+        rows.append((t_ladder, count, est, count - est))
+    Path(args.out).write_text(render_csv_table(
+        ("T", "count", "smooth_estimate", "gap"), columns_from_rows(rows)))
     print(f"wrote {args.out}: {report.count} zeros below {args.t_max}, "
           f"{len(report.close_calls)} close calls")
     for z in report.zeros:

@@ -17,6 +17,7 @@ Key identities exercised here:
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -36,27 +37,39 @@ _HEADER = struct.Struct("<4sIQ")  # magic, version, limit
 
 
 class CacheError(Exception):
-    """Base class for sieve cache file problems."""
+    """Base class for sieve cache file problems. Each subclass names in
+    status what cache_summary reports for it."""
 
 
 class CacheMagicError(CacheError):
     """File does not start with the expected magic bytes."""
 
+    status = "bad-magic"
+
 
 class CacheVersionError(CacheError):
     """Recognized file, unsupported format version."""
 
+    status = "bad-version"
+
 
 class CacheTruncatedError(CacheError):
-    """File length disagrees with the limit its header promises."""
+    """File length disagrees with the limit its header promises, or
+    that limit lies outside 1..MAX_LIMIT."""
+
+    status = "truncated"
 
 
 class CacheChecksumError(CacheError):
     """Payload bytes fail the stored CRC32."""
 
+    status = "bad-checksum"
+
 
 class CachePayloadError(CacheError):
     """A payload byte lies outside {0, 1, 2}, so it is no mu(n)+1."""
+
+    status = "bad-payload"
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,19 +178,14 @@ def _smallest_prime_factor_sieve(limit: int, primes: np.ndarray) -> np.ndarray:
 
 
 def _divisor_count_sieve(limit: int) -> np.ndarray:
+    # Divisors of n pair up as (d, n/d) with d <= sqrt(n): each d counts
+    # twice on the multiples n >= d^2 it divides, once on n = d^2 itself.
     counts = np.zeros(limit + 1, dtype=np.int32)
-    half = limit // 2
-    for d in range(1, half + 1):
-        counts[d::d] += 1
-    # d > limit/2 divides exactly one n <= limit, namely itself.
-    counts[half + 1 :] += 1
+    for d in range(1, math.isqrt(limit) + 1):
+        counts[d * d :: d] += 2
+        counts[d * d] -= 1
     counts.setflags(write=False)
     return counts
-
-
-def divisor_counts(table: ArithTable) -> np.ndarray:
-    """Divisor-count array for the table (memoized on the table)."""
-    return table.divisor_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,47 +201,55 @@ class MertensPrefix:
     argmax: int
 
 
+_MERTENS_CHUNK = 1 << 16
+
+
+def mertens_chunks(table: ArithTable, limit: int | None = None):
+    """Yield (lo, part) with part[i] = M(lo + 1 + i), walking 1..limit in
+    consecutive int32 chunks of 2^16 with a carry.
+
+    |M(n)| <= n <= MAX_LIMIT < 2^31, and the int8 table is cast one
+    chunk at a time, so no full-length prefix or cast temporary is
+    formed here.
+    """
+    limit = table.limit if limit is None else limit
+    if not 1 <= limit <= table.limit:
+        raise ValueError(f"Mertens limit {limit} outside table range")
+    carry = 0
+    for lo in range(0, limit, _MERTENS_CHUNK):
+        part = np.cumsum(table.mu[lo + 1 : min(lo + _MERTENS_CHUNK, limit) + 1],
+                         dtype=np.int32)
+        part += carry
+        carry = int(part[-1])
+        yield lo, part
+
+
 def mertens_prefix(table: ArithTable) -> MertensPrefix:
-    """Cumulative Mobius sums plus ratio extremes, computed chunked so
-    a 10^8 table does not need a second full float array."""
+    """Cumulative Mobius sums plus ratio extremes over 1..limit."""
     n = table.limit
     values = np.empty(n + 1, dtype=np.int32)
     values[0] = 0
-    np.cumsum(table.mu[1:], out=values[1:])
-    best_min = math.inf
-    best_max = -math.inf
-    arg_min = arg_max = 1
-    chunk = 1 << 20
-    for start in range(1, n + 1, chunk):
-        stop = min(n + 1, start + chunk)
-        idx = np.arange(start, stop, dtype=np.float64)
-        ratios = values[start:stop] / np.sqrt(idx)
-        i_lo = int(np.argmin(ratios))
-        i_hi = int(np.argmax(ratios))
-        if ratios[i_lo] < best_min:
-            best_min = float(ratios[i_lo])
-            arg_min = start + i_lo
-        if ratios[i_hi] > best_max:
-            best_max = float(ratios[i_hi])
-            arg_max = start + i_hi
+    for lo, part in mertens_chunks(table):
+        values[lo + 1 : lo + 1 + part.size] = part
     values.setflags(write=False)
-    return MertensPrefix(limit=n, values=values,
-                         observed_min_ratio=best_min, argmin=arg_min,
-                         observed_max_ratio=best_max, argmax=arg_max)
+    whole = MertensPrefix(limit=n, values=values,
+                          observed_min_ratio=math.nan, argmin=1,
+                          observed_max_ratio=math.nan, argmax=1)
+    return mertens_ratio_window(whole, 1, n)
 
 
 def mertens_ratio_window(prefix: MertensPrefix, lo: int,
                          hi: int) -> MertensPrefix:
     """Ratio extremes of M(n)/sqrt(n) restricted to lo <= n <= hi,
-    reusing the stored prefix values (chunked, same as above)."""
+    reusing the stored prefix values; chunked, so even a 10^8 window
+    needs no second full float array."""
     if not 1 <= lo <= hi <= prefix.limit:
         raise ValueError(f"window [{lo}, {hi}] outside prefix range")
     best_min = math.inf
     best_max = -math.inf
     arg_min = arg_max = lo
-    chunk = 1 << 20
-    for start in range(lo, hi + 1, chunk):
-        stop = min(hi + 1, start + chunk)
+    for start in range(lo, hi + 1, _MERTENS_CHUNK):
+        stop = min(hi + 1, start + _MERTENS_CHUNK)
         idx = np.arange(start, stop, dtype=np.float64)
         ratios = prefix.values[start:stop] / np.sqrt(idx)
         i_lo = int(np.argmin(ratios))
@@ -326,59 +342,27 @@ def save_cache(table: ArithTable, path) -> None:
     Layout: 4-byte magic "STJZ", version as little-endian uint32, limit
     as little-endian uint64, then one byte mu(n)+1 per n in 1..limit,
     then CRC32 (IEEE) of the payload as little-endian uint32.
+
+    The bytes go to a sibling temp file that is then renamed over path,
+    so an interrupted save never leaves a partial file under path.
     """
-    payload = (table.mu[1:].astype(np.int16) + 1).astype(np.uint8).tobytes()
-    blob = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit)
-    blob += payload
-    blob += struct.pack("<I", zlib.crc32(payload))
-    Path(path).write_bytes(blob)
+    path = Path(path)
+    payload = (table.mu[1:] + 1).view(np.uint8)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit))
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def cache_summary(path) -> dict:
-    """Header fields and checksum status of an STJZ file, without
-    rebuilding any tables. status is "ok" or the failure class."""
-    data = Path(path).read_bytes()
-    summary = {"path": str(path), "status": "ok", "version": None,
-               "limit": None, "file_bytes": len(data), "crc_ok": False}
-    if len(data) < _HEADER.size:
-        summary["status"] = "truncated"
-        return summary
-    magic, version, limit = _HEADER.unpack_from(data, 0)
-    summary["version"] = int(version)
-    summary["limit"] = int(limit)
-    if magic != CACHE_MAGIC:
-        summary["status"] = "bad-magic"
-        return summary
-    if version != CACHE_VERSION:
-        summary["status"] = "bad-version"
-        return summary
-    expected = _HEADER.size + limit + 4
-    if limit < 1 or limit > MAX_LIMIT or len(data) != expected:
-        summary["status"] = "truncated"
-        return summary
-    payload = data[_HEADER.size : _HEADER.size + limit]
-    (crc,) = struct.unpack_from("<I", data, _HEADER.size + limit)
-    summary["crc_ok"] = zlib.crc32(payload) == crc
-    if not summary["crc_ok"]:
-        summary["status"] = "bad-checksum"
-    elif not _payload_in_range(payload):
-        summary["status"] = "bad-payload"
-    return summary
-
-
-def _payload_in_range(payload: bytes) -> bool:
-    """Every stored byte is some mu(n)+1, i.e. 0, 1 or 2."""
-    return int(np.frombuffer(payload, dtype=np.uint8).max()) <= 2
-
-
-def load_cache(path) -> ArithTable:
-    """Read an STJZ file back into a full table.
-
-    Primes are re-sieved (cheap next to the Mobius work); the stored
-    payload only carries mu. Malformed files raise the specific
-    CacheError subclass for what went wrong.
-    """
-    data = Path(path).read_bytes()
+def _header_limit(data: bytes, path) -> int:
+    """The limit an STJZ header declares, once magic, version and range
+    check out; otherwise the CacheError for what is wrong."""
     if len(data) < _HEADER.size:
         raise CacheTruncatedError(f"{path}: shorter than the fixed header")
     magic, version, limit = _HEADER.unpack_from(data, 0)
@@ -387,7 +371,21 @@ def load_cache(path) -> ArithTable:
     if version != CACHE_VERSION:
         raise CacheVersionError(f"{path}: unsupported version {version}")
     if limit < 1 or limit > MAX_LIMIT:
-        raise ValueError(f"{path}: stored limit {limit} outside supported range")
+        raise CacheTruncatedError(
+            f"{path}: stored limit {limit} outside supported range")
+    return int(limit)
+
+
+def read_cache_limit(path) -> int:
+    """The limit in an STJZ file's header, reading the header only."""
+    with open(path, "rb") as fh:
+        return _header_limit(fh.read(_HEADER.size), path)
+
+
+def _checked_payload(data: bytes, path) -> bytes:
+    """The payload of a whole STJZ file, after every check passes;
+    otherwise the CacheError for the first one that fails."""
+    limit = _header_limit(data, path)
     expected = _HEADER.size + limit + 4
     if len(data) != expected:
         raise CacheTruncatedError(
@@ -397,8 +395,38 @@ def load_cache(path) -> ArithTable:
     (crc,) = struct.unpack_from("<I", data, _HEADER.size + limit)
     if zlib.crc32(payload) != crc:
         raise CacheChecksumError(f"{path}: payload CRC mismatch")
-    if not _payload_in_range(payload):
+    if int(np.frombuffer(payload, dtype=np.uint8).max()) > 2:
         raise CachePayloadError(f"{path}: payload byte outside {{0, 1, 2}}")
+    return payload
+
+
+def cache_summary(path) -> dict:
+    """Header fields and checksum status of an STJZ file, without
+    rebuilding any tables. status is "ok" or the failure class."""
+    data = Path(path).read_bytes()
+    summary = {"path": str(path), "status": "ok", "version": None,
+               "limit": None, "file_bytes": len(data), "crc_ok": True}
+    if len(data) >= _HEADER.size:
+        _, version, limit = _HEADER.unpack_from(data, 0)
+        summary["version"] = int(version)
+        summary["limit"] = int(limit)
+    try:
+        _checked_payload(data, path)
+    except CacheError as exc:
+        summary["status"] = exc.status
+        summary["crc_ok"] = isinstance(exc, CachePayloadError)
+    return summary
+
+
+def load_cache(path) -> ArithTable:
+    """Read an STJZ file back into a full table.
+
+    Primes are re-sieved (cheap next to the Mobius work); the stored
+    payload only carries mu. Malformed files raise the specific
+    CacheError subclass for what went wrong.
+    """
+    payload = _checked_payload(Path(path).read_bytes(), path)
+    limit = len(payload)
     mu = np.empty(limit + 1, dtype=np.int8)
     mu[0] = 0
     mu[1:] = np.frombuffer(payload, dtype=np.uint8).astype(np.int8) - 1

@@ -147,17 +147,16 @@ def theta_deviation_scan(table: ArithTable, s: float,
     if not n_min < n_max <= table.limit:
         raise ValueError("need n_min < n_max <= limit")
     grid = geometric_grid(n_max, start=n_min)
-    rows = []
-    for n in grid.tolist():
-        theta = chebyshev_theta(table, n)
-        rows.append((float(n), theta, (theta - n) / float(n) ** s))
-    report = build_scan_report(
+    thetas = [chebyshev_theta(table, n) for n in grid.tolist()]
+    deviations = [(theta - n) / float(n) ** s
+                  for n, theta in zip(grid.tolist(), thetas)]
+    return build_scan_report(
         label=f"theta deviation at s={s:g}",
         columns=("n", "theta", "deviation"),
-        rows=rows, key_index=0, value_index=2,
-        stats={"first_abs": abs(rows[0][2]), "last_abs": abs(rows[-1][2]),
-               "exponent": s})
-    return report
+        data=(grid.astype(np.float64), np.array(thetas), np.array(deviations)),
+        key_index=0, value_index=2,
+        stats={"first_abs": abs(deviations[0]),
+               "last_abs": abs(deviations[-1]), "exponent": s})
 
 
 def divisor_asymptotic_ratio(table: ArithTable, n: int) -> float:
@@ -192,9 +191,9 @@ def divisor_ratio_scan(table: ArithTable, n_max: int | None = None,
     c2 = 2.0 * euler_constant() - 1.0
     nf = ns.astype(np.float64)
     ratios = (prefix[ns].astype(np.float64) - nf * np.log(nf) - c2 * nf) / np.sqrt(nf)
-    rows = [(float(n), float(r)) for n, r in zip(ns, ratios)]
+    # n stays float64, as the other scan keys do: JSON prints 200000.0
     return build_scan_report(
-        label="divisor-sum ratio", columns=("n", "ratio"), rows=rows,
+        label="divisor-sum ratio", columns=("n", "ratio"), data=(nf, ratios),
         key_index=0, value_index=1,
         stats={"sup_abs": float(np.max(np.abs(ratios)))})
 
@@ -260,12 +259,12 @@ def prime_count_gap_scan(table: ArithTable, s: float,
     if not 2 <= x_min < x_max <= table.limit:
         raise ValueError("need 2 <= x_min < x_max <= limit")
     grid = geometric_grid(x_max, start=x_min)
-    rows = [(float(xv), prime_count_gap_ratio(table, float(xv), s))
-            for xv in grid.tolist()]
+    ratios = [prime_count_gap_ratio(table, float(xv), s) for xv in grid.tolist()]
     return build_scan_report(
         label=f"prime-count gap ratio at s={s:g}",
-        columns=("x", "ratio"), rows=rows, key_index=0, value_index=1,
-        stats={"first_abs": abs(rows[0][1]), "last_abs": abs(rows[-1][1]),
+        columns=("x", "ratio"), data=(grid.astype(np.float64), np.array(ratios)),
+        key_index=0, value_index=1,
+        stats={"first_abs": abs(ratios[0]), "last_abs": abs(ratios[-1]),
                "exponent": s})
 
 

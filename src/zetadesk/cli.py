@@ -18,7 +18,6 @@ fresh build is saved there for next time.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -29,7 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import arith, asymptotics, dirichlet, weierstrass
-from .reports import geometric_grid
+from .reports import (RowView, check_columns, columns_from_rows,
+                      geometric_grid, json_value, render_csv_table,
+                      render_json_table)
 from .zeta import (IM_MAX, RE_MAX, RE_MIN, log_power_constant,
                    log_power_constant_contour, xi, zero_scan)
 from .zeta import zeta as zeta_function
@@ -58,23 +59,33 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CommandOutput:
-    """Uniform table result. extra lands at the top level of the JSON
-    body (the zeros command promises a top-level count there); stats
-    only appear in JSON, never in CSV."""
+    """Uniform table result, held as columns: data has one numpy array
+    (numeric) or list (other cells) per name in columns. extra lands at
+    the top level of the JSON body (the zeros command promises a
+    top-level count there); stats only appear in JSON, never in CSV."""
 
     command: str
     params: dict
     columns: tuple
-    rows: tuple
+    data: tuple
     stats: dict
     extra: dict
 
+    @property
+    def rows(self) -> RowView:
+        return RowView(self.data)
 
-def _make_output(config, columns, rows, stats=None, extra=None) -> CommandOutput:
+
+def _make_output(config, columns, data, stats=None, extra=None) -> CommandOutput:
     return CommandOutput(command=config.command, params=dict(config.params),
                          columns=tuple(columns),
-                         rows=tuple(tuple(r) for r in rows),
+                         data=check_columns(columns, data),
                          stats=dict(stats or {}), extra=dict(extra or {}))
+
+
+def _rows_output(config, columns, rows, stats=None, extra=None) -> CommandOutput:
+    """_make_output for the short tables that are natural to write as rows."""
+    return _make_output(config, columns, columns_from_rows(rows), stats, extra)
 
 
 # -- parameter parsing -------------------------------------------------
@@ -131,87 +142,58 @@ def _need_float(value, flag, lo=None, hi=None, open_lo=False) -> float:
 
 # -- output rendering --------------------------------------------------
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def format_complex(z: complex) -> str:
-    sign = "-" if z.imag < 0 else "+"
-    return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, complex):
-        return format_complex(value)
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, complex):
-        return format_complex(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        # JSON has no literal for non-finite numbers; keep output parseable
-        return value if math.isfinite(value) else str(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_value(v) for k, v in value.items()}
-    return str(value)
-
-
 def render_csv(out: CommandOutput) -> str:
-    lines = [",".join(out.columns)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in out.rows)
-    return "\n".join(lines) + "\n"
+    return render_csv_table(out.columns, out.data)
 
 
 def render_json(out: CommandOutput) -> str:
-    body = {"command": out.command, "params": _json_value(out.params)}
+    head = {"command": out.command, "params": json_value(out.params)}
     for key, value in out.extra.items():
-        body[key] = _json_value(value)
-    body["columns"] = list(out.columns)
-    body["rows"] = [[_json_value(v) for v in row] for row in out.rows]
-    body["stats"] = _json_value(out.stats)
-    return json.dumps(body, indent=2) + "\n"
+        head[key] = json_value(value)
+    head["columns"] = list(out.columns)
+    return render_json_table(head, out.data, {"stats": json_value(out.stats)})
 
 
 # -- sieve cache -------------------------------------------------------
 
-def _cached_limits(cache_dir: Path) -> list[tuple[int, Path]]:
-    found = []
-    for path in sorted(cache_dir.glob("mu-*.stjz")):
-        stem = path.stem
-        try:
-            stored = int(stem.split("-", 1)[1])
-        except (IndexError, ValueError):
-            continue
-        found.append((stored, path))
-    return found
+def _cache_files(cache_dir: Path) -> list[Path]:
+    """The mu-<number>.stjz files in cache_dir, sorted by name."""
+    return [p for p in sorted(cache_dir.glob("mu-*.stjz"))
+            if p.stem[3:].isdigit()]
 
 
 def acquire_table(limit: int, cache_dir: Path | None) -> arith.ArithTable:
     """Smallest cached table covering limit, else a fresh build (saved
-    back to the cache directory when one is configured)."""
+    back to the cache directory when one is configured).
+
+    Coverage is read from each file's header, never from its name. A
+    chosen file that fails to load is reported on stderr, rebuilt and
+    replaced, so one bad file cannot break later runs.
+    """
     if cache_dir is None:
         return arith.build_tables(limit)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    covering = [(stored, path) for stored, path in _cached_limits(cache_dir)
-                if stored >= limit]
+    covering = []
+    for path in _cache_files(cache_dir):
+        try:
+            stored = arith.read_cache_limit(path)
+        except (arith.CacheError, OSError):
+            continue
+        if stored >= limit:
+            covering.append((stored, path))
+    broken = None
     if covering:
-        return arith.load_cache(min(covering)[1])
+        try:
+            return arith.load_cache(min(covering)[1])
+        except arith.CacheError as exc:
+            print(f"warning: {exc}; rebuilding the cache file",
+                  file=sys.stderr)
+            broken = min(covering)[1]
     table = arith.build_tables(limit)
-    arith.save_cache(table, cache_dir / f"mu-{limit}.stjz")
+    target = cache_dir / f"mu-{limit}.stjz"
+    arith.save_cache(table, target)
+    if broken is not None and broken != target:
+        broken.unlink(missing_ok=True)
     return table
 
 
@@ -224,24 +206,16 @@ def _cmd_mertens(config: RunConfig) -> CommandOutput:
     grid = np.arange(every, limit + 1, every, dtype=np.int64)
     if grid.size == 0:
         grid = np.array([limit], dtype=np.int64)
-    # M at the grid rows only, from an int32 prefix built one chunk at a
-    # time with a carry: |M(n)| <= n <= MAX_LIMIT < 2^31, and no
-    # full-length prefix or cast temporary is ever formed.
+    # M at the grid rows only; no full-length prefix is ever formed
     values = np.empty(grid.size, dtype=np.int32)
-    carry = 0
-    chunk = 1 << 20
-    for lo in range(0, limit, chunk):
-        part = np.cumsum(table.mu[lo + 1 : lo + chunk + 1], dtype=np.int32)
-        part += carry
-        carry = int(part[-1])
+    for lo, part in arith.mertens_chunks(table, limit):
         hit = slice(*np.searchsorted(grid, (lo + 1, lo + part.size + 1)))
         values[hit] = part[grid[hit] - lo - 1]
     ratios = values / np.sqrt(grid.astype(np.float64))
-    rows = [(int(n), int(m), float(r))
-            for n, m, r in zip(grid.tolist(), values.tolist(), ratios.tolist())]
     stats = {"observed_min_ratio": float(ratios.min()),
              "observed_max_ratio": float(ratios.max())}
-    return _make_output(config, ("n", "M", "ratio"), rows, stats)
+    return _make_output(config, ("n", "M", "ratio"), (grid, values, ratios),
+                        stats)
 
 
 _SERIES_BUILDERS = {
@@ -261,7 +235,7 @@ def _cmd_dirichlet_sum(config: RunConfig) -> CommandOutput:
         table = acquire_table(limit, config.cache_dir)
         stream = _SERIES_BUILDERS[series](table, limit)
     report = dirichlet.prefix_ratio_scan(stream, s, limit)
-    return _make_output(config, report.columns, report.rows, report.stats)
+    return _make_output(config, report.columns, report.data, report.stats)
 
 
 def _cmd_abel_check(config: RunConfig) -> CommandOutput:
@@ -278,7 +252,7 @@ def _cmd_abel_check(config: RunConfig) -> CommandOutput:
            float(dec.thetas.max()) if dec.thetas.size else math.nan)
     stats = {"boundary_terms": [dec.boundary_terms[0], dec.boundary_terms[1]],
              "remainder": dec.remainder}
-    return _make_output(
+    return _rows_output(
         config,
         ("n", "m", "s", "direct", "rearranged", "abs_diff", "rel_diff",
          "theta_min", "theta_max"),
@@ -294,35 +268,35 @@ def _cmd_convolution_check(config: RunConfig) -> CommandOutput:
     expected = dirichlet.one_minus_g_stream(table, limit)
     diff = conv.values[1:] - expected.values[1:]
     grid = geometric_grid(limit)
-    rows = [(int(g), float(conv.values[g]), float(expected.values[g]),
-             float(diff[g - 1])) for g in grid.tolist()]
     stats = {"max_abs_difference": float(np.max(np.abs(diff)))}
     return _make_output(config, ("n", "convolved", "expected", "difference"),
-                        rows, stats)
+                        (grid, conv.values[grid], expected.values[grid],
+                         diff[grid - 1]), stats)
 
 
 def _cmd_zeta(config: RunConfig) -> CommandOutput:
     s = config.params["s"]
     value = zeta_function(s)
-    return _make_output(config, ("s", "value", "abs_value"),
+    return _rows_output(config, ("s", "value", "abs_value"),
                         [(s, value, abs(value))])
 
 
 def _cmd_xi(config: RunConfig) -> CommandOutput:
     t = config.params["t"]
     value = xi(t)
-    return _make_output(config, ("t", "xi_real", "xi_imag"),
+    return _rows_output(config, ("t", "xi_real", "xi_imag"),
                         [(t, value.real, value.imag)])
 
 
 def _cmd_zeros(config: RunConfig) -> CommandOutput:
     report = zero_scan(config.params["t_max"], config.params["step"],
                             config.params["t_min"])
-    rows = [(i + 1, float(z)) for i, z in enumerate(report.zeros.tolist())]
+    zeros = np.asarray(report.zeros, dtype=np.float64)
+    index = np.arange(1, zeros.size + 1, dtype=np.int64)
     stats = {"prediction": report.prediction,
              "prediction_gap": report.prediction_gap,
              "close_calls": report.close_calls.tolist()}
-    return _make_output(config, ("index", "zero"), rows, stats,
+    return _make_output(config, ("index", "zero"), (index, zeros), stats,
                         extra={"count": report.count})
 
 
@@ -336,7 +310,7 @@ def _cmd_constants(config: RunConfig) -> CommandOutput:
         c = log_power_constant_contour(k)
         rows.append((k, d.value, d.error_estimate, d.tail_correction,
                      c.value, c.convergence_gap, abs(d.value - c.value)))
-    return _make_output(
+    return _rows_output(
         config,
         ("k", "value", "error_estimate", "tail_correction", "contour_value",
          "contour_convergence_gap", "route_gap"),
@@ -348,7 +322,7 @@ def _cmd_theta(config: RunConfig) -> CommandOutput:
     s = config.params["s"]
     table = acquire_table(limit, config.cache_dir)
     report = asymptotics.theta_deviation_scan(table, s, limit)
-    return _make_output(config, report.columns, report.rows, report.stats)
+    return _make_output(config, report.columns, report.data, report.stats)
 
 
 def _cmd_divisor_ratio(config: RunConfig) -> CommandOutput:
@@ -356,12 +330,12 @@ def _cmd_divisor_ratio(config: RunConfig) -> CommandOutput:
     every = config.params["every"]
     table = acquire_table(limit, config.cache_dir)
     report = asymptotics.divisor_ratio_scan(table, limit, every)
-    return _make_output(config, report.columns, report.rows, report.stats)
+    return _make_output(config, report.columns, report.data, report.stats)
 
 
 def _cmd_li(config: RunConfig) -> CommandOutput:
     x = config.params["x"]
-    return _make_output(config, ("x", "li"), [(x, asymptotics.li(x))])
+    return _rows_output(config, ("x", "li"), [(x, asymptotics.li(x))])
 
 
 def _cmd_relation_a(config: RunConfig) -> CommandOutput:
@@ -369,7 +343,7 @@ def _cmd_relation_a(config: RunConfig) -> CommandOutput:
     s = config.params["s"]
     table = acquire_table(x_max, config.cache_dir)
     report = asymptotics.prime_count_gap_scan(table, s, x_max)
-    return _make_output(config, report.columns, report.rows, report.stats)
+    return _make_output(config, report.columns, report.data, report.stats)
 
 
 def _cmd_mertens_constant(config: RunConfig) -> CommandOutput:
@@ -384,7 +358,7 @@ def _cmd_mertens_constant(config: RunConfig) -> CommandOutput:
         points.append(limit)
     rows = [(p, asymptotics.mertens_constant_estimate(table, p))
             for p in points]
-    return _make_output(config, ("n", "estimate"), rows,
+    return _rows_output(config, ("n", "estimate"), rows,
                         {"final_estimate": rows[-1][1]})
 
 
@@ -394,7 +368,7 @@ def _cmd_prime_window(config: RunConfig) -> CommandOutput:
     stop = config.params["stop"]
     table = acquire_table(int(math.ceil((1.0 + h) * stop)), config.cache_dir)
     rows = asymptotics.prime_window_decades(table, h, start, stop)
-    return _make_output(config, ("n", "upper", "count"), rows)
+    return _rows_output(config, ("n", "upper", "count"), rows)
 
 
 def _cmd_identity_explore(config: RunConfig) -> CommandOutput:
@@ -409,7 +383,7 @@ def _cmd_identity_explore(config: RunConfig) -> CommandOutput:
                 for reading in asymptotics.H_READINGS]
         stats = {"k": probe.k, "match_count": len(probe.matches),
                  "bound_holds": probe.bound_holds}
-        return _make_output(config, ("convention", "reading", "lhs", "rhs",
+        return _rows_output(config, ("convention", "reading", "lhs", "rhs",
                                      "match"), rows, stats)
     limit = config.params["limit"]
     table = acquire_table(limit, config.cache_dir)
@@ -420,7 +394,7 @@ def _cmd_identity_explore(config: RunConfig) -> CommandOutput:
             for reading in asymptotics.H_READINGS]
     stats = {"unmatched": sweep.unmatched,
              "bound_violations": sweep.bound_violations}
-    return _make_output(config, ("convention", "reading", "matches", "total"),
+    return _rows_output(config, ("convention", "reading", "matches", "total"),
                         rows, stats)
 
 
@@ -432,7 +406,7 @@ def _cmd_weierstrass(config: RunConfig) -> CommandOutput:
     rows = [(ev.exponent_sign, ev.product_value, ev.direct_value,
              ev.relative_error)
             for ev in (cmp.minus, cmp.plus)]
-    return _make_output(config,
+    return _rows_output(config,
                         ("exponent_sign", "product", "direct",
                          "relative_error"),
                         rows, {"converging_sign": cmp.converging_sign})
@@ -444,14 +418,14 @@ def _cmd_cache_build(config: RunConfig) -> CommandOutput:
     target.mkdir(parents=True, exist_ok=True)
     path = target / f"mu-{limit}.stjz"
     arith.save_cache(arith.build_tables(limit), path)
-    return _make_output(config, ("path", "limit", "file_bytes"),
+    return _rows_output(config, ("path", "limit", "file_bytes"),
                         [(str(path), limit, path.stat().st_size)])
 
 
 def _cmd_cache_inspect(config: RunConfig) -> CommandOutput:
     target = Path(config.params["path"])
     if target.is_dir():
-        files = [p for _, p in _cached_limits(target)]
+        files = _cache_files(target)
         if not files:
             raise CliValidationError(
                 f"--path: no mu-*.stjz files under {target}")
@@ -466,7 +440,7 @@ def _cmd_cache_inspect(config: RunConfig) -> CommandOutput:
                      -1 if info["version"] is None else info["version"],
                      -1 if info["limit"] is None else info["limit"],
                      info["file_bytes"], info["crc_ok"]))
-    return _make_output(config, ("path", "status", "version", "limit",
+    return _rows_output(config, ("path", "status", "version", "limit",
                                  "file_bytes", "crc_ok"), rows)
 
 

@@ -252,7 +252,6 @@ def prefix_ratio_scan(coeffs: CoefficientStream, s: float, n_max: int | None = N
     grid = geometric_grid(n_max)
     p = prefix[grid - 1]
     r = p / np.power(grid.astype(np.float64), s)
-    rows = [(int(g), float(pv), float(rv)) for g, pv, rv in zip(grid, p, r)]
     tail = np.abs(r[grid > n_max // 10]) if n_max >= 10 else np.abs(r)
     stats = {
         "tail_sup": float(tail.max()),
@@ -260,7 +259,7 @@ def prefix_ratio_scan(coeffs: CoefficientStream, s: float, n_max: int | None = N
         "last_abs_ratio": float(abs(r[-1])),
     }
     return build_scan_report(f"ratio[{coeffs.name}]/n^{s}", ("n", "prefix", "ratio"),
-                             rows, 0, 2, stats)
+                             (grid, p, r), 0, 2, stats)
 
 
 def dirichlet_convolution(a: CoefficientStream, b: CoefficientStream) -> CoefficientStream:

@@ -11,7 +11,7 @@ from zetadesk.arith import (CacheChecksumError, CacheMagicError,
                             CachePayloadError, CacheTruncatedError, CacheVersionError,
                             MAX_LIMIT, build_tables, cache_summary,
                             cauchy_schwarz_prefix_bound, chebyshev_theta,
-                            load_cache, mangoldt_weight,
+                            load_cache, mangoldt_weight, mertens_chunks,
                             mertens_identity_check, mertens_prefix,
                             mertens_ratio_window, save_cache,
                             squarefree_count)
@@ -34,6 +34,31 @@ def test_primes_match_trial_division(table4):
 def test_divisor_counts_match_factorization(table4):
     for n in range(1, 500):
         assert int(table4.divisor_count[n]) == trial_divisor_count(n), n
+
+
+def _hyperbola_divisor_sum(x: int) -> int:
+    """sum_{n<=x} d(n) = 2 sum_{k<=sqrt x} floor(x/k) - floor(sqrt x)^2."""
+    r = math.isqrt(x)
+    return 2 * sum(x // k for k in range(1, r + 1)) - r * r
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 8, 9, 10, 99, 100, 101,
+                                   2400, 2401, 2402])
+def test_divisor_sieve_matches_trial_counts(limit):
+    counts = build_tables(limit).divisor_count
+    assert counts.dtype == np.int32 and counts.size == limit + 1
+    assert counts[0] == 0
+    assert [int(c) for c in counts[1:]] == [
+        trial_divisor_count(n) for n in range(1, limit + 1)]
+
+
+@pytest.mark.parametrize("limit", [999_999, 1_000_000, 1_000_001,
+                                   1_002_000, 1_002_001, 1_002_002])
+def test_divisor_sieve_matches_hyperbola_sums(limit):
+    counts = build_tables(limit).divisor_count
+    prefix = np.cumsum(counts, dtype=np.int64)
+    for x in (limit, limit - 1, limit // 2, 1_000, 1):
+        assert int(prefix[x]) == _hyperbola_divisor_sum(x), x
 
 
 def test_smallest_prime_factor(table4):
@@ -78,6 +103,20 @@ def test_mertens_prefix_extremes_are_attained(prefix4):
         prefix4.observed_min_ratio
     assert prefix4.values[prefix4.argmax] / math.sqrt(prefix4.argmax) == \
         prefix4.observed_max_ratio
+
+
+@pytest.mark.parametrize("limit", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1,
+                                   (1 << 21) + 5])
+def test_mertens_chunks_carry_across_chunk_edges(limit):
+    table = build_tables(limit)
+    direct = np.cumsum(table.mu[1:], dtype=np.int64)
+    prefix = mertens_prefix(table)
+    assert np.array_equal(prefix.values[1:], direct)
+    stop = limit - 7
+    walked = np.concatenate([part for _, part in mertens_chunks(table, stop)])
+    assert np.array_equal(walked, direct[:stop])
+    with pytest.raises(ValueError):
+        next(mertens_chunks(table, limit + 1))
 
 
 def test_mertens_ratio_window_matches_slice(prefix4):

@@ -26,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetadesk import arith
-from zetadesk.cli import (CACHE_ENV, CliValidationError, acquire_table,
-                          format_complex, format_float, main, parse_complex)
+from zetadesk.cli import (CACHE_ENV, CliValidationError, acquire_table, main,
+                          parse_complex)
+from zetadesk.reports import format_complex, format_float
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -186,6 +187,20 @@ def test_mertens_peak_memory_stays_bounded():
     assert peak_kb / 1024 < 150, f"mertens peaked at {peak_kb / 1024:.0f} MB"
 
 
+def test_mertens_every_row_memory_stays_bounded():
+    # one row per n: the table is rendered from columns, so memory grows
+    # with the output text, not with a Python tuple per row
+    src = str(Path(arith.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
+         "mertens", "--limit", "1000000"],
+        env=env, capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, probe.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 < 160, f"mertens peaked at {peak_kb / 1024:.0f} MB"
+
+
 def test_csv_line_endings_and_header(tmp_path):
     got = run_ok(["mertens", "--limit", "100"], tmp_path / "m.csv")
     assert b"\r" not in got
@@ -339,3 +354,53 @@ def test_cached_and_fresh_runs_are_byte_identical(tmp_path):
                      "--cache-dir", str(cache)], tmp_path / "b.csv")
     fresh = run_ok(["mertens", "--limit", "60"], tmp_path / "c.csv")
     assert first == second == fresh
+
+
+def test_cache_selects_by_header_limit_not_file_name(tmp_path, capsys):
+    # a limit-1000 table filed under a name that promises 5000
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    arith.save_cache(arith.build_tables(1000), cache / "mu-5000.stjz")
+    argv = ["mertens", "--limit", "3000", "--every", "3000"]
+    assert main([*argv, "--cache-dir", str(cache)]) == 0
+    cached = capsys.readouterr().out
+    assert main(argv) == 0
+    assert cached == capsys.readouterr().out
+    assert cached.splitlines()[1].startswith("3000,-6,")
+    assert arith.read_cache_limit(cache / "mu-3000.stjz") == 3000
+
+
+def test_truncated_cache_file_is_rebuilt_and_replaced(tmp_path, capsys):
+    # what an interrupted write of a whole file would leave behind
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "mu-3000.stjz"
+    arith.save_cache(arith.build_tables(3000), path)
+    path.write_bytes(path.read_bytes()[:500])
+    argv = ["mertens", "--limit", "2000", "--every", "7"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main([*argv, "--cache-dir", str(cache)]) == 0
+    first = capsys.readouterr()
+    assert first.out == fresh and "warning:" in first.err
+    assert main([*argv, "--cache-dir", str(cache)]) == 0
+    second = capsys.readouterr()
+    assert second.out == fresh and second.err == ""
+    names = sorted(p.name for p in cache.iterdir())
+    assert names == ["mu-2000.stjz"]
+    assert arith.cache_summary(cache / "mu-2000.stjz")["status"] == "ok"
+
+
+def test_cache_save_leaves_no_partial_file(tmp_path, monkeypatch):
+    table = arith.build_tables(500)
+    path = tmp_path / "mu-500.stjz"
+    arith.save_cache(table, path)
+    good = path.read_bytes()
+
+    def interrupted(*_):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(arith.zlib, "crc32", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        arith.save_cache(arith.build_tables(600), path)
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["mu-500.stjz"]

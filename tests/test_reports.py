@@ -1,0 +1,177 @@
+"""The shared table renderer against a reference built cell by cell.
+
+The reference formats every cell with format_float/format_complex for
+CSV and lays the JSON body out with json.dumps(indent=2), which is what
+the CLI printed before tables were held as columns. Row counts sit on
+and around the renderer's chunk edge, and the float pools carry the
+values whose text is easiest to get wrong: -0.0, +-inf, nan,
+subnormals and +-1.7e308.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from zetadesk.cli import CommandOutput, render_csv, render_json
+from zetadesk.reports import (CHUNK_ROWS, RowView, build_scan_report,
+                              column_from_values, format_complex,
+                              format_float)
+
+CHUNK_EDGE_COUNTS = [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                  1.7e308, -1.7e308]
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_floats = st.one_of(_finite, st.sampled_from(SPECIAL_FLOATS))
+_POOLS = {
+    "int64": st.integers(-2**63, 2**63 - 1),
+    "int32": st.integers(-2**31, 2**31 - 1),
+    "float64": _floats,
+    "bool": st.booleans(),
+    "str": st.text(max_size=6),
+    "complex": st.builds(complex, _floats, _floats),
+}
+
+
+@st.composite
+def tables(draw, counts, max_columns):
+    n = draw(st.sampled_from(counts))
+    kinds = draw(st.lists(st.sampled_from(sorted(_POOLS)), min_size=1,
+                          max_size=max_columns))
+    data = []
+    for kind in kinds:
+        pool = draw(st.lists(_POOLS[kind], min_size=1, max_size=6))
+        if kind in ("str", "complex"):
+            column = [pool[i % len(pool)] for i in range(n)]
+        else:
+            column = np.resize(np.array(pool, dtype=kind), n)
+            if kind == "float64" and n:
+                # one odd value somewhere, possibly in a later chunk only
+                column[draw(st.integers(0, n - 1))] = draw(_floats)
+        data.append(column)
+    extra = draw(st.sampled_from([{}, {"count": n}]))
+    stats = {"last": draw(_floats), "note": draw(st.text(max_size=4))}
+    return CommandOutput(command="probe", params={"limit": n, "s": 0.5},
+                         columns=tuple(f"c{i}" for i in range(len(data))),
+                         data=tuple(data), stats=stats, extra=extra)
+
+
+def _plain_rows(out):
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c
+               for c in out.data]
+    return list(zip(*columns))
+
+
+def _reference_csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, complex):
+        return format_complex(value)
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def _reference_json_value(value):
+    if isinstance(value, complex):
+        return format_complex(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _reference_json_value(v) for k, v in value.items()}
+    return value
+
+
+def reference_csv(out):
+    lines = [",".join(out.columns)]
+    lines += [",".join(map(_reference_csv_cell, row))
+              for row in _plain_rows(out)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(out):
+    body = {"command": out.command,
+            "params": _reference_json_value(out.params)}
+    body.update(_reference_json_value(out.extra))
+    body["columns"] = list(out.columns)
+    body["rows"] = [[_reference_json_value(v) for v in row]
+                    for row in _plain_rows(out)]
+    body["stats"] = _reference_json_value(out.stats)
+    return json.dumps(body, indent=2) + "\n"
+
+
+def first_mismatch(got, want):
+    """None when equal, else the first differing line: a short report,
+    where a plain == on megabyte strings would have pytest diff them."""
+    if got == want:
+        return None
+    pairs = zip(got.splitlines(), want.splitlines())
+    for i, (a, b) in enumerate(pairs):
+        if a != b:
+            return i, a, b
+    return "lengths", len(got), len(want)
+
+
+def check_renders(out):
+    assert first_mismatch(render_csv(out), reference_csv(out)) is None
+    assert first_mismatch(render_json(out), reference_json(out)) is None
+
+
+@settings(max_examples=60)
+@given(tables(counts=[0, 1, 2, 3, 7], max_columns=5))
+def test_renderer_matches_cell_by_cell_reference(out):
+    check_renders(out)
+
+
+# few examples, and no shrinking: each renders a table of some 2^16 rows
+# four times, so a failure is reported as first found
+@settings(max_examples=6, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(tables(counts=CHUNK_EDGE_COUNTS, max_columns=3))
+def test_renderer_matches_reference_at_the_chunk_edge(out):
+    check_renders(out)
+
+
+def test_numpy_bool_column_prints_as_json_and_csv_booleans():
+    out = CommandOutput(command="probe", params={}, columns=("n", "ok"),
+                        data=(np.arange(1, 4), np.array([True, False, True])),
+                        stats={}, extra={})
+    assert render_csv(out) == "n,ok\n1,true\n2,false\n3,true\n"
+    assert json.loads(render_json(out))["rows"] == [
+        [1, True], [2, False], [3, True]]
+
+
+def test_row_view_reads_rows_from_columns():
+    data = (np.arange(5, dtype=np.int64), np.linspace(0.0, 1.0, 5),
+            ["a", "b", "c", "d", "e"])
+    rows = RowView(data)
+    assert len(rows) == 5
+    assert rows[0] == (0, 0.0, "a") and rows[-1] == (4, 1.0, "e")
+    assert type(rows[1][0]) is int and type(rows[1][1]) is float
+    assert list(rows)[2] == (2, 0.5, "c")
+    assert rows[1:3] == ((1, 0.25, "b"), (2, 0.5, "c"))
+    with pytest.raises(IndexError):
+        rows[5]
+
+
+def test_column_kinds_from_python_cells():
+    assert column_from_values([1, 2]).dtype == np.int64
+    assert column_from_values([1.0, 2.5]).dtype == np.float64
+    # a mixed, bool, string or complex column stays a list of cells
+    for cells in ([1, 2.5], [True, False], ["x"], [1j]):
+        assert column_from_values(cells) == cells
+
+
+def test_scan_report_extremes_and_ragged_columns():
+    report = build_scan_report("probe", ("n", "r"),
+                               (np.array([1.0, 2.0, 3.0]),
+                                np.array([0.5, -1.0, 2.0])), 0, 1)
+    assert (report.observed_min, report.argmin) == (-1.0, 2.0)
+    assert (report.observed_max, report.argmax) == (2.0, 3.0)
+    assert report.rows[-1] == (3.0, 2.0)
+    with pytest.raises(ValueError):
+        build_scan_report("probe", ("n", "r"),
+                          (np.arange(3.0), np.arange(2.0)), 0, 1)
