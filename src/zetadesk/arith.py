@@ -130,12 +130,21 @@ def build_tables(limit: int) -> ArithTable:
 
 
 def _prime_sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    # odd numbers only: flags[i] stands for 2i + 3, and 2 is prepended;
+    # consecutive odd multiples of p lie p cells apart
+    flags = np.ones((limit - 1) // 2, dtype=bool)
+    for i in range((math.isqrt(limit) - 1) // 2):
+        if flags[i]:
+            p = 2 * i + 3
+            flags[(p * p - 3) // 2 :: p] = False
+    odd = np.flatnonzero(flags)
+    primes = np.empty(odd.size + 1, dtype=np.int64)
+    primes[0] = 2
+    np.multiply(odd, 2, out=primes[1:])
+    primes[1:] += 3
+    return primes
 
 
 def _mobius_sieve(limit: int, primes: np.ndarray) -> np.ndarray:
@@ -201,7 +210,8 @@ class MertensPrefix:
     argmax: int
 
 
-_MERTENS_CHUNK = 1 << 16
+# cells per step of every chunked walk over the table
+_CHUNK = 1 << 16
 
 
 def mertens_chunks(table: ArithTable, limit: int | None = None):
@@ -212,24 +222,30 @@ def mertens_chunks(table: ArithTable, limit: int | None = None):
     chunk at a time, so no full-length prefix or cast temporary is
     formed here.
     """
-    limit = table.limit if limit is None else limit
-    if not 1 <= limit <= table.limit:
-        raise ValueError(f"Mertens limit {limit} outside table range")
+    limit = _mertens_limit(table, limit)
     carry = 0
-    for lo in range(0, limit, _MERTENS_CHUNK):
-        part = np.cumsum(table.mu[lo + 1 : min(lo + _MERTENS_CHUNK, limit) + 1],
+    for lo in range(0, limit, _CHUNK):
+        part = np.cumsum(table.mu[lo + 1 : min(lo + _CHUNK, limit) + 1],
                          dtype=np.int32)
         part += carry
         carry = int(part[-1])
         yield lo, part
 
 
-def mertens_prefix(table: ArithTable) -> MertensPrefix:
-    """Cumulative Mobius sums plus ratio extremes over 1..limit."""
-    n = table.limit
+def _mertens_limit(table: ArithTable, limit: int | None) -> int:
+    limit = table.limit if limit is None else limit
+    if not 1 <= limit <= table.limit:
+        raise ValueError(f"Mertens limit {limit} outside table range")
+    return limit
+
+
+def mertens_prefix(table: ArithTable, limit: int | None = None) -> MertensPrefix:
+    """Cumulative Mobius sums plus ratio extremes over 1..limit (the
+    whole table by default)."""
+    n = _mertens_limit(table, limit)
     values = np.empty(n + 1, dtype=np.int32)
     values[0] = 0
-    for lo, part in mertens_chunks(table):
+    for lo, part in mertens_chunks(table, n):
         values[lo + 1 : lo + 1 + part.size] = part
     values.setflags(write=False)
     whole = MertensPrefix(limit=n, values=values,
@@ -248,8 +264,8 @@ def mertens_ratio_window(prefix: MertensPrefix, lo: int,
     best_min = math.inf
     best_max = -math.inf
     arg_min = arg_max = lo
-    for start in range(lo, hi + 1, _MERTENS_CHUNK):
-        stop = min(hi + 1, start + _MERTENS_CHUNK)
+    for start in range(lo, hi + 1, _CHUNK):
+        stop = min(hi + 1, start + _CHUNK)
         idx = np.arange(start, stop, dtype=np.float64)
         ratios = prefix.values[start:stop] / np.sqrt(idx)
         i_lo = int(np.argmin(ratios))
@@ -347,13 +363,16 @@ def save_cache(table: ArithTable, path) -> None:
     so an interrupted save never leaves a partial file under path.
     """
     path = Path(path)
-    payload = (table.mu[1:] + 1).view(np.uint8)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit))
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            crc = 0
+            for lo in range(1, table.limit + 1, _CHUNK):
+                payload = (table.mu[lo : lo + _CHUNK] + 1).view(np.uint8)
+                fh.write(payload)
+                crc = zlib.crc32(payload, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -382,16 +401,17 @@ def read_cache_limit(path) -> int:
         return _header_limit(fh.read(_HEADER.size), path)
 
 
-def _checked_payload(data: bytes, path) -> bytes:
-    """The payload of a whole STJZ file, after every check passes;
-    otherwise the CacheError for the first one that fails."""
+def _checked_payload(data: bytes, path) -> memoryview:
+    """The payload of a whole STJZ file, as a view into data, after
+    every check passes; otherwise the CacheError for the first one that
+    fails."""
     limit = _header_limit(data, path)
     expected = _HEADER.size + limit + 4
     if len(data) != expected:
         raise CacheTruncatedError(
             f"{path}: {len(data)} bytes, header promises {expected}"
         )
-    payload = data[_HEADER.size : _HEADER.size + limit]
+    payload = memoryview(data)[_HEADER.size : _HEADER.size + limit]
     (crc,) = struct.unpack_from("<I", data, _HEADER.size + limit)
     if zlib.crc32(payload) != crc:
         raise CacheChecksumError(f"{path}: payload CRC mismatch")
@@ -425,11 +445,14 @@ def load_cache(path) -> ArithTable:
     payload only carries mu. Malformed files raise the specific
     CacheError subclass for what went wrong.
     """
-    payload = _checked_payload(Path(path).read_bytes(), path)
-    limit = len(payload)
+    raw = np.frombuffer(_checked_payload(Path(path).read_bytes(), path),
+                        dtype=np.uint8)
+    limit = raw.size
     mu = np.empty(limit + 1, dtype=np.int8)
     mu[0] = 0
-    mu[1:] = np.frombuffer(payload, dtype=np.uint8).astype(np.int8) - 1
+    # byte b holds mu + 1; b - 1 wraps 0 to 255, which reads as int8 -1
+    np.subtract(raw, 1, out=mu[1:].view(np.uint8))
+    del raw  # frees the file bytes before the re-sieve
     primes = _prime_sieve(limit)
     if len(primes):
         log_cumsum = np.cumsum(np.log(primes.astype(np.float64)))

@@ -211,16 +211,22 @@ def _cmd_mertens(config: RunConfig) -> CommandOutput:
     for lo, part in arith.mertens_chunks(table, limit):
         hit = slice(*np.searchsorted(grid, (lo + 1, lo + part.size + 1)))
         values[hit] = part[grid[hit] - lo - 1]
-    ratios = values / np.sqrt(grid.astype(np.float64))
+    ratios = grid.astype(np.float64)
+    np.sqrt(ratios, out=ratios)
+    np.divide(values, ratios, out=ratios)
     stats = {"observed_min_ratio": float(ratios.min()),
              "observed_max_ratio": float(ratios.max())}
     return _make_output(config, ("n", "M", "ratio"), (grid, values, ratios),
                         stats)
 
 
+# series the scan reads chunk by chunk straight off the table
+_SERIES_CHUNKS = {
+    "mobius": dirichlet.mobius_chunks,
+    "divisor-corrected": dirichlet.divisor_corrected_chunks,
+}
+# series built whole first: its prime-power weights are scattered
 _SERIES_BUILDERS = {
-    "mobius": dirichlet.mobius_stream,
-    "divisor-corrected": dirichlet.divisor_corrected_stream,
     "one-minus-g": dirichlet.one_minus_g_stream,
 }
 
@@ -230,11 +236,12 @@ def _cmd_dirichlet_sum(config: RunConfig) -> CommandOutput:
     series = config.params["series"]
     s = config.params["s"]
     if series == "unit":
-        stream = dirichlet.unit_stream(limit)
+        coeffs = dirichlet.unit_chunks(limit)
     else:
         table = acquire_table(limit, config.cache_dir)
-        stream = _SERIES_BUILDERS[series](table, limit)
-    report = dirichlet.prefix_ratio_scan(stream, s, limit)
+        make = _SERIES_CHUNKS.get(series) or _SERIES_BUILDERS[series]
+        coeffs = make(table, limit)
+    report = dirichlet.prefix_ratio_scan(coeffs, s, limit)
     return _make_output(config, report.columns, report.data, report.stats)
 
 
@@ -243,7 +250,7 @@ def _cmd_abel_check(config: RunConfig) -> CommandOutput:
     m = config.params["m"]
     s = config.params["s"]
     table = acquire_table(n + m, config.cache_dir)
-    prefix = arith.mertens_prefix(table)
+    prefix = arith.mertens_prefix(table, n + m)
     dec = dirichlet.abel_rearranged_sum(prefix, s, n, m)
     gap = abs(dec.direct_sum - dec.rearranged)
     rel = gap / abs(dec.direct_sum) if dec.direct_sum != 0 else math.inf
@@ -375,7 +382,7 @@ def _cmd_identity_explore(config: RunConfig) -> CommandOutput:
     if "n" in config.params:
         n = config.params["n"]
         table = acquire_table(n, config.cache_dir)
-        prefix = arith.mertens_prefix(table)
+        prefix = arith.mertens_prefix(table, n)
         probe = asymptotics.floor_identity_probe(prefix, table, n)
         rows = [(conv, reading, probe.lhs[conv], probe.rhs[reading],
                  probe.lhs[conv] == probe.rhs[reading])
@@ -387,7 +394,7 @@ def _cmd_identity_explore(config: RunConfig) -> CommandOutput:
                                      "match"), rows, stats)
     limit = config.params["limit"]
     table = acquire_table(limit, config.cache_dir)
-    prefix = arith.mertens_prefix(table)
+    prefix = arith.mertens_prefix(table, limit)
     sweep = asymptotics.floor_identity_sweep(prefix, table, limit)
     rows = [(conv, reading, sweep.match_counts[(conv, reading)], sweep.total)
             for conv in asymptotics.LHS_CONVENTIONS

@@ -13,12 +13,16 @@ Provides:
 
 Coefficient streams are flat float arrays, entry 0 unused, so sources
 can be mixed freely (Mobius, unit, corrected divisor counts, the
-1 - prime-power-log weight, or anything custom).
+1 - prime-power-log weight, or anything custom). The Mobius, unit and
+corrected divisor coefficients are also available as chunked series,
+made 2^16 cells at a time and never held whole; prefix scans walk
+either kind chunk by chunk.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,35 +49,78 @@ class CoefficientStream:
         if len(self.values) != self.limit + 1:
             raise ValueError("stream length disagrees with its limit")
 
+    def chunk(self, lo: int, hi: int) -> np.ndarray:
+        """A fresh float64 copy of lambda(lo..hi-1)."""
+        return self.values[lo:hi].copy()
+
+
+@dataclass(frozen=True, eq=False)
+class ChunkedSeries:
+    """Dirichlet coefficients lambda(1..limit) that are never held whole:
+    chunk(lo, hi) makes a fresh float64 array of lambda(lo..hi-1)."""
+
+    name: str
+    limit: int
+    chunk: Callable[[int, int], np.ndarray]
+
+
+_CHUNK = 1 << 16
+
+
+def _chunk_bounds(n: int):
+    """(lo, hi) for consecutive chunks of at most _CHUNK cells covering 1..n."""
+    for lo in range(1, n + 1, _CHUNK):
+        yield lo, min(lo + _CHUNK, n + 1)
+
 
 def _finish(values: np.ndarray, name: str, limit: int, source: str) -> CoefficientStream:
     values.setflags(write=False)
     return CoefficientStream(name=name, limit=limit, values=values, source=source)
 
 
-def mobius_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
+def _materialize(series: ChunkedSeries) -> CoefficientStream:
+    values = np.empty(series.limit + 1, dtype=np.float64)
+    values[0] = 0.0
+    for lo, hi in _chunk_bounds(series.limit):
+        values[lo:hi] = series.chunk(lo, hi)
+    return _finish(values, series.name, series.limit, series.name)
+
+
+def mobius_chunks(table: ArithTable, limit: int | None = None) -> ChunkedSeries:
     n = _stream_limit(table, limit)
-    values = np.zeros(n + 1, dtype=np.float64)
-    values[1:] = table.mu[1 : n + 1]
-    return _finish(values, "mobius", n, "mobius")
+    return ChunkedSeries("mobius", n,
+                         lambda lo, hi: table.mu[lo:hi].astype(np.float64))
+
+
+def unit_chunks(limit: int) -> ChunkedSeries:
+    if limit < 1:
+        raise ValueError("stream limit must be at least 1")
+    return ChunkedSeries("unit", limit, lambda lo, hi: np.ones(hi - lo))
+
+
+def divisor_corrected_chunks(table: ArithTable, limit: int | None = None) -> ChunkedSeries:
+    """lambda(n) = d(n) - log n - 2C, over each chunk's own index range."""
+    n = _stream_limit(table, limit)
+    c2 = 2.0 * euler_constant()
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        idx = np.arange(lo, hi, dtype=np.float64)
+        return table.divisor_count[lo:hi] - np.log(idx) - c2
+
+    return ChunkedSeries("divisor_corrected", n, chunk)
+
+
+def mobius_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
+    return _materialize(mobius_chunks(table, limit))
 
 
 def unit_stream(limit: int) -> CoefficientStream:
-    if limit < 1:
-        raise ValueError("stream limit must be at least 1")
-    values = np.ones(limit + 1, dtype=np.float64)
-    values[0] = 0.0
-    return _finish(values, "unit", limit, "unit")
+    return _materialize(unit_chunks(limit))
 
 
 def divisor_corrected_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
     """lambda(n) = d(n) - log n - 2C."""
-    n = _stream_limit(table, limit)
-    c2 = 2.0 * euler_constant()
-    values = np.zeros(n + 1, dtype=np.float64)
-    idx = np.arange(1, n + 1, dtype=np.float64)
-    values[1:] = table.divisor_count[1 : n + 1] - np.log(idx) - c2
-    return _finish(values, "divisor_corrected", n, "divisor_corrected")
+    return _materialize(divisor_corrected_chunks(table, limit))
 
 
 def one_minus_g_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
@@ -239,7 +286,31 @@ def abel_rearranged_sum(prefix: MertensPrefix, s: complex, n: int, m: int) -> Ab
                              thetas=thetas)
 
 
-def prefix_ratio_scan(coeffs: CoefficientStream, s: float, n_max: int | None = None) -> ScanReport:
+def _grid_prefix(coeffs: CoefficientStream | ChunkedSeries,
+                 grid: np.ndarray) -> np.ndarray:
+    """Prefix sums P(n) = lambda(1) + ... + lambda(n) at the ascending
+    grid rows, walked chunk by chunk with a carry.
+
+    Adding the carry into a chunk's first cell is the step
+    np.add.accumulate takes there over the whole array, so every prefix
+    is bit-identical to np.cumsum of the full stream. The first chunk
+    gets no carry, so a leading -0.0 stays -0.0 as it does there.
+    """
+    picked = np.empty(grid.size, dtype=np.float64)
+    carry = None
+    for lo, hi in _chunk_bounds(int(grid[-1])):
+        part = coeffs.chunk(lo, hi)
+        if carry is not None:
+            part[0] += carry
+        np.cumsum(part, out=part)
+        hit = slice(*np.searchsorted(grid, (lo, hi)))
+        picked[hit] = part[grid[hit] - lo]
+        carry = part[-1]
+    return picked
+
+
+def prefix_ratio_scan(coeffs: CoefficientStream | ChunkedSeries, s: float,
+                      n_max: int | None = None) -> ScanReport:
     """r(n) = P(n)/n^s on a geometric grid, P the prefix sums.
 
     stats carries the sup of |r| over the grid tail (top decade) and
@@ -248,9 +319,8 @@ def prefix_ratio_scan(coeffs: CoefficientStream, s: float, n_max: int | None = N
     n_max = coeffs.limit if n_max is None else n_max
     if n_max < 1 or n_max > coeffs.limit:
         raise ValueError(f"scan bound {n_max} outside stream range")
-    prefix = np.cumsum(coeffs.values[1 : n_max + 1])
     grid = geometric_grid(n_max)
-    p = prefix[grid - 1]
+    p = _grid_prefix(coeffs, grid)
     r = p / np.power(grid.astype(np.float64), s)
     tail = np.abs(r[grid > n_max // 10]) if n_max >= 10 else np.abs(r)
     stats = {
@@ -292,24 +362,27 @@ class AbscissaProbe:
     absolute_prefix: np.ndarray
 
 
-def abscissa_probe(coeffs: CoefficientStream, n_max: int | None = None) -> AbscissaProbe:
+def abscissa_probe(coeffs: CoefficientStream | ChunkedSeries,
+                   n_max: int | None = None) -> AbscissaProbe:
     n_max = coeffs.limit if n_max is None else n_max
     if n_max < 10_000:
         raise ValueError("abscissa probe wants at least 10^4 coefficients")
     if n_max > coeffs.limit:
         raise ValueError(f"probe bound {n_max} outside stream range")
-    vals = coeffs.values[1 : n_max + 1]
-    if not np.any(vals):
-        raise ValueError("all-zero stream has no growth exponent")
-    signed_prefix = np.cumsum(vals)
-    abs_prefix = np.cumsum(np.abs(vals))
     grid = geometric_grid(n_max, start=10)
-    envelope = np.maximum.accumulate(np.abs(signed_prefix[grid - 1]))
+    magnitudes = ChunkedSeries(f"|{coeffs.name}|", n_max,
+                               lambda lo, hi: np.abs(coeffs.chunk(lo, hi)))
+    # grid ends at n_max, so the last absolute prefix is zero exactly
+    # when every coefficient is
+    abs_prefix = _grid_prefix(magnitudes, grid)
+    if abs_prefix[-1] == 0:
+        raise ValueError("all-zero stream has no growth exponent")
+    envelope = np.maximum.accumulate(np.abs(_grid_prefix(coeffs, grid)))
     conditional = _envelope_slope(grid, envelope)
-    absolute = _envelope_slope(grid, abs_prefix[grid - 1])
+    absolute = _envelope_slope(grid, abs_prefix)
     return AbscissaProbe(conditional_estimate=conditional,
                          absolute_estimate=absolute, grid=grid,
-                         signed_envelope=envelope, absolute_prefix=abs_prefix[grid - 1])
+                         signed_envelope=envelope, absolute_prefix=abs_prefix)
 
 
 def _envelope_slope(grid: np.ndarray, envelope: np.ndarray) -> float:

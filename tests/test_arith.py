@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from zetadesk.arith import (CacheChecksumError, CacheMagicError,
                             CachePayloadError, CacheTruncatedError, CacheVersionError,
-                            MAX_LIMIT, build_tables, cache_summary,
+                            MAX_LIMIT, _prime_sieve, build_tables, cache_summary,
                             cauchy_schwarz_prefix_bound, chebyshev_theta,
                             load_cache, mangoldt_weight, mertens_chunks,
                             mertens_identity_check, mertens_prefix,
@@ -29,6 +29,17 @@ def test_primes_match_trial_division(table4):
     primes = set(table4.primes.tolist())
     for n in range(1, 1000):
         assert (n in primes) == trial_is_prime(n), n
+
+
+def test_odd_only_sieve_matches_trial_division():
+    # every limit up to 50, odd prime squares, and both sides of 2^16
+    top = (1 << 16) + 1
+    reference = np.array([n for n in range(top + 1) if trial_is_prime(n)],
+                         dtype=np.int64)
+    for limit in [*range(51), 49, 121, 961, (1 << 16) - 1, 1 << 16, top]:
+        got = _prime_sieve(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference[reference <= limit]), limit
 
 
 def test_divisor_counts_match_factorization(table4):
@@ -115,6 +126,11 @@ def test_mertens_chunks_carry_across_chunk_edges(limit):
     stop = limit - 7
     walked = np.concatenate([part for _, part in mertens_chunks(table, stop)])
     assert np.array_equal(walked, direct[:stop])
+    bounded = mertens_prefix(table, stop)
+    assert bounded.limit == stop
+    assert np.array_equal(bounded.values[1:], direct[:stop])
+    with pytest.raises(ValueError):
+        mertens_prefix(table, limit + 1)
     with pytest.raises(ValueError):
         next(mertens_chunks(table, limit + 1))
 
@@ -180,15 +196,19 @@ def test_cauchy_schwarz_equality_on_constants():
 # -- cache format -------------------------------------------------------
 
 def test_cache_roundtrip_bit_exact(tmp_path, table4):
-    path = tmp_path / "mu-10000.stjz"
-    save_cache(table4, path)
-    loaded = load_cache(path)
-    assert loaded.limit == table4.limit
-    assert np.array_equal(loaded.mu, table4.mu)
-    assert np.array_equal(loaded.primes, table4.primes)
-    second = tmp_path / "again.stjz"
-    save_cache(loaded, second)
-    assert path.read_bytes() == second.read_bytes()
+    # the second table spans several save and decode chunks
+    for table in (table4, build_tables(3 * (1 << 16) + 5)):
+        path = tmp_path / f"mu-{table.limit}.stjz"
+        save_cache(table, path)
+        payload = (table.mu[1:] + 1).astype(np.uint8).tobytes()
+        assert path.read_bytes()[16:] == payload + struct.pack("<I", zlib.crc32(payload))
+        loaded = load_cache(path)
+        assert loaded.limit == table.limit
+        assert np.array_equal(loaded.mu, table.mu)
+        assert np.array_equal(loaded.primes, table.primes)
+        second = tmp_path / "again.stjz"
+        save_cache(loaded, second)
+        assert path.read_bytes() == second.read_bytes()
 
 
 def test_cache_corruption_classes(tmp_path, table4):

@@ -201,6 +201,21 @@ def test_mertens_every_row_memory_stays_bounded():
     assert peak_kb / 1024 < 160, f"mertens peaked at {peak_kb / 1024:.0f} MB"
 
 
+def test_dirichlet_sum_peak_memory_stays_bounded():
+    # the prefix is walked in chunks, so no float64 copy of mu and no
+    # float64 prefix of the whole range is held (123 MB when they were)
+    src = str(Path(arith.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
+         "dirichlet-sum", "--series", "mobius", "--s", "0.5",
+         "--limit", "5000000"],
+        env=env, capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, probe.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 < 80, f"dirichlet-sum peaked at {peak_kb / 1024:.0f} MB"
+
+
 def test_csv_line_endings_and_header(tmp_path):
     got = run_ok(["mertens", "--limit", "100"], tmp_path / "m.csv")
     assert b"\r" not in got

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from zetadesk.arith import mertens_prefix
 from zetadesk.constants import euler_constant
-from zetadesk.dirichlet import (ConvergenceParams, abel_rearranged_sum,
-                                abscissa_probe, custom_stream,
-                                dirichlet_convolution,
+from zetadesk.dirichlet import (ConvergenceParams, _grid_prefix,
+                                abel_rearranged_sum, abscissa_probe,
+                                custom_stream, dirichlet_convolution,
+                                divisor_corrected_chunks,
                                 divisor_corrected_stream, mean_value_theta,
-                                mobius_stream, one_minus_g_stream,
-                                partial_sum, prefix_ratio_scan, unit_stream)
+                                mobius_chunks, mobius_stream, one_minus_g_stream,
+                                partial_sum, prefix_ratio_scan, unit_chunks,
+                                unit_stream)
 
 
 def test_stream_values(table4):
@@ -191,6 +193,44 @@ def test_prefix_ratio_scan_anchors(table4):
     assert last[1] == direct
     assert math.isclose(last[2], direct / 10_000 ** 0.6, rel_tol=1e-12)
     assert report.stats["tail_sup"] >= abs(last[2])
+
+
+_EDGE = 1 << 16
+
+
+@pytest.mark.parametrize("limit", [1, _EDGE - 1, _EDGE, _EDGE + 1, 3 * _EDGE + 5])
+@pytest.mark.parametrize("make", [
+    lambda table, n: (mobius_chunks(table, n), mobius_stream(table, n)),
+    lambda table, n: (unit_chunks(n), unit_stream(n)),
+    lambda table, n: (divisor_corrected_chunks(table, n),
+                      divisor_corrected_stream(table, n)),
+], ids=["mobius", "unit", "divisor_corrected"])
+def test_chunked_prefix_is_bit_identical_to_full_cumsum(table6, make, limit):
+    chunks, stream = make(table6, limit)
+    n = np.arange(1, limit + 1, dtype=np.float64)
+    whole = {"mobius": table6.mu[1 : limit + 1].astype(np.float64),
+             "unit": np.ones(limit),
+             "divisor_corrected": (table6.divisor_count[1 : limit + 1] - np.log(n)
+                                   - 2.0 * euler_constant())}[stream.name]
+    # the stream is the concatenation of the chunks, computed whole
+    assert np.array_equal(stream.values[1:].view(np.uint64), whole.view(np.uint64))
+    full = np.cumsum(whole)
+    # rows on both sides of every chunk edge, the first row and the last
+    edges = range(_EDGE, limit + 1, _EDGE)
+    grid = np.unique([1, limit, *(e + d for e in edges for d in (-1, 0, 1, 2))])
+    grid = grid[grid <= limit].astype(np.int64)
+    for coeffs in (chunks, stream):
+        got = _grid_prefix(coeffs, grid)
+        assert np.array_equal(got.view(np.uint64), full[grid - 1].view(np.uint64))
+        rows, prefix = prefix_ratio_scan(coeffs, 0.5).data[:2]
+        assert np.array_equal(prefix.view(np.uint64), full[rows - 1].view(np.uint64))
+
+
+def test_chunked_prefix_keeps_a_leading_negative_zero():
+    stream = custom_stream("signed", [0.0, -0.0, -0.0, 1.0])
+    got = _grid_prefix(stream, np.array([1, 2, 3]))
+    assert np.array_equal(got.view(np.uint64),
+                          np.cumsum(stream.values[1:]).view(np.uint64))
 
 
 def test_abscissa_probe_slopes(table6):
