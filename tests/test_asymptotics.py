@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetadesk.arith import chebyshev_theta
-from zetadesk.asymptotics import (divisor_asymptotic_ratio,
+from zetadesk.arith import MertensPrefix, chebyshev_theta
+from zetadesk.asymptotics import (H_READINGS, LHS_CONVENTIONS,
+                                  divisor_asymptotic_ratio,
                                   divisor_ratio_scan, floor_identity_probe,
                                   floor_identity_sweep, integer_root, li,
                                   mangoldt_prefix, mertens_constant_estimate,
@@ -222,6 +223,48 @@ def test_identity_sweep_counts(prefix4, table4):
     assert sweep.unmatched == 1
     assert sweep.bound_violations == 0
     assert max(sweep.match_counts.values()) == 499
+
+
+def _probe_tallies(prefix, table, n_max):
+    """(match_counts, unmatched, bound_violations) after each n in
+    1..n_max, tallied from floor_identity_probe one n at a time."""
+    counts = {(conv, reading): 0
+              for conv in LHS_CONVENTIONS for reading in H_READINGS}
+    unmatched = violations = 0
+    for n in range(1, n_max + 1):
+        probe = floor_identity_probe(prefix, table, n)
+        for pair in probe.matches:
+            counts[pair] += 1
+        unmatched += not probe.matches
+        violations += probe.bound_holds is False
+        yield dict(counts), unmatched, violations
+
+
+def _sweep_tallies(prefix, table, n_max):
+    sweep = floor_identity_sweep(prefix, table, n_max)
+    assert sweep.n_max == sweep.total == n_max
+    return sweep.match_counts, sweep.unmatched, sweep.bound_violations
+
+
+def test_identity_sweep_matches_probe_at_every_small_bound(prefix4, table4):
+    for n, tallies in enumerate(_probe_tallies(prefix4, table4, 300), 1):
+        assert _sweep_tallies(prefix4, table4, n) == tallies, n
+
+
+def test_identity_sweep_matches_probe_at_ten_thousand(prefix4, table4):
+    tallies = list(_probe_tallies(prefix4, table4, 10_000))[-1]
+    assert _sweep_tallies(prefix4, table4, 10_000) == tallies
+
+
+def test_identity_sweep_matches_probe_when_the_bound_breaks(table4):
+    # a random stand-in for M makes some readings match with a large
+    # left side, so the size-bound tally is exercised too
+    values = np.random.default_rng(1).integers(-20, 21, 3001).astype(np.int32)
+    prefix = MertensPrefix(limit=3000, values=values, observed_min_ratio=0.0,
+                           argmin=1, observed_max_ratio=0.0, argmax=1)
+    tallies = list(_probe_tallies(prefix, table4, 3000))[-1]
+    assert tallies[2] > 0
+    assert _sweep_tallies(prefix, table4, 3000) == tallies
 
 
 @settings(max_examples=60)

@@ -321,6 +321,29 @@ def test_cache_inspect_reports_corruption(tmp_path, capsys):
     assert by_name["mu-202.stjz"] == "truncated"
 
 
+@pytest.mark.parametrize("argv,reads_mu", [
+    (["relation-a", "--x-max", "5000"], False),
+    (["mertens-constant", "--limit", "5000"], False),
+    (["prime-window", "--start", "10", "--stop", "1000"], False),
+    (["theta", "--limit", "5000"], False),
+    (["mertens", "--limit", "5000"], True),
+])
+def test_mobius_sieve_runs_only_when_mu_is_read(argv, reads_mu, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    built = []
+    real_build = arith.build_tables
+
+    def build(limit):
+        built.append(real_build(limit))
+        return built[-1]
+
+    monkeypatch.setattr(arith, "build_tables", build)
+    run_ok(argv, tmp_path / "out.csv")
+    assert len(built) == 1
+    assert ("mu" in vars(built[0])) == reads_mu
+
+
 def test_cache_auto_consult_reuses_covering_file(tmp_path):
     arith.save_cache(arith.build_tables(300), tmp_path / "mu-300.stjz")
     table = acquire_table(120, tmp_path)

@@ -159,6 +159,41 @@ def test_convolution_associates(a_ints, b_ints, c_ints):
     assert np.allclose(left.values, right.values, rtol=0, atol=1e-9)
 
 
+def _per_d_convolution(a, b):
+    """The convolution as one strided pass per d in 1..n, each out[m]
+    taking its terms in ascending d: the bit-level reference."""
+    n = a.limit
+    out = np.zeros(n + 1, dtype=np.float64)
+    for d in range(1, n + 1):
+        out[d :: d] += a.values[d] * b.values[1 : n // d + 1]
+    return out
+
+
+# r^2 - 1, r^2, r^2 + r and (r + 1)^2 - 1 around r = 37 put the split at
+# isqrt(n) on every side of a square
+@pytest.mark.parametrize("limit", [1, 2, 3, 1368, 1369, 1406, 1443, 4000])
+def test_convolution_is_bit_identical_to_per_d_loop(table4, limit):
+    rng = np.random.default_rng(limit)
+    pairs = [(mobius_stream(table4, limit), divisor_corrected_stream(table4, limit)),
+             (divisor_corrected_stream(table4, limit), one_minus_g_stream(table4, limit)),
+             (custom_stream("x", rng.standard_normal(limit + 1)),
+              custom_stream("y", rng.standard_normal(limit + 1)))]
+    for a, b in pairs:
+        got = dirichlet_convolution(a, b).values
+        assert got.tobytes() == _per_d_convolution(a, b).tobytes()
+
+
+@settings(max_examples=60)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300),
+       st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300))
+def test_convolution_streams_are_bit_identical_to_per_d_loop(a_vals, b_vals):
+    size = min(len(a_vals), len(b_vals))
+    a = custom_stream("a", [0.0] + a_vals[: size - 1])
+    b = custom_stream("b", [0.0] + b_vals[: size - 1])
+    got = dirichlet_convolution(a, b).values
+    assert got.tobytes() == _per_d_convolution(a, b).tobytes()
+
+
 def test_delta_is_neutral(table4):
     mob = mobius_stream(table4, 64)
     delta = custom_stream("delta", [0.0, 1.0] + [0.0] * 63)
