@@ -1,0 +1,184 @@
+"""Exit code and stdout hash of a fixed list of CLI invocations.
+
+Each invocation runs in its own child (`python -m zetadesk.cli`, with
+the package taken from the `src/` next to this script) and prints one
+line: `name exit sha256(stdout)`. The list covers every command in both
+formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the chunk size of the
+table walks and the renderer), empty `--every` grids, non-finite cells,
+the sieve cache (build, a miss then a hit, inspect), invalid input and
+every help text. Run it on two checkouts on the same machine and diff
+the outputs: a refactor that keeps stdout must print the same lines.
+
+Cache paths in stdout are replaced by a placeholder before hashing, so
+the hashes do not depend on the temporary directory. The whole list
+takes about 30 s on 2 vCPUs.
+
+Usage: python3 scripts/stdout_matrix.py > matrix.txt
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TMP = "{tmp}"
+
+EDGES = (65535, 65536, 65537)
+
+# (name, argv); argv may hold TMP, which stands for a fresh directory
+# shared by the whole run, so the cache cases see each other's files.
+# Each of these runs in both formats.
+OUTPUTS = [
+    ("mertens", ["mertens", "--limit", "1000", "--every", "7"]),
+    ("mertens-empty-grid", ["mertens", "--limit", "100", "--every", "1000"]),
+    *[(f"mertens-{n}", ["mertens", "--limit", str(n)]) for n in EDGES],
+    ("dirichlet-sum", ["dirichlet-sum", "--s", "0.5", "--limit", "1000"]),
+    *[(f"dirichlet-sum-{series}",
+       ["dirichlet-sum", "--series", series, "--s", "-0.25", "--limit", "5000"])
+      for series in ("mobius", "unit", "divisor-corrected", "one-minus-g")],
+    *[(f"dirichlet-sum-{n}",
+       ["dirichlet-sum", "--s", "0.5", "--limit", str(n)]) for n in EDGES],
+    ("abel-check", ["abel-check", "--n", "100", "--m", "50", "--s", "0.5+2i"]),
+    ("abel-check-empty-block", ["abel-check", "--n", "10", "--m", "0", "--s", "1"]),
+    ("convolution-check", ["convolution-check", "--limit", "1000"]),
+    *[(f"convolution-check-{n}", ["convolution-check", "--limit", str(n)])
+      for n in EDGES],
+    ("zeta", ["zeta", "--s", "0.5+14.1i"]),
+    ("zeta-reflected", ["zeta", "--s=-3.5-2i"]),
+    ("zeta-box-edge", ["zeta", "--s", "10"]),
+    ("xi", ["xi", "--t", "14.1"]),
+    ("xi-box-edge", ["xi", "--t", "120"]),
+    ("zeros", ["zeros", "--t-max", "30"]),
+    ("zeros-window", ["zeros", "--t-max", "26", "--t-min", "20", "--step", "0.01"]),
+    ("zeros-no-prediction", ["zeros", "--t-max", "5"]),
+    ("constants", ["constants", "--k", "2", "--n", "5000"]),
+    ("constants-no-accelerate",
+     ["constants", "--k", "1", "--n", "1000", "--no-accelerate"]),
+    ("theta", ["theta", "--limit", "5000"]),
+    ("theta-s1", ["theta", "--limit", "5000", "--s", "1"]),
+    ("divisor-ratio", ["divisor-ratio", "--limit", "2000"]),
+    ("divisor-ratio-every", ["divisor-ratio", "--limit", "2000", "--every", "300"]),
+    ("divisor-ratio-empty-grid",
+     ["divisor-ratio", "--limit", "100", "--every", "1000"]),
+    *[(f"divisor-ratio-{n}", ["divisor-ratio", "--limit", str(n), "--every", "1"])
+      for n in EDGES],
+    ("li", ["li", "--x", "100"]),
+    ("relation-a", ["relation-a", "--x-max", "5000"]),
+    ("mertens-constant", ["mertens-constant", "--limit", "5000"]),
+    ("prime-window", ["prime-window", "--start", "10", "--stop", "10000"]),
+    ("identity-explore-n", ["identity-explore", "--n", "100"]),
+    ("identity-explore-limit", ["identity-explore", "--limit", "1000"]),
+    *[(f"identity-explore-{n}", ["identity-explore", "--limit", str(n)])
+      for n in EDGES],
+    ("weierstrass", ["weierstrass", "--x", "0.3", "--a", "1", "--n-terms", "1000"]),
+    ("weierstrass-lattice-zero",
+     ["weierstrass", "--x", "1+6.283185307179586i", "--a", "1", "--n-terms", "100"]),
+    ("cache-build", ["cache", "build", "--limit", "1000", "--dir", f"{TMP}/built"]),
+    ("cache-miss", ["mertens", "--limit", "3000", "--every", "100",
+                    "--cache-dir", f"{TMP}/auto"]),
+    ("cache-hit", ["mertens", "--limit", "2000", "--every", "100",
+                   "--cache-dir", f"{TMP}/auto"]),
+    ("cache-inspect", ["cache", "inspect", "--path", f"{TMP}/built"]),
+    ("cache-inspect-dir", ["cache", "inspect", "--path", f"{TMP}/auto"]),
+]
+
+# exit 2 and an empty stdout, or 1 for a failure found while computing
+INVALID = [
+    ("no-command", []),
+    ("unknown-command", ["frobnicate"]),
+    ("unknown-flag", ["mertens", "--limit", "10", "--bogus"]),
+    ("missing-flag", ["mertens"]),
+    ("bad-int", ["mertens", "--limit", "ten"]),
+    ("bad-limit", ["mertens", "--limit", "0"]),
+    ("bad-every", ["mertens", "--limit", "10", "--every", "0"]),
+    ("over-max-limit", ["mertens", "--limit", "200000001"]),
+    ("bad-t-max", ["zeros", "--t-max", "abc"]),
+    ("t-max-over-bound", ["zeros", "--t-max", "150"]),
+    ("step-over-bound", ["zeros", "--t-max", "50", "--step", "0.2"]),
+    ("step-just-over-bound", ["zeros", "--t-max", "5", "--step", "0.0500001"]),
+    ("t-min-above-t-max", ["zeros", "--t-max", "5", "--t-min", "6"]),
+    ("zeta-grammar", ["zeta", "--s", "1+2j"]),
+    ("zeta-box", ["zeta", "--s", "200"]),
+    ("zeta-just-outside-box", ["zeta", "--s", "10.000001"]),
+    ("zeta-pole", ["zeta", "--s", "1"]),
+    ("xi-garbage", ["xi", "--t", "garbage"]),
+    ("xi-outside-box", ["xi", "--t", "120.5"]),
+    ("abel-s", ["abel-check", "--n", "100", "--m", "10", "--s=-1+2i"]),
+    ("abel-n", ["abel-check", "--n", "1", "--m", "10", "--s", "0.5"]),
+    ("abel-over-max", ["abel-check", "--n", "199999999", "--m", "10", "--s", "1"]),
+    ("li-x", ["li", "--x", "1"]),
+    ("theta-s", ["theta", "--limit", "1000", "--s", "1.5"]),
+    ("relation-a-s", ["relation-a", "--x-max", "1000", "--s", "0"]),
+    ("series-choice", ["dirichlet-sum", "--series", "zeta", "--s", "1", "--limit", "9"]),
+    ("constants-k", ["constants", "--k", "9"]),
+    ("constants-n", ["constants", "--k", "2", "--n", "500"]),
+    ("constants-both-switches", ["constants", "--accelerate", "--no-accelerate"]),
+    ("prime-window-stop", ["prime-window", "--start", "100", "--stop", "10"]),
+    ("prime-window-edge", ["prime-window", "--h", "1", "--stop", "150000000"]),
+    ("identity-explore-neither", ["identity-explore"]),
+    ("identity-explore-both", ["identity-explore", "--n", "10", "--limit", "10"]),
+    ("identity-explore-cap", ["identity-explore", "--limit", "100001"]),
+    ("weierstrass-degenerate", ["weierstrass", "--x", "0.5", "--a", "0"]),
+    ("weierstrass-lattice-a",
+     ["weierstrass", "--x", "0.5", "--a", "0+6.283185307179586i"]),
+    ("weierstrass-overflow", ["weierstrass", "--x", "800", "--a", "1"]),
+    ("weierstrass-runtime", ["weierstrass", "--x", "1", "--a", "1e-7"]),
+    ("convolution-cap", ["convolution-check", "--limit", "300000"]),
+    ("cache-inspect-missing", ["cache", "inspect", "--path", f"{TMP}/nowhere"]),
+]
+
+
+def _with_formats(cases):
+    """Each case as given, then in the format that is not its command's
+    default (json for every command but zeros)."""
+    for name, argv in cases:
+        yield name, argv
+        other = "csv" if argv[0] == "zeros" else "json"
+        yield f"{name}/{other}", [*argv, "--format", other]
+
+
+def _help_cases():
+    """Help text goes to stdout too."""
+    yield "help", ["--help"]
+    yield "help-cache", ["cache", "--help"]
+    commands = sorted({argv[0] for _, argv in OUTPUTS} - {"cache"})
+    for command in commands:
+        yield f"help-{command}", [command, "--help"]
+    for action in ("build", "inspect"):
+        yield f"help-cache-{action}", ["cache", action, "--help"]
+
+
+def _run(argv, env, tmp) -> str:
+    argv = [arg.replace(TMP, tmp) for arg in argv]
+    done = subprocess.run([sys.executable, "-m", "zetadesk.cli", *argv],
+                          env=env, cwd=tmp, capture_output=True)
+    stdout = done.stdout.replace(tmp.encode(), TMP.encode())
+    return f"{done.returncode} {hashlib.sha256(stdout).hexdigest()}"
+
+
+def main() -> int:
+    env = {k: v for k, v in os.environ.items() if k != "ZETADESK_CACHE_DIR"}
+    env["PYTHONPATH"] = str(SRC)
+    env["COLUMNS"] = "80"
+    cases = [*_with_formats(OUTPUTS), *INVALID, *_help_cases()]
+    # the cases that touch TMP run in list order as one task, since the
+    # cache ones read what the earlier ones wrote; the rest run two at
+    # a time
+    shared = [case for case in cases if any(TMP in a for a in case[1])]
+    rest = [case for case in cases if case not in shared]
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
+        chain = pool.submit(lambda: [_run(argv, env, tmp) for _, argv in shared])
+        results = dict(zip((name for name, _ in rest),
+                           pool.map(lambda case: _run(case[1], env, tmp), rest)))
+        results.update(zip((name for name, _ in shared), chain.result()))
+    for name, _ in cases:
+        print(name, results[name])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

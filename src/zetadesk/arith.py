@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import euler_constant
+
 # Builds above this cap are refused. Measured as in-process ru_maxrss
 # (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 300 MB
 # (the prime sieve), a first read of mu takes that to 390 MB and of
@@ -83,10 +85,12 @@ class ArithTable:
     built. Every other array is materialized on first read and cached
     on the instance: mu[n] is the Mobius function (int8, entry 0
     unused), prime_log_cumsum[i] is log p summed over the first i+1
-    primes (ascending, so theta lookups are one bisect), and
+    primes (ascending, so theta lookups are one bisect),
     divisor_count and smallest_prime_factor are the sieves their names
-    say. A table read back from the sieve cache starts with the mu it
-    decoded. The table is logically immutable.
+    say, and divisor_prefix, mangoldt_prefix and prime_reciprocal_cumsum
+    are the prefix sums the asymptotics scans read. A table read back
+    from the sieve cache starts with the mu it decoded. The table is
+    logically immutable.
     """
 
     limit: int
@@ -114,6 +118,43 @@ class ArithTable:
     def divisor_count(self) -> np.ndarray:
         """int32 array; entry n is the number of divisors of n."""
         return _divisor_count_sieve(self.limit)
+
+    @cached_property
+    def divisor_prefix(self) -> np.ndarray:
+        """int64 array; entry n is d(1) + ... + d(n), exactly."""
+        d = np.zeros(self.limit + 1, dtype=np.int64)
+        d[1:] = self.divisor_count[1:]
+        np.cumsum(d, out=d)
+        d.setflags(write=False)
+        return d
+
+    @cached_property
+    def mangoldt_prefix(self) -> np.ndarray:
+        """float64 array; entry n holds weight(1) + ... + weight(n) of the
+        prime-power weight: 2C at 1, log p at each p^k, zero elsewhere
+        (see mangoldt_weight)."""
+        w = np.zeros(self.limit + 1, dtype=np.float64)
+        w[1] = 2.0 * euler_constant()
+        if self.limit >= 2:
+            primes = self.primes
+            w[primes] = np.log(primes)
+            for p in primes[primes <= math.isqrt(self.limit)]:
+                lp = math.log(p)
+                q = int(p) * int(p)
+                while q <= self.limit:
+                    w[q] = lp
+                    q *= int(p)
+        np.cumsum(w, out=w)
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def prime_reciprocal_cumsum(self) -> np.ndarray:
+        """float64 array; entry i is 1/p summed over the first i+1
+        primes, accumulated in ascending order."""
+        recip = np.cumsum(1.0 / self.primes.astype(np.float64))
+        recip.setflags(write=False)
+        return recip
 
     def prime_count(self, x: float) -> int:
         """pi(x): primes p <= x. Requires 0 <= x <= limit."""

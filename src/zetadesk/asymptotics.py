@@ -8,7 +8,6 @@ than one reading."""
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,52 +30,6 @@ def integer_root(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
-
-
-_MANGOLDT_CACHE: "weakref.WeakKeyDictionary[ArithTable, np.ndarray]" = (
-    weakref.WeakKeyDictionary())
-_DIVISOR_CACHE: "weakref.WeakKeyDictionary[ArithTable, np.ndarray]" = (
-    weakref.WeakKeyDictionary())
-_RECIP_CACHE: "weakref.WeakKeyDictionary[ArithTable, np.ndarray]" = (
-    weakref.WeakKeyDictionary())
-
-
-def mangoldt_prefix(table: ArithTable) -> np.ndarray:
-    """Prefix sums of the prime-power weight (index 0 unused): entry n
-    holds weight(1) + ... + weight(n) with weight(1) = 2C and log p at
-    prime powers. Cached per table."""
-    got = _MANGOLDT_CACHE.get(table)
-    if got is not None:
-        return got
-    limit = table.limit
-    w = np.zeros(limit + 1, dtype=np.float64)
-    w[1] = 2.0 * euler_constant()
-    if limit >= 2:
-        primes = table.primes
-        w[primes] = np.log(primes)
-        for p in primes[primes <= integer_root(limit, 2)]:
-            lp = math.log(p)
-            q = int(p) * int(p)
-            while q <= limit:
-                w[q] = lp
-                q *= int(p)
-    np.cumsum(w, out=w)
-    w.setflags(write=False)
-    _MANGOLDT_CACHE[table] = w
-    return w
-
-
-def divisor_prefix(table: ArithTable) -> np.ndarray:
-    """Exact int64 prefix sums of the divisor-count table, cached."""
-    got = _DIVISOR_CACHE.get(table)
-    if got is not None:
-        return got
-    d = np.zeros(table.limit + 1, dtype=np.int64)
-    d[1:] = table.divisor_count[1:]
-    np.cumsum(d, out=d)
-    d.setflags(write=False)
-    _DIVISOR_CACHE[table] = d
-    return d
 
 
 def psi_sum(table: ArithTable, n: int) -> float:
@@ -111,7 +64,7 @@ class PsiDecomposition:
 def psi_decomposition_check(table: ArithTable, n: int) -> PsiDecomposition:
     if n < 1 or n > table.limit:
         raise ValueError("n must lie in 1..limit")
-    lhs = float(mangoldt_prefix(table)[n])
+    lhs = float(table.mangoldt_prefix[n])
     rhs = 2.0 * euler_constant() + psi_sum(table, n)
     return PsiDecomposition(n=n, lhs=lhs, rhs=rhs)
 
@@ -164,7 +117,7 @@ def divisor_asymptotic_ratio(table: ArithTable, n: int) -> float:
     fixed bounds at desk scale."""
     if n < 1 or n > table.limit:
         raise ValueError("n must lie in 1..limit")
-    total = float(divisor_prefix(table)[n])
+    total = float(table.divisor_prefix[n])
     c2 = 2.0 * euler_constant() - 1.0
     main = n * math.log(n) + c2 * n
     return (total - main) / math.sqrt(n)
@@ -187,7 +140,7 @@ def divisor_ratio_scan(table: ArithTable, n_max: int | None = None,
             ns = np.array([n_max], dtype=np.int64)
     else:
         ns = geometric_grid(n_max, start=n_min)
-    prefix = divisor_prefix(table)
+    prefix = table.divisor_prefix
     c2 = 2.0 * euler_constant() - 1.0
     nf = ns.astype(np.float64)
     ratios = (prefix[ns].astype(np.float64) - nf * np.log(nf) - c2 * nf) / np.sqrt(nf)
@@ -275,13 +228,9 @@ def mertens_constant_estimate(table: ArithTable, n: int) -> float:
         raise ValueError("estimate needs n >= 10")
     if n > table.limit:
         raise ValueError("n exceeds the table limit")
-    got = _RECIP_CACHE.get(table)
-    if got is None:
-        got = np.cumsum(1.0 / table.primes.astype(np.float64))
-        got.setflags(write=False)
-        _RECIP_CACHE[table] = got
     count = table.prime_count(n)
-    return float(got[count - 1]) - math.log(math.log(n))
+    return (float(table.prime_reciprocal_cumsum[count - 1])
+            - math.log(math.log(n)))
 
 
 def prime_window_count(table: ArithTable, n: int, h: float) -> int:
@@ -477,7 +426,7 @@ def _identity_sides(prefix: MertensPrefix, table: ArithTable, ns: np.ndarray):
 
 
 __all__ = [
-    "integer_root", "mangoldt_prefix", "divisor_prefix", "psi_sum",
+    "integer_root", "psi_sum",
     "PsiDecomposition", "psi_decomposition_check", "psi_deviation",
     "theta_deviation", "theta_deviation_scan", "divisor_asymptotic_ratio",
     "divisor_ratio_scan", "li", "riemann_prime_count",

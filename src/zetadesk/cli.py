@@ -4,6 +4,14 @@ One subcommand per experiment; every run writes a single table, CSV or
 JSON, to standard output or --output. Exit codes: 0 success, 1 a
 computation failed, 2 a flag failed validation (the message names it).
 
+Each command is declared once, as one entry of COMMANDS: its handler,
+help line, default format, flags and any check that spans several
+flags. The argument parser and the validation are loops over that
+table, and a flag whose bound the library already checks runs the
+library's own check. Adding a command means writing its handler and
+adding one COMMANDS entry; the handler receives the validated flags as
+keyword arguments.
+
 CSV uses LF line endings, a header row, and floats at 17 significant
 digits so values round-trip binary64 exactly. JSON keeps insertion key
 order and repr-level float precision. Identical parameters and cache
@@ -22,23 +30,25 @@ import math
 import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import arith, asymptotics, dirichlet, weierstrass
+from .asymptotics import _check_exponent
+from .dirichlet import _check_half_plane
 from .reports import (RowView, check_columns, columns_from_rows,
                       geometric_grid, json_value, render_csv_table,
                       render_json_table)
-from .zeta import (IM_MAX, RE_MAX, RE_MIN, log_power_constant,
+from .weierstrass import _check_exp_arg, _check_not_degenerate
+from .zeta import (ZERO_SCAN_STEP_MAX, ZERO_SCAN_T_MAX, _require_in_box,
+                   _require_regular, log_power_constant,
                    log_power_constant_contour, xi, zero_scan)
 from .zeta import zeta as zeta_function
 
 CACHE_ENV = "ZETADESK_CACHE_DIR"
-
-_CLI_CONSTANTS_N_CAP = 2_000_000
-_CLI_PRODUCT_TERMS_CAP = 10_000_000
 
 
 class CliValidationError(Exception):
@@ -109,35 +119,26 @@ def parse_complex(text: str, flag: str) -> complex:
     return complex(real, imag)
 
 
-def _need_int(value, flag, lo=None, hi=None) -> int:
-    if value is None:
-        raise CliValidationError(f"{flag} is required")
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise CliValidationError(f"{flag} must be an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise CliValidationError(f"{flag} must be at least {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise CliValidationError(f"{flag} must be at most {hi}, got {value}")
-    return value
+def _number(kind, lo=None, hi=None, open_lo=False):
+    """Parser for a finite int or float flag within [lo, hi], or
+    (lo, hi] when open_lo."""
+    noun = "an integer" if kind is int else "a number"
 
-
-def _need_float(value, flag, lo=None, hi=None, open_lo=False) -> float:
-    if value is None:
-        raise CliValidationError(f"{flag} is required")
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise CliValidationError(f"{flag} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise CliValidationError(f"{flag} must be finite, got {value}")
-    if lo is not None and (value <= lo if open_lo else value < lo):
-        bound = "more than" if open_lo else "at least"
-        raise CliValidationError(f"{flag} must be {bound} {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise CliValidationError(f"{flag} must be at most {hi}, got {value}")
-    return value
+    def parse(text: str, flag: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise CliValidationError(
+                f"{flag} must be {noun}, got {text!r}") from None
+        if not -math.inf < value < math.inf:
+            raise CliValidationError(f"{flag} must be finite, got {value}")
+        if lo is not None and (value <= lo if open_lo else value < lo):
+            bound = "more than" if open_lo else "at least"
+            raise CliValidationError(f"{flag} must be {bound} {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise CliValidationError(f"{flag} must be at most {hi}, got {value}")
+        return value
+    return parse
 
 
 # -- output rendering --------------------------------------------------
@@ -199,9 +200,7 @@ def acquire_table(limit: int, cache_dir: Path | None) -> arith.ArithTable:
 
 # -- command handlers --------------------------------------------------
 
-def _cmd_mertens(config: RunConfig) -> CommandOutput:
-    limit = config.params["limit"]
-    every = config.params["every"]
+def _cmd_mertens(config: RunConfig, limit, every) -> CommandOutput:
     table = acquire_table(limit, config.cache_dir)
     grid = np.arange(every, limit + 1, every, dtype=np.int64)
     if grid.size == 0:
@@ -231,10 +230,7 @@ _SERIES_BUILDERS = {
 }
 
 
-def _cmd_dirichlet_sum(config: RunConfig) -> CommandOutput:
-    limit = config.params["limit"]
-    series = config.params["series"]
-    s = config.params["s"]
+def _cmd_dirichlet_sum(config: RunConfig, limit, series, s) -> CommandOutput:
     if series == "unit":
         coeffs = dirichlet.unit_chunks(limit)
     else:
@@ -245,10 +241,7 @@ def _cmd_dirichlet_sum(config: RunConfig) -> CommandOutput:
     return _make_output(config, report.columns, report.data, report.stats)
 
 
-def _cmd_abel_check(config: RunConfig) -> CommandOutput:
-    n = config.params["n"]
-    m = config.params["m"]
-    s = config.params["s"]
+def _cmd_abel_check(config: RunConfig, n, m, s) -> CommandOutput:
     table = acquire_table(n + m, config.cache_dir)
     prefix = arith.mertens_prefix(table, n + m)
     dec = dirichlet.abel_rearranged_sum(prefix, s, n, m)
@@ -266,8 +259,7 @@ def _cmd_abel_check(config: RunConfig) -> CommandOutput:
         [row], stats)
 
 
-def _cmd_convolution_check(config: RunConfig) -> CommandOutput:
-    limit = config.params["limit"]
+def _cmd_convolution_check(config: RunConfig, limit) -> CommandOutput:
     table = acquire_table(limit, config.cache_dir)
     conv = dirichlet.dirichlet_convolution(
         dirichlet.mobius_stream(table, limit),
@@ -281,23 +273,20 @@ def _cmd_convolution_check(config: RunConfig) -> CommandOutput:
                          diff[grid - 1]), stats)
 
 
-def _cmd_zeta(config: RunConfig) -> CommandOutput:
-    s = config.params["s"]
+def _cmd_zeta(config: RunConfig, s) -> CommandOutput:
     value = zeta_function(s)
     return _rows_output(config, ("s", "value", "abs_value"),
                         [(s, value, abs(value))])
 
 
-def _cmd_xi(config: RunConfig) -> CommandOutput:
-    t = config.params["t"]
+def _cmd_xi(config: RunConfig, t) -> CommandOutput:
     value = xi(t)
     return _rows_output(config, ("t", "xi_real", "xi_imag"),
                         [(t, value.real, value.imag)])
 
 
-def _cmd_zeros(config: RunConfig) -> CommandOutput:
-    report = zero_scan(config.params["t_max"], config.params["step"],
-                            config.params["t_min"])
+def _cmd_zeros(config: RunConfig, t_max, step, t_min) -> CommandOutput:
+    report = zero_scan(t_max, step, t_min)
     zeros = np.asarray(report.zeros, dtype=np.float64)
     index = np.arange(1, zeros.size + 1, dtype=np.int64)
     stats = {"prediction": report.prediction,
@@ -307,15 +296,12 @@ def _cmd_zeros(config: RunConfig) -> CommandOutput:
                         extra={"count": report.count})
 
 
-def _cmd_constants(config: RunConfig) -> CommandOutput:
-    k_max = config.params["k"]
-    n = config.params["n"]
-    accelerate = config.params["accelerate"]
+def _cmd_constants(config: RunConfig, k, n, accelerate) -> CommandOutput:
     rows = []
-    for k in range(1, k_max + 1):
-        d = log_power_constant(k, n, accelerate)
-        c = log_power_constant_contour(k)
-        rows.append((k, d.value, d.error_estimate, d.tail_correction,
+    for j in range(1, k + 1):
+        d = log_power_constant(j, n, accelerate)
+        c = log_power_constant_contour(j)
+        rows.append((j, d.value, d.error_estimate, d.tail_correction,
                      c.value, c.convergence_gap, abs(d.value - c.value)))
     return _rows_output(
         config,
@@ -324,37 +310,29 @@ def _cmd_constants(config: RunConfig) -> CommandOutput:
         rows)
 
 
-def _cmd_theta(config: RunConfig) -> CommandOutput:
-    limit = config.params["limit"]
-    s = config.params["s"]
+def _cmd_theta(config: RunConfig, limit, s) -> CommandOutput:
     table = acquire_table(limit, config.cache_dir)
     report = asymptotics.theta_deviation_scan(table, s, limit)
     return _make_output(config, report.columns, report.data, report.stats)
 
 
-def _cmd_divisor_ratio(config: RunConfig) -> CommandOutput:
-    limit = config.params["limit"]
-    every = config.params["every"]
+def _cmd_divisor_ratio(config: RunConfig, limit, every) -> CommandOutput:
     table = acquire_table(limit, config.cache_dir)
     report = asymptotics.divisor_ratio_scan(table, limit, every)
     return _make_output(config, report.columns, report.data, report.stats)
 
 
-def _cmd_li(config: RunConfig) -> CommandOutput:
-    x = config.params["x"]
+def _cmd_li(config: RunConfig, x) -> CommandOutput:
     return _rows_output(config, ("x", "li"), [(x, asymptotics.li(x))])
 
 
-def _cmd_relation_a(config: RunConfig) -> CommandOutput:
-    x_max = config.params["x_max"]
-    s = config.params["s"]
+def _cmd_relation_a(config: RunConfig, x_max, s) -> CommandOutput:
     table = acquire_table(x_max, config.cache_dir)
     report = asymptotics.prime_count_gap_scan(table, s, x_max)
     return _make_output(config, report.columns, report.data, report.stats)
 
 
-def _cmd_mertens_constant(config: RunConfig) -> CommandOutput:
-    limit = config.params["limit"]
+def _cmd_mertens_constant(config: RunConfig, limit) -> CommandOutput:
     table = acquire_table(limit, config.cache_dir)
     points = []
     n = 10
@@ -369,18 +347,15 @@ def _cmd_mertens_constant(config: RunConfig) -> CommandOutput:
                         {"final_estimate": rows[-1][1]})
 
 
-def _cmd_prime_window(config: RunConfig) -> CommandOutput:
-    h = config.params["h"]
-    start = config.params["start"]
-    stop = config.params["stop"]
+def _cmd_prime_window(config: RunConfig, h, start, stop) -> CommandOutput:
     table = acquire_table(int(math.ceil((1.0 + h) * stop)), config.cache_dir)
     rows = asymptotics.prime_window_decades(table, h, start, stop)
     return _rows_output(config, ("n", "upper", "count"), rows)
 
 
-def _cmd_identity_explore(config: RunConfig) -> CommandOutput:
-    if "n" in config.params:
-        n = config.params["n"]
+def _cmd_identity_explore(config: RunConfig, n=None,
+                          limit=None) -> CommandOutput:
+    if n is not None:
         table = acquire_table(n, config.cache_dir)
         prefix = arith.mertens_prefix(table, n)
         probe = asymptotics.floor_identity_probe(prefix, table, n)
@@ -392,7 +367,6 @@ def _cmd_identity_explore(config: RunConfig) -> CommandOutput:
                  "bound_holds": probe.bound_holds}
         return _rows_output(config, ("convention", "reading", "lhs", "rhs",
                                      "match"), rows, stats)
-    limit = config.params["limit"]
     table = acquire_table(limit, config.cache_dir)
     prefix = arith.mertens_prefix(table, limit)
     sweep = asymptotics.floor_identity_sweep(prefix, table, limit)
@@ -405,10 +379,7 @@ def _cmd_identity_explore(config: RunConfig) -> CommandOutput:
                         rows, stats)
 
 
-def _cmd_weierstrass(config: RunConfig) -> CommandOutput:
-    x = config.params["x"]
-    a = config.params["a"]
-    n_terms = config.params["n_terms"]
+def _cmd_weierstrass(config: RunConfig, x, a, n_terms) -> CommandOutput:
     cmp = weierstrass.compare_exponent_signs(x, a, n_terms)
     rows = [(ev.exponent_sign, ev.product_value, ev.direct_value,
              ev.relative_error)
@@ -419,9 +390,8 @@ def _cmd_weierstrass(config: RunConfig) -> CommandOutput:
                         rows, {"converging_sign": cmp.converging_sign})
 
 
-def _cmd_cache_build(config: RunConfig) -> CommandOutput:
-    limit = config.params["limit"]
-    target = Path(config.params["dir"])
+def _cmd_cache_build(config: RunConfig, limit, dir) -> CommandOutput:
+    target = Path(dir)
     target.mkdir(parents=True, exist_ok=True)
     path = target / f"mu-{limit}.stjz"
     arith.save_cache(arith.build_tables(limit), path)
@@ -429,8 +399,8 @@ def _cmd_cache_build(config: RunConfig) -> CommandOutput:
                         [(str(path), limit, path.stat().st_size)])
 
 
-def _cmd_cache_inspect(config: RunConfig) -> CommandOutput:
-    target = Path(config.params["path"])
+def _cmd_cache_inspect(config: RunConfig, path) -> CommandOutput:
+    target = Path(path)
     if target.is_dir():
         files = _cache_files(target)
         if not files:
@@ -451,29 +421,188 @@ def _cmd_cache_inspect(config: RunConfig) -> CommandOutput:
                                  "file_bytes", "crc_ok"), rows)
 
 
-_HANDLERS = {
-    "mertens": _cmd_mertens,
-    "dirichlet-sum": _cmd_dirichlet_sum,
-    "abel-check": _cmd_abel_check,
-    "convolution-check": _cmd_convolution_check,
-    "zeta": _cmd_zeta,
-    "xi": _cmd_xi,
-    "zeros": _cmd_zeros,
-    "constants": _cmd_constants,
-    "theta": _cmd_theta,
-    "divisor-ratio": _cmd_divisor_ratio,
-    "li": _cmd_li,
-    "relation-a": _cmd_relation_a,
-    "mertens-constant": _cmd_mertens_constant,
-    "prime-window": _cmd_prime_window,
-    "identity-explore": _cmd_identity_explore,
-    "weierstrass": _cmd_weierstrass,
-    "cache-build": _cmd_cache_build,
-    "cache-inspect": _cmd_cache_inspect,
+# -- command table -----------------------------------------------------
+
+_REQUIRED = object()  # argparse demands the flag
+_UNSET = object()     # the flag is left out of params when not given
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One flag of a command. parse(text, flag) turns the given text
+    into its value (None keeps the text); check(value) is the library's
+    own check, whose ValueError is reported against the flag. default
+    stands in when the flag is not given; a bool default makes the flag
+    an exclusive --name/--no-name pair."""
+
+    name: str
+    parse: Callable | None = None
+    default: object = _REQUIRED
+    check: Callable | None = None
+    choices: tuple | None = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command: handler(config, **params) -> CommandOutput, its help
+    line, its flags in params order, a check(params) over several flags,
+    and the default output format."""
+
+    handler: Callable
+    help: str
+    flags: tuple
+    check: Callable | None = None
+    fmt: str = "csv"
+
+
+def _block_within_bound(params) -> None:
+    if params["n"] + params["m"] > arith.MAX_LIMIT:
+        raise CliValidationError(
+            f"--n plus --m must stay within {arith.MAX_LIMIT}")
+
+
+def _t_min_below_t_max(params) -> None:
+    if params["t_min"] >= params["t_max"]:
+        raise CliValidationError("--t-min must be below --t-max")
+
+
+def _windows_within_bound(params) -> None:
+    if params["stop"] < params["start"]:
+        raise CliValidationError(f"--stop must be at least {params['start']}, "
+                                 f"got {params['stop']}")
+    if (1.0 + params["h"]) * params["stop"] > arith.MAX_LIMIT:
+        raise CliValidationError(
+            "--stop: window upper edge exceeds the supported table "
+            f"bound {arith.MAX_LIMIT}")
+
+
+def _one_identity_mode(params) -> None:
+    if len(params) != 1:
+        raise CliValidationError(
+            "exactly one of --n (single probe) or --limit (sweep) "
+            "is required")
+
+
+def _on_critical_line(t: float) -> None:
+    _require_in_box(complex(0.5, t))
+
+
+def _exponent_base(a: complex) -> None:
+    _check_exp_arg(_check_not_degenerate(a))
+
+
+_LIMIT = Flag("--limit", _number(int, 1, arith.MAX_LIMIT))
+_EXPONENT = Flag("--s", _number(float), default=0.75, check=_check_exponent)
+
+# commands named <group>-<action> are spelled `zetadesk <group> <action>`
+_GROUPS = {"cache": "sieve cache management"}
+
+COMMANDS = {
+    "mertens": Command(
+        _cmd_mertens, "Mobius prefix sums M(n) and M(n)/sqrt(n)",
+        (_LIMIT, Flag("--every", _number(int, 1), default=1))),
+    "dirichlet-sum": Command(
+        _cmd_dirichlet_sum,
+        "prefix ratio scan P(n)/n^s of a coefficient stream",
+        (Flag("--series", default="mobius",
+              choices=("mobius", "unit", "divisor-corrected", "one-minus-g")),
+         Flag("--s", _number(float, -10.0, 10.0), help="real exponent"),
+         _LIMIT)),
+    "abel-check": Command(
+        _cmd_abel_check, "summation-by-parts identity over a Mobius block",
+        (Flag("--n", _number(int, 2)), Flag("--m", _number(int, 0)),
+         Flag("--s", parse_complex, check=_check_half_plane,
+              help="complex exponent, RE+IMi")),
+        check=_block_within_bound),
+    "convolution-check": Command(
+        _cmd_convolution_check,
+        "Mobius convolution of the corrected divisor stream against its "
+        "closed form",
+        (Flag("--limit", _number(int, 1, 200_000)),)),
+    "zeta": Command(
+        _cmd_zeta, "zeta value at one complex point",
+        (Flag("--s", parse_complex, check=_require_regular,
+              help="complex argument, RE+IMi"),)),
+    "xi": Command(
+        _cmd_xi, "xi value at one real ordinate",
+        (Flag("--t", _number(float), check=_on_critical_line),)),
+    "zeros": Command(
+        _cmd_zeros, "critical-line zero scan by sign changes",
+        (Flag("--t-max", _number(float, 0.0, ZERO_SCAN_T_MAX, open_lo=True)),
+         Flag("--step", _number(float, 0.0, ZERO_SCAN_STEP_MAX, open_lo=True),
+              default=ZERO_SCAN_STEP_MAX),
+         Flag("--t-min", _number(float, 0.0), default=0.0)),
+        check=_t_min_below_t_max, fmt="json"),
+    "constants": Command(
+        _cmd_constants,
+        "zeta Taylor constants at the origin, defect and contour routes",
+        (Flag("--k", _number(int, 1, 8), default=8),
+         Flag("--n", _number(int, 1000, 2_000_000), default=100_000),
+         Flag("--accelerate", default=True))),
+    "theta": Command(
+        _cmd_theta, "Chebyshev theta deviation (theta(n)-n)/n^s",
+        (Flag("--limit", _number(int, 11, arith.MAX_LIMIT)), _EXPONENT)),
+    "divisor-ratio": Command(
+        _cmd_divisor_ratio, "divisor-sum remainder over sqrt(n)",
+        (_LIMIT, Flag("--every", _number(int, 1), default=None))),
+    "li": Command(
+        _cmd_li, "principal-value logarithmic integral",
+        (Flag("--x", _number(float, 1.0, open_lo=True)),)),
+    "relation-a": Command(
+        _cmd_relation_a,
+        "normalized gap between the weighted prime count and li(x)",
+        (Flag("--x-max", _number(int, 11, arith.MAX_LIMIT)), _EXPONENT)),
+    "mertens-constant": Command(
+        _cmd_mertens_constant, "sum of 1/p minus log log n at decade points",
+        (Flag("--limit", _number(int, 10, arith.MAX_LIMIT)),)),
+    "prime-window": Command(
+        _cmd_prime_window, "prime counts in windows (n, (1+h) n]",
+        (Flag("--h", _number(float, 0.0, open_lo=True), default=0.1),
+         Flag("--start", _number(int, 1), default=1000),
+         Flag("--stop", _number(int, 1), default=1_000_000)),
+        check=_windows_within_bound),
+    "identity-explore": Command(
+        _cmd_identity_explore,
+        "floor-quotient identity readings at one n (--n) or match counts "
+        "up to --limit",
+        (Flag("--n", _number(int, 1, arith.MAX_LIMIT), default=_UNSET),
+         Flag("--limit", _number(int, 1, 100_000), default=_UNSET)),
+        check=_one_identity_mode),
+    "weierstrass": Command(
+        _cmd_weierstrass,
+        "zero-lattice product against e^x - e^a, both exponent signs",
+        (Flag("--x", parse_complex, check=_check_exp_arg,
+              help="complex, RE+IMi"),
+         Flag("--a", parse_complex, check=_exponent_base,
+              help="complex, RE+IMi"),
+         Flag("--n-terms", _number(int, 1, 10_000_000), default=10_000))),
+    "cache-build": Command(
+        _cmd_cache_build, "sieve to --limit and write an STJZ file",
+        (_LIMIT, Flag("--dir"))),
+    "cache-inspect": Command(
+        _cmd_cache_inspect, "report header and checksum status",
+        (Flag("--path", help="an STJZ file or a directory of them"),)),
 }
 
 
 # -- argument plumbing -------------------------------------------------
+
+def _add_flag(parser: argparse.ArgumentParser, flag: Flag) -> None:
+    if isinstance(flag.default, bool):
+        pair = parser.add_mutually_exclusive_group()
+        pair.add_argument(flag.name, dest=flag.dest, action="store_true",
+                          default=flag.default)
+        pair.add_argument(f"--no-{flag.name[2:]}", dest=flag.dest,
+                          action="store_false")
+    else:
+        parser.add_argument(flag.name, required=flag.default is _REQUIRED,
+                            choices=flag.choices, help=flag.help)
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -490,239 +619,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale experiments on Mertens sums, Dirichlet "
                     "series, and the Riemann xi function.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mertens", parents=[common],
-                       help="Mobius prefix sums M(n) and M(n)/sqrt(n)")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--every", type=int, default=1)
-
-    p = sub.add_parser("dirichlet-sum", parents=[common],
-                       help="prefix ratio scan P(n)/n^s of a coefficient "
-                            "stream")
-    p.add_argument("--series", choices=("mobius", "unit", "divisor-corrected",
-                                        "one-minus-g"), default="mobius")
-    p.add_argument("--s", required=True, help="real exponent")
-    p.add_argument("--limit", type=int, required=True)
-
-    p = sub.add_parser("abel-check", parents=[common],
-                       help="summation-by-parts identity over a Mobius block")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", required=True, help="complex exponent, RE+IMi")
-
-    p = sub.add_parser("convolution-check", parents=[common],
-                       help="Mobius convolution of the corrected divisor "
-                            "stream against its closed form")
-    p.add_argument("--limit", type=int, required=True)
-
-    p = sub.add_parser("zeta", parents=[common],
-                       help="zeta value at one complex point")
-    p.add_argument("--s", required=True, help="complex argument, RE+IMi")
-
-    p = sub.add_parser("xi", parents=[common],
-                       help="xi value at one real ordinate")
-    p.add_argument("--t", required=True)
-
-    p = sub.add_parser("zeros", parents=[common],
-                       help="critical-line zero scan by sign changes")
-    p.add_argument("--t-max", required=True)
-    p.add_argument("--step", default="0.05")
-    p.add_argument("--t-min", default="0")
-
-    p = sub.add_parser("constants", parents=[common],
-                       help="zeta Taylor constants at the origin, defect "
-                            "and contour routes")
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--n", type=int, default=100_000)
-    acc = p.add_mutually_exclusive_group()
-    acc.add_argument("--accelerate", dest="accelerate", action="store_true",
-                     default=True)
-    acc.add_argument("--no-accelerate", dest="accelerate",
-                     action="store_false")
-
-    p = sub.add_parser("theta", parents=[common],
-                       help="Chebyshev theta deviation (theta(n)-n)/n^s")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--s", default="0.75")
-
-    p = sub.add_parser("divisor-ratio", parents=[common],
-                       help="divisor-sum remainder over sqrt(n)")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--every", type=int, default=None)
-
-    p = sub.add_parser("li", parents=[common],
-                       help="principal-value logarithmic integral")
-    p.add_argument("--x", required=True)
-
-    p = sub.add_parser("relation-a", parents=[common],
-                       help="normalized gap between the weighted prime "
-                            "count and li(x)")
-    p.add_argument("--x-max", type=int, required=True)
-    p.add_argument("--s", default="0.75")
-
-    p = sub.add_parser("mertens-constant", parents=[common],
-                       help="sum of 1/p minus log log n at decade points")
-    p.add_argument("--limit", type=int, required=True)
-
-    p = sub.add_parser("prime-window", parents=[common],
-                       help="prime counts in windows (n, (1+h) n]")
-    p.add_argument("--h", default="0.1")
-    p.add_argument("--start", type=int, default=1000)
-    p.add_argument("--stop", type=int, default=1_000_000)
-
-    p = sub.add_parser("identity-explore", parents=[common],
-                       help="floor-quotient identity readings at one n "
-                            "(--n) or match counts up to --limit")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
-
-    p = sub.add_parser("weierstrass", parents=[common],
-                       help="zero-lattice product against e^x - e^a, both "
-                            "exponent signs")
-    p.add_argument("--x", required=True, help="complex, RE+IMi")
-    p.add_argument("--a", required=True, help="complex, RE+IMi")
-    p.add_argument("--n-terms", type=int, default=10_000)
-
-    p = sub.add_parser("cache", parents=[],
-                       help="sieve cache management")
-    cache_sub = p.add_subparsers(dest="cache_action", required=True)
-    pb = cache_sub.add_parser("build", parents=[common],
-                              help="sieve to --limit and write an STJZ file")
-    pb.add_argument("--limit", type=int, required=True)
-    pb.add_argument("--dir", required=True)
-    pi = cache_sub.add_parser("inspect", parents=[common],
-                              help="report header and checksum status")
-    pi.add_argument("--path", required=True,
-                    help="an STJZ file or a directory of them")
+    groups = {}
+    for name, spec in COMMANDS.items():
+        group, _, action = name.partition("-")
+        if group in _GROUPS:
+            if group not in groups:
+                groups[group] = sub.add_parser(
+                    group, help=_GROUPS[group]).add_subparsers(
+                        dest=f"{group}_action", required=True)
+            p = groups[group].add_parser(action, parents=[common],
+                                         help=spec.help)
+        else:
+            p = sub.add_parser(name, parents=[common], help=spec.help)
+        p.set_defaults(command_name=name)
+        for flag in spec.flags:
+            _add_flag(p, flag)
     return parser
+
+
+def _flag_value(flag: Flag, text: str):
+    value = text if flag.parse is None else flag.parse(text, flag.name)
+    if flag.check is not None:
+        try:
+            flag.check(value)
+        except ValueError as exc:
+            raise CliValidationError(f"{flag.name}: {exc}") from None
+    return value
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Validate every parameter up front and freeze the run plan."""
-    command = args.command
-    if command == "cache":
-        command = f"cache-{args.cache_action}"
-    fmt = args.format or ("json" if command == "zeros" else "csv")
-    output = Path(args.output) if args.output else None
-    cache_env = os.environ.get(CACHE_ENV)
-    cache_dir = None
-    if getattr(args, "cache_dir", None):
-        cache_dir = Path(args.cache_dir)
-    elif cache_env:
-        cache_dir = Path(cache_env)
-
+    spec = COMMANDS[args.command_name]
     params: dict = {}
-    if command == "mertens":
-        params["limit"] = _need_int(args.limit, "--limit", 1, arith.MAX_LIMIT)
-        params["every"] = _need_int(args.every, "--every", 1)
-    elif command == "dirichlet-sum":
-        params["series"] = args.series
-        params["s"] = _need_float(args.s, "--s", -10.0, 10.0)
-        params["limit"] = _need_int(args.limit, "--limit", 1, arith.MAX_LIMIT)
-    elif command == "abel-check":
-        params["n"] = _need_int(args.n, "--n", 2)
-        params["m"] = _need_int(args.m, "--m", 0)
-        s = parse_complex(args.s, "--s")
-        if s.real <= 0:
-            raise CliValidationError(
-                "--s needs a positive real part for the mean-value record")
-        params["s"] = s
-        if params["n"] + params["m"] > arith.MAX_LIMIT:
-            raise CliValidationError(
-                f"--n plus --m must stay within {arith.MAX_LIMIT}")
-    elif command == "convolution-check":
-        params["limit"] = _need_int(args.limit, "--limit", 1, 200_000)
-    elif command == "zeta":
-        s = parse_complex(args.s, "--s")
-        if not (RE_MIN <= s.real <= RE_MAX
-                and abs(s.imag) <= IM_MAX):
-            raise CliValidationError(
-                f"--s must lie in [{RE_MIN:g}, {RE_MAX:g}] x "
-                f"[-{IM_MAX:g}, {IM_MAX:g}]i")
-        if s == 1.0:
-            raise CliValidationError("--s: zeta has a pole at s = 1")
-        params["s"] = s
-    elif command == "xi":
-        params["t"] = _need_float(args.t, "--t", -IM_MAX, IM_MAX)
-    elif command == "zeros":
-        params["t_max"] = _need_float(args.t_max, "--t-max", 0.0, 100.0,
-                                      open_lo=True)
-        params["step"] = _need_float(args.step, "--step", 0.0, 0.05,
-                                     open_lo=True)
-        params["t_min"] = _need_float(args.t_min, "--t-min", 0.0)
-        if params["t_min"] >= params["t_max"]:
-            raise CliValidationError("--t-min must be below --t-max")
-    elif command == "constants":
-        params["k"] = _need_int(args.k, "--k", 1, 8)
-        params["n"] = _need_int(args.n, "--n", 1000, _CLI_CONSTANTS_N_CAP)
-        params["accelerate"] = bool(args.accelerate)
-    elif command == "theta":
-        params["limit"] = _need_int(args.limit, "--limit", 11,
-                                    arith.MAX_LIMIT)
-        params["s"] = _need_float(args.s, "--s", 0.0, 1.0, open_lo=True)
-    elif command == "divisor-ratio":
-        params["limit"] = _need_int(args.limit, "--limit", 1,
-                                    arith.MAX_LIMIT)
-        if args.every is not None:
-            params["every"] = _need_int(args.every, "--every", 1)
-        else:
-            params["every"] = None
-    elif command == "li":
-        params["x"] = _need_float(args.x, "--x", 1.0, open_lo=True)
-    elif command == "relation-a":
-        params["x_max"] = _need_int(args.x_max, "--x-max", 11,
-                                    arith.MAX_LIMIT)
-        params["s"] = _need_float(args.s, "--s", 0.0, 1.0, open_lo=True)
-    elif command == "mertens-constant":
-        params["limit"] = _need_int(args.limit, "--limit", 10,
-                                    arith.MAX_LIMIT)
-    elif command == "prime-window":
-        params["h"] = _need_float(args.h, "--h", 0.0, open_lo=True)
-        params["start"] = _need_int(args.start, "--start", 1)
-        params["stop"] = _need_int(args.stop, "--stop", params["start"])
-        if (1.0 + params["h"]) * params["stop"] > arith.MAX_LIMIT:
-            raise CliValidationError(
-                "--stop: window upper edge exceeds the supported table "
-                f"bound {arith.MAX_LIMIT}")
-    elif command == "identity-explore":
-        if (args.n is None) == (args.limit is None):
-            raise CliValidationError(
-                "exactly one of --n (single probe) or --limit (sweep) "
-                "is required")
-        if args.n is not None:
-            params["n"] = _need_int(args.n, "--n", 1, arith.MAX_LIMIT)
-        else:
-            params["limit"] = _need_int(args.limit, "--limit", 1, 100_000)
-    elif command == "weierstrass":
-        x = parse_complex(args.x, "--x")
-        a = parse_complex(args.a, "--a")
-        if abs(x.real) > 700.0:
-            raise CliValidationError("--x: e^x overflows binary64")
-        if abs(a.real) > 700.0:
-            raise CliValidationError("--a: e^a overflows binary64")
-        k = round(a.imag / (2.0 * math.pi))
-        if abs(a.real) < 1e-8 and abs(a.imag - 2.0 * math.pi * k) < 1e-8:
-            raise CliValidationError(
-                "--a: within 1e-8 of a multiple of 2 pi i, where the "
-                "product degenerates")
-        params["x"] = x
-        params["a"] = a
-        params["n_terms"] = _need_int(args.n_terms, "--n-terms", 1,
-                                      _CLI_PRODUCT_TERMS_CAP)
-    elif command == "cache-build":
-        params["limit"] = _need_int(args.limit, "--limit", 1,
-                                    arith.MAX_LIMIT)
-        params["dir"] = str(args.dir)
-    elif command == "cache-inspect":
-        params["path"] = str(args.path)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise CliValidationError(f"unknown command {command!r}")
-    return RunConfig(command=command, params=params, fmt=fmt, output=output,
-                     cache_dir=cache_dir)
+    for flag in spec.flags:
+        text = getattr(args, flag.dest)
+        if text is not None:
+            params[flag.dest] = _flag_value(flag, text)
+        elif flag.default is not _UNSET:
+            params[flag.dest] = flag.default
+    if spec.check is not None:
+        spec.check(params)
+    output = Path(args.output) if args.output else None
+    if output is not None and not output.parent.is_dir():
+        raise CliValidationError(
+            f"--output: directory {output.parent} does not exist")
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    return RunConfig(command=args.command_name, params=params,
+                     fmt=args.format or spec.fmt, output=output,
+                     cache_dir=Path(cache_dir) if cache_dir else None)
 
 
 def run(config: RunConfig) -> str:
-    out = _HANDLERS[config.command](config)
+    out = COMMANDS[config.command].handler(config, **config.params)
     if config.fmt == "json":
         return render_json(out)
     return render_csv(out)
@@ -737,6 +685,10 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         text = run(config)
+        if config.output is not None:
+            config.output.write_bytes(text.encode("utf-8"))
+        else:
+            sys.stdout.write(text)
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -745,10 +697,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.output is not None:
-        config.output.write_bytes(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
     return 0
 
 

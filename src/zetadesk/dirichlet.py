@@ -242,14 +242,19 @@ def _exact_int_mul(g: np.ndarray, x: np.ndarray):
     return g * hi, g * lo
 
 
+def _check_half_plane(s: complex) -> complex:
+    s = complex(s)
+    if not (s.real > 0):
+        raise ValueError("summation by parts wants Re s > 0")
+    return s
+
+
 def abel_rearranged_sum(prefix: MertensPrefix, s: complex, n: int, m: int) -> AbelDecomposition:
     if n < 2:
         raise ValueError("block must start at n >= 2")
     if m < 0 or n + m > prefix.limit:
         raise ValueError("block extends beyond the prefix table")
-    s = complex(s)
-    if not (s.real > 0):
-        raise ValueError("summation by parts wants Re s > 0")
+    s = _check_half_plane(s)
     mvals = prefix.values
     j_full = np.arange(n, n + m + 1, dtype=np.float64)
     powers = np.exp(-s * np.log(j_full))  # j^{-s} for j = n..n+m

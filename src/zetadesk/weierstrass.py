@@ -35,6 +35,14 @@ def _check_not_degenerate(a: complex) -> complex:
     return a
 
 
+def _check_exp_arg(z: complex) -> complex:
+    z = complex(z)
+    if abs(z.real) > _EXP_ARG_LIMIT:
+        raise ValueError("direct evaluation of the exponential would "
+                         "overflow binary64")
+    return z
+
+
 @dataclass(frozen=True, eq=False)
 class ProductEvaluation:
     """Truncated product vs direct evaluation of e^x - e^a.
@@ -58,11 +66,8 @@ def exp_difference_product(x: complex, a: complex, n_terms: int,
         raise ValueError(f"exponent_sign must be one of {EXPONENT_SIGNS}")
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
-    x = complex(x)
-    a = _check_not_degenerate(a)
-    if abs(x.real) > _EXP_ARG_LIMIT or abs(a.real) > _EXP_ARG_LIMIT:
-        raise ValueError("direct evaluation of the exponentials would "
-                         "overflow binary64")
+    x = _check_exp_arg(x)
+    a = _check_exp_arg(_check_not_degenerate(a))
     ea = cmath.exp(a)
     direct = cmath.exp(x) - ea
     sign = 1.0 if exponent_sign == "plus" else -1.0

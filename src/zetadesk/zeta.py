@@ -34,6 +34,13 @@ def _require_in_box(s: complex) -> None:
             f"|Im| <= {IM_MAX:g}")
 
 
+def _require_regular(s: complex) -> None:
+    """s is off the pole at 1 and inside the validated box."""
+    if s == 1.0:
+        raise ValueError("zeta has a pole at s = 1")
+    _require_in_box(s)
+
+
 def _cexpm1(z: complex) -> complex:
     # exp(z)-1 without cancellation for small z; cos y - 1 handled as
     # -2 sin^2(y/2)
@@ -86,9 +93,7 @@ def _reflection_factor(s: complex) -> complex:
 
 def zeta(s: complex) -> complex:
     s = complex(s)
-    if s == 1.0:
-        raise ValueError("zeta has a pole at s = 1")
-    _require_in_box(s)
+    _require_regular(s)
     if s.real >= -0.5:
         return _em_minus_pole(s) + 1.0 / (s - 1.0)
     w = 1.0 - s
@@ -221,17 +226,24 @@ def _bisect_xi_real(lo: float, hi: float, flo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def zero_scan(t_max: float, step: float = 0.05, t_min: float = 0.0) -> ZeroScanReport:
+# The zero scan is validated up to this height, and at grid steps no
+# coarser than this; coarser grids can hop over close zero pairs.
+ZERO_SCAN_T_MAX = 100.0
+ZERO_SCAN_STEP_MAX = 0.05
+
+
+def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
+              t_min: float = 0.0) -> ZeroScanReport:
     t_max = float(t_max)
     step = float(step)
     t_min = float(t_min)
     if not 0.0 <= t_min < t_max:
         raise ValueError("need 0 <= t_min < t_max")
-    if t_max > 100.0:
-        raise ValueError("scan validated only up to t = 100")
-    if not 0.0 < step <= 0.05:
-        raise ValueError("step must be in (0, 0.05]; coarser grids can "
-                         "hop over close zero pairs")
+    if t_max > ZERO_SCAN_T_MAX:
+        raise ValueError(f"scan validated only up to t = {ZERO_SCAN_T_MAX:g}")
+    if not 0.0 < step <= ZERO_SCAN_STEP_MAX:
+        raise ValueError(f"step must be in (0, {ZERO_SCAN_STEP_MAX:g}]; "
+                         "coarser grids can hop over close zero pairs")
     count = int(math.floor((t_max - t_min) / step)) + 1
     grid = t_min + step * np.arange(count, dtype=np.float64)
     if grid[-1] < t_max:

@@ -10,7 +10,7 @@ from zetadesk.asymptotics import (H_READINGS, LHS_CONVENTIONS,
                                   divisor_asymptotic_ratio,
                                   divisor_ratio_scan, floor_identity_probe,
                                   floor_identity_sweep, integer_root, li,
-                                  mangoldt_prefix, mertens_constant_estimate,
+                                  mertens_constant_estimate,
                                   prime_count_gap_ratio, prime_count_gap_scan,
                                   prime_window_count, prime_window_decades,
                                   psi_decomposition_check, psi_deviation,
@@ -37,7 +37,7 @@ def test_integer_root_exact_powers():
 
 
 def test_mangoldt_prefix_matches_direct_sum(table4):
-    prefix = mangoldt_prefix(table4)
+    prefix = table4.mangoldt_prefix
     c2 = 2.0 * euler_constant()
     for n in (1, 2, 16, 100, 1000, 9999):
         direct = [c2]
@@ -51,7 +51,7 @@ def test_mangoldt_prefix_matches_direct_sum(table4):
                 count += 1
             direct.append(count * math.log(p))
         assert abs(prefix[n] - math.fsum(direct)) < 1e-10, n
-    again = mangoldt_prefix(table4)
+    again = table4.mangoldt_prefix
     assert again is prefix
 
 
@@ -82,7 +82,7 @@ def test_deviation_definitions(table6):
     assert theta_deviation(table6, n, s) == (theta - n) / n ** s
     # the deviation is built on the theta ladder; the log-weight prefix
     # route must agree within the decomposition tolerance
-    prefix = mangoldt_prefix(table6)
+    prefix = table6.mangoldt_prefix
     ladder_route = psi_deviation(table6, n, s)
     prefix_route = (prefix[n] - 2.0 * euler_constant() - n) / n ** s
     assert math.isclose(ladder_route, prefix_route, rel_tol=0.0,

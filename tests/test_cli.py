@@ -120,12 +120,45 @@ def test_unknown_subcommand_exits_2(capsys):
     (["weierstrass", "--x", "0.5", "--a", "0"], "--a"),
     (["weierstrass", "--x", "800", "--a", "1"], "--x"),
     (["convolution-check", "--limit", "300000"], "--limit"),
+    (["zeta", "--s", "10.000001"], "--s"),
+    (["zeros", "--t-max", "5", "--step", "0.0500001"], "--step"),
+    (["xi", "--t", "120.5"], "--t"),
+    (["weierstrass", "--x", "0.5", "--a", "0+6.283185307179586i"], "--a"),
 ])
 def test_validation_exits_2_and_names_flag(argv, flag, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--s", "10"],
+    ["xi", "--t", "120"],
+    ["zeros", "--t-max", "1", "--step", "0.05"],
+    ["theta", "--limit", "1000", "--s", "1"],
+])
+def test_bounds_accept_their_edges(argv, capsys):
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_accelerate_switches_are_exclusive(capsys):
+    assert main(["constants", "--accelerate", "--no-accelerate"]) == 2
+    capsys.readouterr()
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    assert main(["li", "--x", "100", "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: --output:")
+    assert not target.parent.exists()
+
+
+def test_output_write_failure_exits_1(tmp_path, capsys):
+    # the path is a directory, so the write itself fails
+    assert main(["li", "--x", "100", "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_runtime_failure_exits_1(capsys):
@@ -159,6 +192,24 @@ def test_prime_window_matches_golden(tmp_path):
 def test_identity_explore_matches_golden(tmp_path):
     got = run_ok(["identity-explore", "--n", "100"], tmp_path / "i.csv")
     assert got == (GOLDEN / "identity_explore_n100.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_identity_sweep_matches_golden(fmt, tmp_path):
+    got = run_ok(["identity-explore", "--limit", "1000", "--format", fmt],
+                 tmp_path / "i.out")
+    golden = GOLDEN / f"identity_explore_limit1000.{fmt}"
+    assert got == golden.read_bytes()
+
+
+def test_cache_inspect_matches_golden(tmp_path, monkeypatch, capsys):
+    # a relative --dir keeps the path column free of tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert main(["cache", "build", "--limit", "1000", "--dir", "cache"]) == 0
+    capsys.readouterr()
+    assert main(["cache", "inspect", "--path", "cache"]) == 0
+    got = capsys.readouterr().out.encode()
+    assert got == (GOLDEN / "cache_inspect_limit1000.csv").read_bytes()
 
 
 # Spawns argv[1:] under this interpreter and prints its exit code and
