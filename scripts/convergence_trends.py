@@ -15,12 +15,12 @@ from pathlib import Path
 from zetadesk.arith import build_tables
 from zetadesk.asymptotics import (divisor_ratio_scan, prime_count_gap_scan,
                                   theta_deviation_scan)
-from zetadesk.reports import render_csv_table
+from zetadesk.reports import render_csv
 
 
-def _write(report, path: Path) -> None:
-    path.write_text(render_csv_table(report.columns, report.data))
-    print(f"wrote {path}: {report.stats}")
+def _write(table, path: Path) -> None:
+    path.write_text(render_csv(table))
+    print(f"wrote {path}: {table.stats}")
 
 
 def main() -> int:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from zetadesk.arith import build_tables, mertens_prefix, mertens_ratio_window
-from zetadesk.reports import columns_from_rows, render_csv_table
+from zetadesk.reports import Table, render_csv
 
 COLUMNS = ("decade_end", "min_ratio", "argmin", "max_ratio", "argmax",
            "running_min", "running_max")
@@ -42,8 +42,7 @@ def main() -> int:
                      w.observed_max_ratio, w.argmax, running_min, running_max))
         lo = hi + 1
         hi *= 10
-    Path(args.out).write_text(
-        render_csv_table(COLUMNS, columns_from_rows(rows)))
+    Path(args.out).write_text(render_csv(Table.from_rows(COLUMNS, rows)))
     print(f"wrote {args.out}: sup |M|/sqrt(n) = "
           f"{max(-running_min, running_max):.6f} up to {args.limit}")
     return 0

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from zetadesk.reports import columns_from_rows, render_csv_table
+from zetadesk.reports import Table, render_csv
 from zetadesk.zeta import riemann_von_mangoldt, zero_scan
 
 
@@ -29,8 +29,8 @@ def main() -> int:
         count = int((report.zeros <= t_ladder).sum())
         est = riemann_von_mangoldt(float(t_ladder))
         rows.append((t_ladder, count, est, count - est))
-    Path(args.out).write_text(render_csv_table(
-        ("T", "count", "smooth_estimate", "gap"), columns_from_rows(rows)))
+    Path(args.out).write_text(render_csv(Table.from_rows(
+        ("T", "count", "smooth_estimate", "gap"), rows)))
     print(f"wrote {args.out}: {report.count} zeros below {args.t_max}, "
           f"{len(report.close_calls)} close calls")
     for z in report.zeros:

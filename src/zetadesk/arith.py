@@ -263,8 +263,15 @@ class MertensPrefix:
     argmax: int
 
 
-# cells per step of every chunked walk over the table
-_CHUNK = 1 << 16
+# cells per step of every chunked walk over 1..n in the package
+CHUNK = 1 << 16
+
+
+def chunk_bounds(n: int, start: int = 1):
+    """(lo, hi) for consecutive chunks of at most CHUNK cells covering
+    start..n, hi exclusive."""
+    for lo in range(start, n + 1, CHUNK):
+        yield lo, min(lo + CHUNK, n + 1)
 
 
 def mertens_chunks(table: ArithTable, limit: int | None = None):
@@ -277,12 +284,11 @@ def mertens_chunks(table: ArithTable, limit: int | None = None):
     """
     limit = _mertens_limit(table, limit)
     carry = 0
-    for lo in range(0, limit, _CHUNK):
-        part = np.cumsum(table.mu[lo + 1 : min(lo + _CHUNK, limit) + 1],
-                         dtype=np.int32)
+    for lo, hi in chunk_bounds(limit):
+        part = np.cumsum(table.mu[lo:hi], dtype=np.int32)
         part += carry
         carry = int(part[-1])
-        yield lo, part
+        yield lo - 1, part
 
 
 def _mertens_limit(table: ArithTable, limit: int | None) -> int:
@@ -317,8 +323,7 @@ def mertens_ratio_window(prefix: MertensPrefix, lo: int,
     best_min = math.inf
     best_max = -math.inf
     arg_min = arg_max = lo
-    for start in range(lo, hi + 1, _CHUNK):
-        stop = min(hi + 1, start + _CHUNK)
+    for start, stop in chunk_bounds(hi, lo):
         idx = np.arange(start, stop, dtype=np.float64)
         ratios = prefix.values[start:stop] / np.sqrt(idx)
         i_lo = int(np.argmin(ratios))
@@ -421,8 +426,8 @@ def save_cache(table: ArithTable, path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit))
             crc = 0
-            for lo in range(1, table.limit + 1, _CHUNK):
-                payload = (table.mu[lo : lo + _CHUNK] + 1).view(np.uint8)
+            for lo, hi in chunk_bounds(table.limit):
+                payload = (table.mu[lo:hi] + 1).view(np.uint8)
                 fh.write(payload)
                 crc = zlib.crc32(payload, crc)
             fh.write(struct.pack("<I", crc))

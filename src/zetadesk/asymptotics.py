@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable, MertensPrefix, chebyshev_theta, mangoldt_weight
+from .arith import (ArithTable, MertensPrefix, chebyshev_theta, chunk_bounds,
+                    mangoldt_weight)
 from .constants import euler_constant
-from .reports import ScanReport, build_scan_report, geometric_grid
+from .reports import Table, geometric_grid
 
 
 def integer_root(n: int, k: int) -> int:
@@ -91,9 +92,14 @@ def theta_deviation(table: ArithTable, n: int, s: float) -> float:
     return (chebyshev_theta(table, n) - n) / float(n) ** s
 
 
+# first grid point of the theta and prime-count gap scans, whose grid
+# must end above it
+SCAN_START = 10
+
+
 def theta_deviation_scan(table: ArithTable, s: float,
                          n_max: int | None = None,
-                         n_min: int = 10) -> ScanReport:
+                         n_min: int = SCAN_START) -> Table:
     s = _check_exponent(s)
     if n_max is None:
         n_max = table.limit
@@ -103,13 +109,11 @@ def theta_deviation_scan(table: ArithTable, s: float,
     thetas = [chebyshev_theta(table, n) for n in grid.tolist()]
     deviations = [(theta - n) / float(n) ** s
                   for n, theta in zip(grid.tolist(), thetas)]
-    return build_scan_report(
-        label=f"theta deviation at s={s:g}",
-        columns=("n", "theta", "deviation"),
-        data=(grid.astype(np.float64), np.array(thetas), np.array(deviations)),
-        key_index=0, value_index=2,
-        stats={"first_abs": abs(deviations[0]),
-               "last_abs": abs(deviations[-1]), "exponent": s})
+    return Table(("n", "theta", "deviation"),
+                 (grid.astype(np.float64), np.array(thetas),
+                  np.array(deviations)),
+                 {"first_abs": abs(deviations[0]),
+                  "last_abs": abs(deviations[-1]), "exponent": s})
 
 
 def divisor_asymptotic_ratio(table: ArithTable, n: int) -> float:
@@ -125,7 +129,7 @@ def divisor_asymptotic_ratio(table: ArithTable, n: int) -> float:
 
 def divisor_ratio_scan(table: ArithTable, n_max: int | None = None,
                        every: int | None = None,
-                       n_min: int = 1) -> ScanReport:
+                       n_min: int = 1) -> Table:
     """Ratio rows on either an arithmetic grid (every) or the default
     geometric grid."""
     if n_max is None:
@@ -145,10 +149,8 @@ def divisor_ratio_scan(table: ArithTable, n_max: int | None = None,
     nf = ns.astype(np.float64)
     ratios = (prefix[ns].astype(np.float64) - nf * np.log(nf) - c2 * nf) / np.sqrt(nf)
     # n stays float64, as the other scan keys do: JSON prints 200000.0
-    return build_scan_report(
-        label="divisor-sum ratio", columns=("n", "ratio"), data=(nf, ratios),
-        key_index=0, value_index=1,
-        stats={"sup_abs": float(np.max(np.abs(ratios)))})
+    return Table(("n", "ratio"), (nf, ratios),
+                 {"sup_abs": float(np.max(np.abs(ratios)))})
 
 
 _LI_TAIL_EPS = 1e-18
@@ -205,7 +207,7 @@ def prime_count_gap_ratio(table: ArithTable, x: float, s: float) -> float:
 
 def prime_count_gap_scan(table: ArithTable, s: float,
                          x_max: int | None = None,
-                         x_min: int = 10) -> ScanReport:
+                         x_min: int = SCAN_START) -> Table:
     s = _check_exponent(s)
     if x_max is None:
         x_max = table.limit
@@ -213,19 +215,20 @@ def prime_count_gap_scan(table: ArithTable, s: float,
         raise ValueError("need 2 <= x_min < x_max <= limit")
     grid = geometric_grid(x_max, start=x_min)
     ratios = [prime_count_gap_ratio(table, float(xv), s) for xv in grid.tolist()]
-    return build_scan_report(
-        label=f"prime-count gap ratio at s={s:g}",
-        columns=("x", "ratio"), data=(grid.astype(np.float64), np.array(ratios)),
-        key_index=0, value_index=1,
-        stats={"first_abs": abs(ratios[0]), "last_abs": abs(ratios[-1]),
-               "exponent": s})
+    return Table(("x", "ratio"), (grid.astype(np.float64), np.array(ratios)),
+                 {"first_abs": abs(ratios[0]), "last_abs": abs(ratios[-1]),
+                  "exponent": s})
+
+
+# the smallest n the estimate takes, and the first of the CLI's decade points
+MERTENS_CONSTANT_N_MIN = 10
 
 
 def mertens_constant_estimate(table: ArithTable, n: int) -> float:
     """sum_{p<=n} 1/p - log log n; converges like 1/log n, so callers
     should only read a couple of digits."""
-    if n < 10:
-        raise ValueError("estimate needs n >= 10")
+    if n < MERTENS_CONSTANT_N_MIN:
+        raise ValueError(f"estimate needs n >= {MERTENS_CONSTANT_N_MIN}")
     if n > table.limit:
         raise ValueError("n exceeds the table limit")
     count = table.prime_count(n)
@@ -349,10 +352,6 @@ class FloorIdentitySweep:
     bound_violations: int
 
 
-# n values per step of the sweep, so its arrays stay small at any n_max
-_SWEEP_CHUNK = 1 << 16
-
-
 def floor_identity_sweep(prefix: MertensPrefix, table: ArithTable,
                          n_max: int) -> FloorIdentitySweep:
     """floor_identity_probe at every n in 1..n_max, tallied; the same
@@ -363,8 +362,9 @@ def floor_identity_sweep(prefix: MertensPrefix, table: ArithTable,
               for conv in LHS_CONVENTIONS for reading in H_READINGS}
     unmatched = 0
     violations = 0
-    for lo in range(1, n_max + 1, _SWEEP_CHUNK):
-        ns = np.arange(lo, min(lo + _SWEEP_CHUNK, n_max + 1), dtype=np.int64)
+    # a block of n at a time, so the arrays stay small at any n_max
+    for lo, hi in chunk_bounds(n_max):
+        ns = np.arange(lo, hi, dtype=np.int64)
         lhs, rhs, k = _identity_sides(prefix, table, ns)
         matched = np.zeros(ns.size, dtype=bool)
         broken = np.zeros(ns.size, dtype=bool)
@@ -428,11 +428,11 @@ def _identity_sides(prefix: MertensPrefix, table: ArithTable, ns: np.ndarray):
 __all__ = [
     "integer_root", "psi_sum",
     "PsiDecomposition", "psi_decomposition_check", "psi_deviation",
-    "theta_deviation", "theta_deviation_scan", "divisor_asymptotic_ratio",
-    "divisor_ratio_scan", "li", "riemann_prime_count",
-    "prime_count_gap_ratio", "prime_count_gap_scan",
-    "mertens_constant_estimate", "prime_window_count",
-    "prime_window_decades", "LHS_CONVENTIONS", "H_READINGS",
+    "theta_deviation", "SCAN_START", "theta_deviation_scan",
+    "divisor_asymptotic_ratio", "divisor_ratio_scan", "li",
+    "riemann_prime_count", "prime_count_gap_ratio", "prime_count_gap_scan",
+    "MERTENS_CONSTANT_N_MIN", "mertens_constant_estimate",
+    "prime_window_count", "prime_window_decades", "LHS_CONVENTIONS", "H_READINGS",
     "FloorIdentityProbe", "floor_identity_probe", "FloorIdentitySweep",
     "floor_identity_sweep", "mangoldt_weight",
 ]

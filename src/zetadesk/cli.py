@@ -4,6 +4,10 @@ One subcommand per experiment; every run writes a single table, CSV or
 JSON, to standard output or --output. Exit codes: 0 success, 1 a
 computation failed, 2 a flag failed validation (the message names it).
 
+Each handler returns a reports.Table (the scan-backed ones return the
+scan's own table), and run renders it, with the command and its
+parameters as the head of the JSON body.
+
 Each command is declared once, as one entry of COMMANDS: its handler,
 help line, default format, flags and any check that spans several
 flags. The argument parser and the validation are loops over that
@@ -39,13 +43,12 @@ import numpy as np
 from . import arith, asymptotics, dirichlet, weierstrass
 from .asymptotics import _check_exponent
 from .dirichlet import _check_half_plane
-from .reports import (RowView, check_columns, columns_from_rows,
-                      geometric_grid, json_value, render_csv_table,
-                      render_json_table)
+from .reports import Table, geometric_grid, render_csv, render_json
 from .weierstrass import _check_exp_arg, _check_not_degenerate
-from .zeta import (ZERO_SCAN_STEP_MAX, ZERO_SCAN_T_MAX, _require_in_box,
-                   _require_regular, log_power_constant,
-                   log_power_constant_contour, xi, zero_scan)
+from .zeta import (LOG_POWER_K_MAX, LOG_POWER_N_MIN, ZERO_SCAN_STEP_MAX,
+                   ZERO_SCAN_T_MAX, _require_in_box, _require_regular,
+                   log_power_constant, log_power_constant_contour, xi,
+                   zero_scan)
 from .zeta import zeta as zeta_function
 
 CACHE_ENV = "ZETADESK_CACHE_DIR"
@@ -65,37 +68,6 @@ class RunConfig:
     fmt: str
     output: Path | None
     cache_dir: Path | None
-
-
-@dataclass(frozen=True)
-class CommandOutput:
-    """Uniform table result, held as columns: data has one numpy array
-    (numeric) or list (other cells) per name in columns. extra lands at
-    the top level of the JSON body (the zeros command promises a
-    top-level count there); stats only appear in JSON, never in CSV."""
-
-    command: str
-    params: dict
-    columns: tuple
-    data: tuple
-    stats: dict
-    extra: dict
-
-    @property
-    def rows(self) -> RowView:
-        return RowView(self.data)
-
-
-def _make_output(config, columns, data, stats=None, extra=None) -> CommandOutput:
-    return CommandOutput(command=config.command, params=dict(config.params),
-                         columns=tuple(columns),
-                         data=check_columns(columns, data),
-                         stats=dict(stats or {}), extra=dict(extra or {}))
-
-
-def _rows_output(config, columns, rows, stats=None, extra=None) -> CommandOutput:
-    """_make_output for the short tables that are natural to write as rows."""
-    return _make_output(config, columns, columns_from_rows(rows), stats, extra)
 
 
 # -- parameter parsing -------------------------------------------------
@@ -139,20 +111,6 @@ def _number(kind, lo=None, hi=None, open_lo=False):
             raise CliValidationError(f"{flag} must be at most {hi}, got {value}")
         return value
     return parse
-
-
-# -- output rendering --------------------------------------------------
-
-def render_csv(out: CommandOutput) -> str:
-    return render_csv_table(out.columns, out.data)
-
-
-def render_json(out: CommandOutput) -> str:
-    head = {"command": out.command, "params": json_value(out.params)}
-    for key, value in out.extra.items():
-        head[key] = json_value(value)
-    head["columns"] = list(out.columns)
-    return render_json_table(head, out.data, {"stats": json_value(out.stats)})
 
 
 # -- sieve cache -------------------------------------------------------
@@ -200,7 +158,7 @@ def acquire_table(limit: int, cache_dir: Path | None) -> arith.ArithTable:
 
 # -- command handlers --------------------------------------------------
 
-def _cmd_mertens(config: RunConfig, limit, every) -> CommandOutput:
+def _cmd_mertens(config: RunConfig, limit, every) -> Table:
     table = acquire_table(limit, config.cache_dir)
     grid = np.arange(every, limit + 1, every, dtype=np.int64)
     if grid.size == 0:
@@ -215,8 +173,7 @@ def _cmd_mertens(config: RunConfig, limit, every) -> CommandOutput:
     np.divide(values, ratios, out=ratios)
     stats = {"observed_min_ratio": float(ratios.min()),
              "observed_max_ratio": float(ratios.max())}
-    return _make_output(config, ("n", "M", "ratio"), (grid, values, ratios),
-                        stats)
+    return Table(("n", "M", "ratio"), (grid, values, ratios), stats)
 
 
 # series the scan reads chunk by chunk straight off the table
@@ -230,18 +187,17 @@ _SERIES_BUILDERS = {
 }
 
 
-def _cmd_dirichlet_sum(config: RunConfig, limit, series, s) -> CommandOutput:
+def _cmd_dirichlet_sum(config: RunConfig, limit, series, s) -> Table:
     if series == "unit":
         coeffs = dirichlet.unit_chunks(limit)
     else:
         table = acquire_table(limit, config.cache_dir)
         make = _SERIES_CHUNKS.get(series) or _SERIES_BUILDERS[series]
         coeffs = make(table, limit)
-    report = dirichlet.prefix_ratio_scan(coeffs, s, limit)
-    return _make_output(config, report.columns, report.data, report.stats)
+    return dirichlet.prefix_ratio_scan(coeffs, s, limit)
 
 
-def _cmd_abel_check(config: RunConfig, n, m, s) -> CommandOutput:
+def _cmd_abel_check(config: RunConfig, n, m, s) -> Table:
     table = acquire_table(n + m, config.cache_dir)
     prefix = arith.mertens_prefix(table, n + m)
     dec = dirichlet.abel_rearranged_sum(prefix, s, n, m)
@@ -252,14 +208,13 @@ def _cmd_abel_check(config: RunConfig, n, m, s) -> CommandOutput:
            float(dec.thetas.max()) if dec.thetas.size else math.nan)
     stats = {"boundary_terms": [dec.boundary_terms[0], dec.boundary_terms[1]],
              "remainder": dec.remainder}
-    return _rows_output(
-        config,
+    return Table.from_rows(
         ("n", "m", "s", "direct", "rearranged", "abs_diff", "rel_diff",
          "theta_min", "theta_max"),
         [row], stats)
 
 
-def _cmd_convolution_check(config: RunConfig, limit) -> CommandOutput:
+def _cmd_convolution_check(config: RunConfig, limit) -> Table:
     table = acquire_table(limit, config.cache_dir)
     conv = dirichlet.dirichlet_convolution(
         dirichlet.mobius_stream(table, limit),
@@ -268,74 +223,70 @@ def _cmd_convolution_check(config: RunConfig, limit) -> CommandOutput:
     diff = conv.values[1:] - expected.values[1:]
     grid = geometric_grid(limit)
     stats = {"max_abs_difference": float(np.max(np.abs(diff)))}
-    return _make_output(config, ("n", "convolved", "expected", "difference"),
-                        (grid, conv.values[grid], expected.values[grid],
-                         diff[grid - 1]), stats)
+    return Table(("n", "convolved", "expected", "difference"),
+                 (grid, conv.values[grid], expected.values[grid],
+                  diff[grid - 1]), stats)
 
 
-def _cmd_zeta(config: RunConfig, s) -> CommandOutput:
+def _cmd_zeta(config: RunConfig, s) -> Table:
     value = zeta_function(s)
-    return _rows_output(config, ("s", "value", "abs_value"),
-                        [(s, value, abs(value))])
+    return Table.from_rows(("s", "value", "abs_value"),
+                           [(s, value, abs(value))])
 
 
-def _cmd_xi(config: RunConfig, t) -> CommandOutput:
+def _cmd_xi(config: RunConfig, t) -> Table:
     value = xi(t)
-    return _rows_output(config, ("t", "xi_real", "xi_imag"),
-                        [(t, value.real, value.imag)])
+    return Table.from_rows(("t", "xi_real", "xi_imag"),
+                           [(t, value.real, value.imag)])
 
 
-def _cmd_zeros(config: RunConfig, t_max, step, t_min) -> CommandOutput:
+def _cmd_zeros(config: RunConfig, t_max, step, t_min) -> Table:
     report = zero_scan(t_max, step, t_min)
     zeros = np.asarray(report.zeros, dtype=np.float64)
     index = np.arange(1, zeros.size + 1, dtype=np.int64)
     stats = {"prediction": report.prediction,
              "prediction_gap": report.prediction_gap,
              "close_calls": report.close_calls.tolist()}
-    return _make_output(config, ("index", "zero"), (index, zeros), stats,
-                        extra={"count": report.count})
+    return Table(("index", "zero"), (index, zeros), stats,
+                 extra={"count": report.count})
 
 
-def _cmd_constants(config: RunConfig, k, n, accelerate) -> CommandOutput:
+def _cmd_constants(config: RunConfig, k, n, accelerate) -> Table:
     rows = []
     for j in range(1, k + 1):
         d = log_power_constant(j, n, accelerate)
         c = log_power_constant_contour(j)
         rows.append((j, d.value, d.error_estimate, d.tail_correction,
                      c.value, c.convergence_gap, abs(d.value - c.value)))
-    return _rows_output(
-        config,
+    return Table.from_rows(
         ("k", "value", "error_estimate", "tail_correction", "contour_value",
          "contour_convergence_gap", "route_gap"),
         rows)
 
 
-def _cmd_theta(config: RunConfig, limit, s) -> CommandOutput:
+def _cmd_theta(config: RunConfig, limit, s) -> Table:
     table = acquire_table(limit, config.cache_dir)
-    report = asymptotics.theta_deviation_scan(table, s, limit)
-    return _make_output(config, report.columns, report.data, report.stats)
+    return asymptotics.theta_deviation_scan(table, s, limit)
 
 
-def _cmd_divisor_ratio(config: RunConfig, limit, every) -> CommandOutput:
+def _cmd_divisor_ratio(config: RunConfig, limit, every) -> Table:
     table = acquire_table(limit, config.cache_dir)
-    report = asymptotics.divisor_ratio_scan(table, limit, every)
-    return _make_output(config, report.columns, report.data, report.stats)
+    return asymptotics.divisor_ratio_scan(table, limit, every)
 
 
-def _cmd_li(config: RunConfig, x) -> CommandOutput:
-    return _rows_output(config, ("x", "li"), [(x, asymptotics.li(x))])
+def _cmd_li(config: RunConfig, x) -> Table:
+    return Table.from_rows(("x", "li"), [(x, asymptotics.li(x))])
 
 
-def _cmd_relation_a(config: RunConfig, x_max, s) -> CommandOutput:
+def _cmd_relation_a(config: RunConfig, x_max, s) -> Table:
     table = acquire_table(x_max, config.cache_dir)
-    report = asymptotics.prime_count_gap_scan(table, s, x_max)
-    return _make_output(config, report.columns, report.data, report.stats)
+    return asymptotics.prime_count_gap_scan(table, s, x_max)
 
 
-def _cmd_mertens_constant(config: RunConfig, limit) -> CommandOutput:
+def _cmd_mertens_constant(config: RunConfig, limit) -> Table:
     table = acquire_table(limit, config.cache_dir)
     points = []
-    n = 10
+    n = asymptotics.MERTENS_CONSTANT_N_MIN
     while n <= limit:
         points.append(n)
         n *= 10
@@ -343,18 +294,18 @@ def _cmd_mertens_constant(config: RunConfig, limit) -> CommandOutput:
         points.append(limit)
     rows = [(p, asymptotics.mertens_constant_estimate(table, p))
             for p in points]
-    return _rows_output(config, ("n", "estimate"), rows,
-                        {"final_estimate": rows[-1][1]})
+    return Table.from_rows(("n", "estimate"), rows,
+                           {"final_estimate": rows[-1][1]})
 
 
-def _cmd_prime_window(config: RunConfig, h, start, stop) -> CommandOutput:
+def _cmd_prime_window(config: RunConfig, h, start, stop) -> Table:
     table = acquire_table(int(math.ceil((1.0 + h) * stop)), config.cache_dir)
     rows = asymptotics.prime_window_decades(table, h, start, stop)
-    return _rows_output(config, ("n", "upper", "count"), rows)
+    return Table.from_rows(("n", "upper", "count"), rows)
 
 
 def _cmd_identity_explore(config: RunConfig, n=None,
-                          limit=None) -> CommandOutput:
+                          limit=None) -> Table:
     if n is not None:
         table = acquire_table(n, config.cache_dir)
         prefix = arith.mertens_prefix(table, n)
@@ -365,8 +316,8 @@ def _cmd_identity_explore(config: RunConfig, n=None,
                 for reading in asymptotics.H_READINGS]
         stats = {"k": probe.k, "match_count": len(probe.matches),
                  "bound_holds": probe.bound_holds}
-        return _rows_output(config, ("convention", "reading", "lhs", "rhs",
-                                     "match"), rows, stats)
+        return Table.from_rows(("convention", "reading", "lhs", "rhs",
+                                "match"), rows, stats)
     table = acquire_table(limit, config.cache_dir)
     prefix = arith.mertens_prefix(table, limit)
     sweep = asymptotics.floor_identity_sweep(prefix, table, limit)
@@ -375,31 +326,30 @@ def _cmd_identity_explore(config: RunConfig, n=None,
             for reading in asymptotics.H_READINGS]
     stats = {"unmatched": sweep.unmatched,
              "bound_violations": sweep.bound_violations}
-    return _rows_output(config, ("convention", "reading", "matches", "total"),
-                        rows, stats)
+    return Table.from_rows(("convention", "reading", "matches", "total"),
+                           rows, stats)
 
 
-def _cmd_weierstrass(config: RunConfig, x, a, n_terms) -> CommandOutput:
+def _cmd_weierstrass(config: RunConfig, x, a, n_terms) -> Table:
     cmp = weierstrass.compare_exponent_signs(x, a, n_terms)
     rows = [(ev.exponent_sign, ev.product_value, ev.direct_value,
              ev.relative_error)
             for ev in (cmp.minus, cmp.plus)]
-    return _rows_output(config,
-                        ("exponent_sign", "product", "direct",
-                         "relative_error"),
-                        rows, {"converging_sign": cmp.converging_sign})
+    return Table.from_rows(
+        ("exponent_sign", "product", "direct", "relative_error"),
+        rows, {"converging_sign": cmp.converging_sign})
 
 
-def _cmd_cache_build(config: RunConfig, limit, dir) -> CommandOutput:
+def _cmd_cache_build(config: RunConfig, limit, dir) -> Table:
     target = Path(dir)
     target.mkdir(parents=True, exist_ok=True)
     path = target / f"mu-{limit}.stjz"
     arith.save_cache(arith.build_tables(limit), path)
-    return _rows_output(config, ("path", "limit", "file_bytes"),
-                        [(str(path), limit, path.stat().st_size)])
+    return Table.from_rows(("path", "limit", "file_bytes"),
+                           [(str(path), limit, path.stat().st_size)])
 
 
-def _cmd_cache_inspect(config: RunConfig, path) -> CommandOutput:
+def _cmd_cache_inspect(config: RunConfig, path) -> Table:
     target = Path(path)
     if target.is_dir():
         files = _cache_files(target)
@@ -417,8 +367,8 @@ def _cmd_cache_inspect(config: RunConfig, path) -> CommandOutput:
                      -1 if info["version"] is None else info["version"],
                      -1 if info["limit"] is None else info["limit"],
                      info["file_bytes"], info["crc_ok"]))
-    return _rows_output(config, ("path", "status", "version", "limit",
-                                 "file_bytes", "crc_ok"), rows)
+    return Table.from_rows(("path", "status", "version", "limit",
+                            "file_bytes", "crc_ok"), rows)
 
 
 # -- command table -----------------------------------------------------
@@ -449,7 +399,7 @@ class Flag:
 
 @dataclass(frozen=True)
 class Command:
-    """One command: handler(config, **params) -> CommandOutput, its help
+    """One command: handler(config, **params) -> Table, its help
     line, its flags in params order, a check(params) over several flags,
     and the default output format."""
 
@@ -498,6 +448,8 @@ def _exponent_base(a: complex) -> None:
 
 _LIMIT = Flag("--limit", _number(int, 1, arith.MAX_LIMIT))
 _EXPONENT = Flag("--s", _number(float), default=0.75, check=_check_exponent)
+# a theta or prime-count gap scan ends above its first grid point
+_SCAN_END = _number(int, asymptotics.SCAN_START + 1, arith.MAX_LIMIT)
 
 # commands named <group>-<action> are spelled `zetadesk <group> <action>`
 _GROUPS = {"cache": "sieve cache management"}
@@ -541,12 +493,12 @@ COMMANDS = {
     "constants": Command(
         _cmd_constants,
         "zeta Taylor constants at the origin, defect and contour routes",
-        (Flag("--k", _number(int, 1, 8), default=8),
-         Flag("--n", _number(int, 1000, 2_000_000), default=100_000),
+        (Flag("--k", _number(int, 1, LOG_POWER_K_MAX), default=LOG_POWER_K_MAX),
+         Flag("--n", _number(int, LOG_POWER_N_MIN, 2_000_000), default=100_000),
          Flag("--accelerate", default=True))),
     "theta": Command(
         _cmd_theta, "Chebyshev theta deviation (theta(n)-n)/n^s",
-        (Flag("--limit", _number(int, 11, arith.MAX_LIMIT)), _EXPONENT)),
+        (Flag("--limit", _SCAN_END), _EXPONENT)),
     "divisor-ratio": Command(
         _cmd_divisor_ratio, "divisor-sum remainder over sqrt(n)",
         (_LIMIT, Flag("--every", _number(int, 1), default=None))),
@@ -556,10 +508,11 @@ COMMANDS = {
     "relation-a": Command(
         _cmd_relation_a,
         "normalized gap between the weighted prime count and li(x)",
-        (Flag("--x-max", _number(int, 11, arith.MAX_LIMIT)), _EXPONENT)),
+        (Flag("--x-max", _SCAN_END), _EXPONENT)),
     "mertens-constant": Command(
         _cmd_mertens_constant, "sum of 1/p minus log log n at decade points",
-        (Flag("--limit", _number(int, 10, arith.MAX_LIMIT)),)),
+        (Flag("--limit", _number(int, asymptotics.MERTENS_CONSTANT_N_MIN,
+                                 arith.MAX_LIMIT)),)),
     "prime-window": Command(
         _cmd_prime_window, "prime counts in windows (n, (1+h) n]",
         (Flag("--h", _number(float, 0.0, open_lo=True), default=0.1),
@@ -670,10 +623,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def run(config: RunConfig) -> str:
-    out = COMMANDS[config.command].handler(config, **config.params)
+    table = COMMANDS[config.command].handler(config, **config.params)
     if config.fmt == "json":
-        return render_json(out)
-    return render_csv(out)
+        return render_json(table, {"command": config.command,
+                                   "params": config.params})
+    return render_csv(table)
 
 
 def main(argv=None) -> int:

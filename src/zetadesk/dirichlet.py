@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable, MertensPrefix
+from .arith import ArithTable, MertensPrefix, chunk_bounds
 from .constants import euler_constant
-from .reports import ScanReport, build_scan_report, geometric_grid
+from .reports import Table, geometric_grid
 
 STREAM_SOURCES = ("mobius", "divisor_corrected", "one_minus_g", "unit", "custom")
 
@@ -64,15 +64,6 @@ class ChunkedSeries:
     chunk: Callable[[int, int], np.ndarray]
 
 
-_CHUNK = 1 << 16
-
-
-def _chunk_bounds(n: int):
-    """(lo, hi) for consecutive chunks of at most _CHUNK cells covering 1..n."""
-    for lo in range(1, n + 1, _CHUNK):
-        yield lo, min(lo + _CHUNK, n + 1)
-
-
 def _finish(values: np.ndarray, name: str, limit: int, source: str) -> CoefficientStream:
     values.setflags(write=False)
     return CoefficientStream(name=name, limit=limit, values=values, source=source)
@@ -81,7 +72,7 @@ def _finish(values: np.ndarray, name: str, limit: int, source: str) -> Coefficie
 def _materialize(series: ChunkedSeries) -> CoefficientStream:
     values = np.empty(series.limit + 1, dtype=np.float64)
     values[0] = 0.0
-    for lo, hi in _chunk_bounds(series.limit):
+    for lo, hi in chunk_bounds(series.limit):
         values[lo:hi] = series.chunk(lo, hi)
     return _finish(values, series.name, series.limit, series.name)
 
@@ -303,7 +294,7 @@ def _grid_prefix(coeffs: CoefficientStream | ChunkedSeries,
     """
     picked = np.empty(grid.size, dtype=np.float64)
     carry = None
-    for lo, hi in _chunk_bounds(int(grid[-1])):
+    for lo, hi in chunk_bounds(int(grid[-1])):
         part = coeffs.chunk(lo, hi)
         if carry is not None:
             part[0] += carry
@@ -315,7 +306,7 @@ def _grid_prefix(coeffs: CoefficientStream | ChunkedSeries,
 
 
 def prefix_ratio_scan(coeffs: CoefficientStream | ChunkedSeries, s: float,
-                      n_max: int | None = None) -> ScanReport:
+                      n_max: int | None = None) -> Table:
     """r(n) = P(n)/n^s on a geometric grid, P the prefix sums.
 
     stats carries the sup of |r| over the grid tail (top decade) and
@@ -333,8 +324,7 @@ def prefix_ratio_scan(coeffs: CoefficientStream | ChunkedSeries, s: float,
         "first_abs_ratio": float(abs(r[0])),
         "last_abs_ratio": float(abs(r[-1])),
     }
-    return build_scan_report(f"ratio[{coeffs.name}]/n^{s}", ("n", "prefix", "ratio"),
-                             (grid, p, r), 0, 2, stats)
+    return Table(("n", "prefix", "ratio"), (grid, p, r), stats)
 
 
 def dirichlet_convolution(a: CoefficientStream, b: CoefficientStream) -> CoefficientStream:

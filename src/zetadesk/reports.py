@@ -1,11 +1,13 @@
-"""Columnar scan reports and the one table formatter.
+"""The one result table and its formatter.
 
-Grid scans all over the package (ratio scans, trend tables, divisor
-ratios) produce the same shape of result: a table of named columns
-destined for CSV or JSON, plus observed extremes and a few scan-level
-statistics. A table is held as columns, one per name: numpy arrays for
-numeric columns, short lists for string, complex or bool cells. Rows
-are a derived view and are only built as Python tuples on access.
+Every result in the package, from the grid scans (ratio scans, trend
+tables, divisor ratios) to each CLI command, is one Table: named
+columns destined for CSV or JSON, plus a few statistics and any
+top-level JSON extras. A table is held as columns, one per name: numpy
+arrays for numeric columns, short lists for string, complex or bool
+cells. Rows are a derived view and are only built as Python tuples on
+access. A scan returns its Table, and a CLI handler returns either that
+Table or one of its own.
 
 Every table, in the CLI and in the scripts, is rendered here. A row
 template is built from the column kinds (integer arrays print as %d
@@ -80,11 +82,6 @@ def column_from_values(values) -> np.ndarray | list:
     return values
 
 
-def columns_from_rows(rows) -> tuple:
-    """Transpose a short list of row tuples into columns."""
-    return tuple(column_from_values(c) for c in zip(*rows))
-
-
 def _plain(column, lo: int, hi: int) -> list:
     part = column[lo:hi]
     return part.tolist() if isinstance(part, np.ndarray) else list(part)
@@ -110,15 +107,37 @@ class RowView(Sequence):
             yield from zip(*(_plain(c, lo, lo + CHUNK_ROWS) for c in self._data))
 
 
-def check_columns(columns, data) -> tuple:
-    """data as a tuple, after checking it has one equal-length column
-    per name."""
-    data = tuple(data)
-    if len(data) != len(columns):
-        raise ValueError(f"{len(data)} data columns for {len(columns)} names")
-    if len({len(c) for c in data}) > 1:
-        raise ValueError("table columns differ in length")
-    return data
+@dataclass(frozen=True, eq=False)
+class Table:
+    """A result table held as columns: data has one numpy array
+    (numeric) or list (other cells) per name in columns, all of one
+    length. stats only appear in JSON, never in CSV; extra lands at the
+    top level of the JSON body (the zeros command promises a top-level
+    count there)."""
+
+    columns: tuple
+    data: tuple
+    stats: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "data", tuple(self.data))
+        if len(self.data) != len(self.columns):
+            raise ValueError(f"{len(self.data)} data columns for "
+                             f"{len(self.columns)} names")
+        if len({len(c) for c in self.data}) > 1:
+            raise ValueError("table columns differ in length")
+
+    @classmethod
+    def from_rows(cls, columns, rows, stats=None, extra=None) -> Table:
+        """A Table from a short list of row tuples."""
+        data = tuple(column_from_values(c) for c in zip(*rows))
+        return cls(columns, data, stats or {}, extra or {})
+
+    @property
+    def rows(self) -> RowView:
+        return RowView(self.data)
 
 
 # -- rendering ----------------------------------------------------------
@@ -187,20 +206,22 @@ def _render_rows(data, row, cell, row_sep, finite_only) -> list[str]:
 # The renderers join their pieces once: a long table's text is then
 # held at most twice (its chunks and the result), never three times.
 
-def render_csv_table(columns, data) -> str:
+def render_csv(table: Table) -> str:
     """Header line, then one LF-terminated line per row."""
-    chunks = _render_rows(data, _csv_row, csv_cell, "\n", False)
-    return "\n".join([",".join(columns), *chunks, ""])
+    chunks = _render_rows(table.data, _csv_row, csv_cell, "\n", False)
+    return "\n".join([",".join(table.columns), *chunks, ""])
 
 
-def render_json_table(head: dict, data, tail: dict) -> str:
-    """What json.dumps({**head, "rows": rows, **tail}, indent=2) + "\n"
-    prints, with head and tail already JSON-ready and the rows rendered
-    from the columns in data."""
+def render_json(table: Table, head: dict) -> str:
+    """What json.dumps(body, indent=2) + "\n" prints, where body holds
+    the members of head (the CLI's command and params), then the
+    table's extra, columns, rows and stats, with every value made
+    JSON-ready and the rows rendered from the columns."""
     pieces = ["{\n"]
-    for key, value in head.items():
-        pieces += [_json_member(key, value), ",\n"]
-    chunks = _render_rows(data, _json_row, _json_cell, ",\n", True)
+    for key, value in {**head, **table.extra}.items():
+        pieces += [_json_member(key, json_value(value)), ",\n"]
+    pieces += [_json_member("columns", list(table.columns)), ",\n"]
+    chunks = _render_rows(table.data, _json_row, _json_cell, ",\n", True)
     if chunks:
         pieces.append('  "rows": [\n')
         for chunk in chunks:
@@ -208,8 +229,7 @@ def render_json_table(head: dict, data, tail: dict) -> str:
         pieces[-1] = "\n  ]"
     else:
         pieces.append('  "rows": []')
-    for key, value in tail.items():
-        pieces += [",\n", _json_member(key, value)]
+    pieces += [",\n", _json_member("stats", json_value(table.stats))]
     pieces.append("\n}\n")
     return "".join(pieces)
 
@@ -220,23 +240,7 @@ def _json_member(key: str, value) -> str:
     return f"  {json.dumps(key)}: {text}"
 
 
-# -- scan reports -------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ScanReport:
-    label: str
-    columns: tuple[str, ...]
-    data: tuple
-    observed_min: float
-    argmin: float
-    observed_max: float
-    argmax: float
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def rows(self) -> RowView:
-        return RowView(self.data)
-
+# -- grids ---------------------------------------------------------------
 
 def geometric_grid(n_max: int, ratio: float = 1.25, start: int = 1) -> np.ndarray:
     """Integer grid floor(ratio^k), deduplicated, capped at n_max.
@@ -255,24 +259,3 @@ def geometric_grid(n_max: int, ratio: float = 1.25, start: int = 1) -> np.ndarra
             value = points[-1] + 1.0
     points.append(n_max)
     return np.unique(np.asarray(points, dtype=np.int64))
-
-
-def build_scan_report(label, columns, data, key_index, value_index, stats=None):
-    """Assemble a ScanReport, reading extremes from one numeric column."""
-    data = check_columns(columns, data)
-    if not len(data[0]):
-        raise ValueError("empty scan")
-    values = np.asarray(data[value_index], dtype=np.float64)
-    keys = data[key_index]
-    lo = int(np.argmin(values))
-    hi = int(np.argmax(values))
-    return ScanReport(
-        label=label,
-        columns=tuple(columns),
-        data=data,
-        observed_min=float(values[lo]),
-        argmin=float(keys[lo]),
-        observed_max=float(values[hi]),
-        argmax=float(keys[hi]),
-        stats=dict(stats or {}),
-    )

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import chunk_bounds
+
 TWO_PI = 2.0 * math.pi
 
 EXPONENT_SIGNS = ("minus", "plus")
@@ -72,19 +74,28 @@ def exp_difference_product(x: complex, a: complex, n_terms: int,
     direct = cmath.exp(x) - ea
     sign = 1.0 if exponent_sign == "plus" else -1.0
 
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    shift = 2j * math.pi * n
-    z_pos = a + shift
-    z_neg = a - shift
-    # polynomial parts multiplied pairwise (n, -n); factors approach 1
-    # like 1/n^2 so the running product stays well scaled
-    pair_factors = (1.0 - x / z_pos) * (1.0 - x / z_neg)
-    poly = complex(np.prod(pair_factors)) * (1.0 - x / a)
+    # n walks 1..n_terms in chunks, so no array grows with n_terms.
+    # Polynomial parts multiplied pairwise (n, -n); factors approach 1
+    # like 1/n^2 so the running product stays well scaled. It enters
+    # each chunk's np.prod as element 0, the step the whole-array
+    # np.prod takes there, so the chunking does not change its bits.
+    poly = []
+    for lo, hi in chunk_bounds(n_terms):
+        shift = 2j * math.pi * np.arange(lo, hi, dtype=np.float64)
+        factors = (1.0 - x / (a + shift)) * (1.0 - x / (a - shift))
+        poly = [np.prod(np.concatenate((poly, factors)))]
+    poly = complex(poly[0]) * (1.0 - x / a)
+
     # convergence-factor exponents summed in the same symmetric pairing:
-    # 1/z_pos + 1/z_neg collapses to 2a/(a^2 + 4 pi^2 n^2) exactly
-    pair_inverse = 2.0 * a / (a * a + (TWO_PI * n) ** 2)
-    inv_sum = complex(math.fsum(pair_inverse.real),
-                      math.fsum(pair_inverse.imag)) + 1.0 / a
+    # 1/z_pos + 1/z_neg collapses to 2a/(a^2 + 4 pi^2 n^2) exactly; fsum
+    # is exact, so it may read them one chunk at a time
+    def pair_inverse(part):
+        for lo, hi in chunk_bounds(n_terms):
+            n = np.arange(lo, hi, dtype=np.float64)
+            yield from part(2.0 * a / (a * a + (TWO_PI * n) ** 2)).tolist()
+
+    inv_sum = complex(math.fsum(pair_inverse(np.real)),
+                      math.fsum(pair_inverse(np.imag))) + 1.0 / a
     exponent = sign * x * inv_sum - x / (ea - 1.0)
     if abs(exponent.real) > _EXP_ARG_LIMIT:
         raise ValueError("convergence-factor exponent would overflow; "

@@ -187,7 +187,7 @@ def riemann_von_mangoldt(t: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class ZeroScanReport:
+class ZeroScanResult:
     """Sign-change census of Re xi on [t_min, t_max].
 
     zeros holds bisection-refined ordinates; close_calls lists grid
@@ -233,7 +233,7 @@ ZERO_SCAN_STEP_MAX = 0.05
 
 
 def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
-              t_min: float = 0.0) -> ZeroScanReport:
+              t_min: float = 0.0) -> ZeroScanResult:
     t_max = float(t_max)
     step = float(step)
     t_min = float(t_min)
@@ -263,7 +263,7 @@ def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
                         for i in suspects], dtype=bool)
     close_calls = grid[suspects[no_flip]] if suspects.size else np.zeros(0)
     prediction = riemann_von_mangoldt(t_max) if t_max > TWO_PI else math.nan
-    return ZeroScanReport(t_min=t_min, t_max=t_max, step=step,
+    return ZeroScanResult(t_min=t_min, t_max=t_max, step=step,
                           zeros=zeros, close_calls=np.asarray(close_calls),
                           prediction=prediction)
 
@@ -451,14 +451,19 @@ class LogPowerConstant:
     error_estimate: float
 
 
+# the exponents k with a constant, and the smallest defect cutoff n
+LOG_POWER_K_MAX = 8
+LOG_POWER_N_MIN = 1000
+
+
 @lru_cache(maxsize=128)
 def log_power_constant(k: int, n: int = 100_000,
                        accelerate: bool = True) -> LogPowerConstant:
-    if k < 1 or k > 8:
-        raise ValueError("exponent k must be in 1..8; the k = 0 constant "
-                         "is 1/2 by the series normalization")
-    if n < 1000:
-        raise ValueError("cutoff n must be at least 1000")
+    if k < 1 or k > LOG_POWER_K_MAX:
+        raise ValueError(f"exponent k must be in 1..{LOG_POWER_K_MAX}; the "
+                         "k = 0 constant is 1/2 by the series normalization")
+    if n < LOG_POWER_N_MIN:
+        raise ValueError(f"cutoff n must be at least {LOG_POWER_N_MIN}")
     defect, abs_defect = _defect_sum(k, n)
     tail = 0.0
     if accelerate:
@@ -502,8 +507,8 @@ class ContourConstant:
 
 def log_power_constant_contour(k: int, radius: float = 0.5,
                                nodes: int = 512) -> ContourConstant:
-    if k < 0 or k > 8:
-        raise ValueError("exponent k must be in 0..8")
+    if k < 0 or k > LOG_POWER_K_MAX:
+        raise ValueError(f"exponent k must be in 0..{LOG_POWER_K_MAX}")
     if not 0.1 <= radius <= 0.9:
         raise ValueError("contour radius must stay in [0.1, 0.9], inside "
                          "the pole at s=1")
@@ -542,9 +547,10 @@ class ZetaOriginConstants:
                      for d, c in zip(self.defect_route, self.contour_route))
 
 
-def origin_constants(k_max: int = 8, n: int = 100_000) -> ZetaOriginConstants:
-    if k_max < 1 or k_max > 8:
-        raise ValueError("k_max must be in 1..8")
+def origin_constants(k_max: int = LOG_POWER_K_MAX,
+                     n: int = 100_000) -> ZetaOriginConstants:
+    if k_max < 1 or k_max > LOG_POWER_K_MAX:
+        raise ValueError(f"k_max must be in 1..{LOG_POWER_K_MAX}")
     ks = tuple(range(1, k_max + 1))
     defect = tuple(log_power_constant(k, n) for k in ks)
     contour = tuple(log_power_constant_contour(k) for k in ks)
@@ -552,15 +558,15 @@ def origin_constants(k_max: int = 8, n: int = 100_000) -> ZetaOriginConstants:
                                contour_route=contour)
 
 
-def zeta_series_near_zero(s: complex, order: int = 8) -> complex:
+def zeta_series_near_zero(s: complex, order: int = LOG_POWER_K_MAX) -> complex:
     """Taylor evaluation 1/(s-1) + 1/2 + sum of signed constants times
     s^k / k!, valid for |s| <= 1/2 where the omitted tail sits near
     1e-12."""
     s = complex(s)
     if abs(s) > 0.5:
         raise ValueError("series validated only for |s| <= 1/2")
-    if order < 1 or order > 8:
-        raise ValueError("order must be in 1..8")
+    if order < 1 or order > LOG_POWER_K_MAX:
+        raise ValueError(f"order must be in 1..{LOG_POWER_K_MAX}")
     total = 1.0 / (s - 1.0) + 0.5
     term = 1.0 + 0j
     for k in range(1, order + 1):

@@ -143,6 +143,18 @@ def test_bounds_accept_their_edges(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["zeta", "--s=-3.5-2i"], complex(-3.5, -2.0)),
+    (["weierstrass", "--x=-1.5+0.5i", "--a", "1"], None),
+])
+def test_negative_real_part_is_given_after_an_equals_sign(argv, value, capsys):
+    # as a separate word, argparse would read -3.5-2i as an option
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    if value is not None:
+        assert row.startswith(format_complex(value) + ",")
+
+
 def test_accelerate_switches_are_exclusive(capsys):
     assert main(["constants", "--accelerate", "--no-accelerate"]) == 2
     capsys.readouterr()

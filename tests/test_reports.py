@@ -16,10 +16,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.cli import CommandOutput, render_csv, render_json
-from zetadesk.reports import (CHUNK_ROWS, RowView, build_scan_report,
-                              column_from_values, format_complex,
-                              format_float)
+from zetadesk.reports import (CHUNK_ROWS, RowView, Table, column_from_values,
+                              format_complex, format_float, render_csv,
+                              render_json)
 
 CHUNK_EDGE_COUNTS = [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
@@ -55,9 +54,11 @@ def tables(draw, counts, max_columns):
         data.append(column)
     extra = draw(st.sampled_from([{}, {"count": n}]))
     stats = {"last": draw(_floats), "note": draw(st.text(max_size=4))}
-    return CommandOutput(command="probe", params={"limit": n, "s": 0.5},
-                         columns=tuple(f"c{i}" for i in range(len(data))),
-                         data=tuple(data), stats=stats, extra=extra)
+    return Table(tuple(f"c{i}" for i in range(len(data))), data, stats, extra)
+
+
+def _head(out):
+    return {"command": "probe", "params": {"limit": len(out.rows), "s": 0.5}}
 
 
 def _plain_rows(out):
@@ -94,8 +95,7 @@ def reference_csv(out):
 
 
 def reference_json(out):
-    body = {"command": out.command,
-            "params": _reference_json_value(out.params)}
+    body = _reference_json_value(_head(out))
     body.update(_reference_json_value(out.extra))
     body["columns"] = list(out.columns)
     body["rows"] = [[_reference_json_value(v) for v in row]
@@ -118,7 +118,8 @@ def first_mismatch(got, want):
 
 def check_renders(out):
     assert first_mismatch(render_csv(out), reference_csv(out)) is None
-    assert first_mismatch(render_json(out), reference_json(out)) is None
+    assert first_mismatch(render_json(out, _head(out)),
+                          reference_json(out)) is None
 
 
 @settings(max_examples=60)
@@ -136,11 +137,9 @@ def test_renderer_matches_reference_at_the_chunk_edge(out):
 
 
 def test_numpy_bool_column_prints_as_json_and_csv_booleans():
-    out = CommandOutput(command="probe", params={}, columns=("n", "ok"),
-                        data=(np.arange(1, 4), np.array([True, False, True])),
-                        stats={}, extra={})
+    out = Table(("n", "ok"), (np.arange(1, 4), np.array([True, False, True])))
     assert render_csv(out) == "n,ok\n1,true\n2,false\n3,true\n"
-    assert json.loads(render_json(out))["rows"] == [
+    assert json.loads(render_json(out, {}))["rows"] == [
         [1, True], [2, False], [3, True]]
 
 
@@ -165,13 +164,12 @@ def test_column_kinds_from_python_cells():
         assert column_from_values(cells) == cells
 
 
-def test_scan_report_extremes_and_ragged_columns():
-    report = build_scan_report("probe", ("n", "r"),
-                               (np.array([1.0, 2.0, 3.0]),
-                                np.array([0.5, -1.0, 2.0])), 0, 1)
-    assert (report.observed_min, report.argmin) == (-1.0, 2.0)
-    assert (report.observed_max, report.argmax) == (2.0, 3.0)
-    assert report.rows[-1] == (3.0, 2.0)
-    with pytest.raises(ValueError):
-        build_scan_report("probe", ("n", "r"),
-                          (np.arange(3.0), np.arange(2.0)), 0, 1)
+def test_table_rejects_ragged_columns():
+    table = Table(["n", "r"], [np.array([1.0, 2.0, 3.0]), [0.5, -1.0, 2.0]])
+    assert table.columns == ("n", "r") and table.rows[-1] == (3.0, 2.0)
+    rows = Table.from_rows(("n", "r"), [(1, 0.5), (2, -1.0)]).rows
+    assert rows[1] == (2, -1.0)
+    with pytest.raises(ValueError, match="differ in length"):
+        Table(("n", "r"), (np.arange(3.0), np.arange(2.0)))
+    with pytest.raises(ValueError, match="2 names"):
+        Table(("n", "r"), (np.arange(3.0),))

@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetadesk.weierstrass import (compare_exponent_signs,
+from zetadesk.arith import CHUNK
+from zetadesk.weierstrass import (TWO_PI, compare_exponent_signs,
                                   exp_difference_product, zero_set_check)
 
 
@@ -57,6 +59,31 @@ def test_lattice_zero_hits_exactly():
     assert r.direct_value == 0.0
     assert r.product_value == 0.0
     assert r.relative_error == 0.0
+
+
+def whole_array_product(x, a, n_terms, sign):
+    """The product with every n-indexed quantity held as one array of
+    n_terms cells: the reference the chunked walks must reproduce."""
+    x, a = complex(x), complex(a)
+    ea = cmath.exp(a)
+    n = np.arange(1, n_terms + 1, dtype=np.float64)
+    shift = 2j * math.pi * n
+    pair_factors = (1.0 - x / (a + shift)) * (1.0 - x / (a - shift))
+    poly = complex(np.prod(pair_factors)) * (1.0 - x / a)
+    pair_inverse = 2.0 * a / (a * a + (TWO_PI * n) ** 2)
+    inv_sum = complex(math.fsum(pair_inverse.real),
+                      math.fsum(pair_inverse.imag)) + 1.0 / a
+    exponent = sign * x * inv_sum - x / (ea - 1.0)
+    return (1.0 - ea) * cmath.exp(exponent) * poly
+
+
+@pytest.mark.parametrize("n_terms", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 999])
+def test_chunked_walks_match_the_whole_array_formula(n_terms):
+    for x, a in [(0.3, 1.0), (complex(-1.5, 0.5), 1.0),
+                 (complex(2.0, -3.0), complex(-0.7, 0.1))]:
+        cmp = compare_exponent_signs(x, a, n_terms)
+        assert cmp.plus.product_value == whole_array_product(x, a, n_terms, 1.0)
+        assert cmp.minus.product_value == whole_array_product(x, a, n_terms, -1.0)
 
 
 def test_rejections():
