@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from zetadesk.arith import build_tables
-from zetadesk.asymptotics import (divisor_ratio_scan, prime_count_gap_scan,
+from zetadesk.asymptotics import (TREND_LIMIT_MIN, _check_exponent,
+                                  divisor_ratio_scan, prime_count_gap_scan,
                                   theta_deviation_scan)
 from zetadesk.reports import render_csv
 
@@ -29,10 +30,12 @@ def main() -> int:
     ap.add_argument("--s", type=float, default=0.75)
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args()
-    if not 0.0 < args.s <= 1.0:
-        ap.error("--s must lie in (0, 1]")
-    if args.limit < 100:
-        ap.error("--limit must be at least 100")
+    try:
+        _check_exponent(args.s)
+    except ValueError as exc:
+        ap.error(f"--s: {exc}")
+    if args.limit < TREND_LIMIT_MIN:
+        ap.error(f"--limit must be at least {TREND_LIMIT_MIN}")
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from zetadesk.arith import build_tables, mertens_prefix, mertens_ratio_window
+from zetadesk.asymptotics import TREND_LIMIT_MIN
 from zetadesk.reports import Table, render_csv
 
 COLUMNS = ("decade_end", "min_ratio", "argmin", "max_ratio", "argmax",
@@ -23,8 +24,8 @@ def main() -> int:
     ap.add_argument("--limit", type=int, default=10_000_000)
     ap.add_argument("--out", default="mertens_sweep.csv")
     args = ap.parse_args()
-    if args.limit < 100:
-        ap.error("--limit must be at least 100")
+    if args.limit < TREND_LIMIT_MIN:
+        ap.error(f"--limit must be at least {TREND_LIMIT_MIN}")
 
     table = build_tables(args.limit)
     prefix = mertens_prefix(table)
@@ -32,7 +33,7 @@ def main() -> int:
     running_min = 0.0
     running_max = 0.0
     lo = 1
-    hi = 100
+    hi = TREND_LIMIT_MIN
     while lo <= args.limit:
         hi = min(hi, args.limit)
         w = mertens_ratio_window(prefix, lo, hi)

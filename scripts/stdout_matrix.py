@@ -4,7 +4,9 @@ Each invocation runs in its own child (`python -m zetadesk.cli`, with
 the package taken from the `src/` next to this script) and prints one
 line: `name exit sha256(stdout)`. The list covers every command in both
 formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the chunk size of the
-table walks and the renderer), empty `--every` grids, non-finite cells,
+table walks and the renderer), the far-point Mertens reads of
+`identity-explore --n` and `abel-check` near 10^7, empty `--every`
+grids, non-finite cells,
 the sieve cache (build, a miss then a hit, inspect), invalid input and
 every help text. Run it on two checkouts on the same machine and diff
 the outputs: a refactor that keeps stdout must print the same lines.
@@ -44,6 +46,10 @@ OUTPUTS = [
        ["dirichlet-sum", "--s", "0.5", "--limit", str(n)]) for n in EDGES],
     ("abel-check", ["abel-check", "--n", "100", "--m", "50", "--s", "0.5+2i"]),
     ("abel-check-empty-block", ["abel-check", "--n", "10", "--m", "0", "--s", "1"]),
+    ("abel-check-65536",
+     ["abel-check", "--n", "65000", "--m", "1000", "--s", "0.5+14.1i"]),
+    ("abel-check-far",
+     ["abel-check", "--n", "9990000", "--m", "10000", "--s", "0.5+14.1i"]),
     ("convolution-check", ["convolution-check", "--limit", "1000"]),
     *[(f"convolution-check-{n}", ["convolution-check", "--limit", str(n)])
       for n in EDGES],
@@ -71,6 +77,10 @@ OUTPUTS = [
     ("mertens-constant", ["mertens-constant", "--limit", "5000"]),
     ("prime-window", ["prime-window", "--start", "10", "--stop", "10000"]),
     ("identity-explore-n", ["identity-explore", "--n", "100"]),
+    ("identity-explore-n-far", ["identity-explore", "--n", "10000007"]),
+    # 3162^2; 215^3, whose sieve bound 215^2 is its quotient n // 215
+    ("identity-explore-n-square", ["identity-explore", "--n", "9998244"]),
+    ("identity-explore-n-cube", ["identity-explore", "--n", "9938375"]),
     ("identity-explore-limit", ["identity-explore", "--limit", "1000"]),
     *[(f"identity-explore-{n}", ["identity-explore", "--limit", str(n)])
       for n in EDGES],

@@ -33,7 +33,12 @@ from .constants import euler_constant
 # (the prime sieve), a first read of mu takes that to 390 MB and of
 # prime_log_cumsum to 490 MB; 10^8 stays near 170, 215 and 275 MB. A
 # full Mertens prefix adds 4 bytes per integer on top (1.2 GB at the
-# cap).
+# cap); of the CLI commands only identity-explore --limit (at most
+# 10^5) still builds one. divisor-ratio still holds the int32 divisor
+# counts and their int64 prefix, 12 bytes per integer (2.4 GB at the
+# cap). identity-explore --n and abel-check read M through
+# mertens_quotients and mertens_block, whose memory grows with about
+# n^(2/3) and with the block length.
 MAX_LIMIT = 200_000_000
 
 CACHE_MAGIC = b"STJZ"
@@ -346,6 +351,142 @@ def mertens_identity_check(prefix: MertensPrefix, n: int) -> bool:
     k = np.arange(1, n + 1, dtype=np.int64)
     total = int(prefix.values[n // k].sum(dtype=np.int64))
     return total == 1
+
+
+def integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) exactly; the float estimate is corrected against
+    the neighboring integers so perfect powers never come out short."""
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    if k == 1 or n < 2:
+        return n
+    r = int(round(n ** (1.0 / k)))
+    while r > 0 and r ** k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+@dataclass(frozen=True, eq=False)
+class MertensQuotients:
+    """M(v) at every floor quotient v = n//j of one n.
+
+    small[v] is M(v) and mu[v] the Mobius function for 0 <= v <= L,
+    with L = small.size - 1; large[j] is M(n//j) for each j with
+    n//j > L (entry 0 unused). Indexing with a floor quotient of n, or
+    an int64 array of them, gives M there as int64.
+    """
+
+    n: int
+    mu: np.ndarray
+    small: np.ndarray
+    large: np.ndarray
+
+    @classmethod
+    def from_prefix(cls, prefix: MertensPrefix, table: ArithTable,
+                    n: int) -> MertensQuotients:
+        """The full-table route: every quotient of n read off a prefix
+        that covers n, so no quotient lies above L."""
+        if not 1 <= n <= min(prefix.limit, table.limit):
+            raise ValueError("n must lie in 1..limit of both tables")
+        return cls(n=n, mu=table.mu, small=prefix.values,
+                   large=np.zeros(1, dtype=np.int64))
+
+    def __getitem__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.int64)
+        out = np.empty(v.shape, dtype=np.int64)
+        low = v < self.small.size
+        out[low] = self.small[v[low]]
+        out[~low] = self.large[self.n // v[~low]]
+        return out
+
+
+def mertens_quotients(n: int, small_limit: int | None = None) -> MertensQuotients:
+    """M at every floor quotient of n, with mu sieved only to L.
+
+    L is small_limit, by default max(isqrt(n), icbrt(n)^2), about
+    n^(2/3); it must be at least isqrt(n). The quotients v = n//j above
+    L are found in ascending order from the quotient-grouped recursion
+    of Deleglise and Rivat (Experiment. Math. 5, 1996), r = isqrt(v):
+
+        M(v) = 1 - sum_{2 <= d <= r} M(v//d)
+                 - sum_{q <= v//(r+1)} (v//q - max(v//(q+1), r)) M(q)
+
+    Each v//d above L is the quotient n//(j*d), found before v, and
+    each q is at most r <= L, so every v takes a few array operations
+    over about sqrt(v) cells. Memory grows with L, not with n.
+    """
+    if not 1 <= n <= MAX_LIMIT:
+        raise ValueError(f"Mertens quotients of {n} outside 1..{MAX_LIMIT}")
+    root = math.isqrt(n)
+    if small_limit is None:
+        small_limit = max(root, integer_root(n, 3) ** 2)
+    if not root <= small_limit <= MAX_LIMIT:
+        raise ValueError(f"sieve bound {small_limit} outside "
+                         f"{root}..{MAX_LIMIT}")
+    table = build_tables(small_limit)
+    # |M(v)| <= v <= MAX_LIMIT < 2^31, as in mertens_chunks
+    small = np.cumsum(table.mu, dtype=np.int32)
+    small.setflags(write=False)
+    top = n // (small_limit + 1)  # n//j > L exactly for the j <= top
+    large = np.zeros(top + 1, dtype=np.int64)
+    for j in range(top, 0, -1):
+        v = n // j
+        r = math.isqrt(v)
+        # for d <= top//j, v//d = n//(j*d) is a large quotient
+        split = min(r, top // j)
+        total = int(large[2 * j : split * j + 1 : j].sum())
+        d = np.arange(split + 1, r + 1, dtype=np.int64)
+        total += int(small[v // d].sum(dtype=np.int64))
+        # t[q-1] = v//q, with the last entry clipped to r, so that
+        # t[q-1] - t[q] counts the d > r with v//d = q
+        t = v // np.arange(1, v // (r + 1) + 2, dtype=np.int64)
+        t[-1] = r
+        total += int(np.dot(t[:-1] - t[1:], small[1 : t.size]))
+        large[j] = 1 - total
+    large.setflags(write=False)
+    return MertensQuotients(n=n, mu=table.mu, small=small, large=large)
+
+
+def mobius_segment(lo: int, hi: int) -> np.ndarray:
+    """int8 array; entry i is mu(lo + i), for lo <= lo + i < hi.
+
+    A segmented sieve over the primes <= sqrt(hi - 1), so memory grows
+    with hi - lo, not with hi. Each prime flips the sign of its
+    multiples and zeroes the multiples of its square; an n whose sieved
+    primes multiply to less than n has one prime factor above the root
+    left, which flips its sign once more.
+    """
+    if not 1 <= lo <= hi <= MAX_LIMIT + 1:
+        raise ValueError(f"Mobius segment [{lo}, {hi}) outside 1..{MAX_LIMIT}")
+    mu = np.ones(hi - lo, dtype=np.int8)
+    # product of the sieved primes dividing n; it divides n < 2^31
+    found = np.ones(hi - lo, dtype=np.int32)
+    for p in _prime_sieve(math.isqrt(hi - 1)).tolist():
+        mu[-lo % p :: p] *= -1
+        found[-lo % p :: p] *= p
+        mu[-lo % (p * p) :: p * p] = 0
+    mu[found < np.arange(lo, hi, dtype=np.int32)] *= -1
+    return mu
+
+
+def mertens_block(n: int, m: int) -> np.ndarray:
+    """int32 array; entry i is M(n - 1 + i) for i = 0..m + 1, that is
+    M(n - 1) followed by M on the block [n, n + m].
+
+    M(n - 1) comes from mertens_quotients and the block adds the
+    running sum of mobius_segment(n, n + m + 1) to it, so memory grows
+    with m and with about n^(2/3), not with n + m.
+    """
+    if n < 1 or m < 0 or n + m > MAX_LIMIT:
+        raise ValueError(f"Mertens block [{n}, {n + m}] outside 1..{MAX_LIMIT}")
+    block = np.empty(m + 2, dtype=np.int32)
+    block[0] = mertens_quotients(n - 1)[n - 1] if n > 1 else 0
+    np.cumsum(mobius_segment(n, n + m + 1), dtype=np.int32, out=block[1:])
+    block[1:] += block[0]
+    block.setflags(write=False)
+    return block
 
 
 def chebyshev_theta(table: ArithTable, x: float) -> float:

@@ -12,25 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (ArithTable, MertensPrefix, chebyshev_theta, chunk_bounds,
+from .arith import (ArithTable, MertensPrefix, MertensQuotients,
+                    chebyshev_theta, chunk_bounds, integer_root,
                     mangoldt_weight)
 from .constants import euler_constant
 from .reports import Table, geometric_grid
-
-
-def integer_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) exactly; the float estimate is corrected against
-    the neighboring integers so perfect powers never come out short."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if k == 1 or n < 2:
-        return n
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
 
 
 def psi_sum(table: ArithTable, n: int) -> float:
@@ -95,6 +81,11 @@ def theta_deviation(table: ArithTable, n: int, s: float) -> float:
 # first grid point of the theta and prime-count gap scans, whose grid
 # must end above it
 SCAN_START = 10
+
+# end of the first decade of a decade-by-decade trend, so the least
+# limit such a trend runs to (scripts/mertens_sweep.py and
+# scripts/convergence_trends.py)
+TREND_LIMIT_MIN = 100
 
 
 def theta_deviation_scan(table: ArithTable, s: float,
@@ -304,20 +295,20 @@ class FloorIdentityProbe:
     bound_holds: bool | None
 
 
-def floor_identity_probe(prefix: MertensPrefix, table: ArithTable,
-                         n: int) -> FloorIdentityProbe:
-    if n < 1 or n > prefix.limit or n > table.limit:
-        raise ValueError("n must lie in 1..limit of both tables")
+def floor_identity_probe(mertens: MertensQuotients) -> FloorIdentityProbe:
+    """The identity at n = mertens.n. It reads M only at the quotients
+    n//j for j <= k = isqrt(n) and at k, and mu only on 1..k."""
+    n = mertens.n
     k = integer_root(n, 2)
     j = np.arange(1, k + 1, dtype=np.int64)
     quotients = n // j
-    g_q = prefix.values[quotients]
+    g_q = mertens[quotients]
     lhs = _lhs_variants(g_q)
-    f_j = table.mu[j].astype(np.int64)
+    f_j = mertens.mu[j].astype(np.int64)
     parity_even = (quotients % 2 == 0)
     h_even = parity_even.astype(np.int64)
     h_odd = 1 - h_even
-    g_k = int(prefix.values[k])
+    g_k = int(mertens[k])
     rhs = {
         "even_is_one": -1 + (1 - k % 2) * g_k - int(np.dot(h_even, f_j)),
         "odd_is_one": -1 + (k % 2) * g_k - int(np.dot(h_odd, f_j)),
@@ -428,7 +419,8 @@ def _identity_sides(prefix: MertensPrefix, table: ArithTable, ns: np.ndarray):
 __all__ = [
     "integer_root", "psi_sum",
     "PsiDecomposition", "psi_decomposition_check", "psi_deviation",
-    "theta_deviation", "SCAN_START", "theta_deviation_scan",
+    "theta_deviation", "SCAN_START", "TREND_LIMIT_MIN",
+    "theta_deviation_scan",
     "divisor_asymptotic_ratio", "divisor_ratio_scan", "li",
     "riemann_prime_count", "prime_count_gap_ratio", "prime_count_gap_scan",
     "MERTENS_CONSTANT_N_MIN", "mertens_constant_estimate",

@@ -24,7 +24,9 @@ state therefore reproduce byte-identical output.
 Sieve tables are rebuilt per run unless --cache-dir (or the
 ZETADESK_CACHE_DIR environment variable) points at a directory; the
 smallest cached table covering the requested limit is loaded, and a
-fresh build is saved there for next time.
+fresh build is saved there for next time. identity-explore --n and
+abel-check read M at a few points only, from small sieves of their
+own, and neither read nor write the cache.
 """
 
 from __future__ import annotations
@@ -198,9 +200,7 @@ def _cmd_dirichlet_sum(config: RunConfig, limit, series, s) -> Table:
 
 
 def _cmd_abel_check(config: RunConfig, n, m, s) -> Table:
-    table = acquire_table(n + m, config.cache_dir)
-    prefix = arith.mertens_prefix(table, n + m)
-    dec = dirichlet.abel_rearranged_sum(prefix, s, n, m)
+    dec = dirichlet.abel_rearranged_sum(arith.mertens_block(n, m), s, n)
     gap = abs(dec.direct_sum - dec.rearranged)
     rel = gap / abs(dec.direct_sum) if dec.direct_sum != 0 else math.inf
     row = (n, m, s, dec.direct_sum, dec.rearranged, gap, rel,
@@ -307,9 +307,7 @@ def _cmd_prime_window(config: RunConfig, h, start, stop) -> Table:
 def _cmd_identity_explore(config: RunConfig, n=None,
                           limit=None) -> Table:
     if n is not None:
-        table = acquire_table(n, config.cache_dir)
-        prefix = arith.mertens_prefix(table, n)
-        probe = asymptotics.floor_identity_probe(prefix, table, n)
+        probe = asymptotics.floor_identity_probe(arith.mertens_quotients(n))
         rows = [(conv, reading, probe.lhs[conv], probe.rhs[reading],
                  probe.lhs[conv] == probe.rhs[reading])
                 for conv in asymptotics.LHS_CONVENTIONS

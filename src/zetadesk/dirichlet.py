@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable, MertensPrefix, chunk_bounds
+from .arith import ArithTable, chunk_bounds
 from .constants import euler_constant
 from .reports import Table, geometric_grid
 
@@ -240,20 +240,23 @@ def _check_half_plane(s: complex) -> complex:
     return s
 
 
-def abel_rearranged_sum(prefix: MertensPrefix, s: complex, n: int, m: int) -> AbelDecomposition:
+def abel_rearranged_sum(block: np.ndarray, s: complex, n: int) -> AbelDecomposition:
+    """The decomposition over the block [n, n + m], where block[i] is
+    M(n - 1 + i) for i = 0..m + 1 (arith.mertens_block, or a slice of
+    a full prefix)."""
     if n < 2:
         raise ValueError("block must start at n >= 2")
-    if m < 0 or n + m > prefix.limit:
-        raise ValueError("block extends beyond the prefix table")
+    m = block.size - 2
+    if m < 0:
+        raise ValueError("block must hold M(n - 1) and M(n)")
     s = _check_half_plane(s)
-    mvals = prefix.values
     j_full = np.arange(n, n + m + 1, dtype=np.float64)
     powers = np.exp(-s * np.log(j_full))  # j^{-s} for j = n..n+m
     # Coefficients are mu(j) in {-1,0,1}, so these products are exact
     # and the direct sum is the correctly rounded sum of the powers.
-    f_block = (mvals[n : n + m + 1] - mvals[n - 1 : n + m]).astype(np.float64)
+    f_block = (block[1:] - block[:-1]).astype(np.float64)
     direct = _fsum_complex(f_block * powers)
-    b_coeff = np.array([mvals[n + m], -mvals[n - 1]], dtype=np.float64)
+    b_coeff = np.array([block[-1], -block[0]], dtype=np.float64)
     b_power = np.array([powers[-1], powers[0]], dtype=np.complex128)
     b_re_hi, b_re_lo = _exact_int_mul(b_coeff, b_power.real)
     b_im_hi, b_im_lo = _exact_int_mul(b_coeff, b_power.imag)
@@ -261,7 +264,7 @@ def abel_rearranged_sum(prefix: MertensPrefix, s: complex, n: int, m: int) -> Ab
     second = complex(b_re_hi[1] + b_re_lo[1], b_im_hi[1] + b_im_lo[1])
     if m > 0:
         j = np.arange(n, n + m, dtype=np.float64)
-        g = mvals[n : n + m].astype(np.float64)
+        g = block[1:-1].astype(np.float64)
         diff = powers[:-1] - powers[1:]
         re_hi, re_lo = _exact_int_mul(g, diff.real)
         im_hi, im_lo = _exact_int_mul(g, diff.imag)

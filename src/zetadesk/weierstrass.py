@@ -64,7 +64,15 @@ class ProductEvaluation:
 
 def exp_difference_product(x: complex, a: complex, n_terms: int,
                            exponent_sign: str = "plus") -> ProductEvaluation:
-    if exponent_sign not in EXPONENT_SIGNS:
+    return _evaluate_signs(x, a, n_terms, (exponent_sign,))[0]
+
+
+def _evaluate_signs(x: complex, a: complex, n_terms: int,
+                    signs: tuple) -> list[ProductEvaluation]:
+    """One evaluation per exponent sign in signs. The polynomial
+    product and the paired inverse sum do not depend on the sign, so
+    they are formed once for all of them."""
+    if any(sign not in EXPONENT_SIGNS for sign in signs):
         raise ValueError(f"exponent_sign must be one of {EXPONENT_SIGNS}")
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
@@ -72,7 +80,6 @@ def exp_difference_product(x: complex, a: complex, n_terms: int,
     a = _check_exp_arg(_check_not_degenerate(a))
     ea = cmath.exp(a)
     direct = cmath.exp(x) - ea
-    sign = 1.0 if exponent_sign == "plus" else -1.0
 
     # n walks 1..n_terms in chunks, so no array grows with n_terms.
     # Polynomial parts multiplied pairwise (n, -n); factors approach 1
@@ -96,19 +103,23 @@ def exp_difference_product(x: complex, a: complex, n_terms: int,
 
     inv_sum = complex(math.fsum(pair_inverse(np.real)),
                       math.fsum(pair_inverse(np.imag))) + 1.0 / a
-    exponent = sign * x * inv_sum - x / (ea - 1.0)
-    if abs(exponent.real) > _EXP_ARG_LIMIT:
-        raise ValueError("convergence-factor exponent would overflow; "
-                         "reduce |x| or move a away from 2 pi i k")
-    product = (1.0 - ea) * cmath.exp(exponent) * poly
-    if direct != 0:
-        rel = abs(product - direct) / abs(direct)
-    else:
-        rel = abs(product - direct)
-    return ProductEvaluation(x=x, a=a, n_terms=int(n_terms),
-                             exponent_sign=exponent_sign,
-                             product_value=product, direct_value=direct,
-                             relative_error=rel)
+    evaluations = []
+    for exponent_sign in signs:
+        sign = 1.0 if exponent_sign == "plus" else -1.0
+        exponent = sign * x * inv_sum - x / (ea - 1.0)
+        if abs(exponent.real) > _EXP_ARG_LIMIT:
+            raise ValueError("convergence-factor exponent would overflow; "
+                             "reduce |x| or move a away from 2 pi i k")
+        product = (1.0 - ea) * cmath.exp(exponent) * poly
+        if direct != 0:
+            rel = abs(product - direct) / abs(direct)
+        else:
+            rel = abs(product - direct)
+        evaluations.append(ProductEvaluation(
+            x=x, a=a, n_terms=int(n_terms), exponent_sign=exponent_sign,
+            product_value=product, direct_value=direct,
+            relative_error=rel))
+    return evaluations
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +139,8 @@ class SignComparison:
 
 def compare_exponent_signs(x: complex, a: complex,
                            n_terms: int) -> SignComparison:
-    return SignComparison(
-        minus=exp_difference_product(x, a, n_terms, "minus"),
-        plus=exp_difference_product(x, a, n_terms, "plus"))
+    minus, plus = _evaluate_signs(x, a, n_terms, ("minus", "plus"))
+    return SignComparison(minus=minus, plus=plus)
 
 
 def zero_set_check(a: complex, count: int, tolerance: float = 1e-12) -> bool:

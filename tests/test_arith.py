@@ -4,17 +4,18 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetadesk.arith import (CacheChecksumError, CacheMagicError,
                             CachePayloadError, CacheTruncatedError, CacheVersionError,
                             MAX_LIMIT, _prime_sieve, build_tables, cache_summary,
                             cauchy_schwarz_prefix_bound, chebyshev_theta,
-                            load_cache, mangoldt_weight, mertens_chunks,
+                            integer_root, load_cache, mangoldt_weight,
+                            mertens_block, mertens_chunks,
                             mertens_identity_check, mertens_prefix,
-                            mertens_ratio_window, save_cache,
-                            squarefree_count)
+                            mertens_quotients, mertens_ratio_window,
+                            mobius_segment, save_cache, squarefree_count)
 from zetadesk.constants import euler_constant
 
 from .oracles import trial_divisor_count, trial_is_prime, trial_mobius
@@ -173,6 +174,113 @@ def test_mertens_ratio_window_matches_slice(prefix4):
 def test_mertens_identity_sampled(prefix4):
     for n in (1, 2, 3, 10, 97, 1000, 9999, 10_000):
         assert mertens_identity_check(prefix4, n)
+
+
+# -- Mertens values without a full prefix -------------------------------
+
+ROUTE_LIMIT = 2_000_000
+
+
+@pytest.fixture(scope="module")
+def route_table():
+    return build_tables(ROUTE_LIMIT)
+
+
+@pytest.fixture(scope="module")
+def route_prefix(route_table):
+    return mertens_prefix(route_table)
+
+
+def _assert_quotients_match(q, table, prefix):
+    """q holds the table's M at every floor quotient of q.n, and its
+    small arrays are the table's own up to L."""
+    v = q.n // np.arange(1, q.n + 1, dtype=np.int64)
+    assert np.array_equal(q[v], prefix.values[v])
+    top = q.small.size
+    assert np.array_equal(q.small, prefix.values[:top])
+    assert np.array_equal(q.mu, table.mu[:top])
+
+
+@settings(max_examples=40)
+@given(st.integers(1, ROUTE_LIMIT))
+@example(n=1)
+@example(n=2)
+@example(n=3)
+@example(n=4)
+@example(n=1_000_000)  # 1000^2 and 100^3
+@example(n=1414 ** 2)
+@example(n=1414 ** 2 - 1)
+@example(n=125 ** 3)  # L = 125^2 = n // 125 exactly
+@example(n=125 ** 3 - 1)
+@example(n=125 ** 3 + 1)
+@example(n=ROUTE_LIMIT)
+def test_mertens_quotients_match_the_prefix(route_table, route_prefix, n):
+    q = mertens_quotients(n)
+    assert q.small.size - 1 == max(math.isqrt(n), integer_root(n, 3) ** 2)
+    _assert_quotients_match(q, route_table, route_prefix)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, ROUTE_LIMIT), st.integers(1, 2000),
+       st.integers(-1, 1))
+@example(n=5000, j=1, offset=0)  # n = L: no quotient above L
+@example(n=5000, j=1, offset=-1)  # n = L + 1: only n itself above L
+@example(n=5000, j=1, offset=1)
+@example(n=ROUTE_LIMIT, j=1414, offset=-1)  # L at isqrt(n)
+def test_mertens_quotients_at_every_sieve_bound(route_table, route_prefix,
+                                                n, j, offset):
+    # L at a quotient n//j or next to it, down to its floor isqrt(n)
+    small_limit = max(math.isqrt(n), n // j + offset)
+    q = mertens_quotients(n, small_limit)
+    assert q.small.size - 1 == small_limit
+    _assert_quotients_match(q, route_table, route_prefix)
+
+
+def test_mertens_quotients_published_value():
+    assert int(mertens_quotients(10 ** 8)[10 ** 8]) == 1928
+
+
+def test_mertens_quotients_rejections():
+    for n in (0, MAX_LIMIT + 1):
+        with pytest.raises(ValueError):
+            mertens_quotients(n)
+    with pytest.raises(ValueError):
+        mertens_quotients(10_000, 99)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, ROUTE_LIMIT), st.integers(0, 5000))
+@example(lo=1, length=0)
+@example(lo=2, length=3000)
+@example(lo=1_018_000, length=200)  # straddles 1009^2
+@example(lo=65_000, length=1000)  # crosses 2^16
+@example(lo=(1 << 20) - 5, length=10)  # crosses 2^20
+@example(lo=ROUTE_LIMIT - 99, length=100)
+def test_mobius_segment_matches_the_table(route_table, lo, length):
+    hi = min(lo + length, ROUTE_LIMIT + 1)
+    assert np.array_equal(mobius_segment(lo, hi), route_table.mu[lo:hi])
+
+
+@settings(max_examples=40)
+@given(st.integers(1, ROUTE_LIMIT), st.integers(0, 5000))
+@example(n=1, m=0)
+@example(n=2, m=100)
+@example(n=65_000, m=1000)
+@example(n=ROUTE_LIMIT, m=0)
+def test_mertens_block_matches_the_prefix(route_prefix, n, m):
+    m = min(m, ROUTE_LIMIT - n)
+    block = mertens_block(n, m)
+    assert block.dtype == np.int32
+    assert np.array_equal(block, route_prefix.values[n - 1 : n + m + 1])
+
+
+def test_segment_and_block_rejections():
+    for lo, hi in ((0, 5), (5, 4), (MAX_LIMIT, MAX_LIMIT + 2)):
+        with pytest.raises(ValueError):
+            mobius_segment(lo, hi)
+    for n, m in ((0, 5), (5, -1), (2, MAX_LIMIT - 1)):
+        with pytest.raises(ValueError):
+            mertens_block(n, m)
 
 
 def test_chebyshev_theta_is_prime_log_sum(table4):

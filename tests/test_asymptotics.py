@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.arith import MertensPrefix, chebyshev_theta
+from zetadesk.arith import (MertensPrefix, MertensQuotients, chebyshev_theta,
+                            mertens_quotients)
 from zetadesk.asymptotics import (H_READINGS, LHS_CONVENTIONS,
                                   divisor_asymptotic_ratio,
                                   divisor_ratio_scan, floor_identity_probe,
@@ -203,13 +204,19 @@ def test_prime_window_matches_direct_count(table4):
 
 # -- floor-quotient identity ----------------------------------------------
 
+def _table_probe(prefix, table, n):
+    """floor_identity_probe fed from a full prefix: the sieve-table
+    route, against which the small-sieve route is checked."""
+    return floor_identity_probe(MertensQuotients.from_prefix(prefix, table, n))
+
+
 def test_identity_probe_small_cases(prefix4, table4):
-    p4 = floor_identity_probe(prefix4, table4, 4)
+    p4 = _table_probe(prefix4, table4, 4)
     assert all(v == -1 for v in p4.lhs.values())
     assert all(v == -1 for v in p4.rhs.values())
     assert len(p4.matches) == 6 and p4.bound_holds
 
-    p100 = floor_identity_probe(prefix4, table4, 100)
+    p100 = _table_probe(prefix4, table4, 100)
     assert p100.k == 10
     assert p100.matches == (("alternating", "odd_is_one"),)
     assert p100.bound_holds
@@ -232,7 +239,7 @@ def _probe_tallies(prefix, table, n_max):
               for conv in LHS_CONVENTIONS for reading in H_READINGS}
     unmatched = violations = 0
     for n in range(1, n_max + 1):
-        probe = floor_identity_probe(prefix, table, n)
+        probe = _table_probe(prefix, table, n)
         for pair in probe.matches:
             counts[pair] += 1
         unmatched += not probe.matches
@@ -267,9 +274,33 @@ def test_identity_sweep_matches_probe_when_the_bound_breaks(table4):
     assert _sweep_tallies(prefix, table4, 3000) == tallies
 
 
+def _probe_fields(probe):
+    return (probe.n, probe.k, probe.lhs, probe.rhs, probe.matches,
+            probe.bound_holds)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 10_000))
+@example(n=1)
+@example(n=4)
+@example(n=10_000)
+def test_identity_probe_routes_agree(prefix4, table4, n):
+    sieved = floor_identity_probe(mertens_quotients(n))
+    table = _table_probe(prefix4, table4, n)
+    assert _probe_fields(sieved) == _probe_fields(table)
+
+
+@pytest.mark.parametrize("n", [9_938_375, 9_938_374, 9_998_244, 10_000_000])
+def test_identity_probe_routes_agree_near_ten_million(prefix7, table7, n):
+    # 215^3 (L = 215^2 is the quotient n // 215), one below it, 3162^2
+    sieved = floor_identity_probe(mertens_quotients(n))
+    table = _table_probe(prefix7, table7, n)
+    assert _probe_fields(sieved) == _probe_fields(table)
+
+
 @settings(max_examples=60)
 @given(st.integers(2, 2000))
 def test_identity_alternating_odd_reading_matches(prefix4, table4, n):
-    probe = floor_identity_probe(prefix4, table4, n)
+    probe = _table_probe(prefix4, table4, n)
     assert ("alternating", "odd_is_one") in probe.matches
     assert probe.bound_holds

@@ -250,6 +250,34 @@ def test_mertens_peak_memory_stays_bounded():
     assert peak_kb / 1024 < 150, f"mertens peaked at {peak_kb / 1024:.0f} MB"
 
 
+@pytest.mark.parametrize("argv", [
+    ["identity-explore", "--n", "100000000"],
+    ["abel-check", "--n", "99990000", "--m", "10000", "--s", "0.5+14.1i"],
+])
+def test_far_point_commands_need_no_full_prefix(argv):
+    # M is read at the floor quotients or on the block only; a full
+    # prefix to 10^8 peaked at 569 MB
+    src = str(Path(arith.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli", *argv],
+        env=env, capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, probe.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 < 100, f"{argv[0]} peaked at {peak_kb / 1024:.0f} MB"
+
+
+def test_far_point_commands_ignore_the_cache_dir(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    for argv in (["identity-explore", "--n", "1000"],
+                 ["abel-check", "--n", "100", "--m", "50", "--s", "0.5+2i"]):
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        assert main([*argv, "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().out == fresh
+    assert not cache.exists()
+
+
 def test_mertens_every_row_memory_stays_bounded():
     # one row per n: the table is rendered from columns, so memory grows
     # with the output text, not with a Python tuple per row

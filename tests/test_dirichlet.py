@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.arith import mertens_prefix
+from zetadesk.arith import mertens_block, mertens_prefix
 from zetadesk.constants import euler_constant
 from zetadesk.dirichlet import (ConvergenceParams, _grid_prefix,
                                 abel_rearranged_sum, abscissa_probe,
@@ -75,8 +75,13 @@ def test_mean_value_exponent_near_half_for_large_n():
 
 # -- summation by parts --------------------------------------------------
 
+def _table_block(prefix, n, m):
+    """M(n-1..n+m) sliced off a full prefix: the sieve-table route."""
+    return prefix.values[n - 1 : n + m + 1]
+
+
 def _direct_block(prefix, s, n, m):
-    mu = np.diff(prefix.values[n - 1 : n + m + 1].astype(np.float64))
+    mu = np.diff(_table_block(prefix, n, m).astype(np.float64))
     j = np.arange(n, n + m + 1, dtype=np.float64)
     terms = mu * np.exp(-s * np.log(j))
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
@@ -86,7 +91,7 @@ def test_abel_identity_exact_cases(prefix4):
     for (n, m, s) in [(2, 5, 0.75), (100, 1000, complex(0.75, 0)),
                       (50, 0, complex(1.5, -3.0)),
                       (3, 9000, complex(0.1, 10.0))]:
-        dec = abel_rearranged_sum(prefix4, complex(s), n, m)
+        dec = abel_rearranged_sum(_table_block(prefix4, n, m), complex(s), n)
         assert abs(dec.direct_sum - dec.rearranged) <= \
             1e-13 * max(1e-30, abs(dec.direct_sum))
         assert np.all(dec.thetas > 0.0) and np.all(dec.thetas < 1.0)
@@ -96,7 +101,7 @@ def test_abel_identity_exact_cases(prefix4):
 
 def test_abel_boundary_terms_are_the_literal_quotients(prefix4):
     n, m, s = 20, 300, complex(0.6, 1.5)
-    dec = abel_rearranged_sum(prefix4, s, n, m)
+    dec = abel_rearranged_sum(_table_block(prefix4, n, m), s, n)
     top = int(prefix4.values[n + m]) * cmath.exp(-s * math.log(n + m))
     bottom = -int(prefix4.values[n - 1]) * cmath.exp(-s * math.log(n))
     assert abs(dec.boundary_terms[0] - top) < 1e-14
@@ -107,23 +112,55 @@ def test_abel_boundary_terms_are_the_literal_quotients(prefix4):
 
 def test_abel_rejections(prefix4):
     with pytest.raises(ValueError):
-        abel_rearranged_sum(prefix4, 0.75, 1, 10)
+        abel_rearranged_sum(_table_block(prefix4, 1, 10), 0.75, 1)
     with pytest.raises(ValueError):
-        abel_rearranged_sum(prefix4, 0.75, 2, prefix4.limit)
+        abel_rearranged_sum(prefix4.values[1:2], 0.75, 2)
     with pytest.raises(ValueError):
-        abel_rearranged_sum(prefix4, 0.75, 2, -1)
+        abel_rearranged_sum(_table_block(prefix4, 2, 10), -0.5, 2)
+
+
+def _rearranged_scale(block, s, n):
+    """|boundary terms| + sum |M(j)| |j^-s - (j+1)^-s|: the size of the
+    terms the rearranged sum adds. Each power difference is rounded to
+    a relative 2^-53 of itself, and the rest of the rearrangement rounds
+    only once, at the end, so the gap to the direct sum scales with
+    this, not with |direct| (which is exactly 0 when mu vanishes on the
+    block)."""
+    j = np.arange(n, n + block.size - 1, dtype=np.float64)
+    powers = np.exp(-s * np.log(j))
+    g = block.astype(np.float64)
+    boundary = abs(g[-1] * powers[-1]) + abs(g[0] * powers[0])
+    return boundary + math.fsum(np.abs(g[1:-1] * (powers[:-1] - powers[1:])))
 
 
 @settings(max_examples=40)
 @given(st.integers(2, 4000), st.integers(0, 4000),
        st.floats(0.1, 3.0), st.floats(-20.0, 20.0))
+@example(n=27, m=1, sigma=0.5, t=8.0)  # mu(27) = mu(28) = 0: direct is 0j
 def test_abel_identity_randomized(prefix4, n, m, sigma, t):
     if n + m > prefix4.limit:
         m = prefix4.limit - n
     s = complex(sigma, t)
-    dec = abel_rearranged_sum(prefix4, s, n, m)
+    block = _table_block(prefix4, n, m)
+    dec = abel_rearranged_sum(block, s, n)
     assert abs(dec.direct_sum - dec.rearranged) <= \
-        1e-12 * max(1e-30, abs(dec.direct_sum))
+        1e-12 * _rearranged_scale(block, s, n)
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 1_000_000), st.integers(0, 3000),
+       st.floats(0.1, 3.0), st.floats(-20.0, 20.0))
+@example(n=65_000, m=1000, sigma=0.5, t=14.1)  # crosses 2^16
+def test_abel_routes_agree(prefix6, n, m, sigma, t):
+    m = min(m, prefix6.limit - n)
+    s = complex(sigma, t)
+    sieved = abel_rearranged_sum(mertens_block(n, m), s, n)
+    table = abel_rearranged_sum(_table_block(prefix6, n, m), s, n)
+    assert sieved.direct_sum == table.direct_sum
+    assert sieved.rearranged == table.rearranged
+    assert sieved.boundary_terms == table.boundary_terms
+    assert sieved.remainder == table.remainder
+    assert np.array_equal(sieved.thetas, table.thetas)
 
 
 # -- convolution ---------------------------------------------------------
