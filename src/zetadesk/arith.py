@@ -383,16 +383,6 @@ class MertensQuotients:
     small: np.ndarray
     large: np.ndarray
 
-    @classmethod
-    def from_prefix(cls, prefix: MertensPrefix, table: ArithTable,
-                    n: int) -> MertensQuotients:
-        """The full-table route: every quotient of n read off a prefix
-        that covers n, so no quotient lies above L."""
-        if not 1 <= n <= min(prefix.limit, table.limit):
-            raise ValueError("n must lie in 1..limit of both tables")
-        return cls(n=n, mu=table.mu, small=prefix.values,
-                   large=np.zeros(1, dtype=np.int64))
-
     def __getitem__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64)
         out = np.empty(v.shape, dtype=np.int64)
@@ -402,13 +392,13 @@ class MertensQuotients:
         return out
 
 
-def mertens_quotients(n: int, small_limit: int | None = None) -> MertensQuotients:
+def mertens_quotients(n: int) -> MertensQuotients:
     """M at every floor quotient of n, with mu sieved only to L.
 
-    L is small_limit, by default max(isqrt(n), icbrt(n)^2), about
-    n^(2/3); it must be at least isqrt(n). The quotients v = n//j above
-    L are found in ascending order from the quotient-grouped recursion
-    of Deleglise and Rivat (Experiment. Math. 5, 1996), r = isqrt(v):
+    L is max(isqrt(n), icbrt(n)^2), about n^(2/3). The quotients
+    v = n//j above L are found in ascending order from the
+    quotient-grouped recursion of Deleglise and Rivat (Experiment.
+    Math. 5, 1996), r = isqrt(v):
 
         M(v) = 1 - sum_{2 <= d <= r} M(v//d)
                  - sum_{q <= v//(r+1)} (v//q - max(v//(q+1), r)) M(q)
@@ -419,12 +409,7 @@ def mertens_quotients(n: int, small_limit: int | None = None) -> MertensQuotient
     """
     if not 1 <= n <= MAX_LIMIT:
         raise ValueError(f"Mertens quotients of {n} outside 1..{MAX_LIMIT}")
-    root = math.isqrt(n)
-    if small_limit is None:
-        small_limit = max(root, integer_root(n, 3) ** 2)
-    if not root <= small_limit <= MAX_LIMIT:
-        raise ValueError(f"sieve bound {small_limit} outside "
-                         f"{root}..{MAX_LIMIT}")
+    small_limit = max(math.isqrt(n), integer_root(n, 3) ** 2)
     table = build_tables(small_limit)
     # |M(v)| <= v <= MAX_LIMIT < 2^31, as in mertens_chunks
     small = np.cumsum(table.mu, dtype=np.int32)

@@ -417,7 +417,7 @@ def _identity_sides(prefix: MertensPrefix, table: ArithTable, ns: np.ndarray):
 
 
 __all__ = [
-    "integer_root", "psi_sum",
+    "psi_sum",
     "PsiDecomposition", "psi_decomposition_check", "psi_deviation",
     "theta_deviation", "SCAN_START", "TREND_LIMIT_MIN",
     "theta_deviation_scan",

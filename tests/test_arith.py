@@ -207,6 +207,7 @@ def _assert_quotients_match(q, table, prefix):
 @example(n=2)
 @example(n=3)
 @example(n=4)
+@example(n=26)  # L = isqrt(n) = 5 above icbrt(n)^2 = 4
 @example(n=1_000_000)  # 1000^2 and 100^3
 @example(n=1414 ** 2)
 @example(n=1414 ** 2 - 1)
@@ -221,18 +222,20 @@ def test_mertens_quotients_match_the_prefix(route_table, route_prefix, n):
 
 
 @settings(max_examples=40)
-@given(st.integers(1, ROUTE_LIMIT), st.integers(1, 2000),
-       st.integers(-1, 1))
-@example(n=5000, j=1, offset=0)  # n = L: no quotient above L
-@example(n=5000, j=1, offset=-1)  # n = L + 1: only n itself above L
-@example(n=5000, j=1, offset=1)
-@example(n=ROUTE_LIMIT, j=1414, offset=-1)  # L at isqrt(n)
+@given(st.integers(2, 125), st.integers(0, 4))
+@example(c=2, edge=0)
+@example(c=125, edge=4)
 def test_mertens_quotients_at_every_sieve_bound(route_table, route_prefix,
-                                                n, j, offset):
-    # L at a quotient n//j or next to it, down to its floor isqrt(n)
-    small_limit = max(math.isqrt(n), n // j + offset)
-    q = mertens_quotients(n, small_limit)
-    assert q.small.size - 1 == small_limit
+                                                c, edge):
+    # n next to c^3, where icbrt(n) and so L = c^2 step; for the last
+    # four L = c^2 and its neighbours are floor quotients of n or not
+    n = (c ** 3 - 1,  # icbrt(n) = c - 1, L = (c - 1)^2
+         c ** 3,  # L = n//c: the least quotient above L is n//(c-1)
+         c ** 3 + 1,  # n//c = L still, one past the cube
+         c ** 3 + c,  # n//c = L + 1, L itself no quotient
+         c ** 3 + c * c - 1)[edge]  # n//(c+1) = L - 1, L no quotient
+    q = mertens_quotients(n)
+    assert q.small.size - 1 == max(math.isqrt(n), integer_root(n, 3) ** 2)
     _assert_quotients_match(q, route_table, route_prefix)
 
 
@@ -244,8 +247,6 @@ def test_mertens_quotients_rejections():
     for n in (0, MAX_LIMIT + 1):
         with pytest.raises(ValueError):
             mertens_quotients(n)
-    with pytest.raises(ValueError):
-        mertens_quotients(10_000, 99)
 
 
 @settings(max_examples=60)

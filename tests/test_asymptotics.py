@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetadesk.arith import (MertensPrefix, MertensQuotients, chebyshev_theta,
-                            mertens_quotients)
+                            integer_root, mertens_quotients)
 from zetadesk.asymptotics import (H_READINGS, LHS_CONVENTIONS,
                                   divisor_asymptotic_ratio,
                                   divisor_ratio_scan, floor_identity_probe,
-                                  floor_identity_sweep, integer_root, li,
+                                  floor_identity_sweep, li,
                                   mertens_constant_estimate,
                                   prime_count_gap_ratio, prime_count_gap_scan,
                                   prime_window_count, prime_window_decades,
@@ -206,8 +206,12 @@ def test_prime_window_matches_direct_count(table4):
 
 def _table_probe(prefix, table, n):
     """floor_identity_probe fed from a full prefix: the sieve-table
-    route, against which the small-sieve route is checked."""
-    return floor_identity_probe(MertensQuotients.from_prefix(prefix, table, n))
+    route, against which the small-sieve route is checked. The prefix
+    covers n, so no quotient of n lies above it and large is unused."""
+    assert 1 <= n <= min(prefix.limit, table.limit)
+    quotients = MertensQuotients(n=n, mu=table.mu, small=prefix.values,
+                                 large=np.zeros(1, dtype=np.int64))
+    return floor_identity_probe(quotients)
 
 
 def test_identity_probe_small_cases(prefix4, table4):
