@@ -6,7 +6,7 @@ line: `name exit sha256(stdout)`. The list covers every command in both
 formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the chunk size of the
 table walks and the renderer), the far-point Mertens reads of
 `identity-explore --n` and `abel-check` near 10^7, empty `--every`
-grids, non-finite cells,
+grids and grids whose rows lie chunks apart, non-finite cells,
 the sieve cache (build, a miss then a hit, inspect), invalid input and
 every help text. Run it on two checkouts on the same machine and diff
 the outputs: a refactor that keeps stdout must print the same lines.
@@ -37,6 +37,9 @@ EDGES = (65535, 65536, 65537)
 OUTPUTS = [
     ("mertens", ["mertens", "--limit", "1000", "--every", "7"]),
     ("mertens-empty-grid", ["mertens", "--limit", "100", "--every", "1000"]),
+    # grid rows more than a chunk apart, so whole chunks hold no row
+    ("mertens-sparse-grid",
+     ["mertens", "--limit", "300000", "--every", "140000"]),
     *[(f"mertens-{n}", ["mertens", "--limit", str(n)]) for n in EDGES],
     ("dirichlet-sum", ["dirichlet-sum", "--s", "0.5", "--limit", "1000"]),
     *[(f"dirichlet-sum-{series}",
@@ -70,6 +73,8 @@ OUTPUTS = [
     ("divisor-ratio-every", ["divisor-ratio", "--limit", "2000", "--every", "300"]),
     ("divisor-ratio-empty-grid",
      ["divisor-ratio", "--limit", "100", "--every", "1000"]),
+    ("divisor-ratio-sparse-grid",
+     ["divisor-ratio", "--limit", "300000", "--every", "140000"]),
     *[(f"divisor-ratio-{n}", ["divisor-ratio", "--limit", str(n), "--every", "1"])
       for n in EDGES],
     ("li", ["li", "--x", "100"]),
@@ -110,6 +115,9 @@ INVALID = [
     ("t-max-over-bound", ["zeros", "--t-max", "150"]),
     ("step-over-bound", ["zeros", "--t-max", "50", "--step", "0.2"]),
     ("step-just-over-bound", ["zeros", "--t-max", "5", "--step", "0.0500001"]),
+    # just under the step floor, and small enough to run where no floor
+    # is checked (10^4 points)
+    ("step-under-floor", ["zeros", "--t-max", "1", "--step", "0.0000999"]),
     ("t-min-above-t-max", ["zeros", "--t-max", "5", "--t-min", "6"]),
     ("zeta-grammar", ["zeta", "--s", "1+2j"]),
     ("zeta-box", ["zeta", "--s", "200"]),

@@ -34,11 +34,11 @@ from .constants import euler_constant
 # prime_log_cumsum to 490 MB; 10^8 stays near 170, 215 and 275 MB. A
 # full Mertens prefix adds 4 bytes per integer on top (1.2 GB at the
 # cap); of the CLI commands only identity-explore --limit (at most
-# 10^5) still builds one. divisor-ratio still holds the int32 divisor
-# counts and their int64 prefix, 12 bytes per integer (2.4 GB at the
-# cap). identity-explore --n and abel-check read M through
-# mertens_quotients and mertens_block, whose memory grows with about
-# n^(2/3) and with the block length.
+# 10^5) still builds one. divisor-ratio holds the int32 divisor
+# counts, 4 bytes per integer (800 MB at the cap), and reads D(n) at
+# its grid rows through grid_prefix. identity-explore --n and
+# abel-check read M through mertens_quotients and mertens_block, whose
+# memory grows with about n^(2/3) and with the block length.
 MAX_LIMIT = 200_000_000
 
 CACHE_MAGIC = b"STJZ"
@@ -92,10 +92,11 @@ class ArithTable:
     unused), prime_log_cumsum[i] is log p summed over the first i+1
     primes (ascending, so theta lookups are one bisect),
     divisor_count and smallest_prime_factor are the sieves their names
-    say, and divisor_prefix, mangoldt_prefix and prime_reciprocal_cumsum
-    are the prefix sums the asymptotics scans read. A table read back
-    from the sieve cache starts with the mu it decoded. The table is
-    logically immutable.
+    say, and mangoldt_prefix and prime_reciprocal_cumsum are the prefix
+    sums the asymptotics scans read. Summatory values read only at grid
+    rows (M and D) are walked by grid_prefix instead of held whole. A
+    table read back from the sieve cache starts with the mu it decoded.
+    The table is logically immutable.
     """
 
     limit: int
@@ -123,15 +124,6 @@ class ArithTable:
     def divisor_count(self) -> np.ndarray:
         """int32 array; entry n is the number of divisors of n."""
         return _divisor_count_sieve(self.limit)
-
-    @cached_property
-    def divisor_prefix(self) -> np.ndarray:
-        """int64 array; entry n is d(1) + ... + d(n), exactly."""
-        d = np.zeros(self.limit + 1, dtype=np.int64)
-        d[1:] = self.divisor_count[1:]
-        np.cumsum(d, out=d)
-        d.setflags(write=False)
-        return d
 
     @cached_property
     def mangoldt_prefix(self) -> np.ndarray:
@@ -279,38 +271,42 @@ def chunk_bounds(n: int, start: int = 1):
         yield lo, min(lo + CHUNK, n + 1)
 
 
-def mertens_chunks(table: ArithTable, limit: int | None = None):
-    """Yield (lo, part) with part[i] = M(lo + 1 + i), walking 1..limit in
-    consecutive int32 chunks of 2^16 with a carry.
+def grid_prefix(chunk, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """f(1) + ... + f(n) at each n of the ascending grid (n >= 1), as
+    dtype, where chunk(lo, hi) gives f(lo..hi-1). A chunk already of
+    dtype is summed in place, so it must be a fresh array.
 
-    |M(n)| <= n <= MAX_LIMIT < 2^31, and the int8 table is cast one
-    chunk at a time, so no full-length prefix or cast temporary is
-    formed here.
+    Walks chunk_bounds up to the last grid row and adds the carry into
+    each chunk's first cell, the step np.add.accumulate takes there
+    over the whole array, so float sums are bit-identical to one
+    np.cumsum of f(1..n). The first chunk gets no carry, so a leading
+    -0.0 stays -0.0 as it does there. Integer sums are exact while
+    dtype holds them; no full-length array is formed.
     """
-    limit = _mertens_limit(table, limit)
-    carry = 0
-    for lo, hi in chunk_bounds(limit):
-        part = np.cumsum(table.mu[lo:hi], dtype=np.int32)
-        part += carry
-        carry = int(part[-1])
-        yield lo - 1, part
-
-
-def _mertens_limit(table: ArithTable, limit: int | None) -> int:
-    limit = table.limit if limit is None else limit
-    if not 1 <= limit <= table.limit:
-        raise ValueError(f"Mertens limit {limit} outside table range")
-    return limit
+    picked = np.empty(grid.size, dtype=dtype)
+    carry = None
+    for lo, hi in chunk_bounds(int(grid[-1])):
+        part = np.asarray(chunk(lo, hi), dtype=dtype)
+        if carry is not None:
+            part[0] += carry
+        np.cumsum(part, out=part)
+        hit = slice(*np.searchsorted(grid, (lo, hi)))
+        picked[hit] = part[grid[hit] - lo]
+        carry = part[-1]
+    return picked
 
 
 def mertens_prefix(table: ArithTable, limit: int | None = None) -> MertensPrefix:
     """Cumulative Mobius sums plus ratio extremes over 1..limit (the
     whole table by default)."""
-    n = _mertens_limit(table, limit)
+    n = table.limit if limit is None else limit
+    if not 1 <= n <= table.limit:
+        raise ValueError(f"Mertens limit {n} outside table range")
+    # |M(n)| <= n <= MAX_LIMIT < 2^31; the int8 table is cast into the
+    # int32 result and summed there, so no full-length temporary forms
     values = np.empty(n + 1, dtype=np.int32)
-    values[0] = 0
-    for lo, part in mertens_chunks(table, n):
-        values[lo + 1 : lo + 1 + part.size] = part
+    values[:] = table.mu[: n + 1]
+    np.cumsum(values, out=values)
     values.setflags(write=False)
     whole = MertensPrefix(limit=n, values=values,
                           observed_min_ratio=math.nan, argmin=1,
@@ -411,7 +407,7 @@ def mertens_quotients(n: int) -> MertensQuotients:
         raise ValueError(f"Mertens quotients of {n} outside 1..{MAX_LIMIT}")
     small_limit = max(math.isqrt(n), integer_root(n, 3) ** 2)
     table = build_tables(small_limit)
-    # |M(v)| <= v <= MAX_LIMIT < 2^31, as in mertens_chunks
+    # |M(v)| <= v <= MAX_LIMIT < 2^31, so int32 holds every prefix
     small = np.cumsum(table.mu, dtype=np.int32)
     small.setflags(write=False)
     top = n // (small_limit + 1)  # n//j > L exactly for the j <= top

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (ArithTable, MertensPrefix, MertensQuotients,
-                    chebyshev_theta, chunk_bounds, integer_root,
-                    mangoldt_weight)
+                    chebyshev_theta, chunk_bounds, grid_prefix,
+                    integer_root, mangoldt_weight)
 from .constants import euler_constant
 from .reports import Table, geometric_grid
 
@@ -89,14 +89,13 @@ TREND_LIMIT_MIN = 100
 
 
 def theta_deviation_scan(table: ArithTable, s: float,
-                         n_max: int | None = None,
-                         n_min: int = SCAN_START) -> Table:
+                         n_max: int | None = None) -> Table:
     s = _check_exponent(s)
     if n_max is None:
         n_max = table.limit
-    if not n_min < n_max <= table.limit:
-        raise ValueError("need n_min < n_max <= limit")
-    grid = geometric_grid(n_max, start=n_min)
+    if not SCAN_START < n_max <= table.limit:
+        raise ValueError(f"need {SCAN_START} < n_max <= limit")
+    grid = geometric_grid(n_max, start=SCAN_START)
     thetas = [chebyshev_theta(table, n) for n in grid.tolist()]
     deviations = [(theta - n) / float(n) ** s
                   for n, theta in zip(grid.tolist(), thetas)]
@@ -112,10 +111,16 @@ def divisor_asymptotic_ratio(table: ArithTable, n: int) -> float:
     fixed bounds at desk scale."""
     if n < 1 or n > table.limit:
         raise ValueError("n must lie in 1..limit")
-    total = float(table.divisor_prefix[n])
+    total = float(_divisor_summatory(table, np.array([n]))[0])
     c2 = 2.0 * euler_constant() - 1.0
     main = n * math.log(n) + c2 * n
     return (total - main) / math.sqrt(n)
+
+
+def _divisor_summatory(table: ArithTable, grid: np.ndarray) -> np.ndarray:
+    """D(n) = d(1) + ... + d(n) at the ascending grid rows, exactly."""
+    return grid_prefix(lambda lo, hi: table.divisor_count[lo:hi], grid,
+                       np.int64)
 
 
 def divisor_ratio_scan(table: ArithTable, n_max: int | None = None,
@@ -135,10 +140,10 @@ def divisor_ratio_scan(table: ArithTable, n_max: int | None = None,
             ns = np.array([n_max], dtype=np.int64)
     else:
         ns = geometric_grid(n_max, start=n_min)
-    prefix = table.divisor_prefix
     c2 = 2.0 * euler_constant() - 1.0
     nf = ns.astype(np.float64)
-    ratios = (prefix[ns].astype(np.float64) - nf * np.log(nf) - c2 * nf) / np.sqrt(nf)
+    total = _divisor_summatory(table, ns).astype(np.float64)
+    ratios = (total - nf * np.log(nf) - c2 * nf) / np.sqrt(nf)
     # n stays float64, as the other scan keys do: JSON prints 200000.0
     return Table(("n", "ratio"), (nf, ratios),
                  {"sup_abs": float(np.max(np.abs(ratios)))})
@@ -197,14 +202,13 @@ def prime_count_gap_ratio(table: ArithTable, x: float, s: float) -> float:
 
 
 def prime_count_gap_scan(table: ArithTable, s: float,
-                         x_max: int | None = None,
-                         x_min: int = SCAN_START) -> Table:
+                         x_max: int | None = None) -> Table:
     s = _check_exponent(s)
     if x_max is None:
         x_max = table.limit
-    if not 2 <= x_min < x_max <= table.limit:
-        raise ValueError("need 2 <= x_min < x_max <= limit")
-    grid = geometric_grid(x_max, start=x_min)
+    if not SCAN_START < x_max <= table.limit:
+        raise ValueError(f"need {SCAN_START} < x_max <= limit")
+    grid = geometric_grid(x_max, start=SCAN_START)
     ratios = [prime_count_gap_ratio(table, float(xv), s) for xv in grid.tolist()]
     return Table(("x", "ratio"), (grid.astype(np.float64), np.array(ratios)),
                  {"first_abs": abs(ratios[0]), "last_abs": abs(ratios[-1]),

@@ -48,9 +48,9 @@ from .dirichlet import _check_half_plane
 from .reports import Table, geometric_grid, render_csv, render_json
 from .weierstrass import _check_exp_arg, _check_not_degenerate
 from .zeta import (LOG_POWER_K_MAX, LOG_POWER_N_MIN, ZERO_SCAN_STEP_MAX,
-                   ZERO_SCAN_T_MAX, _require_in_box, _require_regular,
-                   log_power_constant, log_power_constant_contour, xi,
-                   zero_scan)
+                   ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX, _require_in_box,
+                   _require_regular, log_power_constant,
+                   log_power_constant_contour, xi, zero_scan)
 from .zeta import zeta as zeta_function
 
 CACHE_ENV = "ZETADESK_CACHE_DIR"
@@ -166,10 +166,8 @@ def _cmd_mertens(config: RunConfig, limit, every) -> Table:
     if grid.size == 0:
         grid = np.array([limit], dtype=np.int64)
     # M at the grid rows only; no full-length prefix is ever formed
-    values = np.empty(grid.size, dtype=np.int32)
-    for lo, part in arith.mertens_chunks(table, limit):
-        hit = slice(*np.searchsorted(grid, (lo + 1, lo + part.size + 1)))
-        values[hit] = part[grid[hit] - lo - 1]
+    values = arith.grid_prefix(lambda lo, hi: table.mu[lo:hi], grid,
+                               np.int32)
     ratios = grid.astype(np.float64)
     np.sqrt(ratios, out=ratios)
     np.divide(values, ratios, out=ratios)
@@ -484,7 +482,7 @@ COMMANDS = {
     "zeros": Command(
         _cmd_zeros, "critical-line zero scan by sign changes",
         (Flag("--t-max", _number(float, 0.0, ZERO_SCAN_T_MAX, open_lo=True)),
-         Flag("--step", _number(float, 0.0, ZERO_SCAN_STEP_MAX, open_lo=True),
+         Flag("--step", _number(float, ZERO_SCAN_STEP_MIN, ZERO_SCAN_STEP_MAX),
               default=ZERO_SCAN_STEP_MAX),
          Flag("--t-min", _number(float, 0.0), default=0.0)),
         check=_t_min_below_t_max, fmt="json"),

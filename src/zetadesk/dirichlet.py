@@ -16,7 +16,7 @@ can be mixed freely (Mobius, unit, corrected divisor counts, the
 1 - prime-power-log weight, or anything custom). The Mobius, unit and
 corrected divisor coefficients are also available as chunked series,
 made 2^16 cells at a time and never held whole; prefix scans walk
-either kind chunk by chunk.
+either kind chunk by chunk (arith.grid_prefix).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable, chunk_bounds
+from .arith import ArithTable, chunk_bounds, grid_prefix
 from .constants import euler_constant
 from .reports import Table, geometric_grid
 
@@ -285,29 +285,6 @@ def abel_rearranged_sum(block: np.ndarray, s: complex, n: int) -> AbelDecomposit
                              thetas=thetas)
 
 
-def _grid_prefix(coeffs: CoefficientStream | ChunkedSeries,
-                 grid: np.ndarray) -> np.ndarray:
-    """Prefix sums P(n) = lambda(1) + ... + lambda(n) at the ascending
-    grid rows, walked chunk by chunk with a carry.
-
-    Adding the carry into a chunk's first cell is the step
-    np.add.accumulate takes there over the whole array, so every prefix
-    is bit-identical to np.cumsum of the full stream. The first chunk
-    gets no carry, so a leading -0.0 stays -0.0 as it does there.
-    """
-    picked = np.empty(grid.size, dtype=np.float64)
-    carry = None
-    for lo, hi in chunk_bounds(int(grid[-1])):
-        part = coeffs.chunk(lo, hi)
-        if carry is not None:
-            part[0] += carry
-        np.cumsum(part, out=part)
-        hit = slice(*np.searchsorted(grid, (lo, hi)))
-        picked[hit] = part[grid[hit] - lo]
-        carry = part[-1]
-    return picked
-
-
 def prefix_ratio_scan(coeffs: CoefficientStream | ChunkedSeries, s: float,
                       n_max: int | None = None) -> Table:
     """r(n) = P(n)/n^s on a geometric grid, P the prefix sums.
@@ -319,7 +296,7 @@ def prefix_ratio_scan(coeffs: CoefficientStream | ChunkedSeries, s: float,
     if n_max < 1 or n_max > coeffs.limit:
         raise ValueError(f"scan bound {n_max} outside stream range")
     grid = geometric_grid(n_max)
-    p = _grid_prefix(coeffs, grid)
+    p = grid_prefix(coeffs.chunk, grid)
     r = p / np.power(grid.astype(np.float64), s)
     tail = np.abs(r[grid > n_max // 10]) if n_max >= 10 else np.abs(r)
     stats = {
@@ -375,14 +352,13 @@ def abscissa_probe(coeffs: CoefficientStream | ChunkedSeries,
     if n_max > coeffs.limit:
         raise ValueError(f"probe bound {n_max} outside stream range")
     grid = geometric_grid(n_max, start=10)
-    magnitudes = ChunkedSeries(f"|{coeffs.name}|", n_max,
-                               lambda lo, hi: np.abs(coeffs.chunk(lo, hi)))
     # grid ends at n_max, so the last absolute prefix is zero exactly
     # when every coefficient is
-    abs_prefix = _grid_prefix(magnitudes, grid)
+    abs_prefix = grid_prefix(lambda lo, hi: np.abs(coeffs.chunk(lo, hi)),
+                             grid)
     if abs_prefix[-1] == 0:
         raise ValueError("all-zero stream has no growth exponent")
-    envelope = np.maximum.accumulate(np.abs(_grid_prefix(coeffs, grid)))
+    envelope = np.maximum.accumulate(np.abs(grid_prefix(coeffs.chunk, grid)))
     conditional = _envelope_slope(grid, envelope)
     absolute = _envelope_slope(grid, abs_prefix)
     return AbscissaProbe(conditional_estimate=conditional,

@@ -242,8 +242,8 @@ def _json_member(key: str, value) -> str:
 
 # -- grids ---------------------------------------------------------------
 
-def geometric_grid(n_max: int, ratio: float = 1.25, start: int = 1) -> np.ndarray:
-    """Integer grid floor(ratio^k), deduplicated, capped at n_max.
+def geometric_grid(n_max: int, start: int = 1) -> np.ndarray:
+    """Integer grid of ratio 1.25 from start, deduplicated, capped at n_max.
 
     The endpoint n_max is always included so trend statements about
     "the last row" refer to the requested bound itself.
@@ -254,7 +254,7 @@ def geometric_grid(n_max: int, ratio: float = 1.25, start: int = 1) -> np.ndarra
     value = float(start)
     while value <= n_max:
         points.append(int(value))
-        value *= ratio
+        value *= 1.25
         if value - points[-1] < 1.0:
             value = points[-1] + 1.0
     points.append(n_max)

@@ -227,9 +227,12 @@ def _bisect_xi_real(lo: float, hi: float, flo: float) -> float:
 
 
 # The zero scan is validated up to this height, and at grid steps no
-# coarser than this; coarser grids can hop over close zero pairs.
+# coarser than this; coarser grids can hop over close zero pairs. Steps
+# finer than the floor are refused: one xi call per grid point, so at
+# most 10^6 of them up to ZERO_SCAN_T_MAX.
 ZERO_SCAN_T_MAX = 100.0
 ZERO_SCAN_STEP_MAX = 0.05
+ZERO_SCAN_STEP_MIN = 1e-4
 
 
 def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
@@ -241,9 +244,11 @@ def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
         raise ValueError("need 0 <= t_min < t_max")
     if t_max > ZERO_SCAN_T_MAX:
         raise ValueError(f"scan validated only up to t = {ZERO_SCAN_T_MAX:g}")
-    if not 0.0 < step <= ZERO_SCAN_STEP_MAX:
-        raise ValueError(f"step must be in (0, {ZERO_SCAN_STEP_MAX:g}]; "
-                         "coarser grids can hop over close zero pairs")
+    if not ZERO_SCAN_STEP_MIN <= step <= ZERO_SCAN_STEP_MAX:
+        raise ValueError(f"step must be in [{ZERO_SCAN_STEP_MIN:g}, "
+                         f"{ZERO_SCAN_STEP_MAX:g}]; coarser grids can hop "
+                         "over close zero pairs, finer ones cost one xi "
+                         "call per point")
     count = int(math.floor((t_max - t_min) / step)) + 1
     grid = t_min + step * np.arange(count, dtype=np.float64)
     if grid[-1] < t_max:

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.arith import (CacheChecksumError, CacheMagicError,
+from zetadesk.arith import (CHUNK, CacheChecksumError, CacheMagicError,
                             CachePayloadError, CacheTruncatedError, CacheVersionError,
                             MAX_LIMIT, _prime_sieve, build_tables, cache_summary,
                             cauchy_schwarz_prefix_bound, chebyshev_theta,
-                            integer_root, load_cache, mangoldt_weight,
-                            mertens_block, mertens_chunks,
+                            grid_prefix, integer_root, load_cache,
+                            mangoldt_weight, mertens_block,
                             mertens_identity_check, mertens_prefix,
                             mertens_quotients, mertens_ratio_window,
                             mobius_segment, save_cache, squarefree_count)
@@ -147,15 +147,35 @@ def test_mertens_chunks_carry_across_chunk_edges(limit):
     prefix = mertens_prefix(table)
     assert np.array_equal(prefix.values[1:], direct)
     stop = limit - 7
-    walked = np.concatenate([part for _, part in mertens_chunks(table, stop)])
+    every_row = np.arange(1, stop + 1, dtype=np.int64)
+    walked = grid_prefix(lambda lo, hi: table.mu[lo:hi], every_row, np.int32)
+    assert walked.dtype == np.int32
     assert np.array_equal(walked, direct[:stop])
     bounded = mertens_prefix(table, stop)
     assert bounded.limit == stop
     assert np.array_equal(bounded.values[1:], direct[:stop])
     with pytest.raises(ValueError):
         mertens_prefix(table, limit + 1)
-    with pytest.raises(ValueError):
-        next(mertens_chunks(table, limit + 1))
+
+
+def test_grid_prefix_sums_divisor_counts_exactly(table6):
+    limit = 3 * CHUNK + 5
+    full = np.cumsum(table6.divisor_count[1 : limit + 1], dtype=np.int64)
+
+    def walk(grid):
+        got = grid_prefix(lambda lo, hi: table6.divisor_count[lo:hi], grid,
+                          np.int64)
+        assert got.dtype == np.int64
+        return got
+
+    # rows on both sides of every chunk edge, the first row and the last
+    edges = range(CHUNK, limit + 1, CHUNK)
+    grid = np.unique([1, limit, *(e + d for e in edges for d in (-1, 0, 1, 2))])
+    assert np.array_equal(walk(grid), full[grid - 1])
+    # rows more than a chunk apart: the chunks between them hold no row
+    # but still carry their sums
+    sparse = np.array([3, 2 * CHUNK + 1, limit])
+    assert np.array_equal(walk(sparse), full[sparse - 1])
 
 
 def test_mertens_ratio_window_matches_slice(prefix4):

@@ -124,6 +124,7 @@ def test_unknown_subcommand_exits_2(capsys):
     (["zeros", "--t-max", "5", "--step", "0.0500001"], "--step"),
     (["xi", "--t", "120.5"], "--t"),
     (["weierstrass", "--x", "0.5", "--a", "0+6.283185307179586i"], "--a"),
+    (["zeros", "--t-max", "100", "--step", "1e-9"], "--step"),
 ])
 def test_validation_exits_2_and_names_flag(argv, flag, capsys):
     assert main(argv) == 2

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.arith import mertens_block, mertens_prefix
+from zetadesk.arith import grid_prefix, mertens_block, mertens_prefix
 from zetadesk.constants import euler_constant
-from zetadesk.dirichlet import (ConvergenceParams, _grid_prefix,
-                                abel_rearranged_sum, abscissa_probe,
-                                custom_stream, dirichlet_convolution,
+from zetadesk.dirichlet import (ConvergenceParams, abel_rearranged_sum,
+                                abscissa_probe, custom_stream,
+                                dirichlet_convolution,
                                 divisor_corrected_chunks,
                                 divisor_corrected_stream, mean_value_theta,
                                 mobius_chunks, mobius_stream, one_minus_g_stream,
@@ -292,7 +292,7 @@ def test_chunked_prefix_is_bit_identical_to_full_cumsum(table6, make, limit):
     grid = np.unique([1, limit, *(e + d for e in edges for d in (-1, 0, 1, 2))])
     grid = grid[grid <= limit].astype(np.int64)
     for coeffs in (chunks, stream):
-        got = _grid_prefix(coeffs, grid)
+        got = grid_prefix(coeffs.chunk, grid)
         assert np.array_equal(got.view(np.uint64), full[grid - 1].view(np.uint64))
         rows, prefix = prefix_ratio_scan(coeffs, 0.5).data[:2]
         assert np.array_equal(prefix.view(np.uint64), full[rows - 1].view(np.uint64))
@@ -300,7 +300,7 @@ def test_chunked_prefix_is_bit_identical_to_full_cumsum(table6, make, limit):
 
 def test_chunked_prefix_keeps_a_leading_negative_zero():
     stream = custom_stream("signed", [0.0, -0.0, -0.0, 1.0])
-    got = _grid_prefix(stream, np.array([1, 2, 3]))
+    got = grid_prefix(stream.chunk, np.array([1, 2, 3]))
     assert np.array_equal(got.view(np.uint64),
                           np.cumsum(stream.values[1:]).view(np.uint64))
 

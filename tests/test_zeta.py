@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from zetadesk.constants import euler_constant
 from zetadesk.zeta import (_CHUNK_CELLS, _PANEL_SPLIT, _PHI_ORDER, _TAIL_RATIO,
-                           IM_MAX, RE_MAX, RE_MIN, _defect_sum,
+                           IM_MAX, RE_MAX, RE_MIN, ZERO_SCAN_STEP_MIN,
+                           _defect_sum,
                            _series_order, completed_zeta,
                            functional_equation_residual, gauss_pi,
                            log_gamma, log_power_constant,
@@ -151,6 +152,12 @@ def test_zero_scan_rejections():
         zero_scan(50.0, 0.2)
     with pytest.raises(ValueError):
         zero_scan(10.0, 0.05, 20.0)
+    # a finer step is refused before any grid is made: at 1e-9 up to
+    # t = 100 it would be 10^11 points
+    for step in (1e-9, 0.0, ZERO_SCAN_STEP_MIN * 0.999):
+        with pytest.raises(ValueError, match="step"):
+            zero_scan(100.0, step)
+    assert zero_scan(0.2, ZERO_SCAN_STEP_MIN, 0.1).count == 0
 
 
 # -- constants at the origin ---------------------------------------------
