@@ -5,7 +5,8 @@ the package taken from the `src/` next to this script) and prints one
 line: `name exit sha256(stdout)`. The list covers every command in both
 formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the chunk size of the
 table walks and the renderer), the far-point Mertens reads of
-`identity-explore --n` and `abel-check` near 10^7, empty `--every`
+`identity-explore --n` and `abel-check` near 10^7, `abel-check`
+blocks across segment edges and one of 2 * 10^6 cells, empty `--every`
 grids and grids whose rows lie chunks apart, non-finite cells,
 the sieve cache (build, a miss then a hit, inspect), invalid input and
 every help text. Run it on two checkouts on the same machine and diff
@@ -53,6 +54,12 @@ OUTPUTS = [
      ["abel-check", "--n", "65000", "--m", "1000", "--s", "0.5+14.1i"]),
     ("abel-check-far",
      ["abel-check", "--n", "9990000", "--m", "10000", "--s", "0.5+14.1i"]),
+    # blocks that end just before, at and just after a segment edge
+    *[(f"abel-check-{n}-{m}",
+       ["abel-check", "--n", str(n), "--m", str(m), "--s", "0.5+14.1i"])
+      for n in (2, 65536) for m in EDGES],
+    ("abel-check-long",
+     ["abel-check", "--n", "1000", "--m", "2000000", "--s", "0.5+14.1i"]),
     ("convolution-check", ["convolution-check", "--limit", "1000"]),
     *[(f"convolution-check-{n}", ["convolution-check", "--limit", str(n)])
       for n in EDGES],

@@ -37,8 +37,8 @@ from .constants import euler_constant
 # 10^5) still builds one. divisor-ratio holds the int32 divisor
 # counts, 4 bytes per integer (800 MB at the cap), and reads D(n) at
 # its grid rows through grid_prefix. identity-explore --n and
-# abel-check read M through mertens_quotients and mertens_block, whose
-# memory grows with about n^(2/3) and with the block length.
+# abel-check read M through mertens_quotients and mertens_segments,
+# whose memory grows with about n^(2/3) and with CHUNK.
 MAX_LIMIT = 200_000_000
 
 CACHE_MAGIC = b"STJZ"
@@ -452,22 +452,26 @@ def mobius_segment(lo: int, hi: int) -> np.ndarray:
     return mu
 
 
-def mertens_block(n: int, m: int) -> np.ndarray:
-    """int32 array; entry i is M(n - 1 + i) for i = 0..m + 1, that is
-    M(n - 1) followed by M on the block [n, n + m].
+def mertens_segments(n: int, m: int):
+    """int32 pieces whose concatenation is M(n - 1), M(n), ..., M(n + m):
+    first M(n - 1) alone, then M on each chunk_bounds segment of
+    [n, n + m].
 
-    M(n - 1) comes from mertens_quotients and the block adds the
-    running sum of mobius_segment(n, n + m + 1) to it, so memory grows
-    with m and with about n^(2/3), not with n + m.
+    M(n - 1) comes from mertens_quotients and each segment adds the
+    running sum of its mobius_segment to the last value before it, so
+    memory grows with CHUNK and with about n^(2/3), not with n + m.
+    Checks its bounds on the first read.
     """
     if n < 1 or m < 0 or n + m > MAX_LIMIT:
         raise ValueError(f"Mertens block [{n}, {n + m}] outside 1..{MAX_LIMIT}")
-    block = np.empty(m + 2, dtype=np.int32)
-    block[0] = mertens_quotients(n - 1)[n - 1] if n > 1 else 0
-    np.cumsum(mobius_segment(n, n + m + 1), dtype=np.int32, out=block[1:])
-    block[1:] += block[0]
-    block.setflags(write=False)
-    return block
+    last = np.array([mertens_quotients(n - 1)[n - 1] if n > 1 else 0],
+                    dtype=np.int32)
+    yield last
+    for lo, hi in chunk_bounds(n + m, n):
+        piece = np.cumsum(mobius_segment(lo, hi), dtype=np.int32)
+        piece += last[-1]
+        yield piece
+        last = piece
 
 
 def chebyshev_theta(table: ArithTable, x: float) -> float:

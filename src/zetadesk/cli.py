@@ -198,12 +198,11 @@ def _cmd_dirichlet_sum(config: RunConfig, limit, series, s) -> Table:
 
 
 def _cmd_abel_check(config: RunConfig, n, m, s) -> Table:
-    dec = dirichlet.abel_rearranged_sum(arith.mertens_block(n, m), s, n)
+    dec = dirichlet.abel_rearranged_sum(n, m, s)
     gap = abs(dec.direct_sum - dec.rearranged)
     rel = gap / abs(dec.direct_sum) if dec.direct_sum != 0 else math.inf
     row = (n, m, s, dec.direct_sum, dec.rearranged, gap, rel,
-           float(dec.thetas.min()) if dec.thetas.size else math.nan,
-           float(dec.thetas.max()) if dec.thetas.size else math.nan)
+           dec.theta_min if m else math.nan, dec.theta_max if m else math.nan)
     stats = {"boundary_terms": [dec.boundary_terms[0], dec.boundary_terms[1]],
              "remainder": dec.remainder}
     return Table.from_rows(

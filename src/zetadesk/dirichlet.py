@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable, chunk_bounds, grid_prefix
+from .arith import ArithTable, chunk_bounds, grid_prefix, mertens_segments
 from .constants import euler_constant
 from .reports import Table, geometric_grid
 
@@ -196,8 +196,10 @@ class AbelDecomposition:
     rearrangement produces. remainder is
     sum_{j=n}^{n+m-1} M(j) (j^{-s} - (j+1)^{-s}), the differences taken
     literally from the same power values the direct sum uses, and
-    thetas records the mean-value exponent of each difference term at
-    sigma = Re s (the mean-value statement is a real-exponent one).
+    theta_min/theta_max bound the mean-value exponent of each
+    difference term at sigma = Re s (the mean-value statement is a
+    real-exponent one); a NaN exponent makes both NaN, and with no
+    difference terms (m = 0) they are +inf and -inf.
 
     rearranged is not the rounded boundary_terms plus the rounded
     remainder: it is accumulated in one compensated pass over all the
@@ -212,11 +214,26 @@ class AbelDecomposition:
     boundary_terms: tuple[complex, complex]
     remainder: complex
     rearranged: complex
-    thetas: np.ndarray
+    theta_min: float
+    theta_max: float
 
 
-def _fsum_complex(terms: np.ndarray) -> complex:
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+def _fsum_carry(carry: list[float], terms: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is that of carry and terms.
+
+    Each float is the fsum of what the ones before it leave over, so
+    the list ends where that rest is exactly 0 (or not finite). fsum
+    is correctly rounded, so the fsum of the result is the fsum of
+    every term ever carried, in whatever segments they came.
+    """
+    rest = [*carry, *terms.tolist()]
+    out = []
+    while r := math.fsum(rest):
+        out.append(r)
+        if not math.isfinite(r):
+            break
+        rest.append(-r)
+    return out
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
@@ -240,49 +257,71 @@ def _check_half_plane(s: complex) -> complex:
     return s
 
 
-def abel_rearranged_sum(block: np.ndarray, s: complex, n: int) -> AbelDecomposition:
-    """The decomposition over the block [n, n + m], where block[i] is
-    M(n - 1 + i) for i = 0..m + 1 (arith.mertens_block, or a slice of
-    a full prefix)."""
+def abel_rearranged_sum(n: int, m: int, s: complex,
+                        segments=None) -> AbelDecomposition:
+    """The decomposition over the block [n, n + m], walked one
+    chunk_bounds segment at a time.
+
+    segments yields M(n - 1) alone and then M on each chunk_bounds
+    segment of [n, n + m] (the pieces of arith.mertens_segments, its
+    default, or slices of a full prefix). Each segment's powers, splits
+    and exponents are summed and dropped: the sums are carried as a
+    few floats with the same exact value (_fsum_carry), so every sum
+    is the one fsum over the whole block would give, bit for bit, and
+    memory grows with CHUNK, not with m.
+    """
     if n < 2:
         raise ValueError("block must start at n >= 2")
-    m = block.size - 2
     if m < 0:
-        raise ValueError("block must hold M(n - 1) and M(n)")
+        raise ValueError("block [n, n + m] needs m >= 0")
     s = _check_half_plane(s)
-    j_full = np.arange(n, n + m + 1, dtype=np.float64)
-    powers = np.exp(-s * np.log(j_full))  # j^{-s} for j = n..n+m
-    # Coefficients are mu(j) in {-1,0,1}, so these products are exact
-    # and the direct sum is the correctly rounded sum of the powers.
-    f_block = (block[1:] - block[:-1]).astype(np.float64)
-    direct = _fsum_complex(f_block * powers)
-    b_coeff = np.array([block[-1], -block[0]], dtype=np.float64)
-    b_power = np.array([powers[-1], powers[0]], dtype=np.complex128)
+    pieces = iter(mertens_segments(n, m) if segments is None else segments)
+    before = last = int(next(pieces)[0])
+    direct_re, direct_im, rem_re, rem_im = [], [], [], []
+    theta_min, theta_max = math.inf, -math.inf
+    for (lo, hi), block in zip(chunk_bounds(n + m, n), pieces, strict=True):
+        if block.size != hi - lo:
+            raise ValueError(f"Mertens segment of {block.size} cells for [{lo}, {hi})")
+        # j^{-s} for j = lo..top: top is the first j of the next
+        # segment, or n + m in the last one
+        top = min(hi, n + m)
+        j = np.arange(lo, top + 1, dtype=np.float64)
+        powers = np.exp(-s * np.log(j))
+        if lo == n:
+            first_power = powers[0]
+        # Coefficients are mu(j) in {-1,0,1}, so these products are
+        # exact and the direct sum is the correctly rounded sum of the
+        # powers.
+        f_block = np.diff(block, prepend=last).astype(np.float64)
+        terms = f_block * powers[: hi - lo]
+        direct_re = _fsum_carry(direct_re, terms.real)
+        direct_im = _fsum_carry(direct_im, terms.imag)
+        last = int(block[-1])
+        if top > lo:
+            g = block[: top - lo].astype(np.float64)
+            diff = powers[:-1] - powers[1:]
+            re_hi, re_lo = _exact_int_mul(g, diff.real)
+            im_hi, im_lo = _exact_int_mul(g, diff.imag)
+            rem_re = _fsum_carry(rem_re, np.concatenate([re_hi, re_lo]))
+            rem_im = _fsum_carry(rem_im, np.concatenate([im_hi, im_lo]))
+            thetas = _mean_value_theta_grid(j[:-1], s.real)
+            theta_min = float(np.minimum(theta_min, thetas.min()))
+            theta_max = float(np.maximum(theta_max, thetas.max()))
+    b_coeff = np.array([last, -before], dtype=np.float64)
+    b_power = np.array([powers[-1], first_power], dtype=np.complex128)
     b_re_hi, b_re_lo = _exact_int_mul(b_coeff, b_power.real)
     b_im_hi, b_im_lo = _exact_int_mul(b_coeff, b_power.imag)
     first = complex(b_re_hi[0] + b_re_lo[0], b_im_hi[0] + b_im_lo[0])
     second = complex(b_re_hi[1] + b_re_lo[1], b_im_hi[1] + b_im_lo[1])
-    if m > 0:
-        j = np.arange(n, n + m, dtype=np.float64)
-        g = block[1:-1].astype(np.float64)
-        diff = powers[:-1] - powers[1:]
-        re_hi, re_lo = _exact_int_mul(g, diff.real)
-        im_hi, im_lo = _exact_int_mul(g, diff.imag)
-        remainder = complex(math.fsum(np.concatenate([re_hi, re_lo])),
-                            math.fsum(np.concatenate([im_hi, im_lo])))
-        rearranged = complex(
-            math.fsum(np.concatenate([b_re_hi, b_re_lo, re_hi, re_lo])),
-            math.fsum(np.concatenate([b_im_hi, b_im_lo, im_hi, im_lo])))
-        thetas = _mean_value_theta_grid(j, s.real)
-    else:
-        remainder = 0j
-        rearranged = complex(math.fsum(np.concatenate([b_re_hi, b_re_lo])),
-                             math.fsum(np.concatenate([b_im_hi, b_im_lo])))
-        thetas = np.zeros(0, dtype=np.float64)
-    return AbelDecomposition(s=s, n=n, m=m, direct_sum=direct,
-                             boundary_terms=(first, second),
-                             remainder=remainder, rearranged=rearranged,
-                             thetas=thetas)
+    rearranged = complex(
+        math.fsum([*b_re_hi, *b_re_lo, *rem_re]),
+        math.fsum([*b_im_hi, *b_im_lo, *rem_im]))
+    return AbelDecomposition(
+        s=s, n=n, m=m,
+        direct_sum=complex(math.fsum(direct_re), math.fsum(direct_im)),
+        boundary_terms=(first, second),
+        remainder=complex(math.fsum(rem_re), math.fsum(rem_im)),
+        rearranged=rearranged, theta_min=theta_min, theta_max=theta_max)
 
 
 def prefix_ratio_scan(coeffs: CoefficientStream | ChunkedSeries, s: float,

@@ -73,12 +73,13 @@ def test_acceptance_04_abel_rearrangement_precision(prefix6):
         n = int(rng.integers(2, 500_000))
         m = int(rng.integers(0, 50_000))
         s = complex(rng.uniform(0.1, 3.0), rng.uniform(-20.0, 20.0))
-        dec = dirichlet.abel_rearranged_sum(
-            prefix6.values[n - 1 : n + m + 1], s, n)
+        segments = [prefix6.values[n - 1 : n]] + [
+            prefix6.values[lo:hi] for lo, hi in arith.chunk_bounds(n + m, n)]
+        dec = dirichlet.abel_rearranged_sum(n, m, s, segments)
         gap = abs(dec.rearranged - dec.direct_sum)
         assert gap <= 1e-12 * abs(dec.direct_sum) + 1e-300, \
             f"rearrangement gap {gap:.3e} at n={n} m={m} s={s}"
-        assert np.all(dec.thetas > 0.0) and np.all(dec.thetas < 1.0), \
+        assert 0.0 < dec.theta_min and dec.theta_max < 1.0, \
             f"mean-value exponent left (0,1) at n={n} m={m} s={s}"
     _report(4, "abel_rearrangement_precision")
 

@@ -11,10 +11,10 @@ from zetadesk.arith import (CHUNK, CacheChecksumError, CacheMagicError,
                             CachePayloadError, CacheTruncatedError, CacheVersionError,
                             MAX_LIMIT, _prime_sieve, build_tables, cache_summary,
                             cauchy_schwarz_prefix_bound, chebyshev_theta,
-                            grid_prefix, integer_root, load_cache,
-                            mangoldt_weight, mertens_block,
-                            mertens_identity_check, mertens_prefix,
-                            mertens_quotients, mertens_ratio_window,
+                            chunk_bounds, grid_prefix, integer_root, load_cache,
+                            mangoldt_weight, mertens_identity_check,
+                            mertens_prefix, mertens_quotients,
+                            mertens_ratio_window, mertens_segments,
                             mobius_segment, save_cache, squarefree_count)
 from zetadesk.constants import euler_constant
 
@@ -287,12 +287,16 @@ def test_mobius_segment_matches_the_table(route_table, lo, length):
 @example(n=1, m=0)
 @example(n=2, m=100)
 @example(n=65_000, m=1000)
+@example(n=CHUNK, m=2 * CHUNK)  # three segments, the last one cell
 @example(n=ROUTE_LIMIT, m=0)
-def test_mertens_block_matches_the_prefix(route_prefix, n, m):
+def test_mertens_segments_match_the_prefix(route_prefix, n, m):
     m = min(m, ROUTE_LIMIT - n)
-    block = mertens_block(n, m)
-    assert block.dtype == np.int32
-    assert np.array_equal(block, route_prefix.values[n - 1 : n + m + 1])
+    pieces = list(mertens_segments(n, m))
+    assert [piece.size for piece in pieces] == \
+        [1] + [hi - lo for lo, hi in chunk_bounds(n + m, n)]
+    assert all(piece.dtype == np.int32 for piece in pieces)
+    assert np.array_equal(np.concatenate(pieces),
+                          route_prefix.values[n - 1 : n + m + 1])
 
 
 def test_segment_and_block_rejections():
@@ -301,7 +305,7 @@ def test_segment_and_block_rejections():
             mobius_segment(lo, hi)
     for n, m in ((0, 5), (5, -1), (2, MAX_LIMIT - 1)):
         with pytest.raises(ValueError):
-            mertens_block(n, m)
+            next(mertens_segments(n, m))
 
 
 def test_chebyshev_theta_is_prime_log_sum(table4):

@@ -268,6 +268,20 @@ def test_far_point_commands_need_no_full_prefix(argv):
     assert peak_kb / 1024 < 100, f"{argv[0]} peaked at {peak_kb / 1024:.0f} MB"
 
 
+def test_abel_check_peak_memory_stays_bounded():
+    # the block is walked in 2^16-cell segments with carried sums; a
+    # dozen float arrays over the whole block peaked at 277 MB here
+    src = str(Path(arith.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
+         "abel-check", "--n", "1000", "--m", "2000000", "--s", "0.5+14.1i"],
+        env=env, capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, probe.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 < 100, f"abel-check peaked at {peak_kb / 1024:.0f} MB"
+
+
 def test_far_point_commands_ignore_the_cache_dir(tmp_path, capsys):
     cache = tmp_path / "cache"
     for argv in (["identity-explore", "--n", "1000"],

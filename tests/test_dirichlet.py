@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.arith import grid_prefix, mertens_block, mertens_prefix
+from zetadesk import dirichlet
+from zetadesk.arith import (CHUNK, MAX_LIMIT, chunk_bounds, grid_prefix,
+                            mertens_prefix)
 from zetadesk.constants import euler_constant
-from zetadesk.dirichlet import (ConvergenceParams, abel_rearranged_sum,
+from zetadesk.dirichlet import (ConvergenceParams, _exact_int_mul,
+                                _mean_value_theta_grid, abel_rearranged_sum,
                                 abscissa_probe, custom_stream,
                                 dirichlet_convolution,
                                 divisor_corrected_chunks,
@@ -80,6 +83,60 @@ def _table_block(prefix, n, m):
     return prefix.values[n - 1 : n + m + 1]
 
 
+def _table_segments(prefix, n, m):
+    """The same block cut as arith.mertens_segments cuts it: M(n - 1)
+    alone, then one slice per chunk_bounds segment of [n, n + m]."""
+    yield prefix.values[n - 1 : n]
+    for lo, hi in chunk_bounds(n + m, n):
+        yield prefix.values[lo:hi]
+
+
+def _table_abel(prefix, n, m, s):
+    return abel_rearranged_sum(n, m, s, _table_segments(prefix, n, m))
+
+
+def _fsum_complex(terms):
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def _whole_block_abel(block, s, n):
+    """The decomposition with every array over the whole block at once
+    and one fsum per sum: the reference the segment walk must match
+    bit for bit. Returns the AbelDecomposition fields it checks, with
+    the length-m array of mean-value exponents in place of their min
+    and max."""
+    s = complex(s)
+    m = block.size - 2
+    j_full = np.arange(n, n + m + 1, dtype=np.float64)
+    powers = np.exp(-s * np.log(j_full))
+    f_block = (block[1:] - block[:-1]).astype(np.float64)
+    direct = _fsum_complex(f_block * powers)
+    b_coeff = np.array([block[-1], -block[0]], dtype=np.float64)
+    b_power = np.array([powers[-1], powers[0]], dtype=np.complex128)
+    b_re_hi, b_re_lo = _exact_int_mul(b_coeff, b_power.real)
+    b_im_hi, b_im_lo = _exact_int_mul(b_coeff, b_power.imag)
+    first = complex(b_re_hi[0] + b_re_lo[0], b_im_hi[0] + b_im_lo[0])
+    second = complex(b_re_hi[1] + b_re_lo[1], b_im_hi[1] + b_im_lo[1])
+    if m > 0:
+        j = np.arange(n, n + m, dtype=np.float64)
+        g = block[1:-1].astype(np.float64)
+        diff = powers[:-1] - powers[1:]
+        re_hi, re_lo = _exact_int_mul(g, diff.real)
+        im_hi, im_lo = _exact_int_mul(g, diff.imag)
+        remainder = complex(math.fsum(np.concatenate([re_hi, re_lo])),
+                            math.fsum(np.concatenate([im_hi, im_lo])))
+        rearranged = complex(
+            math.fsum(np.concatenate([b_re_hi, b_re_lo, re_hi, re_lo])),
+            math.fsum(np.concatenate([b_im_hi, b_im_lo, im_hi, im_lo])))
+        thetas = _mean_value_theta_grid(j, s.real)
+    else:
+        remainder = 0j
+        rearranged = complex(math.fsum(np.concatenate([b_re_hi, b_re_lo])),
+                             math.fsum(np.concatenate([b_im_hi, b_im_lo])))
+        thetas = np.zeros(0, dtype=np.float64)
+    return direct, (first, second), remainder, rearranged, thetas
+
+
 def _direct_block(prefix, s, n, m):
     mu = np.diff(_table_block(prefix, n, m).astype(np.float64))
     j = np.arange(n, n + m + 1, dtype=np.float64)
@@ -91,17 +148,17 @@ def test_abel_identity_exact_cases(prefix4):
     for (n, m, s) in [(2, 5, 0.75), (100, 1000, complex(0.75, 0)),
                       (50, 0, complex(1.5, -3.0)),
                       (3, 9000, complex(0.1, 10.0))]:
-        dec = abel_rearranged_sum(_table_block(prefix4, n, m), complex(s), n)
+        dec = _table_abel(prefix4, n, m, complex(s))
         assert abs(dec.direct_sum - dec.rearranged) <= \
             1e-13 * max(1e-30, abs(dec.direct_sum))
-        assert np.all(dec.thetas > 0.0) and np.all(dec.thetas < 1.0)
+        assert 0.0 < dec.theta_min and dec.theta_max < 1.0
         assert abs(dec.direct_sum - _direct_block(prefix4, complex(s), n, m)) \
             < 1e-13
 
 
 def test_abel_boundary_terms_are_the_literal_quotients(prefix4):
     n, m, s = 20, 300, complex(0.6, 1.5)
-    dec = abel_rearranged_sum(_table_block(prefix4, n, m), s, n)
+    dec = _table_abel(prefix4, n, m, s)
     top = int(prefix4.values[n + m]) * cmath.exp(-s * math.log(n + m))
     bottom = -int(prefix4.values[n - 1]) * cmath.exp(-s * math.log(n))
     assert abs(dec.boundary_terms[0] - top) < 1e-14
@@ -112,11 +169,25 @@ def test_abel_boundary_terms_are_the_literal_quotients(prefix4):
 
 def test_abel_rejections(prefix4):
     with pytest.raises(ValueError):
-        abel_rearranged_sum(_table_block(prefix4, 1, 10), 0.75, 1)
+        _table_abel(prefix4, 1, 10, 0.75)
     with pytest.raises(ValueError):
-        abel_rearranged_sum(prefix4.values[1:2], 0.75, 2)
+        abel_rearranged_sum(2, -1, 0.75, [prefix4.values[1:2]])
     with pytest.raises(ValueError):
-        abel_rearranged_sum(_table_block(prefix4, 2, 10), -0.5, 2)
+        _table_abel(prefix4, 2, 10, -0.5)
+    # segments that do not follow chunk_bounds
+    with pytest.raises(ValueError):
+        abel_rearranged_sum(2, 10, 0.75,
+                            [prefix4.values[1:2], prefix4.values[2:14]])
+    with pytest.raises(ValueError):
+        abel_rearranged_sum(2, 10, 0.75, [prefix4.values[1:2]])
+    with pytest.raises(ValueError):
+        abel_rearranged_sum(2, MAX_LIMIT, 0.75)
+
+
+def test_abel_empty_block_has_no_exponents(prefix4):
+    dec = _table_abel(prefix4, 50, 0, complex(1.5, -3.0))
+    assert dec.remainder == 0j
+    assert (dec.theta_min, dec.theta_max) == (math.inf, -math.inf)
 
 
 def _rearranged_scale(block, s, n):
@@ -141,10 +212,50 @@ def test_abel_identity_randomized(prefix4, n, m, sigma, t):
     if n + m > prefix4.limit:
         m = prefix4.limit - n
     s = complex(sigma, t)
-    block = _table_block(prefix4, n, m)
-    dec = abel_rearranged_sum(block, s, n)
+    dec = _table_abel(prefix4, n, m, s)
     assert abs(dec.direct_sum - dec.rearranged) <= \
-        1e-12 * _rearranged_scale(block, s, n)
+        1e-12 * _rearranged_scale(_table_block(prefix4, n, m), s, n)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 300_000), st.integers(0, 3 * CHUNK),
+       st.floats(0.1, 3.0), st.floats(-20.0, 20.0))
+@example(n=2, m=0, sigma=1.0, t=0.0)
+@example(n=2, m=1, sigma=0.5, t=14.1)
+@example(n=27, m=1, sigma=0.5, t=8.0)  # mu(27) = mu(28) = 0: direct is 0j
+@example(n=2, m=CHUNK - 3, sigma=0.5, t=14.1)  # block ends at CHUNK - 1
+@example(n=2, m=CHUNK - 2, sigma=0.5, t=14.1)  # ... at CHUNK
+@example(n=2, m=CHUNK - 1, sigma=0.5, t=14.1)  # ... at CHUNK + 1
+@example(n=CHUNK, m=CHUNK - 2, sigma=0.5, t=14.1)  # CHUNK - 1 cells
+@example(n=CHUNK, m=CHUNK - 1, sigma=0.5, t=14.1)  # one whole segment
+@example(n=CHUNK, m=CHUNK, sigma=0.5, t=14.1)  # one cell into a second
+@example(n=CHUNK, m=2 * CHUNK - 1, sigma=0.7, t=-3.0)  # two whole segments
+@example(n=1000, m=3 * CHUNK, sigma=2.5, t=-19.0)
+def test_abel_walk_matches_the_whole_block(prefix6, n, m, sigma, t):
+    s = complex(sigma, t)
+    dec = _table_abel(prefix6, n, m, s)
+    direct, boundary, remainder, rearranged, thetas = _whole_block_abel(
+        _table_block(prefix6, n, m), s, n)
+    assert dec.direct_sum == direct
+    assert dec.boundary_terms == boundary
+    assert dec.remainder == remainder
+    assert dec.rearranged == rearranged
+    if m:
+        assert dec.theta_min == thetas.min() and dec.theta_max == thetas.max()
+
+
+def test_abel_theta_nan_reaches_min_and_max(prefix4, monkeypatch):
+    # a NaN exponent in any segment but the first must survive the
+    # running min and max, as it does in numpy's min and max
+    def theta_grid(j, sigma):
+        out = np.full(j.size, 0.5)
+        out[j == CHUNK + 7] = np.nan
+        return out
+
+    monkeypatch.setattr(dirichlet, "_mean_value_theta_grid", theta_grid)
+    dec = abel_rearranged_sum(2, 2 * CHUNK, 0.75)
+    assert math.isnan(dec.theta_min) and math.isnan(dec.theta_max)
+    assert not (0.0 < dec.theta_min and dec.theta_max < 1.0)
 
 
 @settings(max_examples=30)
@@ -154,13 +265,14 @@ def test_abel_identity_randomized(prefix4, n, m, sigma, t):
 def test_abel_routes_agree(prefix6, n, m, sigma, t):
     m = min(m, prefix6.limit - n)
     s = complex(sigma, t)
-    sieved = abel_rearranged_sum(mertens_block(n, m), s, n)
-    table = abel_rearranged_sum(_table_block(prefix6, n, m), s, n)
+    sieved = abel_rearranged_sum(n, m, s)
+    table = _table_abel(prefix6, n, m, s)
     assert sieved.direct_sum == table.direct_sum
     assert sieved.rearranged == table.rearranged
     assert sieved.boundary_terms == table.boundary_terms
     assert sieved.remainder == table.remainder
-    assert np.array_equal(sieved.thetas, table.thetas)
+    assert (sieved.theta_min, sieved.theta_max) == \
+        (table.theta_min, table.theta_max)
 
 
 # -- convolution ---------------------------------------------------------
