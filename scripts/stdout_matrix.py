@@ -48,6 +48,11 @@ OUTPUTS = [
       for series in ("mobius", "unit", "divisor-corrected", "one-minus-g")],
     *[(f"dirichlet-sum-{n}",
        ["dirichlet-sum", "--s", "0.5", "--limit", str(n)]) for n in EDGES],
+    # 2^16 is a prime power in the last cell of a chunk, 2^16 + 1 a prime
+    # in the first cell of the next
+    *[(f"dirichlet-sum-one-minus-g-{n}",
+       ["dirichlet-sum", "--series", "one-minus-g", "--s", "0.5", "--limit", str(n)])
+      for n in EDGES],
     ("abel-check", ["abel-check", "--n", "100", "--m", "50", "--s", "0.5+2i"]),
     ("abel-check-empty-block", ["abel-check", "--n", "10", "--m", "0", "--s", "1"]),
     ("abel-check-65536",
@@ -135,6 +140,7 @@ INVALID = [
     ("abel-s", ["abel-check", "--n", "100", "--m", "10", "--s=-1+2i"]),
     ("abel-n", ["abel-check", "--n", "1", "--m", "10", "--s", "0.5"]),
     ("abel-over-max", ["abel-check", "--n", "199999999", "--m", "10", "--s", "1"]),
+    ("abel-s-overflow", ["abel-check", "--n", "10", "--m", "5", "--s", "1e400"]),
     ("li-x", ["li", "--x", "1"]),
     ("theta-s", ["theta", "--limit", "1000", "--s", "1.5"]),
     ("relation-a-s", ["relation-a", "--x-max", "1000", "--s", "0"]),
@@ -151,6 +157,7 @@ INVALID = [
     ("weierstrass-lattice-a",
      ["weierstrass", "--x", "0.5", "--a", "0+6.283185307179586i"]),
     ("weierstrass-overflow", ["weierstrass", "--x", "800", "--a", "1"]),
+    ("weierstrass-x-overflow", ["weierstrass", "--x=0+1e400i", "--a", "1"]),
     ("weierstrass-runtime", ["weierstrass", "--x", "1", "--a", "1e-7"]),
     ("convolution-cap", ["convolution-check", "--limit", "300000"]),
     ("cache-inspect-missing", ["cache", "inspect", "--path", f"{TMP}/nowhere"]),

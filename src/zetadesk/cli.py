@@ -85,11 +85,9 @@ def parse_complex(text: str, flag: str) -> complex:
         raise CliValidationError(
             f"{flag}: expected RE, RE+IMi or RE-IMi, got {text!r}")
     real = float(m.group(1))
-    if m.group(2) is None:
-        return complex(real, 0.0)
-    imag = float(m.group(3))
-    if m.group(2) == "-":
-        imag = -imag
+    imag = 0.0 if m.group(2) is None else float(m.group(2) + m.group(3))
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise CliValidationError(f"{flag} must be finite, got {text!r}")
     return complex(real, imag)
 
 
@@ -176,24 +174,20 @@ def _cmd_mertens(config: RunConfig, limit, every) -> Table:
     return Table(("n", "M", "ratio"), (grid, values, ratios), stats)
 
 
-# series the scan reads chunk by chunk straight off the table
-_SERIES_CHUNKS = {
-    "mobius": dirichlet.mobius_chunks,
-    "divisor-corrected": dirichlet.divisor_corrected_chunks,
-}
-# series built whole first: its prime-power weights are scattered
+# the series read off a table; unit needs none
 _SERIES_BUILDERS = {
+    "mobius": dirichlet.mobius_stream,
+    "divisor-corrected": dirichlet.divisor_corrected_stream,
     "one-minus-g": dirichlet.one_minus_g_stream,
 }
 
 
 def _cmd_dirichlet_sum(config: RunConfig, limit, series, s) -> Table:
     if series == "unit":
-        coeffs = dirichlet.unit_chunks(limit)
+        coeffs = dirichlet.unit_stream(limit)
     else:
         table = acquire_table(limit, config.cache_dir)
-        make = _SERIES_CHUNKS.get(series) or _SERIES_BUILDERS[series]
-        coeffs = make(table, limit)
+        coeffs = _SERIES_BUILDERS[series](table, limit)
     return dirichlet.prefix_ratio_scan(coeffs, s, limit)
 
 

@@ -11,12 +11,13 @@ Provides:
   - empirical convergence-abscissa probes (least-squares slope of the
     prefix-sum envelope against log n).
 
-Coefficient streams are flat float arrays, entry 0 unused, so sources
-can be mixed freely (Mobius, unit, corrected divisor counts, the
-1 - prime-power-log weight, or anything custom). The Mobius, unit and
-corrected divisor coefficients are also available as chunked series,
-made 2^16 cells at a time and never held whole; prefix scans walk
-either kind chunk by chunk (arith.grid_prefix).
+Every coefficient source (Mobius, unit, corrected divisor counts, the
+1 - prime-power-log weight, a convolution, or anything custom) is one
+CoefficientStream, made 2^16 cells at a time. Its whole array (entry 0
+unused) is filled from the chunks only when something reads values;
+custom streams and convolutions start with theirs. Prefix scans walk
+the chunks (arith.grid_prefix); the convolution and direct partial
+sums read values.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,65 +33,53 @@ from .arith import ArithTable, chunk_bounds, grid_prefix, mertens_segments
 from .constants import euler_constant
 from .reports import Table, geometric_grid
 
-STREAM_SOURCES = ("mobius", "divisor_corrected", "one_minus_g", "unit", "custom")
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientStream:
-    """Tabulated Dirichlet coefficients lambda(1..limit); values[0] unused."""
+    """Dirichlet coefficients lambda(1..limit), made chunk by chunk:
+    chunk(lo, hi) gives a fresh float64 array of lambda(lo..hi-1).
 
-    name: str
-    limit: int
-    values: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        if self.source not in STREAM_SOURCES:
-            raise ValueError(f"unknown stream source {self.source!r}")
-        if len(self.values) != self.limit + 1:
-            raise ValueError("stream length disagrees with its limit")
-
-    def chunk(self, lo: int, hi: int) -> np.ndarray:
-        """A fresh float64 copy of lambda(lo..hi-1)."""
-        return self.values[lo:hi].copy()
-
-
-@dataclass(frozen=True, eq=False)
-class ChunkedSeries:
-    """Dirichlet coefficients lambda(1..limit) that are never held whole:
-    chunk(lo, hi) makes a fresh float64 array of lambda(lo..hi-1)."""
+    values, the whole array with entry 0 = 0.0, is filled from the
+    chunks on first read and cached on the instance (read-only).
+    """
 
     name: str
     limit: int
     chunk: Callable[[int, int], np.ndarray]
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.empty(self.limit + 1, dtype=np.float64)
+        values[0] = 0.0
+        for lo, hi in chunk_bounds(self.limit):
+            values[lo:hi] = self.chunk(lo, hi)
+        values.setflags(write=False)
+        return values
 
-def _finish(values: np.ndarray, name: str, limit: int, source: str) -> CoefficientStream:
+
+def _seeded(name: str, values: np.ndarray) -> CoefficientStream:
+    """The stream whose values are this array (entry 0 = 0.0), taken
+    as is, with chunks sliced from it."""
     values.setflags(write=False)
-    return CoefficientStream(name=name, limit=limit, values=values, source=source)
+    stream = CoefficientStream(name, len(values) - 1,
+                               lambda lo, hi: values[lo:hi].copy())
+    # seeds the cached_property, so values is this array, not a copy
+    vars(stream)["values"] = values
+    return stream
 
 
-def _materialize(series: ChunkedSeries) -> CoefficientStream:
-    values = np.empty(series.limit + 1, dtype=np.float64)
-    values[0] = 0.0
-    for lo, hi in chunk_bounds(series.limit):
-        values[lo:hi] = series.chunk(lo, hi)
-    return _finish(values, series.name, series.limit, series.name)
-
-
-def mobius_chunks(table: ArithTable, limit: int | None = None) -> ChunkedSeries:
+def mobius_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
     n = _stream_limit(table, limit)
-    return ChunkedSeries("mobius", n,
-                         lambda lo, hi: table.mu[lo:hi].astype(np.float64))
+    return CoefficientStream("mobius", n,
+                             lambda lo, hi: table.mu[lo:hi].astype(np.float64))
 
 
-def unit_chunks(limit: int) -> ChunkedSeries:
+def unit_stream(limit: int) -> CoefficientStream:
     if limit < 1:
         raise ValueError("stream limit must be at least 1")
-    return ChunkedSeries("unit", limit, lambda lo, hi: np.ones(hi - lo))
+    return CoefficientStream("unit", limit, lambda lo, hi: np.ones(hi - lo))
 
 
-def divisor_corrected_chunks(table: ArithTable, limit: int | None = None) -> ChunkedSeries:
+def divisor_corrected_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
     """lambda(n) = d(n) - log n - 2C, over each chunk's own index range."""
     n = _stream_limit(table, limit)
     c2 = 2.0 * euler_constant()
@@ -98,20 +88,7 @@ def divisor_corrected_chunks(table: ArithTable, limit: int | None = None) -> Chu
         idx = np.arange(lo, hi, dtype=np.float64)
         return table.divisor_count[lo:hi] - np.log(idx) - c2
 
-    return ChunkedSeries("divisor_corrected", n, chunk)
-
-
-def mobius_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
-    return _materialize(mobius_chunks(table, limit))
-
-
-def unit_stream(limit: int) -> CoefficientStream:
-    return _materialize(unit_chunks(limit))
-
-
-def divisor_corrected_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
-    """lambda(n) = d(n) - log n - 2C."""
-    return _materialize(divisor_corrected_chunks(table, limit))
+    return CoefficientStream("divisor_corrected", n, chunk)
 
 
 def one_minus_g_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
@@ -119,23 +96,36 @@ def one_minus_g_stream(table: ArithTable, limit: int | None = None) -> Coefficie
 
     So lambda(1) = 1 - 2C, lambda(p^k) = 1 - log p, lambda(n) = 1
     elsewhere. This is the Mobius convolution image of the corrected
-    divisor stream (checked in tests and the CLI).
+    divisor stream (checked in tests and the CLI). Each chunk finds
+    its primes in table.primes; the few p^k with k >= 2 (p <= sqrt n)
+    are listed once. Every weight is 1.0 - math.log(p), the scalar log,
+    so the values match a loop over the prime powers bit for bit.
     """
     n = _stream_limit(table, limit)
-    c = euler_constant()
-    values = np.ones(n + 1, dtype=np.float64)
-    values[0] = 0.0
-    values[1] = 1.0 - 2.0 * c
-    for p in table.primes:
-        p = int(p)
-        if p > n:
-            break
-        logp = math.log(p)
-        pk = p
+    head = 1.0 - 2.0 * euler_constant()
+    primes = table.primes
+    powers = []
+    for p in primes[: table.prime_count(math.isqrt(n))].tolist():
+        pk = p * p
         while pk <= n:
-            values[pk] = 1.0 - logp
+            powers.append((pk, 1.0 - math.log(p)))
             pk *= p
-    return _finish(values, "one_minus_g", n, "one_minus_g")
+    powers.sort()
+    at = np.array([pk for pk, _ in powers], dtype=np.int64)
+    weight = np.array([w for _, w in powers], dtype=np.float64)
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        part = np.ones(hi - lo)
+        if lo == 1:
+            part[0] = head
+        i, j = np.searchsorted(primes, (lo, hi))
+        ps = primes[i:j]
+        part[ps - lo] = [1.0 - math.log(p) for p in ps.tolist()]
+        i, j = np.searchsorted(at, (lo, hi))
+        part[at[i:j] - lo] = weight[i:j]
+        return part
+
+    return CoefficientStream("one_minus_g", n, chunk)
 
 
 def custom_stream(name: str, values) -> CoefficientStream:
@@ -143,7 +133,7 @@ def custom_stream(name: str, values) -> CoefficientStream:
     if arr.ndim != 1 or len(arr) < 2:
         raise ValueError("custom stream needs a flat array with entry 0 padding")
     arr[0] = 0.0
-    return _finish(arr, name, len(arr) - 1, "custom")
+    return _seeded(name, arr)
 
 
 def _stream_limit(table: ArithTable, limit: int | None) -> int:
@@ -324,7 +314,7 @@ def abel_rearranged_sum(n: int, m: int, s: complex,
         rearranged=rearranged, theta_min=theta_min, theta_max=theta_max)
 
 
-def prefix_ratio_scan(coeffs: CoefficientStream | ChunkedSeries, s: float,
+def prefix_ratio_scan(coeffs: CoefficientStream, s: float,
                       n_max: int | None = None) -> Table:
     """r(n) = P(n)/n^s on a geometric grid, P the prefix sums.
 
@@ -363,7 +353,7 @@ def dirichlet_convolution(a: CoefficientStream, b: CoefficientStream) -> Coeffic
     for k in range(n // (r + 1), 0, -1):
         top = n // k
         out[k * (r + 1) : k * top + 1 : k] += av[r + 1 : top + 1] * bv[k]
-    return _finish(out, f"({a.name})*({b.name})", n, "custom")
+    return _seeded(f"({a.name})*({b.name})", out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,7 +373,7 @@ class AbscissaProbe:
     absolute_prefix: np.ndarray
 
 
-def abscissa_probe(coeffs: CoefficientStream | ChunkedSeries,
+def abscissa_probe(coeffs: CoefficientStream,
                    n_max: int | None = None) -> AbscissaProbe:
     n_max = coeffs.limit if n_max is None else n_max
     if n_max < 10_000:

@@ -125,6 +125,10 @@ def test_unknown_subcommand_exits_2(capsys):
     (["xi", "--t", "120.5"], "--t"),
     (["weierstrass", "--x", "0.5", "--a", "0+6.283185307179586i"], "--a"),
     (["zeros", "--t-max", "100", "--step", "1e-9"], "--step"),
+    (["abel-check", "--n", "10", "--m", "5", "--s", "1e400"], "--s"),
+    (["weierstrass", "--x=0+1e400i", "--a", "1"], "--x"),
+    # integer flags take digits only
+    (["mertens", "--limit", "2e8"], "--limit"),
 ])
 def test_validation_exits_2_and_names_flag(argv, flag, capsys):
     assert main(argv) == 2
@@ -320,6 +324,22 @@ def test_dirichlet_sum_peak_memory_stays_bounded():
     code, peak_kb = map(int, probe.stdout.split())
     assert code == 0
     assert peak_kb / 1024 < 80, f"dirichlet-sum peaked at {peak_kb / 1024:.0f} MB"
+
+
+def test_one_minus_g_sum_peak_memory_stays_bounded():
+    # each chunk finds its own primes and prime powers; a float64 stream
+    # of the whole range, filled one prime power at a time, peaked at
+    # 196 MB here
+    src = str(Path(arith.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
+         "dirichlet-sum", "--series", "one-minus-g", "--s", "0.5",
+         "--limit", "20000000"],
+        env=env, capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, probe.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 < 120, f"dirichlet-sum peaked at {peak_kb / 1024:.0f} MB"
 
 
 def test_csv_line_endings_and_header(tmp_path):

@@ -14,11 +14,9 @@ from zetadesk.dirichlet import (ConvergenceParams, _exact_int_mul,
                                 _mean_value_theta_grid, abel_rearranged_sum,
                                 abscissa_probe, custom_stream,
                                 dirichlet_convolution,
-                                divisor_corrected_chunks,
                                 divisor_corrected_stream, mean_value_theta,
-                                mobius_chunks, mobius_stream, one_minus_g_stream,
-                                partial_sum, prefix_ratio_scan, unit_chunks,
-                                unit_stream)
+                                mobius_stream, one_minus_g_stream,
+                                partial_sum, prefix_ratio_scan, unit_stream)
 
 
 def test_stream_values(table4):
@@ -382,20 +380,41 @@ def test_prefix_ratio_scan_anchors(table4):
 _EDGE = 1 << 16
 
 
-@pytest.mark.parametrize("limit", [1, _EDGE - 1, _EDGE, _EDGE + 1, 3 * _EDGE + 5])
+def _whole_range_one_minus_g(table, n):
+    """1 - w(n) over the whole range, one prime power at a time: the
+    bit-level reference for the chunked stream."""
+    values = np.ones(n + 1, dtype=np.float64)
+    values[0] = 0.0
+    values[1] = 1.0 - 2.0 * euler_constant()
+    for p in table.primes:
+        p = int(p)
+        if p > n:
+            break
+        logp = math.log(p)
+        pk = p
+        while pk <= n:
+            values[pk] = 1.0 - logp
+            pk *= p
+    return values
+
+
+# 2^16 is a prime power in the last cell of the first chunk, and
+# 2^16 + 1 a prime in the first cell of the second
+@pytest.mark.parametrize("limit", [1, 2, _EDGE - 1, _EDGE, _EDGE + 1, 3 * _EDGE + 5])
 @pytest.mark.parametrize("make", [
-    lambda table, n: (mobius_chunks(table, n), mobius_stream(table, n)),
-    lambda table, n: (unit_chunks(n), unit_stream(n)),
-    lambda table, n: (divisor_corrected_chunks(table, n),
-                      divisor_corrected_stream(table, n)),
-], ids=["mobius", "unit", "divisor_corrected"])
+    mobius_stream,
+    lambda table, n: unit_stream(n),
+    divisor_corrected_stream,
+    one_minus_g_stream,
+], ids=["mobius", "unit", "divisor_corrected", "one_minus_g"])
 def test_chunked_prefix_is_bit_identical_to_full_cumsum(table6, make, limit):
-    chunks, stream = make(table6, limit)
+    stream = make(table6, limit)
     n = np.arange(1, limit + 1, dtype=np.float64)
     whole = {"mobius": table6.mu[1 : limit + 1].astype(np.float64),
              "unit": np.ones(limit),
              "divisor_corrected": (table6.divisor_count[1 : limit + 1] - np.log(n)
-                                   - 2.0 * euler_constant())}[stream.name]
+                                   - 2.0 * euler_constant()),
+             "one_minus_g": _whole_range_one_minus_g(table6, limit)[1:]}[stream.name]
     # the stream is the concatenation of the chunks, computed whole
     assert np.array_equal(stream.values[1:].view(np.uint64), whole.view(np.uint64))
     full = np.cumsum(whole)
@@ -403,7 +422,8 @@ def test_chunked_prefix_is_bit_identical_to_full_cumsum(table6, make, limit):
     edges = range(_EDGE, limit + 1, _EDGE)
     grid = np.unique([1, limit, *(e + d for e in edges for d in (-1, 0, 1, 2))])
     grid = grid[grid <= limit].astype(np.int64)
-    for coeffs in (chunks, stream):
+    # chunks made from the table, and chunks sliced from the filled values
+    for coeffs in (make(table6, limit), custom_stream(stream.name, stream.values)):
         got = grid_prefix(coeffs.chunk, grid)
         assert np.array_equal(got.view(np.uint64), full[grid - 1].view(np.uint64))
         rows, prefix = prefix_ratio_scan(coeffs, 0.5).data[:2]
