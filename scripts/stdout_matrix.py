@@ -8,7 +8,8 @@ table walks and the renderer), the far-point Mertens reads of
 `identity-explore --n` and `abel-check` near 10^7, `abel-check`
 blocks across segment edges and one of 2 * 10^6 cells, empty `--every`
 grids and grids whose rows lie chunks apart, non-finite cells,
-the sieve cache (build, a miss then a hit, inspect), invalid input and
+the sieve cache (builds, misses, hits from every table command that
+reads only primes or only mu, inspect), invalid input and
 every help text. Run it on two checkouts on the same machine and diff
 the outputs: a refactor that keeps stdout must print the same lines.
 
@@ -109,6 +110,25 @@ OUTPUTS = [
                     "--cache-dir", f"{TMP}/auto"]),
     ("cache-hit", ["mertens", "--limit", "2000", "--every", "100",
                    "--cache-dir", f"{TMP}/auto"]),
+    # one byte past the 2^20-byte pieces of the cache check, then hits on
+    # it from commands that read only the primes, only mu, or both
+    ("cache-build-piece",
+     ["cache", "build", "--limit", "1048577", "--dir", f"{TMP}/piece"]),
+    ("cache-hit-theta",
+     ["theta", "--limit", "1048577", "--cache-dir", f"{TMP}/piece"]),
+    ("cache-hit-relation-a",
+     ["relation-a", "--x-max", "1000000", "--cache-dir", f"{TMP}/piece"]),
+    ("cache-hit-mertens-constant",
+     ["mertens-constant", "--limit", "1048577", "--cache-dir", f"{TMP}/piece"]),
+    ("cache-hit-prime-window",
+     ["prime-window", "--stop", "950000", "--cache-dir", f"{TMP}/piece"]),
+    ("cache-hit-dirichlet-sum-mobius",
+     ["dirichlet-sum", "--series", "mobius", "--s", "0.5", "--limit", "1048577",
+      "--cache-dir", f"{TMP}/piece"]),
+    ("cache-hit-convolution-check",
+     ["convolution-check", "--limit", "200000", "--cache-dir", f"{TMP}/piece"]),
+    ("cache-miss-theta",
+     ["theta", "--limit", "5000", "--cache-dir", f"{TMP}/theta"]),
     ("cache-inspect", ["cache", "inspect", "--path", f"{TMP}/built"]),
     ("cache-inspect-dir", ["cache", "inspect", "--path", f"{TMP}/auto"]),
 ]

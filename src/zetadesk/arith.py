@@ -2,8 +2,10 @@
 
 Everything downstream (Dirichlet sums, prime-counting statistics, the
 Mertens ratio scans) reads from one immutable ArithTable: primes, the
-Mobius function, prime-log prefix sums, and on-demand divisor-count and
-smallest-prime-factor arrays.
+Mobius function, prime-log prefix sums, and divisor-count and
+smallest-prime-factor arrays, each made on first read. A table read
+from the STJZ sieve cache is checked when it is loaded and decodes mu
+from the file only if mu is read.
 
 Arrays are indexed by the integer they describe (entry 0 is padding).
 Floating accumulations run in a fixed ascending order, so a rebuild at
@@ -32,11 +34,13 @@ from .constants import euler_constant
 # (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 300 MB
 # (the prime sieve), a first read of mu takes that to 390 MB and of
 # prime_log_cumsum to 490 MB; 10^8 stays near 170, 215 and 275 MB. A
-# full Mertens prefix adds 4 bytes per integer on top (1.2 GB at the
-# cap); of the CLI commands only identity-explore --limit (at most
-# 10^5) still builds one. divisor-ratio holds the int32 divisor
-# counts, 4 bytes per integer (800 MB at the cap), and reads D(n) at
-# its grid rows through grid_prefix. identity-explore --n and
+# table loaded from the cache sieves nothing until read, so a CLI run
+# at the cap that reads only its mu peaks near 225 MB. A full Mertens
+# prefix adds 4 bytes per integer on top (1.2 GB at the cap); of the
+# CLI commands only identity-explore --limit (at most 10^5) still
+# builds one. divisor-ratio holds the int32 divisor counts, 4 bytes
+# per integer (800 MB at the cap), and reads D(n) at its grid rows
+# through grid_prefix. identity-explore --n and
 # abel-check read M through mertens_quotients and mertens_segments,
 # whose memory grows with about n^(2/3) and with CHUNK.
 MAX_LIMIT = 200_000_000
@@ -44,6 +48,8 @@ MAX_LIMIT = 200_000_000
 CACHE_MAGIC = b"STJZ"
 CACHE_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")  # magic, version, limit
+# payload bytes per read of the file check, so it holds no whole file
+CACHE_PIECE = 1 << 20
 
 
 class CacheError(Exception):
@@ -82,29 +88,65 @@ class CachePayloadError(CacheError):
     status = "bad-payload"
 
 
+@dataclass(frozen=True)
+class MobiusFile:
+    """The payload of the STJZ file at path: limit bytes mu(n)+1 whose
+    CRC32 was crc when the file was checked or written."""
+
+    path: Path
+    limit: int
+    crc: int
+
+    def decode(self) -> np.ndarray:
+        """mu as ArithTable.mu holds it, read in one pass into the int8
+        array. Bytes that no longer match crc raise CacheChecksumError,
+        so a file changed since its check never yields a table."""
+        mu = np.empty(self.limit + 1, dtype=np.int8)
+        mu[0] = 0
+        raw = mu[1:].view(np.uint8)
+        with open(self.path, "rb") as fh:
+            fh.seek(_HEADER.size)
+            got = fh.readinto(raw)
+        if got != self.limit or zlib.crc32(raw) != self.crc:
+            raise CacheChecksumError(
+                f"{self.path}: payload changed since it was checked")
+        # byte b holds mu + 1; b - 1 wraps 0 to 255, which reads as int8 -1
+        np.subtract(raw, 1, out=raw)
+        mu.setflags(write=False)
+        return mu
+
+
 @dataclass(frozen=True, eq=False)
 class ArithTable:
     """Immutable arithmetic tables covering 1..limit.
 
-    primes is the ascending prime array, sieved when the table is
-    built. Every other array is materialized on first read and cached
-    on the instance: mu[n] is the Mobius function (int8, entry 0
-    unused), prime_log_cumsum[i] is log p summed over the first i+1
-    primes (ascending, so theta lookups are one bisect),
-    divisor_count and smallest_prime_factor are the sieves their names
-    say, and mangoldt_prefix and prime_reciprocal_cumsum are the prefix
-    sums the asymptotics scans read. Summatory values read only at grid
-    rows (M and D) are walked by grid_prefix instead of held whole. A
-    table read back from the sieve cache starts with the mu it decoded.
-    The table is logically immutable.
+    Every array is materialized on first read and cached on the
+    instance: primes is the ascending prime array, mu[n] the Mobius
+    function (int8, entry 0 unused), prime_log_cumsum[i] is log p summed
+    over the first i+1 primes (ascending, so theta lookups are one
+    bisect), divisor_count and smallest_prime_factor are the sieves
+    their names say, and mangoldt_prefix and prime_reciprocal_cumsum are
+    the prefix sums the asymptotics scans read. Summatory values read
+    only at grid rows (M and D) are walked by grid_prefix instead of
+    held whole. A table with a mu_file decodes mu from that file instead
+    of sieving it. The table is logically immutable.
     """
 
     limit: int
-    primes: np.ndarray
+    mu_file: MobiusFile | None = None
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        """int64 array of the primes <= limit, ascending."""
+        primes = _prime_sieve(self.limit)
+        primes.setflags(write=False)
+        return primes
 
     @cached_property
     def mu(self) -> np.ndarray:
         """int8 array; entry n >= 1 is the Mobius function of n."""
+        if self.mu_file is not None:
+            return self.mu_file.decode()
         return _mobius_sieve(self.limit, self.primes)
 
     @cached_property
@@ -172,13 +214,9 @@ def build_tables(limit: int) -> ArithTable:
         raise ValueError(
             f"table limit {limit} exceeds the supported bound {MAX_LIMIT}"
         )
-    return _table(limit)
-
-
-def _table(limit: int) -> ArithTable:
-    primes = _prime_sieve(limit)
-    primes.setflags(write=False)
-    return ArithTable(limit=limit, primes=primes)
+    table = ArithTable(limit)
+    table.primes  # sieved here, so the sieve stays inside this call
+    return table
 
 
 def _prime_sieve(limit: int) -> np.ndarray:
@@ -536,15 +574,19 @@ def cauchy_schwarz_prefix_bound(values) -> CauchyBound:
     return CauchyBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 
-def save_cache(table: ArithTable, path) -> None:
-    """Write the Mobius table in the STJZ byte layout.
+def save_cache(table: ArithTable, path) -> ArithTable:
+    """Write the Mobius table in the STJZ byte layout and return a table
+    backed by the written file.
 
     Layout: 4-byte magic "STJZ", version as little-endian uint32, limit
     as little-endian uint64, then one byte mu(n)+1 per n in 1..limit,
     then CRC32 (IEEE) of the payload as little-endian uint32.
 
     The bytes go to a sibling temp file that is then renamed over path,
-    so an interrupted save never leaves a partial file under path.
+    so an interrupted save never leaves a partial file under path. The
+    returned table shares table's primes and decodes mu from path only
+    if mu is read, so a caller that keeps it in place of table frees
+    the sieved mu.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -561,6 +603,9 @@ def save_cache(table: ArithTable, path) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    saved = ArithTable(table.limit, MobiusFile(path, table.limit, crc))
+    vars(saved)["primes"] = table.primes  # seeds the cached_property
+    return saved
 
 
 def _header_limit(data: bytes, path) -> int:
@@ -585,60 +630,68 @@ def read_cache_limit(path) -> int:
         return _header_limit(fh.read(_HEADER.size), path)
 
 
-def _checked_payload(data: bytes, path) -> memoryview:
-    """The payload of a whole STJZ file, as a view into data, after
-    every check passes; otherwise the CacheError for the first one that
-    fails."""
-    limit = _header_limit(data, path)
+def _checked_file(fh, path) -> MobiusFile:
+    """The payload of the open STJZ file fh, once every check passes;
+    otherwise the CacheError for the first one that fails, in this
+    order: header, file size, CRC32, byte range.
+
+    Reads the file from its start in pieces of CACHE_PIECE bytes, so
+    memory stays flat whatever the limit.
+    """
+    fh.seek(0)
+    limit = _header_limit(fh.read(_HEADER.size), path)
     expected = _HEADER.size + limit + 4
-    if len(data) != expected:
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
         raise CacheTruncatedError(
-            f"{path}: {len(data)} bytes, header promises {expected}"
-        )
-    payload = memoryview(data)[_HEADER.size : _HEADER.size + limit]
-    (crc,) = struct.unpack_from("<I", data, _HEADER.size + limit)
-    if zlib.crc32(payload) != crc:
+            f"{path}: {size} bytes, header promises {expected}")
+    buffer = np.empty(min(limit, CACHE_PIECE), dtype=np.uint8)
+    crc = top = 0
+    for start in range(0, limit, CACHE_PIECE):
+        piece = buffer[: min(CACHE_PIECE, limit - start)]
+        if fh.readinto(piece) != piece.size:
+            raise CacheTruncatedError(f"{path}: shorter than it was")
+        crc = zlib.crc32(piece, crc)
+        top = max(top, int(piece.max()))
+    trailer = fh.read(4)
+    if len(trailer) != 4:
+        raise CacheTruncatedError(f"{path}: shorter than it was")
+    if struct.unpack("<I", trailer)[0] != crc:
         raise CacheChecksumError(f"{path}: payload CRC mismatch")
-    if int(np.frombuffer(payload, dtype=np.uint8).max()) > 2:
+    if top > 2:
         raise CachePayloadError(f"{path}: payload byte outside {{0, 1, 2}}")
-    return payload
+    return MobiusFile(Path(path), limit, crc)
 
 
 def cache_summary(path) -> dict:
     """Header fields and checksum status of an STJZ file, without
     rebuilding any tables. status is "ok" or the failure class."""
-    data = Path(path).read_bytes()
-    summary = {"path": str(path), "status": "ok", "version": None,
-               "limit": None, "file_bytes": len(data), "crc_ok": True}
-    if len(data) >= _HEADER.size:
-        _, version, limit = _HEADER.unpack_from(data, 0)
-        summary["version"] = int(version)
-        summary["limit"] = int(limit)
-    try:
-        _checked_payload(data, path)
-    except CacheError as exc:
-        summary["status"] = exc.status
-        summary["crc_ok"] = isinstance(exc, CachePayloadError)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        summary = {"path": str(path), "status": "ok", "version": None,
+                   "limit": None, "file_bytes": os.fstat(fh.fileno()).st_size,
+                   "crc_ok": True}
+        if len(head) == _HEADER.size:
+            _, version, limit = _HEADER.unpack(head)
+            summary["version"] = int(version)
+            summary["limit"] = int(limit)
+        try:
+            _checked_file(fh, path)
+        except CacheError as exc:
+            summary["status"] = exc.status
+            summary["crc_ok"] = isinstance(exc, CachePayloadError)
     return summary
 
 
 def load_cache(path) -> ArithTable:
-    """Read an STJZ file back into a full table.
+    """Check an STJZ file and return a table backed by it.
 
-    Primes are re-sieved (cheap next to the Mobius work); the stored
-    payload only carries mu, which the table starts with. Malformed
-    files raise the specific CacheError subclass for what went wrong.
+    The whole file is checked here (header, size, CRC32, byte range),
+    and a malformed file raises the specific CacheError subclass for
+    what went wrong. The arrays are made on first read: mu is decoded
+    from the file, checked against the CRC seen here once more, and
+    primes are sieved.
     """
-    raw = np.frombuffer(_checked_payload(Path(path).read_bytes(), path),
-                        dtype=np.uint8)
-    limit = raw.size
-    mu = np.empty(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    # byte b holds mu + 1; b - 1 wraps 0 to 255, which reads as int8 -1
-    np.subtract(raw, 1, out=mu[1:].view(np.uint8))
-    del raw  # frees the file bytes before the re-sieve
-    mu.setflags(write=False)
-    table = _table(limit)
-    # seeds the cached_property, so the first read skips the sieve
-    vars(table)["mu"] = mu
-    return table
+    with open(path, "rb") as fh:
+        stored = _checked_file(fh, path)
+    return ArithTable(stored.limit, stored)

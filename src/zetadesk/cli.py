@@ -126,8 +126,12 @@ def acquire_table(limit: int, cache_dir: Path | None) -> arith.ArithTable:
     back to the cache directory when one is configured).
 
     Coverage is read from each file's header, never from its name. A
-    chosen file that fails to load is reported on stderr, rebuilt and
-    replaced, so one bad file cannot break later runs.
+    chosen file that fails its check or cannot be read (say, removed by
+    another process since the scan) is reported on stderr, rebuilt and
+    replaced, so one bad file cannot break later runs. A fresh build
+    comes back backed by the file it was saved to, so its sieved mu is
+    freed before the handler runs and read back only if the handler
+    reads mu.
     """
     if cache_dir is None:
         return arith.build_tables(limit)
@@ -144,13 +148,12 @@ def acquire_table(limit: int, cache_dir: Path | None) -> arith.ArithTable:
     if covering:
         try:
             return arith.load_cache(min(covering)[1])
-        except arith.CacheError as exc:
+        except (arith.CacheError, OSError) as exc:
             print(f"warning: {exc}; rebuilding the cache file",
                   file=sys.stderr)
             broken = min(covering)[1]
-    table = arith.build_tables(limit)
     target = cache_dir / f"mu-{limit}.stjz"
-    arith.save_cache(table, target)
+    table = arith.save_cache(arith.build_tables(limit), target)
     if broken is not None and broken != target:
         broken.unlink(missing_ok=True)
     return table

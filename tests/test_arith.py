@@ -7,16 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.arith import (CHUNK, CacheChecksumError, CacheMagicError,
-                            CachePayloadError, CacheTruncatedError, CacheVersionError,
-                            MAX_LIMIT, _prime_sieve, build_tables, cache_summary,
+from zetadesk.arith import (CACHE_PIECE, CHUNK, CacheChecksumError, CacheError,
+                            CacheMagicError, CachePayloadError,
+                            CacheTruncatedError, CacheVersionError, MAX_LIMIT,
+                            _header_limit, _prime_sieve, build_tables, cache_summary,
                             cauchy_schwarz_prefix_bound, chebyshev_theta,
                             chunk_bounds, grid_prefix, integer_root, load_cache,
                             mangoldt_weight, mertens_identity_check,
                             mertens_prefix, mertens_quotients,
                             mertens_ratio_window, mertens_segments,
                             mobius_segment, save_cache, squarefree_count)
+from zetadesk.asymptotics import theta_deviation_scan
 from zetadesk.constants import euler_constant
+from zetadesk.dirichlet import mobius_stream, prefix_ratio_scan
 
 from .oracles import trial_divisor_count, trial_is_prime, trial_mobius
 
@@ -39,13 +42,22 @@ def test_lazy_mobius_matches_trial_division():
         assert np.array_equal(table.mu, reference[: limit + 1]), limit
 
 
-def test_cached_table_starts_with_its_decoded_mobius(table4, tmp_path):
+def test_cached_table_makes_each_array_on_first_read(table4, tmp_path):
     path = tmp_path / "mu.stjz"
     save_cache(table4, path)
     loaded = load_cache(path)
-    assert "mu" in vars(loaded)
-    assert "prime_log_cumsum" not in vars(loaded)
+    assert "mu" not in vars(loaded) and "primes" not in vars(loaded)
+    assert np.array_equal(loaded.mu, table4.mu)
+    assert "primes" not in vars(loaded)
+    assert np.array_equal(loaded.primes, table4.primes)
     assert np.array_equal(loaded.prime_log_cumsum, table4.prime_log_cumsum)
+
+    scanned = load_cache(path)
+    theta_deviation_scan(scanned, 0.5, table4.limit)
+    assert "mu" not in vars(scanned)
+    streamed = load_cache(path)
+    prefix_ratio_scan(mobius_stream(streamed), 0.5, table4.limit)
+    assert "primes" not in vars(streamed)
 
 
 def test_primes_match_trial_division(table4):
@@ -427,3 +439,102 @@ def test_cache_rejects_out_of_range_payload(tmp_path, table4):
     assert info["crc_ok"] and info["status"] == "bad-payload"
     with pytest.raises(CachePayloadError):
         load_cache(path)
+
+
+def _checked_payload(data: bytes, path) -> memoryview:
+    """The whole-file check load_cache and cache_summary once ran on the
+    file's bytes read at once; the reference for the streamed check."""
+    limit = _header_limit(data, path)
+    expected = 16 + limit + 4
+    if len(data) != expected:
+        raise CacheTruncatedError(
+            f"{path}: {len(data)} bytes, header promises {expected}")
+    payload = memoryview(data)[16 : 16 + limit]
+    (crc,) = struct.unpack_from("<I", data, 16 + limit)
+    if zlib.crc32(payload) != crc:
+        raise CacheChecksumError(f"{path}: payload CRC mismatch")
+    if int(np.frombuffer(payload, dtype=np.uint8).max()) > 2:
+        raise CachePayloadError(f"{path}: payload byte outside {{0, 1, 2}}")
+    return payload
+
+
+def _stjz_file(limit: int, seed: int) -> bytearray:
+    """A well-formed STJZ file over random payload bytes in {0, 1, 2}."""
+    payload = np.random.default_rng(seed).integers(0, 3, limit, dtype=np.uint8)
+    return bytearray(struct.pack("<4sIQ", b"STJZ", 1, limit) + payload.tobytes()
+                     + struct.pack("<I", zlib.crc32(payload)))
+
+
+@st.composite
+def _damaged_files(draw):
+    """A file at one of the limits around the check's piece edges, with
+    at most one fault: a flipped byte, a cut, extra trailing bytes, an
+    edited header limit, or a payload byte out of range under a fixed
+    CRC."""
+    limit = draw(st.sampled_from([1, 2, 5000, CACHE_PIECE - 1, CACHE_PIECE,
+                                  CACHE_PIECE + 1, 2 * CACHE_PIECE + 1]))
+    blob = _stjz_file(limit, draw(st.integers(0, 3)))
+    fault = draw(st.sampled_from(["none", "flip", "cut", "extend", "limit",
+                                  "range"]))
+    if fault == "flip":
+        blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    elif fault == "cut":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    elif fault == "extend":
+        blob += draw(st.binary(min_size=1, max_size=9))
+    elif fault == "limit":
+        edited = draw(st.one_of(st.integers(limit - 2, limit + 2),
+                                st.sampled_from([0, MAX_LIMIT, MAX_LIMIT + 1]),
+                                st.integers(0, 2**64 - 1)))
+        blob[8:16] = struct.pack("<Q", max(edited, 0))
+    elif fault == "range":
+        blob[16 + draw(st.integers(0, limit - 1))] = draw(st.integers(3, 255))
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[16:-4])))
+    return bytes(blob)
+
+
+@settings(max_examples=120)
+@given(data=_damaged_files())
+def test_streamed_check_agrees_with_the_whole_file_check(data, tmp_path):
+    path = tmp_path / "mu.stjz"
+    path.write_bytes(data)
+    try:
+        payload = _checked_payload(data, path)
+        want = None
+    except CacheError as exc:
+        want = type(exc)
+    if want is None:
+        decoded = load_cache(path).mu
+        assert decoded[0] == 0
+        assert np.array_equal(decoded[1:].view(np.uint8) + np.uint8(1),
+                              np.frombuffer(payload, dtype=np.uint8))
+    else:
+        with pytest.raises(want) as raised:
+            load_cache(path)
+        assert type(raised.value) is want
+    info = cache_summary(path)
+    assert info["status"] == ("ok" if want is None else want.status)
+    assert info["crc_ok"] == (want in (None, CachePayloadError))
+    assert info["file_bytes"] == len(data)
+    if len(data) >= 16:
+        _, version, limit = struct.unpack_from("<4sIQ", data)
+        assert (info["version"], info["limit"]) == (version, limit)
+    else:
+        assert info["version"] is None and info["limit"] is None
+
+
+@pytest.mark.parametrize("change", ["rewrite", "truncate"])
+@pytest.mark.parametrize("source", ["load", "save"])
+def test_file_changed_after_its_check_fails_the_first_mu_read(
+        source, change, table4, tmp_path):
+    path = tmp_path / "mu.stjz"
+    saved = save_cache(table4, path)
+    table = load_cache(path) if source == "load" else saved
+    with open(path, "r+b") as fh:
+        if change == "rewrite":
+            fh.seek(16 + 5)
+            fh.write(b"\x00")  # mu(6) = 1 is stored as 2; 0 would read as -1
+        else:
+            fh.truncate(16 + 100)
+    with pytest.raises(CacheChecksumError):
+        table.mu

@@ -243,16 +243,24 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def test_mertens_peak_memory_stays_bounded():
+def _peak_rss_mb(*argv) -> float:
+    """Peak RSS in MB of `zetadesk argv`, run through _PEAK_RSS_PROBE
+    with this checkout's package and no cache from the environment;
+    the run must exit 0."""
     src = str(Path(arith.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = src
     probe = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
-         "mertens", "--limit", "10000000", "--every", "10000"],
+        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli", *argv],
         env=env, capture_output=True, text=True, check=True)
     code, peak_kb = map(int, probe.stdout.split())
-    assert code == 0
-    assert peak_kb / 1024 < 150, f"mertens peaked at {peak_kb / 1024:.0f} MB"
+    assert code == 0, f"{argv[0]} exited {code}"
+    return peak_kb / 1024
+
+
+def test_mertens_peak_memory_stays_bounded():
+    peak = _peak_rss_mb("mertens", "--limit", "10000000", "--every", "10000")
+    assert peak < 150, f"mertens peaked at {peak:.0f} MB"
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,28 +270,16 @@ def test_mertens_peak_memory_stays_bounded():
 def test_far_point_commands_need_no_full_prefix(argv):
     # M is read at the floor quotients or on the block only; a full
     # prefix to 10^8 peaked at 569 MB
-    src = str(Path(arith.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    probe = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli", *argv],
-        env=env, capture_output=True, text=True, check=True)
-    code, peak_kb = map(int, probe.stdout.split())
-    assert code == 0
-    assert peak_kb / 1024 < 100, f"{argv[0]} peaked at {peak_kb / 1024:.0f} MB"
+    peak = _peak_rss_mb(*argv)
+    assert peak < 100, f"{argv[0]} peaked at {peak:.0f} MB"
 
 
 def test_abel_check_peak_memory_stays_bounded():
     # the block is walked in 2^16-cell segments with carried sums; a
     # dozen float arrays over the whole block peaked at 277 MB here
-    src = str(Path(arith.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    probe = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
-         "abel-check", "--n", "1000", "--m", "2000000", "--s", "0.5+14.1i"],
-        env=env, capture_output=True, text=True, check=True)
-    code, peak_kb = map(int, probe.stdout.split())
-    assert code == 0
-    assert peak_kb / 1024 < 100, f"abel-check peaked at {peak_kb / 1024:.0f} MB"
+    peak = _peak_rss_mb("abel-check", "--n", "1000", "--m", "2000000",
+                        "--s", "0.5+14.1i")
+    assert peak < 100, f"abel-check peaked at {peak:.0f} MB"
 
 
 def test_far_point_commands_ignore_the_cache_dir(tmp_path, capsys):
@@ -300,46 +296,40 @@ def test_far_point_commands_ignore_the_cache_dir(tmp_path, capsys):
 def test_mertens_every_row_memory_stays_bounded():
     # one row per n: the table is rendered from columns, so memory grows
     # with the output text, not with a Python tuple per row
-    src = str(Path(arith.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    probe = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
-         "mertens", "--limit", "1000000"],
-        env=env, capture_output=True, text=True, check=True)
-    code, peak_kb = map(int, probe.stdout.split())
-    assert code == 0
-    assert peak_kb / 1024 < 160, f"mertens peaked at {peak_kb / 1024:.0f} MB"
+    peak = _peak_rss_mb("mertens", "--limit", "1000000")
+    assert peak < 160, f"mertens peaked at {peak:.0f} MB"
 
 
 def test_dirichlet_sum_peak_memory_stays_bounded():
     # the prefix is walked in chunks, so no float64 copy of mu and no
     # float64 prefix of the whole range is held (123 MB when they were)
-    src = str(Path(arith.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    probe = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
-         "dirichlet-sum", "--series", "mobius", "--s", "0.5",
-         "--limit", "5000000"],
-        env=env, capture_output=True, text=True, check=True)
-    code, peak_kb = map(int, probe.stdout.split())
-    assert code == 0
-    assert peak_kb / 1024 < 80, f"dirichlet-sum peaked at {peak_kb / 1024:.0f} MB"
+    peak = _peak_rss_mb("dirichlet-sum", "--series", "mobius", "--s", "0.5",
+                        "--limit", "5000000")
+    assert peak < 80, f"dirichlet-sum peaked at {peak:.0f} MB"
 
 
 def test_one_minus_g_sum_peak_memory_stays_bounded():
     # each chunk finds its own primes and prime powers; a float64 stream
     # of the whole range, filled one prime power at a time, peaked at
     # 196 MB here
-    src = str(Path(arith.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    probe = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli",
-         "dirichlet-sum", "--series", "one-minus-g", "--s", "0.5",
-         "--limit", "20000000"],
-        env=env, capture_output=True, text=True, check=True)
-    code, peak_kb = map(int, probe.stdout.split())
-    assert code == 0
-    assert peak_kb / 1024 < 120, f"dirichlet-sum peaked at {peak_kb / 1024:.0f} MB"
+    peak = _peak_rss_mb("dirichlet-sum", "--series", "one-minus-g",
+                        "--s", "0.5", "--limit", "20000000")
+    assert peak < 120, f"dirichlet-sum peaked at {peak:.0f} MB"
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["theta", "--limit", "10000000"], 55),
+    (["dirichlet-sum", "--series", "mobius", "--s", "0.5",
+      "--limit", "10000000"], 50),
+])
+def test_cache_hit_pays_only_for_the_arrays_it_reads(argv, bound, tmp_path):
+    # a hit that decoded the whole file into mu and re-sieved the primes
+    # peaked at 62 MB (theta) and 57 MB (mobius) here; now theta reads
+    # only primes (48 MB) and the mobius sum only mu (43 MB)
+    assert main(["cache", "build", "--limit", "10000000",
+                 "--dir", str(tmp_path)]) == 0
+    peak = _peak_rss_mb(*argv, "--cache-dir", str(tmp_path))
+    assert peak < bound, f"{argv[0]} hit peaked at {peak:.0f} MB"
 
 
 def test_csv_line_endings_and_header(tmp_path):
@@ -553,6 +543,48 @@ def test_truncated_cache_file_is_rebuilt_and_replaced(tmp_path, capsys):
     names = sorted(p.name for p in cache.iterdir())
     assert names == ["mu-2000.stjz"]
     assert arith.cache_summary(cache / "mu-2000.stjz")["status"] == "ok"
+
+
+def test_corrupt_payload_is_rebuilt_for_a_prime_only_command(tmp_path,
+                                                             capsys):
+    # theta reads no mu, yet the hit checks the whole file up front
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "mu-3000.stjz"
+    arith.save_cache(arith.build_tables(3000), path)
+    blob = bytearray(path.read_bytes())
+    blob[1000] ^= 0x01
+    path.write_bytes(bytes(blob))
+    argv = ["theta", "--limit", "2500"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main([*argv, "--cache-dir", str(cache)]) == 0
+    first = capsys.readouterr()
+    assert first.out == fresh and "CRC mismatch" in first.err
+    assert sorted(p.name for p in cache.iterdir()) == ["mu-2500.stjz"]
+    assert arith.cache_summary(cache / "mu-2500.stjz")["status"] == "ok"
+
+
+def test_cache_file_removed_before_its_load_is_rebuilt(tmp_path, monkeypatch,
+                                                       capsys):
+    # another process deletes the chosen file between the scan and the load
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    arith.save_cache(arith.build_tables(3000), cache / "mu-3000.stjz")
+    real_load = arith.load_cache
+
+    def load_after_removal(path):
+        Path(path).unlink()
+        return real_load(path)
+
+    monkeypatch.setattr(arith, "load_cache", load_after_removal)
+    argv = ["mertens", "--limit", "2000", "--every", "7"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main([*argv, "--cache-dir", str(cache)]) == 0
+    run = capsys.readouterr()
+    assert run.out == fresh and "warning:" in run.err
+    assert sorted(p.name for p in cache.iterdir()) == ["mu-2000.stjz"]
 
 
 def test_cache_save_leaves_no_partial_file(tmp_path, monkeypatch):
