@@ -72,12 +72,17 @@ OUTPUTS = [
     ("zeta", ["zeta", "--s", "0.5+14.1i"]),
     ("zeta-reflected", ["zeta", "--s=-3.5-2i"]),
     ("zeta-box-edge", ["zeta", "--s", "10"]),
+    # Re s = -1/2 is the last point on the Euler-Maclaurin side
+    ("zeta-path-switch", ["zeta", "--s=-0.5+100i"]),
     ("xi", ["xi", "--t", "14.1"]),
+    ("xi-high", ["xi", "--t", "99.9"]),
     ("xi-box-edge", ["xi", "--t", "120"]),
     ("zeros", ["zeros", "--t-max", "30"]),
     ("zeros-window", ["zeros", "--t-max", "26", "--t-min", "20", "--step", "0.01"]),
     ("zeros-no-prediction", ["zeros", "--t-max", "5"]),
+    ("zeros-to-100", ["zeros", "--t-max", "100", "--step", "0.01"]),
     ("constants", ["constants", "--k", "2", "--n", "5000"]),
+    ("constants-k8", ["constants", "--k", "8", "--n", "200000"]),
     ("constants-no-accelerate",
      ["constants", "--k", "1", "--n", "1000", "--no-accelerate"]),
     ("theta", ["theta", "--limit", "5000"]),

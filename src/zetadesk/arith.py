@@ -21,10 +21,12 @@ from __future__ import annotations
 import math
 import os
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -88,23 +90,33 @@ class CachePayloadError(CacheError):
     status = "bad-payload"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobiusFile:
-    """The payload of the STJZ file at path: limit bytes mu(n)+1 whose
-    CRC32 was crc when the file was checked or written."""
+    """The payload of an STJZ file: limit bytes mu(n)+1 whose CRC32 was
+    crc when the file was checked or written.
+
+    handle is that file, held open from the check or the write until
+    mu is decoded (or this object is collected), so the decode reads
+    the same file even if path is removed or replaced meanwhile; path
+    only names it in messages."""
 
     path: Path
     limit: int
     crc: int
+    handle: BinaryIO
+
+    def __post_init__(self):
+        weakref.finalize(self, self.handle.close)
 
     def decode(self) -> np.ndarray:
         """mu as ArithTable.mu holds it, read in one pass into the int8
         array. Bytes that no longer match crc raise CacheChecksumError,
-        so a file changed since its check never yields a table."""
+        so a file changed since its check never yields a table. The
+        file is closed afterwards."""
         mu = np.empty(self.limit + 1, dtype=np.int8)
         mu[0] = 0
         raw = mu[1:].view(np.uint8)
-        with open(self.path, "rb") as fh:
+        with self.handle as fh:
             fh.seek(_HEADER.size)
             got = fh.readinto(raw)
         if got != self.limit or zlib.crc32(raw) != self.crc:
@@ -584,26 +596,28 @@ def save_cache(table: ArithTable, path) -> ArithTable:
 
     The bytes go to a sibling temp file that is then renamed over path,
     so an interrupted save never leaves a partial file under path. The
-    returned table shares table's primes and decodes mu from path only
-    if mu is read, so a caller that keeps it in place of table frees
-    the sieved mu.
+    returned table shares table's primes and decodes mu from the file
+    it wrote, still open, only if mu is read, so a caller that keeps it
+    in place of table frees the sieved mu.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "w+b")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit))
-            crc = 0
-            for lo, hi in chunk_bounds(table.limit):
-                payload = (table.mu[lo:hi] + 1).view(np.uint8)
-                fh.write(payload)
-                crc = zlib.crc32(payload, crc)
-            fh.write(struct.pack("<I", crc))
+        fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit))
+        crc = 0
+        for lo, hi in chunk_bounds(table.limit):
+            payload = (table.mu[lo:hi] + 1).view(np.uint8)
+            fh.write(payload)
+            crc = zlib.crc32(payload, crc)
+        fh.write(struct.pack("<I", crc))
+        fh.flush()
         os.replace(tmp, path)
     except BaseException:
+        fh.close()
         tmp.unlink(missing_ok=True)
         raise
-    saved = ArithTable(table.limit, MobiusFile(path, table.limit, crc))
+    saved = ArithTable(table.limit, MobiusFile(path, table.limit, crc, fh))
     vars(saved)["primes"] = table.primes  # seeds the cached_property
     return saved
 
@@ -631,9 +645,9 @@ def read_cache_limit(path) -> int:
 
 
 def _checked_file(fh, path) -> MobiusFile:
-    """The payload of the open STJZ file fh, once every check passes;
-    otherwise the CacheError for the first one that fails, in this
-    order: header, file size, CRC32, byte range.
+    """The payload of the open STJZ file fh, with fh as its handle, once
+    every check passes; otherwise the CacheError for the first one that
+    fails, in this order: header, file size, CRC32, byte range.
 
     Reads the file from its start in pieces of CACHE_PIECE bytes, so
     memory stays flat whatever the limit.
@@ -660,7 +674,7 @@ def _checked_file(fh, path) -> MobiusFile:
         raise CacheChecksumError(f"{path}: payload CRC mismatch")
     if top > 2:
         raise CachePayloadError(f"{path}: payload byte outside {{0, 1, 2}}")
-    return MobiusFile(Path(path), limit, crc)
+    return MobiusFile(Path(path), limit, crc, fh)
 
 
 def cache_summary(path) -> dict:
@@ -689,9 +703,13 @@ def load_cache(path) -> ArithTable:
     The whole file is checked here (header, size, CRC32, byte range),
     and a malformed file raises the specific CacheError subclass for
     what went wrong. The arrays are made on first read: mu is decoded
-    from the file, checked against the CRC seen here once more, and
-    primes are sieved.
+    from the file opened here, checked against the CRC seen here once
+    more, and primes are sieved.
     """
-    with open(path, "rb") as fh:
+    fh = open(path, "rb")
+    try:
         stored = _checked_file(fh, path)
+    except BaseException:
+        fh.close()
+        raise
     return ArithTable(stored.limit, stored)

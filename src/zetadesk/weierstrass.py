@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -95,14 +96,18 @@ def _evaluate_signs(x: complex, a: complex, n_terms: int,
 
     # convergence-factor exponents summed in the same symmetric pairing:
     # 1/z_pos + 1/z_neg collapses to 2a/(a^2 + 4 pi^2 n^2) exactly; fsum
-    # is exact, so it may read them one chunk at a time
+    # is exact, so it may read them as a chain of per-chunk lists. Each
+    # part makes its chunks anew: one fsum cannot feed two sums, and
+    # carrying exact partial sums from chunk to chunk costs more fsum
+    # passes than the second evaluation does
     def pair_inverse(part):
         for lo, hi in chunk_bounds(n_terms):
             n = np.arange(lo, hi, dtype=np.float64)
-            yield from part(2.0 * a / (a * a + (TWO_PI * n) ** 2)).tolist()
+            yield part(2.0 * a / (a * a + (TWO_PI * n) ** 2)).tolist()
 
-    inv_sum = complex(math.fsum(pair_inverse(np.real)),
-                      math.fsum(pair_inverse(np.imag))) + 1.0 / a
+    inv_sum = complex(math.fsum(chain.from_iterable(pair_inverse(np.real))),
+                      math.fsum(chain.from_iterable(pair_inverse(np.imag)))
+                      ) + 1.0 / a
     evaluations = []
     for exponent_sign in signs:
         sign = 1.0 if exponent_sign == "plus" else -1.0

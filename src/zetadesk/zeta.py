@@ -4,12 +4,19 @@ Euler-Maclaurin evaluation of zeta(s), the completed function
 xi(t) on the critical line, sign-change zero scans with a counting
 prediction, and the log-power constants that tie the Taylor expansion
 of zeta at the origin to trapezoid defects of (log x)^k.
+
+The engines work on arrays. One kernel evaluates zeta(s) - 1/(s-1),
+and from it zeta and xi, at a whole vector of points per call: the
+zero scan's grid, the midpoints of every bisection step, the contour
+ring. A point's value does not depend on the other points of its call,
+and the scalar zeta, zeta_minus_pole, log_gamma and xi are the kernel
+at one point. The defect quadrature walks the cells once for every
+exponent k, which share each chunk's quadrature moments.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,42 +48,73 @@ def _require_regular(s: complex) -> None:
     _require_in_box(s)
 
 
-def _cexpm1(z: complex) -> complex:
+def _node_counts(height: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin cutoff n at each height |Im s|: the head sums
+    k < n."""
+    return np.maximum(30, np.ceil(2.5 * np.abs(height))).astype(np.int64)
+
+
+# The array kernels run over their points in passes of at most this many
+# head terms (n - 1 per point), so their working arrays stay near two
+# megabytes whatever the number of points.
+_KERNEL_CELLS = 1 << 17
+
+
+def _in_passes(kernel, points: np.ndarray, height: np.ndarray) -> np.ndarray:
+    """kernel(part) for consecutive parts of points, written into one
+    complex array; height holds |Im s| of each point, and a part has
+    as many points as fit _KERNEL_CELLS at the largest of them."""
+    out = np.empty(points.size, dtype=np.complex128)
+    if points.size:
+        n_max = int(_node_counts(np.abs(height).max()))
+        size = max(1, _KERNEL_CELLS // n_max)
+        for lo in range(0, points.size, size):
+            out[lo:lo + size] = kernel(points[lo:lo + size])
+    return out
+
+
+def _cexpm1(z: np.ndarray) -> np.ndarray:
     # exp(z)-1 without cancellation for small z; cos y - 1 handled as
     # -2 sin^2(y/2)
     x, y = z.real, z.imag
-    ex1 = math.expm1(x)
-    half = math.sin(0.5 * y)
-    return complex(ex1 * math.cos(y) - 2.0 * half * half,
-                   (ex1 + 1.0) * math.sin(y))
+    ex1 = np.expm1(x)
+    half = np.sin(0.5 * y)
+    out = np.empty(z.shape, dtype=np.complex128)
+    out.real = ex1 * np.cos(y) - 2.0 * half * half
+    out.imag = (ex1 + 1.0) * np.sin(y)
+    return out
 
 
-def _node_count(s: complex) -> int:
-    return max(30, int(math.ceil(2.5 * abs(s.imag))))
+def _em_minus_pole(s: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin zeta(s) - 1/(s-1) at every point of the complex
+    array s, all at once (long arrays go through _in_passes). Accurate
+    for Re s >= -1/2; deeper left the head sum amplifies rounding by
+    n^(1-Re s) and the reflection path of _zeta_array takes over.
 
-
-def _em_minus_pole(s: complex) -> complex:
-    """Euler-Maclaurin zeta(s) - 1/(s-1). Accurate for Re s >= -1/2;
-    deeper left the head sum amplifies rounding by n^(1-Re s) and the
-    reflection path below takes over."""
-    n = _node_count(s)
-    k = np.arange(1, n, dtype=np.float64)
-    powers = np.exp(-s * np.log(k))
-    head = complex(math.fsum(powers.real), math.fsum(powers.imag))
-    log_n = math.log(n)
-    if s == 1.0:
-        smooth = complex(-log_n)  # limit of expm1((1-s) log n)/(s-1)
-    else:
-        smooth = _cexpm1((1.0 - s) * log_n) / (s - 1.0)
-    nms = cmath.exp(-s * log_n)
+    A point's head sum runs over its own n - 1 terms in an order set by
+    n alone, and every other step is elementwise, so its value does not
+    depend on the other points in s."""
+    # the head sum_{k<n} k^-s, one matrix of terms per group of points
+    # that share n, so each row's pairwise sum depends on n alone
+    n = _node_counts(s.imag)
+    logs = np.log(np.arange(1, int(n.max()) + 1, dtype=np.float64))
+    head = np.empty(s.size, dtype=np.complex128)
+    for count in np.unique(n).tolist():
+        group = np.flatnonzero(n == count)
+        head[group] = np.exp(np.multiply.outer(-s[group], logs[:count - 1])).sum(axis=1)
+    log_n = logs[n - 1]
+    smooth = -log_n + 0j  # limit of expm1((1-s) log n)/(s-1) at s = 1
+    off = s != 1.0
+    smooth[off] = _cexpm1((1.0 - s[off]) * log_n[off]) / (s[off] - 1.0)
+    nms = np.exp(-s * log_n)
     total = head + smooth + 0.5 * nms
     rising = s  # s (s+1) ... (s+2j-2), grown two factors per term
     scale = nms / n  # n^(-s-1)
     inv_nn = 1.0 / (n * n)
     for j, coeff in enumerate(BERNOULLI_OVER_FACTORIAL, start=1):
         total += coeff * rising * scale
-        rising *= (s + (2 * j - 1)) * (s + 2 * j)
-        scale *= inv_nn
+        rising = rising * ((s + (2 * j - 1)) * (s + 2 * j))
+        scale = scale * inv_nn
     return total
 
 
@@ -84,20 +122,35 @@ _LOG_2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
 
 
-def _reflection_factor(s: complex) -> complex:
+def _reflection_factor(s: np.ndarray) -> np.ndarray:
     # 2^s pi^(s-1) sin(pi s/2) Gamma(1-s); inside the box the huge
     # sin and tiny gamma magnitudes stay far from overflow
-    return (cmath.exp(s * _LOG_2 + (s - 1.0) * _LOG_PI + log_gamma(1.0 - s))
-            * cmath.sin(0.5 * math.pi * s))
+    return (np.exp(s * _LOG_2 + (s - 1.0) * _LOG_PI + _log_gamma(1.0 - s))
+            * np.sin(0.5 * math.pi * s))
+
+
+def _zeta_array(s: np.ndarray) -> np.ndarray:
+    """zeta at every point of the complex array s, each regular and in
+    the box: Euler-Maclaurin for Re s >= -1/2, reflected further left."""
+    return _in_passes(_zeta_part, s, s.imag)
+
+
+def _zeta_part(s: np.ndarray) -> np.ndarray:
+    out = np.empty(s.size, dtype=np.complex128)
+    left = s.real < -0.5
+    if not left.all():
+        right = s[~left]
+        out[~left] = _em_minus_pole(right) + 1.0 / (right - 1.0)
+    if left.any():
+        w = 1.0 - s[left]
+        out[left] = _reflection_factor(s[left]) * (_em_minus_pole(w) + 1.0 / (w - 1.0))
+    return out
 
 
 def zeta(s: complex) -> complex:
     s = complex(s)
     _require_regular(s)
-    if s.real >= -0.5:
-        return _em_minus_pole(s) + 1.0 / (s - 1.0)
-    w = 1.0 - s
-    return _reflection_factor(s) * (_em_minus_pole(w) + 1.0 / (w - 1.0))
+    return complex(_zeta_array(np.array([s]))[0])
 
 
 def zeta_minus_pole(s: complex) -> complex:
@@ -106,7 +159,7 @@ def zeta_minus_pole(s: complex) -> complex:
     s = complex(s)
     _require_in_box(s)
     if s.real >= -0.5:
-        return _em_minus_pole(s)
+        return complex(_em_minus_pole(np.array([s]))[0])
     return zeta(s) - 1.0 / (s - 1.0)
 
 
@@ -125,21 +178,36 @@ _LANCZOS = (
 _HALF_LOG_TWO_PI = 0.5 * math.log(TWO_PI)
 
 
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """Lanczos approximation (g=7, 9 coefficients) at every point of
+    the complex array z, reflected where Re z < 1/2; no point may be a
+    pole."""
+    out = np.empty(z.size, dtype=np.complex128)
+    left = z.real < 0.5
+    if left.any():
+        zl = z[left]
+        out[left] = _LOG_PI - np.log(np.sin(math.pi * zl)) - _lanczos(1.0 - zl)
+    if not left.all():
+        out[~left] = _lanczos(z[~left])
+    return out
+
+
+def _lanczos(z: np.ndarray) -> np.ndarray:
+    w = z - 1.0
+    acc = _LANCZOS[0]
+    for i, c in enumerate(_LANCZOS[1:], start=1):
+        acc = acc + c / (w + i)
+    t = w + 7.5
+    return _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
+
+
 def log_gamma(z: complex) -> complex:
     """Lanczos approximation (g=7, 9 coefficients), reflected for
     Re z < 1/2. Branch matters only through exp for our callers."""
     z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0.0 and z.real == math.floor(z.real):
-            raise ValueError(f"gamma pole at z={z.real:g}")
-        return (math.log(math.pi) - cmath.log(cmath.sin(math.pi * z))
-                - log_gamma(1.0 - z))
-    w = z - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (w + i)
-    t = w + 7.5
-    return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    if z.real < 0.5 and z.imag == 0.0 and z.real == math.floor(z.real):
+        raise ValueError(f"gamma pole at z={z.real:g}")
+    return complex(_log_gamma(np.array([z]))[0])
 
 
 def gauss_pi(x: float) -> float:
@@ -167,14 +235,26 @@ def functional_equation_residual(s: complex) -> float:
     return abs(a - b) / (abs(a) + 1e-300)
 
 
+def _xi_array(t: np.ndarray) -> np.ndarray:
+    """xi at s = 1/2 + i t for every ordinate of the float array t."""
+    return _in_passes(_xi_part, t, t)
+
+
+def _xi_part(t: np.ndarray) -> np.ndarray:
+    s = np.empty(t.size, dtype=np.complex128)
+    s.real = 0.5
+    s.imag = t
+    value = 0.5 * s * (s - 1.0) * np.exp(_log_gamma(0.5 * s) - 0.5 * s * _LOG_PI)
+    return value * _em_minus_pole(s) + value / (s - 1.0)
+
+
 def xi(t: float) -> complex:
     """Entire critical-line function
     1/2 s(s-1) Gamma(s/2) pi^(-s/2) zeta(s) at s = 1/2 + i t.
     Real for real t up to rounding residue in the imaginary part."""
-    s = complex(0.5, float(t))
-    value = 0.5 * s * (s - 1.0) * cmath.exp(
-        log_gamma(0.5 * s) - 0.5 * s * math.log(math.pi))
-    return value * zeta_minus_pole(s) + value / (s - 1.0)
+    t = float(t)
+    _require_in_box(complex(0.5, t))
+    return complex(_xi_array(np.array([t]))[0])
 
 
 def riemann_von_mangoldt(t: float) -> float:
@@ -213,23 +293,36 @@ class ZeroScanResult:
         return self.count - self.prediction
 
 
-def _bisect_xi_real(lo: float, hi: float, flo: float) -> float:
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        fmid = xi(mid).real
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_xi_real(lo: np.ndarray, hi: np.ndarray,
+                    flo: np.ndarray) -> np.ndarray:
+    """Bisect every bracket [lo, hi] of a sign change of Re xi (flo is
+    Re xi at lo) to width 1e-6, in lock step: each step evaluates the
+    midpoints of all open brackets in one kernel call and makes, per
+    bracket, the decision a bracket bisected alone would make."""
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    zeros = np.empty(lo.size)
+    open_ = np.arange(lo.size)
+    while open_.size:
+        wide = hi[open_] - lo[open_] > 1e-6
+        done = open_[~wide]
+        zeros[done] = 0.5 * (lo[done] + hi[done])
+        open_ = open_[wide]
+        mid = 0.5 * (lo[open_] + hi[open_])
+        fmid = _xi_array(mid).real
+        hit = fmid == 0.0
+        zeros[open_[hit]] = mid[hit]
+        open_, mid, fmid = open_[~hit], mid[~hit], fmid[~hit]
+        same = (fmid > 0) == (flo[open_] > 0)
+        lo[open_[same]] = mid[same]
+        flo[open_[same]] = fmid[same]
+        hi[open_[~same]] = mid[~same]
+    return zeros
 
 
 # The zero scan is validated up to this height, and at grid steps no
 # coarser than this; coarser grids can hop over close zero pairs. Steps
-# finer than the floor are refused: one xi call per grid point, so at
-# most 10^6 of them up to ZERO_SCAN_T_MAX.
+# finer than the floor are refused: at most 10^6 grid points up to
+# ZERO_SCAN_T_MAX.
 ZERO_SCAN_T_MAX = 100.0
 ZERO_SCAN_STEP_MAX = 0.05
 ZERO_SCAN_STEP_MIN = 1e-4
@@ -247,23 +340,21 @@ def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
     if not ZERO_SCAN_STEP_MIN <= step <= ZERO_SCAN_STEP_MAX:
         raise ValueError(f"step must be in [{ZERO_SCAN_STEP_MIN:g}, "
                          f"{ZERO_SCAN_STEP_MAX:g}]; coarser grids can hop "
-                         "over close zero pairs, finer ones cost one xi "
-                         "call per point")
+                         "over close zero pairs, finer ones pass the "
+                         "10^6-point budget")
     count = int(math.floor((t_max - t_min) / step)) + 1
     grid = t_min + step * np.arange(count, dtype=np.float64)
     if grid[-1] < t_max:
         grid = np.append(grid, t_max)
-    values = np.array([xi(t).real for t in grid])
+    values = _xi_array(grid).real.copy()
     flips = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
-    zeros = np.array([_bisect_xi_real(grid[i], grid[i + 1], values[i])
-                      for i in flips])
-    absval = np.abs(values)
+    zeros = _bisect_xi_real(grid[flips], grid[flips + 1], values[flips])
+    absval = np.abs(values, out=values)
     scale = float(np.median(absval)) + 1e-300
-    interior = np.arange(1, len(grid) - 1)
-    local_min = ((absval[interior] <= absval[interior - 1])
-                 & (absval[interior] <= absval[interior + 1])
-                 & (absval[interior] < 1e-4 * scale))
-    suspects = interior[local_min]
+    inner = absval[1:-1]
+    local_min = ((inner <= absval[:-2]) & (inner <= absval[2:])
+                 & (inner < 1e-4 * scale))
+    suspects = np.flatnonzero(local_min) + 1
     no_flip = np.array([i - 1 not in flips and i not in flips
                         for i in suspects], dtype=bool)
     close_calls = grid[suspects[no_flip]] if suspects.size else np.zeros(0)
@@ -287,16 +378,18 @@ _PANEL_SPLIT = 40
 _PANEL_COUNT = 4
 
 # Cells beyond the split are walked in fixed chunks, so a working array
-# (14 sample rows of a chunk, 1.8 MB) stays in cache whatever n is; a
+# (14 sample rows of a chunk, 0.9 MB) stays in cache whatever n is; a
 # fixed size keeps the summation, and so the result, bit-reproducible.
-_CHUNK_CELLS = 1 << 14
+_CHUNK_CELLS = 1 << 13
 
 # leggauss returns symmetric nodes in ascending order, so the last six
 # are the positive halves of the six +-u pairs. A body cell is sampled
 # at u = +-(trapezoid offset, 0.5 * node) / c: positive offsets in the
-# first seven rows, their negations in the last seven.
+# first seven rows, their negations in the last seven; a row's weight
+# in the cell's defect is 1/2 at a trapezoid end, minus half the Gauss
+# weight at a node.
 _PAIR_OFFSETS = np.append(0.5, 0.5 * _GL_NODES[6:])[:, None]
-_PAIR_HALF_WEIGHTS = 0.5 * _GL_WEIGHTS[6:]
+_BODY_WEIGHTS = np.tile(np.append(0.5, -0.5 * _GL_WEIGHTS[6:]), 2)
 
 # Ceiling on the series order in delta. The order actually used is the
 # smallest one whose omitted tail is at most _TAIL_RATIO * delta^2 at
@@ -375,44 +468,83 @@ def _head_defects(k: int, split: int) -> np.ndarray:
     return 0.5 * (phi[0] + phi[1]) - integral
 
 
-def _body_defects(k: int, m_lo: int, m_hi: int) -> np.ndarray:
-    """Defects of the cells m_lo <= m < m_hi, each integrated by one
-    12-node panel, folded into its six symmetric node pairs."""
+def _body_cells(m_lo: int, m_hi: int):
+    """Centers c and offsets u = (x - c)/c of the cells m_lo <= m < m_hi,
+    each integrated by one 12-node panel: one row per sample (the
+    trapezoid end and the six positive nodes, then their negations),
+    one column per cell."""
     c = np.arange(m_lo, m_hi, dtype=np.float64) - 0.5
     rows = len(_PAIR_OFFSETS)
     u = np.empty((2 * rows, c.size))
     np.divide(_PAIR_OFFSETS, c, out=u[:rows])
     np.negative(u[:rows], out=u[rows:])
-    phi = _centered_log_power(k, np.log(c), u)
-    integral = _PAIR_HALF_WEIGHTS @ (phi[1:rows] + phi[rows + 1:])
-    return 0.5 * (phi[0] + phi[rows]) - integral
+    return c, u
+
+
+def _defect_walk(ks, n: int) -> list[tuple[float, float]]:
+    """(sum, absolute-value sum) over the cells [m-1, m], m = 2..n, of
+    the defect (f(m-1)+f(m))/2 - integral of f, for f = (log x)^k and
+    each k in ks, in one walk over the cells.
+
+    A cell's f minus its tangent line is the series of
+    _centered_log_power, sum_i coeff_i delta^i with the fused
+    coefficients coeff_i(k, l0). The quadrature is linear, so in the
+    body a cell's defect is sum_i coeff_i M_i, with M_i the quadrature
+    defect of delta^i: each chunk forms the moments M_i once, for i up
+    to the order _series_order picks for its largest |delta| (never
+    below LOG_POWER_K_MAX, so every binomial part is complete), and
+    every k reads them, so a k's defects do not depend on which other
+    k share the walk. The 39 head cells, where |delta| reaches
+    log(3/2) and the series terms cancel, keep _head_defects, which
+    sums each sample's series before its quadrature: against a 40-digit
+    route that rounds less there than the moments do.
+
+    The cells are walked in chunks of _CHUNK_CELLS, so memory stays
+    bounded whatever n is. Each chunk's defects are summed by one
+    exact fsum, rounded once, and the chunk sums by another; the
+    absolute sum, which only sizes the accumulation floor, is an exact
+    fsum of per-chunk pairwise sums."""
+    split = min(_PANEL_SPLIT, n)
+    parts = [([], []) for _ in ks]
+    for k, (sums, abs_sums) in zip(ks, parts):
+        defects = _head_defects(k, split)
+        sums.append(math.fsum(defects.tolist()))
+        abs_sums.append(float(np.abs(defects).sum()))
+    for lo in range(split + 1, n + 1, _CHUNK_CELLS):
+        c, u = _body_cells(lo, min(lo + _CHUNK_CELLS, n + 1))
+        delta = np.log1p(u, out=u)
+        order = _series_order(max(float(delta.max()), -float(delta.min())))
+        # row i holds M_i; rows 0 and 1 are never read
+        moments = np.empty((max(order, LOG_POWER_K_MAX) + 1, c.size))
+        power = delta * delta
+        for i in range(2, len(moments)):
+            np.dot(_BODY_WEIGHTS, power, out=moments[i])
+            power *= delta
+        l0 = np.log(c)
+        l0_powers = [l0 ** j for j in range(LOG_POWER_K_MAX)]
+        for k, (sums, abs_sums) in zip(ks, parts):
+            neg_base = -k * l0_powers[k - 1]
+            defects = np.zeros_like(l0)
+            for i in range(max(order, k), 1, -1):
+                coeff = neg_base / math.factorial(i)
+                if i <= k:
+                    coeff += math.comb(k, i) * l0_powers[k - i]
+                defects += coeff * moments[i]
+            sums.append(math.fsum(defects.tolist()))
+            abs_sums.append(float(np.abs(defects).sum()))
+    return [(math.fsum(sums), math.fsum(abs_sums)) for sums, abs_sums in parts]
+
+
+@lru_cache(maxsize=8)
+def _defect_sums(n: int) -> tuple[tuple[float, float], ...]:
+    """_defect_walk for every k = 1..LOG_POWER_K_MAX at cutoff n."""
+    return tuple(_defect_walk(range(1, LOG_POWER_K_MAX + 1), n))
 
 
 def _defect_sum(k: int, n: int) -> tuple[float, float]:
-    """Sum over cells [m-1, m], m = 2..n, of
-    (f(m-1)+f(m))/2 - integral of f, for f = (log x)^k.
-    Returns (sum, absolute-value sum).
-
-    The cells are walked in chunks of _CHUNK_CELLS, so memory stays
-    bounded whatever n is. The signed sum is one exact fsum over every
-    cell's defect; the absolute sum, which only sizes the accumulation
-    floor, is an exact fsum of per-chunk pairwise sums."""
-    abs_parts = []
-
-    def cell_values():
-        for defects in _chunk_defects(k, n):
-            abs_parts.append(float(np.abs(defects).sum()))
-            yield defects.tolist()
-
-    total = math.fsum(itertools.chain.from_iterable(cell_values()))
-    return total, math.fsum(abs_parts)
-
-
-def _chunk_defects(k: int, n: int):
-    split = min(_PANEL_SPLIT, n)
-    yield _head_defects(k, split)
-    for lo in range(split + 1, n + 1, _CHUNK_CELLS):
-        yield _body_defects(k, lo, min(lo + _CHUNK_CELLS, n + 1))
+    """(sum, absolute-value sum) of the cell defects of (log x)^k up to
+    n, from the one walk shared by every k."""
+    return _defect_sums(n)[k - 1]
 
 
 def _derivative_polys(k: int, r_max: int) -> list[np.ndarray]:
@@ -492,8 +624,8 @@ def log_power_constant(k: int, n: int = 100_000,
 @lru_cache(maxsize=8)
 def _zeta_ring(radius: float, nodes: int) -> np.ndarray:
     theta = TWO_PI * np.arange(nodes) / nodes
-    return np.array([zeta(complex(radius * math.cos(a), radius * math.sin(a)))
-                     for a in theta])
+    return _zeta_array(np.array([complex(radius * math.cos(a), radius * math.sin(a))
+                                 for a in theta]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -523,6 +523,21 @@ def test_streamed_check_agrees_with_the_whole_file_check(data, tmp_path):
         assert info["version"] is None and info["limit"] is None
 
 
+@pytest.mark.parametrize("change", ["unlink", "replace"])
+@pytest.mark.parametrize("source", ["load", "save"])
+def test_file_removed_or_replaced_after_its_check_still_reads_its_mu(
+        source, change, table4, tmp_path):
+    path = tmp_path / "mu.stjz"
+    saved = save_cache(table4, path)
+    table = load_cache(path) if source == "load" else saved
+    if change == "unlink":
+        path.unlink()
+    else:
+        save_cache(build_tables(table4.limit // 2), tmp_path / "other.stjz")
+        (tmp_path / "other.stjz").replace(path)
+    assert np.array_equal(table.mu, table4.mu)
+
+
 @pytest.mark.parametrize("change", ["rewrite", "truncate"])
 @pytest.mark.parametrize("source", ["load", "save"])
 def test_file_changed_after_its_check_fails_the_first_mu_read(

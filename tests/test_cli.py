@@ -263,6 +263,13 @@ def test_mertens_peak_memory_stays_bounded():
     assert peak < 150, f"mertens peaked at {peak:.0f} MB"
 
 
+def test_finest_zero_scan_peak_memory_stays_bounded():
+    # 10^6 grid points: the values are one float array and the kernel
+    # works in bounded passes; a list of per-point values took 88 MB
+    peak = _peak_rss_mb("zeros", "--t-max", "100", "--step", "0.0001")
+    assert peak < 80, f"zeros peaked at {peak:.0f} MB"
+
+
 @pytest.mark.parametrize("argv", [
     ["identity-explore", "--n", "100000000"],
     ["abel-check", "--n", "99990000", "--m", "10000", "--s", "0.5+14.1i"],

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetadesk.constants import euler_constant
-from zetadesk.zeta import (_CHUNK_CELLS, _PANEL_SPLIT, _PHI_ORDER, _TAIL_RATIO,
-                           IM_MAX, RE_MAX, RE_MIN, ZERO_SCAN_STEP_MIN,
-                           _defect_sum,
-                           _series_order, completed_zeta,
+from zetadesk.zeta import (_CHUNK_CELLS, _KERNEL_CELLS, _PANEL_SPLIT,
+                           _PHI_ORDER, _TAIL_RATIO, IM_MAX, RE_MAX, RE_MIN,
+                           ZERO_SCAN_STEP_MIN, _centered_log_power,
+                           _defect_sum, _defect_walk, _head_defects,
+                           _node_counts, _series_order, _xi_array,
+                           _zeta_array, completed_zeta,
                            functional_equation_residual, gauss_pi,
                            log_gamma, log_power_constant,
                            log_power_constant_contour, origin_constants,
@@ -130,6 +132,64 @@ def test_xi_changes_sign_at_first_zero():
     assert xi(14.0).real * xi(14.3).real < 0.0
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.complex128).view(np.float64)
+
+
+def test_batched_kernel_equals_one_point_calls():
+    # 5001 ordinates over 221 node counts and 10 passes of the kernel
+    grid = np.linspace(0.0, 100.0, 5001)
+    counts = _node_counts(grid)
+    assert np.unique(counts).size > 40
+    assert grid.size > 4 * (_KERNEL_CELLS // counts.max())
+    batch = _xi_array(grid)
+    picks = np.r_[0:grid.size:7, 1, 2, grid.size - 1]
+    assert np.array_equal(_bits(batch[picks]), _bits([xi(t) for t in grid[picks]]))
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 17, 400, 3000):
+        part = np.sort(rng.choice(grid.size, size, replace=False))
+        assert np.array_equal(_bits(_xi_array(grid[part])), _bits(batch[part]))
+    # both branches of zeta, the pole-removed limit and negative heights
+    points = np.array([complex(x, y) for x in (-9.5, -3.5, -0.6, -0.5, 0.0, 1.0, 9.9)
+                       for y in (0.0, 0.7, -14.1, 60.0, 119.0)])
+    points = points[points != 1.0]
+    assert np.array_equal(_bits(_zeta_array(points)), _bits([zeta(s) for s in points]))
+
+
+def _one_by_one_scan(t_max, step, t_min=0.0):
+    """zero_scan's zeros as one xi call per grid point and one
+    bisection per bracket, the way the census was first written."""
+    count = int(math.floor((t_max - t_min) / step)) + 1
+    grid = t_min + step * np.arange(count, dtype=np.float64)
+    if grid[-1] < t_max:
+        grid = np.append(grid, t_max)
+    values = np.array([xi(t).real for t in grid])
+    zeros = []
+    for i in np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]:
+        lo, hi, flo = grid[i], grid[i + 1], values[i]
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            fmid = xi(mid).real
+            if fmid == 0.0:
+                break
+            if (fmid > 0) == (flo > 0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        else:
+            mid = 0.5 * (lo + hi)
+        zeros.append(mid)
+    return np.array(zeros)
+
+
+@pytest.mark.parametrize("t_max, step, t_min", [(100.0, 0.01, 0.0),
+                                                (26.0, 0.01, 20.0),
+                                                (5.0, 0.05, 0.0)])
+def test_zero_scan_equals_one_by_one_bisection(t_max, step, t_min):
+    report = zero_scan(t_max, step, t_min)
+    assert np.array_equal(report.zeros, _one_by_one_scan(t_max, step, t_min))
+
+
 def test_zero_count_estimate_monotone_and_guarded():
     values = [riemann_von_mangoldt(t) for t in (10.0, 30.0, 60.0, 100.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -192,6 +252,38 @@ def test_defect_sum_matches_exact_route(n):
                         - antiderivative(1, mpmath.mpf(0))))
             got, abs_sum = _defect_sum(k, n)
             assert abs(got - float(exact)) <= 4e-16 * (1.0 + abs_sum), k
+
+
+@pytest.mark.parametrize("n", [1000, 50_000])
+def test_defect_sum_is_the_same_alone_or_in_the_shared_walk(n):
+    for k in range(1, 9):
+        assert _defect_walk((k,), n) == [_defect_sum(k, n)], k
+    assert _defect_walk((5, 2), n) == [_defect_sum(5, n), _defect_sum(2, n)]
+
+
+def _horner_defect_sum(k, n):
+    """The defect sum with every cell's series summed per sample by
+    Horner before its quadrature, one k at a time, as the head is."""
+    split = min(_PANEL_SPLIT, n)
+    parts = [_head_defects(k, split)]
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    offsets = np.append(0.5, 0.5 * nodes[6:])[:, None]
+    half_weights = 0.5 * weights[6:]
+    for lo in range(split + 1, n + 1, _CHUNK_CELLS):
+        c = np.arange(lo, min(lo + _CHUNK_CELLS, n + 1), dtype=np.float64) - 0.5
+        u = np.vstack([offsets / c, -offsets / c])
+        phi = _centered_log_power(k, np.log(c), u)
+        parts.append(0.5 * (phi[0] + phi[7]) - half_weights @ (phi[1:7] + phi[8:]))
+    return math.fsum(np.concatenate(parts).tolist())
+
+
+@pytest.mark.parametrize("n", [1000, 50_000])
+def test_moment_walk_matches_per_sample_horner(n):
+    # the two differ only in where they round: within two units in the
+    # last place of the sum's scale 1 + sum |d|
+    for k in range(1, 9):
+        got, abs_sum = _defect_sum(k, n)
+        assert abs(got - _horner_defect_sum(k, n)) <= 2 * math.ulp(1.0 + abs_sum), k
 
 
 def test_series_order_bounds_the_tail():
