@@ -4,10 +4,11 @@ Each invocation runs in its own child (`python -m zetadesk.cli`, with
 the package taken from the `src/` next to this script) and prints one
 line: `name exit sha256(stdout)`. The list covers every command in both
 formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the chunk size of the
-table walks and the renderer), the far-point Mertens reads of
-`identity-explore --n` and `abel-check` near 10^7, `abel-check`
-blocks across segment edges and one of 2 * 10^6 cells, empty `--every`
-grids and grids whose rows lie chunks apart, non-finite cells,
+table walks and the renderer), every-row tables of 70000 rows, the
+far-point Mertens reads of `identity-explore --n` and `abel-check` near
+10^7, `abel-check` blocks across segment edges and one of 2 * 10^6
+cells, empty `--every` grids and grids whose rows lie chunks apart,
+non-finite cells,
 the sieve cache (builds, misses, hits from every table command that
 reads only primes or only mu, inspect), invalid input and
 every help text. Run it on two checkouts on the same machine and diff
@@ -43,6 +44,8 @@ OUTPUTS = [
     ("mertens-sparse-grid",
      ["mertens", "--limit", "300000", "--every", "140000"]),
     *[(f"mertens-{n}", ["mertens", "--limit", str(n)]) for n in EDGES],
+    # every row, across the chunk edge
+    ("mertens-70000", ["mertens", "--limit", "70000"]),
     ("dirichlet-sum", ["dirichlet-sum", "--s", "0.5", "--limit", "1000"]),
     *[(f"dirichlet-sum-{series}",
        ["dirichlet-sum", "--series", series, "--s", "-0.25", "--limit", "5000"])
@@ -95,6 +98,9 @@ OUTPUTS = [
      ["divisor-ratio", "--limit", "300000", "--every", "140000"]),
     *[(f"divisor-ratio-{n}", ["divisor-ratio", "--limit", str(n), "--every", "1"])
       for n in EDGES],
+    # every row across the chunk edge, some ratios in exponent form
+    ("divisor-ratio-70000",
+     ["divisor-ratio", "--limit", "70000", "--every", "1"]),
     ("li", ["li", "--x", "100"]),
     ("relation-a", ["relation-a", "--x-max", "5000"]),
     ("mertens-constant", ["mertens-constant", "--limit", "5000"]),

@@ -248,7 +248,8 @@ def _cmd_zeros(config: RunConfig, t_max, step, t_min) -> Table:
 def _cmd_constants(config: RunConfig, k, n, accelerate) -> Table:
     rows = []
     for j in range(1, k + 1):
-        d = log_power_constant(j, n, accelerate)
+        # k_top = k: one defect walk serves the exponents 1..k
+        d = log_power_constant(j, n, accelerate, k)
         c = log_power_constant_contour(j)
         rows.append((j, d.value, d.error_estimate, d.tail_correction,
                      c.value, c.convergence_gap, abs(d.value - c.value)))

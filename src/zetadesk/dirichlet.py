@@ -155,16 +155,16 @@ def partial_sum(coeffs: CoefficientStream, s: complex, upto: int) -> complex:
 def mean_value_theta(n: int, s: float) -> float:
     """The exponent theta in 1/n^s - 1/(n+1)^s = s/(n+theta)^{s+1}.
 
-    Closed form: n + theta = (s / difference)^{1/(s+1)}. Always lands
-    in (0, 1); an escape would mean the difference itself was computed
-    wrong, so it raises rather than returns.
+    Closed form: n + theta = (s / difference)^{1/(s+1)}, formed as
+    _mean_value_theta_grid does. Always lands in (0, 1); an escape
+    would mean the difference itself was computed wrong, so it raises
+    rather than returns.
     """
     if n < 1:
         raise ValueError("mean value exponent needs n >= 1")
     if not (s > 0):
         raise ValueError("mean value exponent needs s > 0")
-    log_delta = -s * math.log(n) + math.log(-math.expm1(-s * math.log1p(1.0 / n)))
-    theta = math.exp((math.log(s) - log_delta) / (s + 1.0)) - n
+    theta = float(_mean_value_theta_grid(np.array([float(n)]), s)[0])
     if not (0.0 < theta < 1.0):
         raise ArithmeticError(
             f"mean-value exponent {theta} escaped (0,1) at n={n}, s={s}"
@@ -172,9 +172,35 @@ def mean_value_theta(n: int, s: float) -> float:
     return theta
 
 
+# Taylor coefficients of log(log1p(u)/u) in u, from u^1 up; below
+# _THETA_SERIES_BELOW the first left out moves theta by under 1e-16
+_LOG_RATIO_SERIES = (-1 / 2, 5 / 24, -1 / 8, 251 / 2880, -19 / 288)
+_THETA_SERIES_BELOW = 1e-3
+
+
 def _mean_value_theta_grid(j: np.ndarray, sigma: float) -> np.ndarray:
-    log_delta = -sigma * np.log(j) + np.log(-np.expm1(-sigma * np.log1p(1.0 / j)))
-    return np.exp((math.log(sigma) - log_delta) / (sigma + 1.0)) - j
+    """mean_value_theta at each j, formed without the cancellation of
+    n + theta - n. With u = 1/j, a = sigma*log1p(u) and h = a/2,
+    theta = j*expm1(g), g = -[log(log1p(u)/u) + log(sinh(h)/h) - h]
+    / (sigma + 1). Below 1e-3 both logs come from their Taylor series,
+    so each keeps its relative precision; above it, log(sinh(h)/h) - h
+    is log(-expm1(-2h)/(2h)), which cannot overflow at large sigma."""
+    u = 1.0 / j
+    log1p_u = np.log1p(u)
+    h = log1p_u * (0.5 * sigma)
+    ratio_log = np.full_like(u, _LOG_RATIO_SERIES[-1])
+    for c in reversed(_LOG_RATIO_SERIES[:-1]):
+        ratio_log *= u
+        ratio_log += c
+    ratio_log *= u
+    wide = u >= _THETA_SERIES_BELOW
+    ratio_log[wide] = np.log(log1p_u[wide] / u[wide])
+    with np.errstate(over="ignore"):  # only at large h, a wide cell
+        sinh_log = h * (h * (1 / 6 - h * h / 180) - 1.0)
+    wide = h >= _THETA_SERIES_BELOW
+    sinh_log[wide] = np.log(-np.expm1(-2.0 * h[wide]) / (2.0 * h[wide]))
+    ratio_log += sinh_log
+    return j * np.expm1(-ratio_log / (sigma + 1.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -492,7 +492,7 @@ def _defect_walk(ks, n: int) -> list[tuple[float, float]]:
     body a cell's defect is sum_i coeff_i M_i, with M_i the quadrature
     defect of delta^i: each chunk forms the moments M_i once, for i up
     to the order _series_order picks for its largest |delta| (never
-    below LOG_POWER_K_MAX, so every binomial part is complete), and
+    below the largest k, so every binomial part is complete), and
     every k reads them, so a k's defects do not depend on which other
     k share the walk. The 39 head cells, where |delta| reaches
     log(3/2) and the series terms cancel, keep _head_defects, which
@@ -515,7 +515,7 @@ def _defect_walk(ks, n: int) -> list[tuple[float, float]]:
         delta = np.log1p(u, out=u)
         order = _series_order(max(float(delta.max()), -float(delta.min())))
         # row i holds M_i; rows 0 and 1 are never read
-        moments = np.empty((max(order, LOG_POWER_K_MAX) + 1, c.size))
+        moments = np.empty((max(order, *ks) + 1, c.size))
         power = delta * delta
         for i in range(2, len(moments)):
             np.dot(_BODY_WEIGHTS, power, out=moments[i])
@@ -536,15 +536,16 @@ def _defect_walk(ks, n: int) -> list[tuple[float, float]]:
 
 
 @lru_cache(maxsize=8)
-def _defect_sums(n: int) -> tuple[tuple[float, float], ...]:
-    """_defect_walk for every k = 1..LOG_POWER_K_MAX at cutoff n."""
-    return tuple(_defect_walk(range(1, LOG_POWER_K_MAX + 1), n))
+def _defect_sums(n: int, k_top: int) -> tuple[tuple[float, float], ...]:
+    """_defect_walk for every k = 1..k_top at cutoff n."""
+    return tuple(_defect_walk(range(1, k_top + 1), n))
 
 
-def _defect_sum(k: int, n: int) -> tuple[float, float]:
+def _defect_sum(k: int, n: int, k_top: int | None = None) -> tuple[float, float]:
     """(sum, absolute-value sum) of the cell defects of (log x)^k up to
-    n, from the one walk shared by every k."""
-    return _defect_sums(n)[k - 1]
+    n, from the one walk shared by every k up to k_top (by default
+    LOG_POWER_K_MAX)."""
+    return _defect_sums(n, k_top or LOG_POWER_K_MAX)[k - 1]
 
 
 def _derivative_polys(k: int, r_max: int) -> list[np.ndarray]:
@@ -594,14 +595,20 @@ LOG_POWER_N_MIN = 1000
 
 
 @lru_cache(maxsize=128)
-def log_power_constant(k: int, n: int = 100_000,
-                       accelerate: bool = True) -> LogPowerConstant:
+def log_power_constant(k: int, n: int = 100_000, accelerate: bool = True,
+                       k_top: int = LOG_POWER_K_MAX) -> LogPowerConstant:
+    """The constant for exponent k at cutoff n. Its defect sum comes
+    from one walk shared by every exponent 1..k_top at this n, made on
+    the first call and cached, so a caller that asks for k = 1..K passes
+    k_top = K; the value does not depend on k_top."""
     if k < 1 or k > LOG_POWER_K_MAX:
         raise ValueError(f"exponent k must be in 1..{LOG_POWER_K_MAX}; the "
                          "k = 0 constant is 1/2 by the series normalization")
+    if not k <= k_top <= LOG_POWER_K_MAX:
+        raise ValueError(f"k_top must be in {k}..{LOG_POWER_K_MAX}")
     if n < LOG_POWER_N_MIN:
         raise ValueError(f"cutoff n must be at least {LOG_POWER_N_MIN}")
-    defect, abs_defect = _defect_sum(k, n)
+    defect, abs_defect = _defect_sum(k, n, k_top)
     tail = 0.0
     if accelerate:
         tail = -math.fsum(

@@ -14,6 +14,7 @@ correctly rounded (integer counts, cumulative integer sums divided by
 square roots), so they are stable across conforming IEEE-754 platforms.
 """
 
+import importlib
 import json
 import math
 import os
@@ -363,6 +364,25 @@ def test_float_heavy_commands_are_run_twice_identical(argv, tmp_path):
     first = run_ok(argv, tmp_path / "a.out")
     second = run_ok(argv, tmp_path / "b.out")
     assert first == second
+
+
+def test_constants_walks_only_the_exponents_it_prints(tmp_path, monkeypatch):
+    zeta_module = importlib.import_module("zetadesk.zeta")
+    asked, walk = [], zeta_module._defect_walk
+
+    def recording_walk(ks, n):
+        asked.append(tuple(ks))
+        return walk(ks, n)
+
+    monkeypatch.setattr(zeta_module, "_defect_walk", recording_walk)
+    zeta_module.log_power_constant.cache_clear()
+    zeta_module._defect_sums.cache_clear()
+    three = run_ok(["constants", "--k", "3", "--n", "1237"], tmp_path / "3.csv")
+    assert asked == [(1, 2, 3)]
+    eight = run_ok(["constants", "--k", "8", "--n", "1237"], tmp_path / "8.csv")
+    assert asked == [(1, 2, 3), tuple(range(1, 9))]
+    # a k's defects do not depend on the other exponents in its walk
+    assert three.splitlines() == eight.splitlines()[:4]
 
 
 def test_json_key_order_is_stable(tmp_path):

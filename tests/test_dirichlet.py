@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -72,6 +73,34 @@ def test_mean_value_exponent_stays_interior_and_exact(n, s):
 
 def test_mean_value_exponent_near_half_for_large_n():
     assert abs(mean_value_theta(10_000_000, 0.75) - 0.5) < 1e-4
+
+
+def _theta_at_40_digits(j, sigma):
+    with mpmath.workdps(40):
+        j, sigma = mpmath.mpf(j), mpmath.mpf(sigma)
+        delta = j ** -sigma - (j + 1) ** -sigma
+        return float((sigma / delta) ** (1 / (sigma + 1)) - j)
+
+
+def test_theta_grid_keeps_full_precision_up_to_the_block_bound():
+    # n + theta - n lost about j * log(j) * 2^-53 near the bound; the j
+    # lie on both sides of the 1e-3 switches to the series in u = 1/j
+    # and in h = sigma * log1p(u) / 2
+    j = np.array([1, 2, 3, 10, 30, 100, 300, 999, 1000, 1001, 5000, 65536,
+                  10**5, 10**6, 10**7, 123456789, MAX_LIMIT - 2],
+                 dtype=np.float64)
+    for sigma in (0.1, 0.5, 2.0):
+        got = _mean_value_theta_grid(j, sigma)
+        want = [_theta_at_40_digits(int(v), sigma) for v in j]
+        assert np.max(np.abs(got - want)) < 1e-12, sigma
+
+
+def test_theta_grid_at_extreme_sigma_stays_finite_and_interior():
+    j = np.array([1.0, 1000.0, 2.0**26, MAX_LIMIT - 2])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for sigma in (1e-300, 1e300, 1.7e308):
+            theta = _mean_value_theta_grid(j, sigma)
+            assert np.all((0.0 < theta) & (theta < 1.0)), sigma
 
 
 # -- summation by parts --------------------------------------------------

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.reports import (CHUNK_ROWS, RowView, Table, column_from_values,
-                              format_complex, format_float, render_csv,
-                              render_json)
+from zetadesk.reports import (CHUNK_ROWS, KERNEL_ROWS, RowView, Table,
+                              column_from_values, format_complex, format_float,
+                              render_csv, render_json)
 
 CHUNK_EDGE_COUNTS = [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
@@ -173,3 +173,80 @@ def test_table_rejects_ragged_columns():
         Table(("n", "r"), (np.arange(3.0), np.arange(2.0)))
     with pytest.raises(ValueError, match="2 names"):
         Table(("n", "r"), (np.arange(3.0),))
+
+
+# -- the numeric CSV kernel ------------------------------------------------
+#
+# A table of int and float columns only is rendered by a numpy kernel
+# rather than the row template; these hold it to format_float and
+# str(int) cell by cell.
+
+def _kernel_renders(*columns):
+    out = Table(tuple(f"c{i}" for i in range(len(columns))), columns)
+    assert first_mismatch(render_csv(out), reference_csv(out)) is None
+
+
+def _with_neighbours(values):
+    """Each value and the doubles one ulp to either side."""
+    x = np.array(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+_fixed = st.floats(1e-4, 1e17).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=400),
+       st.lists(_fixed, min_size=1, max_size=400))
+def test_kernel_matches_format_float_on_random_bit_patterns(bits, fixed):
+    # few bit patterns land in fixed notation, so draw those as well
+    _kernel_renders(np.array(bits, dtype=np.uint64).view(np.float64))
+    _kernel_renders(np.array(fixed, dtype=np.float64))
+
+
+def test_kernel_at_the_edges_of_fixed_notation():
+    # 1e-4 and 1e17 bound the fixed-notation cells, 1e16 is the first
+    # with no fraction digit, and every power of ten moves the point
+    edges = _with_neighbours([1e-4, 1e16, 1e17, *(10.0 ** np.arange(-6, 19)),
+                              0.1, 0.3, 1 / 3, 2**53, 2**53 + 2, 2**56, 2**60])
+    _kernel_renders(np.concatenate([edges, -edges]))
+
+
+@given(st.lists(st.integers(10**15, 2**51 - 1), min_size=1, max_size=50),
+       st.sampled_from([1.0, -1.0]))
+def test_kernel_rounds_exact_ties_half_even(whole, sign):
+    # m + 1/4 and m + 3/4 have 18 digits, the last a 5: an exact tie
+    m = np.array(whole, dtype=np.float64)
+    x = sign * np.concatenate([m + 0.25, m + 0.75])
+    assert np.array_equal(np.abs(x) % 1, np.repeat([0.25, 0.75], len(m)))
+    _kernel_renders(x)
+
+
+def test_kernel_special_floats_and_float_kinds():
+    x = np.array([0.0, *SPECIAL_FLOATS, 2.2250738585072014e-308, -1e-320,
+                  1.5, 99999999999999984.0], dtype=np.float64)
+    _kernel_renders(x, np.arange(len(x)))
+    with np.errstate(over="ignore"):  # 1.7e308 is inf in both
+        _kernel_renders(x.astype(np.float32), x.astype(np.float16))
+
+
+def test_kernel_integer_extremes():
+    info64, info32 = np.iinfo(np.int64), np.iinfo(np.int32)
+    signed = np.array([info64.min, info64.min + 1, info64.max, -1, 0, 1, 9999,
+                       10**4, -10**4, 10**16, -(10**17) + 1], dtype=np.int64)
+    unsigned = np.array([0, 1, 2**63, 2**64 - 1, 2**63 - 1, 10**19, 10**4,
+                         9999, 12345678901234567890, 7, 2**32], dtype=np.uint64)
+    narrow = np.array([info32.min, info32.max, 0, -7, 65536, 3, 5, 12, 1, 0,
+                       -10], dtype=np.int32)
+    _kernel_renders(signed, unsigned, narrow, narrow.astype(np.uint8))
+
+
+@pytest.mark.parametrize("rows", [KERNEL_ROWS - 1, KERNEL_ROWS + 1,
+                                  CHUNK_ROWS - 1, CHUNK_ROWS + 1])
+def test_kernel_across_its_blocks_with_late_fallback_cells(rows):
+    n = np.arange(1, rows + 1, dtype=np.int64)
+    ratio = np.sin(n) * n ** 0.5
+    # exponent-form, zero and non-finite cells in the last block only
+    ratio[-3:] = [1e-300, -0.0, math.nan]
+    ratio[-KERNEL_ROWS // 2] = -3.5e17
+    _kernel_renders(n, -n * 7919, ratio)

@@ -322,6 +322,10 @@ def test_defect_route_rejections():
         log_power_constant(9)
     with pytest.raises(ValueError):
         log_power_constant(1, 999)
+    # the shared walk must reach k and stay within the exponents
+    for k, k_top in ((3, 2), (1, 9)):
+        with pytest.raises(ValueError, match="k_top"):
+            log_power_constant(k, 1000, True, k_top)
 
 
 def test_contour_route_matches_references():
