@@ -102,6 +102,10 @@ OUTPUTS = [
     ("divisor-ratio-70000",
      ["divisor-ratio", "--limit", "70000", "--every", "1"]),
     ("li", ["li", "--x", "100"]),
+    # li's row is Python floats, printed by the row template: a cell far
+    # below 1 in magnitude and exponent-form cells
+    ("li-near-one", ["li", "--x", "1.0000000000000002"]),
+    ("li-far", ["li", "--x", "1e20"]),
     ("relation-a", ["relation-a", "--x-max", "5000"]),
     ("mertens-constant", ["mertens-constant", "--limit", "5000"]),
     ("prime-window", ["prime-window", "--start", "10", "--stop", "10000"]),

@@ -30,22 +30,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .bounds import MAX_LIMIT
 from .constants import euler_constant
-
-# Builds above this cap are refused. Measured as in-process ru_maxrss
-# (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 300 MB
-# (the prime sieve), a first read of mu takes that to 390 MB and of
-# prime_log_cumsum to 490 MB; 10^8 stays near 170, 215 and 275 MB. A
-# table loaded from the cache sieves nothing until read, so a CLI run
-# at the cap that reads only its mu peaks near 225 MB. A full Mertens
-# prefix adds 4 bytes per integer on top (1.2 GB at the cap); of the
-# CLI commands only identity-explore --limit (at most 10^5) still
-# builds one. divisor-ratio holds the int32 divisor counts, 4 bytes
-# per integer (800 MB at the cap), and reads D(n) at its grid rows
-# through grid_prefix. identity-explore --n and
-# abel-check read M through mertens_quotients and mertens_segments,
-# whose memory grows with about n^(2/3) and with CHUNK.
-MAX_LIMIT = 200_000_000
 
 CACHE_MAGIC = b"STJZ"
 CACHE_VERSION = 1

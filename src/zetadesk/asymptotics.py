@@ -15,7 +15,8 @@ import numpy as np
 from .arith import (ArithTable, MertensPrefix, MertensQuotients,
                     chebyshev_theta, chunk_bounds, grid_prefix,
                     integer_root, mangoldt_weight)
-from .constants import euler_constant
+from .bounds import MERTENS_CONSTANT_N_MIN, SCAN_START, _check_exponent
+from .constants import euler_constant, li
 from .reports import Table, geometric_grid
 
 
@@ -56,13 +57,6 @@ def psi_decomposition_check(table: ArithTable, n: int) -> PsiDecomposition:
     return PsiDecomposition(n=n, lhs=lhs, rhs=rhs)
 
 
-def _check_exponent(s: float) -> float:
-    s = float(s)
-    if not 0.0 < s <= 1.0:
-        raise ValueError("exponent s must lie in (0, 1]")
-    return s
-
-
 def psi_deviation(table: ArithTable, n: int, s: float) -> float:
     """(psi(n) - n) / n^s, the remainder statistic of the stacked sum."""
     s = _check_exponent(s)
@@ -77,10 +71,6 @@ def theta_deviation(table: ArithTable, n: int, s: float) -> float:
         raise ValueError("n must lie in 1..limit")
     return (chebyshev_theta(table, n) - n) / float(n) ** s
 
-
-# first grid point of the theta and prime-count gap scans, whose grid
-# must end above it
-SCAN_START = 10
 
 # end of the first decade of a decade-by-decade trend, so the least
 # limit such a trend runs to (scripts/mertens_sweep.py and
@@ -149,32 +139,6 @@ def divisor_ratio_scan(table: ArithTable, n_max: int | None = None,
                  {"sup_abs": float(np.max(np.abs(ratios)))})
 
 
-_LI_TAIL_EPS = 1e-18
-
-
-def li(x: float) -> float:
-    """Principal-value logarithmic integral for x > 1, through the
-    all-positive-term expansion C + log log x + sum (log x)^k/(k k!);
-    every term is positive so no cancellation enters."""
-    x = float(x)
-    if not x > 1.0:
-        raise ValueError("logarithmic integral implemented for x > 1 only")
-    lx = math.log(x)
-    terms = [euler_constant(), math.log(lx)]
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= lx / k
-        contribution = term / k
-        terms.append(contribution)
-        if contribution < _LI_TAIL_EPS * max(1.0, lx):
-            break
-        if k > 500:
-            raise ArithmeticError("series failed to settle")
-    return math.fsum(terms)
-
-
 def riemann_prime_count(table: ArithTable, x: float) -> float:
     """Weighted prime-power count: sum over k of pi(x^(1/k))/k while
     x^(1/k) >= 2, with exact integer root boundaries."""
@@ -213,10 +177,6 @@ def prime_count_gap_scan(table: ArithTable, s: float,
     return Table(("x", "ratio"), (grid.astype(np.float64), np.array(ratios)),
                  {"first_abs": abs(ratios[0]), "last_abs": abs(ratios[-1]),
                   "exponent": s})
-
-
-# the smallest n the estimate takes, and the first of the CLI's decade points
-MERTENS_CONSTANT_N_MIN = 10
 
 
 def mertens_constant_estimate(table: ArithTable, n: int) -> float:

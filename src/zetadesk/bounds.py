@@ -1,0 +1,105 @@
+"""The bounds the engines are validated on, and the checks that hold
+arguments to them.
+
+Each bound is declared here once. The engines import it from here
+(and keep it importable under its old module name), and the CLI's flags
+read the same values and run the same checks. Nothing here imports
+numpy, so the CLI can validate every flag, and exit 2 on a bad one,
+before any engine is loaded.
+"""
+
+from __future__ import annotations
+
+import math
+
+# Builds above this cap are refused. Measured as in-process ru_maxrss
+# (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 300 MB
+# (the prime sieve), a first read of mu takes that to 390 MB and of
+# prime_log_cumsum to 490 MB; 10^8 stays near 170, 215 and 275 MB. A
+# table loaded from the cache sieves nothing until read, so a CLI run
+# at the cap that reads only its mu peaks near 225 MB. A full Mertens
+# prefix adds 4 bytes per integer on top (1.2 GB at the cap); of the
+# CLI commands only identity-explore --limit (at most 10^5) still
+# builds one. divisor-ratio holds the int32 divisor counts, 4 bytes
+# per integer (800 MB at the cap), and reads D(n) at its grid rows
+# through grid_prefix. identity-explore --n and
+# abel-check read M through mertens_quotients and mertens_segments,
+# whose memory grows with about n^(2/3) and with CHUNK.
+MAX_LIMIT = 200_000_000
+
+# first grid point of the theta and prime-count gap scans, whose grid
+# must end above it
+SCAN_START = 10
+
+# the smallest n the Mertens-constant estimate takes, and the first of
+# the CLI's decade points
+MERTENS_CONSTANT_N_MIN = 10
+
+# The zero scan is validated up to this height, and at grid steps no
+# coarser than this; coarser grids can hop over close zero pairs. Steps
+# finer than the floor are refused: at most 10^6 grid points up to
+# ZERO_SCAN_T_MAX.
+ZERO_SCAN_T_MAX = 100.0
+ZERO_SCAN_STEP_MAX = 0.05
+ZERO_SCAN_STEP_MIN = 1e-4
+
+# the exponents k with a log-power constant, and the smallest defect
+# cutoff n
+LOG_POWER_K_MAX = 8
+LOG_POWER_N_MIN = 1000
+
+# Euler-Maclaurin with eight correction terms is validated on this box;
+# outside it the truncation estimates of zeta were not checked.
+RE_MIN = -10.0
+RE_MAX = 10.0
+IM_MAX = 120.0
+
+# cexp overflows near 709.78; stay clear so intermediate products are
+# finite too
+_EXP_ARG_LIMIT = 700.0
+
+
+def _check_exponent(s: float) -> float:
+    s = float(s)
+    if not 0.0 < s <= 1.0:
+        raise ValueError("exponent s must lie in (0, 1]")
+    return s
+
+
+def _check_half_plane(s: complex) -> complex:
+    s = complex(s)
+    if not (s.real > 0):
+        raise ValueError("summation by parts wants Re s > 0")
+    return s
+
+
+def _require_in_box(s: complex) -> None:
+    if not (RE_MIN <= s.real <= RE_MAX) or abs(s.imag) > IM_MAX:
+        raise ValueError(
+            f"s={s!r} outside validated box Re in [{RE_MIN:g},{RE_MAX:g}], "
+            f"|Im| <= {IM_MAX:g}")
+
+
+def _require_regular(s: complex) -> None:
+    """s is off the pole at 1 and inside the validated box."""
+    if s == 1.0:
+        raise ValueError("zeta has a pole at s = 1")
+    _require_in_box(s)
+
+
+def _check_not_degenerate(a: complex) -> complex:
+    a = complex(a)
+    k = round(a.imag / math.tau)
+    if abs(a.real) < 1e-8 and abs(a.imag - math.tau * k) < 1e-8:
+        raise ValueError("a within 1e-8 of 2 pi i k makes 1 - e^a "
+                         "degenerate; the factorization needs a "
+                         "nonvanishing constant term")
+    return a
+
+
+def _check_exp_arg(z: complex) -> complex:
+    z = complex(z)
+    if abs(z.real) > _EXP_ARG_LIMIT:
+        raise ValueError("direct evaluation of the exponential would "
+                         "overflow binary64")
+    return z

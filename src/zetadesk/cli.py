@@ -16,6 +16,17 @@ library's own check. Adding a command means writing its handler and
 adding one COMMANDS entry; the handler receives the validated flags as
 keyword arguments.
 
+Start-up loads only the standard library, bounds, constants, reports
+and the argument parser: the flags are parsed and validated against
+bounds.py, so --help and every exit 2 load no engine and no numpy.
+Each handler imports the one engine it calls when it runs. The engine
+functions a handler calls by name (xi, zero_scan, zeta_function, ...,
+and the _SERIES_BUILDERS table) are this module's attributes, imported
+on first use (module __getattr__, PEP 562) and kept in its globals; the
+handlers read them through that same lookup, so a caller that replaces
+cli.xi, say, has its function called. Calls into arith, dirichlet,
+asymptotics and weierstrass stay module-attribute calls at call time.
+
 CSV uses LF line endings, a header row, and floats at 17 significant
 digits so values round-trip binary64 exactly. JSON keeps insertion key
 order and repr-level float precision. Identical parameters and cache
@@ -32,6 +43,7 @@ own, and neither read nor write the cache.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import re
@@ -39,21 +51,54 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import arith, asymptotics, dirichlet, weierstrass
-from .asymptotics import _check_exponent
-from .dirichlet import _check_half_plane
+from .bounds import (LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
+                     MERTENS_CONSTANT_N_MIN, SCAN_START, ZERO_SCAN_STEP_MAX,
+                     ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX, _check_exp_arg,
+                     _check_exponent, _check_half_plane, _check_not_degenerate,
+                     _require_in_box, _require_regular)
+from .constants import li
 from .reports import Table, geometric_grid, render_csv, render_json
-from .weierstrass import _check_exp_arg, _check_not_degenerate
-from .zeta import (LOG_POWER_K_MAX, LOG_POWER_N_MIN, ZERO_SCAN_STEP_MAX,
-                   ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX, _require_in_box,
-                   _require_regular, log_power_constant,
-                   log_power_constant_contour, xi, zero_scan)
-from .zeta import zeta as zeta_function
+
+if TYPE_CHECKING:
+    from .arith import ArithTable
 
 CACHE_ENV = "ZETADESK_CACHE_DIR"
+
+# cli.<name> -> (engine module, attribute): the engine functions the
+# handlers call by name, imported on first use
+_ENGINE_NAMES = {
+    "log_power_constant": ("zeta", "log_power_constant"),
+    "log_power_constant_contour": ("zeta", "log_power_constant_contour"),
+    "xi": ("zeta", "xi"),
+    "zero_scan": ("zeta", "zero_scan"),
+    "zeta_function": ("zeta", "zeta"),
+    # the series read off a table; unit needs none
+    "_SERIES_BUILDERS": ("dirichlet", "TABLE_STREAMS"),
+}
+
+
+def __getattr__(name: str):
+    """An engine name of _ENGINE_NAMES, imported now and kept in this
+    module's globals (PEP 562)."""
+    try:
+        module, attr = _ENGINE_NAMES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __package__), attr)
+    globals()[name] = value
+    return value
+
+
+def _engine(name: str):
+    """cli.<name> as any caller sees it: the value in this module's
+    globals, where it may have been replaced, else imported now."""
+    try:
+        return globals()[name]
+    except KeyError:
+        return __getattr__(name)
 
 
 class CliValidationError(Exception):
@@ -91,26 +136,33 @@ def parse_complex(text: str, flag: str) -> complex:
     return complex(real, imag)
 
 
-def _number(kind, lo=None, hi=None, open_lo=False):
+@dataclass(frozen=True)
+class NumberRange:
     """Parser for a finite int or float flag within [lo, hi], or
-    (lo, hi] when open_lo."""
-    noun = "an integer" if kind is int else "a number"
+    (lo, hi] when open_lo; a bound of None is no bound. The range is
+    data, so the accepted values of every flag can be listed."""
 
-    def parse(text: str, flag: str):
+    kind: type
+    lo: int | float | None = None
+    hi: int | float | None = None
+    open_lo: bool = False
+
+    def __call__(self, text: str, flag: str):
+        noun = "an integer" if self.kind is int else "a number"
         try:
-            value = kind(text)
+            value = self.kind(text)
         except ValueError:
             raise CliValidationError(
                 f"{flag} must be {noun}, got {text!r}") from None
         if not -math.inf < value < math.inf:
             raise CliValidationError(f"{flag} must be finite, got {value}")
-        if lo is not None and (value <= lo if open_lo else value < lo):
-            bound = "more than" if open_lo else "at least"
+        lo, hi = self.lo, self.hi
+        if lo is not None and (value <= lo if self.open_lo else value < lo):
+            bound = "more than" if self.open_lo else "at least"
             raise CliValidationError(f"{flag} must be {bound} {lo}, got {value}")
         if hi is not None and value > hi:
             raise CliValidationError(f"{flag} must be at most {hi}, got {value}")
         return value
-    return parse
 
 
 # -- sieve cache -------------------------------------------------------
@@ -121,7 +173,7 @@ def _cache_files(cache_dir: Path) -> list[Path]:
             if p.stem[3:].isdigit()]
 
 
-def acquire_table(limit: int, cache_dir: Path | None) -> arith.ArithTable:
+def acquire_table(limit: int, cache_dir: Path | None) -> ArithTable:
     """Smallest cached table covering limit, else a fresh build (saved
     back to the cache directory when one is configured).
 
@@ -133,6 +185,8 @@ def acquire_table(limit: int, cache_dir: Path | None) -> arith.ArithTable:
     freed before the handler runs and read back only if the handler
     reads mu.
     """
+    from . import arith
+
     if cache_dir is None:
         return arith.build_tables(limit)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -162,6 +216,10 @@ def acquire_table(limit: int, cache_dir: Path | None) -> arith.ArithTable:
 # -- command handlers --------------------------------------------------
 
 def _cmd_mertens(config: RunConfig, limit, every) -> Table:
+    import numpy as np
+
+    from . import arith
+
     table = acquire_table(limit, config.cache_dir)
     grid = np.arange(every, limit + 1, every, dtype=np.int64)
     if grid.size == 0:
@@ -177,24 +235,20 @@ def _cmd_mertens(config: RunConfig, limit, every) -> Table:
     return Table(("n", "M", "ratio"), (grid, values, ratios), stats)
 
 
-# the series read off a table; unit needs none
-_SERIES_BUILDERS = {
-    "mobius": dirichlet.mobius_stream,
-    "divisor-corrected": dirichlet.divisor_corrected_stream,
-    "one-minus-g": dirichlet.one_minus_g_stream,
-}
-
-
 def _cmd_dirichlet_sum(config: RunConfig, limit, series, s) -> Table:
+    from . import dirichlet
+
     if series == "unit":
         coeffs = dirichlet.unit_stream(limit)
     else:
         table = acquire_table(limit, config.cache_dir)
-        coeffs = _SERIES_BUILDERS[series](table, limit)
+        coeffs = _engine("_SERIES_BUILDERS")[series](table, limit)
     return dirichlet.prefix_ratio_scan(coeffs, s, limit)
 
 
 def _cmd_abel_check(config: RunConfig, n, m, s) -> Table:
+    from . import dirichlet
+
     dec = dirichlet.abel_rearranged_sum(n, m, s)
     gap = abs(dec.direct_sum - dec.rearranged)
     rel = gap / abs(dec.direct_sum) if dec.direct_sum != 0 else math.inf
@@ -209,6 +263,10 @@ def _cmd_abel_check(config: RunConfig, n, m, s) -> Table:
 
 
 def _cmd_convolution_check(config: RunConfig, limit) -> Table:
+    import numpy as np
+
+    from . import dirichlet
+
     table = acquire_table(limit, config.cache_dir)
     conv = dirichlet.dirichlet_convolution(
         dirichlet.mobius_stream(table, limit),
@@ -223,19 +281,21 @@ def _cmd_convolution_check(config: RunConfig, limit) -> Table:
 
 
 def _cmd_zeta(config: RunConfig, s) -> Table:
-    value = zeta_function(s)
+    value = _engine("zeta_function")(s)
     return Table.from_rows(("s", "value", "abs_value"),
                            [(s, value, abs(value))])
 
 
 def _cmd_xi(config: RunConfig, t) -> Table:
-    value = xi(t)
+    value = _engine("xi")(t)
     return Table.from_rows(("t", "xi_real", "xi_imag"),
                            [(t, value.real, value.imag)])
 
 
 def _cmd_zeros(config: RunConfig, t_max, step, t_min) -> Table:
-    report = zero_scan(t_max, step, t_min)
+    import numpy as np
+
+    report = _engine("zero_scan")(t_max, step, t_min)
     zeros = np.asarray(report.zeros, dtype=np.float64)
     index = np.arange(1, zeros.size + 1, dtype=np.int64)
     stats = {"prediction": report.prediction,
@@ -246,6 +306,8 @@ def _cmd_zeros(config: RunConfig, t_max, step, t_min) -> Table:
 
 
 def _cmd_constants(config: RunConfig, k, n, accelerate) -> Table:
+    log_power_constant = _engine("log_power_constant")
+    log_power_constant_contour = _engine("log_power_constant_contour")
     rows = []
     for j in range(1, k + 1):
         # k_top = k: one defect walk serves the exponents 1..k
@@ -260,28 +322,38 @@ def _cmd_constants(config: RunConfig, k, n, accelerate) -> Table:
 
 
 def _cmd_theta(config: RunConfig, limit, s) -> Table:
+    from . import asymptotics
+
     table = acquire_table(limit, config.cache_dir)
     return asymptotics.theta_deviation_scan(table, s, limit)
 
 
 def _cmd_divisor_ratio(config: RunConfig, limit, every) -> Table:
+    from . import asymptotics
+
     table = acquire_table(limit, config.cache_dir)
     return asymptotics.divisor_ratio_scan(table, limit, every)
 
 
 def _cmd_li(config: RunConfig, x) -> Table:
-    return Table.from_rows(("x", "li"), [(x, asymptotics.li(x))])
+    # Python cells, which the row template prints as the numeric kernel
+    # prints floats, so li loads no numpy
+    return Table(("x", "li"), ([x], [li(x)]))
 
 
 def _cmd_relation_a(config: RunConfig, x_max, s) -> Table:
+    from . import asymptotics
+
     table = acquire_table(x_max, config.cache_dir)
     return asymptotics.prime_count_gap_scan(table, s, x_max)
 
 
 def _cmd_mertens_constant(config: RunConfig, limit) -> Table:
+    from . import asymptotics
+
     table = acquire_table(limit, config.cache_dir)
     points = []
-    n = asymptotics.MERTENS_CONSTANT_N_MIN
+    n = MERTENS_CONSTANT_N_MIN
     while n <= limit:
         points.append(n)
         n *= 10
@@ -294,6 +366,8 @@ def _cmd_mertens_constant(config: RunConfig, limit) -> Table:
 
 
 def _cmd_prime_window(config: RunConfig, h, start, stop) -> Table:
+    from . import asymptotics
+
     table = acquire_table(int(math.ceil((1.0 + h) * stop)), config.cache_dir)
     rows = asymptotics.prime_window_decades(table, h, start, stop)
     return Table.from_rows(("n", "upper", "count"), rows)
@@ -301,6 +375,8 @@ def _cmd_prime_window(config: RunConfig, h, start, stop) -> Table:
 
 def _cmd_identity_explore(config: RunConfig, n=None,
                           limit=None) -> Table:
+    from . import arith, asymptotics
+
     if n is not None:
         probe = asymptotics.floor_identity_probe(arith.mertens_quotients(n))
         rows = [(conv, reading, probe.lhs[conv], probe.rhs[reading],
@@ -324,6 +400,8 @@ def _cmd_identity_explore(config: RunConfig, n=None,
 
 
 def _cmd_weierstrass(config: RunConfig, x, a, n_terms) -> Table:
+    from . import weierstrass
+
     cmp = weierstrass.compare_exponent_signs(x, a, n_terms)
     rows = [(ev.exponent_sign, ev.product_value, ev.direct_value,
              ev.relative_error)
@@ -334,6 +412,8 @@ def _cmd_weierstrass(config: RunConfig, x, a, n_terms) -> Table:
 
 
 def _cmd_cache_build(config: RunConfig, limit, dir) -> Table:
+    from . import arith
+
     target = Path(dir)
     target.mkdir(parents=True, exist_ok=True)
     path = target / f"mu-{limit}.stjz"
@@ -343,6 +423,8 @@ def _cmd_cache_build(config: RunConfig, limit, dir) -> Table:
 
 
 def _cmd_cache_inspect(config: RunConfig, path) -> Table:
+    from . import arith
+
     target = Path(path)
     if target.is_dir():
         files = _cache_files(target)
@@ -404,9 +486,9 @@ class Command:
 
 
 def _block_within_bound(params) -> None:
-    if params["n"] + params["m"] > arith.MAX_LIMIT:
+    if params["n"] + params["m"] > MAX_LIMIT:
         raise CliValidationError(
-            f"--n plus --m must stay within {arith.MAX_LIMIT}")
+            f"--n plus --m must stay within {MAX_LIMIT}")
 
 
 def _t_min_below_t_max(params) -> None:
@@ -418,10 +500,10 @@ def _windows_within_bound(params) -> None:
     if params["stop"] < params["start"]:
         raise CliValidationError(f"--stop must be at least {params['start']}, "
                                  f"got {params['stop']}")
-    if (1.0 + params["h"]) * params["stop"] > arith.MAX_LIMIT:
+    if (1.0 + params["h"]) * params["stop"] > MAX_LIMIT:
         raise CliValidationError(
             "--stop: window upper edge exceeds the supported table "
-            f"bound {arith.MAX_LIMIT}")
+            f"bound {MAX_LIMIT}")
 
 
 def _one_identity_mode(params) -> None:
@@ -439,10 +521,11 @@ def _exponent_base(a: complex) -> None:
     _check_exp_arg(_check_not_degenerate(a))
 
 
-_LIMIT = Flag("--limit", _number(int, 1, arith.MAX_LIMIT))
-_EXPONENT = Flag("--s", _number(float), default=0.75, check=_check_exponent)
+_LIMIT = Flag("--limit", NumberRange(int, 1, MAX_LIMIT))
+_EXPONENT = Flag("--s", NumberRange(float), default=0.75,
+                 check=_check_exponent)
 # a theta or prime-count gap scan ends above its first grid point
-_SCAN_END = _number(int, asymptotics.SCAN_START + 1, arith.MAX_LIMIT)
+_SCAN_END = NumberRange(int, SCAN_START + 1, MAX_LIMIT)
 
 # commands named <group>-<action> are spelled `zetadesk <group> <action>`
 _GROUPS = {"cache": "sieve cache management"}
@@ -450,17 +533,17 @@ _GROUPS = {"cache": "sieve cache management"}
 COMMANDS = {
     "mertens": Command(
         _cmd_mertens, "Mobius prefix sums M(n) and M(n)/sqrt(n)",
-        (_LIMIT, Flag("--every", _number(int, 1), default=1))),
+        (_LIMIT, Flag("--every", NumberRange(int, 1), default=1))),
     "dirichlet-sum": Command(
         _cmd_dirichlet_sum,
         "prefix ratio scan P(n)/n^s of a coefficient stream",
         (Flag("--series", default="mobius",
               choices=("mobius", "unit", "divisor-corrected", "one-minus-g")),
-         Flag("--s", _number(float, -10.0, 10.0), help="real exponent"),
+         Flag("--s", NumberRange(float, -10.0, 10.0), help="real exponent"),
          _LIMIT)),
     "abel-check": Command(
         _cmd_abel_check, "summation-by-parts identity over a Mobius block",
-        (Flag("--n", _number(int, 2)), Flag("--m", _number(int, 0)),
+        (Flag("--n", NumberRange(int, 2)), Flag("--m", NumberRange(int, 0)),
          Flag("--s", parse_complex, check=_check_half_plane,
               help="complex exponent, RE+IMi")),
         check=_block_within_bound),
@@ -468,56 +551,60 @@ COMMANDS = {
         _cmd_convolution_check,
         "Mobius convolution of the corrected divisor stream against its "
         "closed form",
-        (Flag("--limit", _number(int, 1, 200_000)),)),
+        (Flag("--limit", NumberRange(int, 1, 200_000)),)),
     "zeta": Command(
         _cmd_zeta, "zeta value at one complex point",
         (Flag("--s", parse_complex, check=_require_regular,
               help="complex argument, RE+IMi"),)),
     "xi": Command(
         _cmd_xi, "xi value at one real ordinate",
-        (Flag("--t", _number(float), check=_on_critical_line),)),
+        (Flag("--t", NumberRange(float), check=_on_critical_line),)),
     "zeros": Command(
         _cmd_zeros, "critical-line zero scan by sign changes",
-        (Flag("--t-max", _number(float, 0.0, ZERO_SCAN_T_MAX, open_lo=True)),
-         Flag("--step", _number(float, ZERO_SCAN_STEP_MIN, ZERO_SCAN_STEP_MAX),
+        (Flag("--t-max",
+              NumberRange(float, 0.0, ZERO_SCAN_T_MAX, open_lo=True)),
+         Flag("--step",
+              NumberRange(float, ZERO_SCAN_STEP_MIN, ZERO_SCAN_STEP_MAX),
               default=ZERO_SCAN_STEP_MAX),
-         Flag("--t-min", _number(float, 0.0), default=0.0)),
+         Flag("--t-min", NumberRange(float, 0.0), default=0.0)),
         check=_t_min_below_t_max, fmt="json"),
     "constants": Command(
         _cmd_constants,
         "zeta Taylor constants at the origin, defect and contour routes",
-        (Flag("--k", _number(int, 1, LOG_POWER_K_MAX), default=LOG_POWER_K_MAX),
-         Flag("--n", _number(int, LOG_POWER_N_MIN, 2_000_000), default=100_000),
+        (Flag("--k", NumberRange(int, 1, LOG_POWER_K_MAX),
+              default=LOG_POWER_K_MAX),
+         Flag("--n", NumberRange(int, LOG_POWER_N_MIN, 2_000_000),
+              default=100_000),
          Flag("--accelerate", default=True))),
     "theta": Command(
         _cmd_theta, "Chebyshev theta deviation (theta(n)-n)/n^s",
         (Flag("--limit", _SCAN_END), _EXPONENT)),
     "divisor-ratio": Command(
         _cmd_divisor_ratio, "divisor-sum remainder over sqrt(n)",
-        (_LIMIT, Flag("--every", _number(int, 1), default=None))),
+        (_LIMIT, Flag("--every", NumberRange(int, 1), default=None))),
     "li": Command(
         _cmd_li, "principal-value logarithmic integral",
-        (Flag("--x", _number(float, 1.0, open_lo=True)),)),
+        (Flag("--x", NumberRange(float, 1.0, open_lo=True)),)),
     "relation-a": Command(
         _cmd_relation_a,
         "normalized gap between the weighted prime count and li(x)",
         (Flag("--x-max", _SCAN_END), _EXPONENT)),
     "mertens-constant": Command(
         _cmd_mertens_constant, "sum of 1/p minus log log n at decade points",
-        (Flag("--limit", _number(int, asymptotics.MERTENS_CONSTANT_N_MIN,
-                                 arith.MAX_LIMIT)),)),
+        (Flag("--limit",
+              NumberRange(int, MERTENS_CONSTANT_N_MIN, MAX_LIMIT)),)),
     "prime-window": Command(
         _cmd_prime_window, "prime counts in windows (n, (1+h) n]",
-        (Flag("--h", _number(float, 0.0, open_lo=True), default=0.1),
-         Flag("--start", _number(int, 1), default=1000),
-         Flag("--stop", _number(int, 1), default=1_000_000)),
+        (Flag("--h", NumberRange(float, 0.0, open_lo=True), default=0.1),
+         Flag("--start", NumberRange(int, 1), default=1000),
+         Flag("--stop", NumberRange(int, 1), default=1_000_000)),
         check=_windows_within_bound),
     "identity-explore": Command(
         _cmd_identity_explore,
         "floor-quotient identity readings at one n (--n) or match counts "
         "up to --limit",
-        (Flag("--n", _number(int, 1, arith.MAX_LIMIT), default=_UNSET),
-         Flag("--limit", _number(int, 1, 100_000), default=_UNSET)),
+        (Flag("--n", NumberRange(int, 1, MAX_LIMIT), default=_UNSET),
+         Flag("--limit", NumberRange(int, 1, 100_000), default=_UNSET)),
         check=_one_identity_mode),
     "weierstrass": Command(
         _cmd_weierstrass,
@@ -526,7 +613,7 @@ COMMANDS = {
               help="complex, RE+IMi"),
          Flag("--a", parse_complex, check=_exponent_base,
               help="complex, RE+IMi"),
-         Flag("--n-terms", _number(int, 1, 10_000_000), default=10_000))),
+         Flag("--n-terms", NumberRange(int, 1, 10_000_000), default=10_000))),
     "cache-build": Command(
         _cmd_cache_build, "sieve to --limit and write an STJZ file",
         (_LIMIT, Flag("--dir"))),

@@ -1,8 +1,12 @@
-"""Shared numerical constants.
+"""Shared numerical constants, and the logarithmic integral built on
+them.
 
 Euler's constant is one stored value, the one the corrected harmonic
 limit gives, and every other module reads it from here so there is a
-single value in play across the whole package.
+single value in play across the whole package. li needs nothing but
+that constant and the math module, so it lives here too: the CLI's
+li command then loads no engine and no numpy (asymptotics re-exports
+it).
 """
 
 from __future__ import annotations
@@ -41,3 +45,29 @@ def euler_constant() -> float:
     so it stays as it is.
     """
     return EULER_CONSTANT
+
+
+_LI_TAIL_EPS = 1e-18
+
+
+def li(x: float) -> float:
+    """Principal-value logarithmic integral for x > 1, through the
+    all-positive-term expansion C + log log x + sum (log x)^k/(k k!);
+    every term is positive so no cancellation enters."""
+    x = float(x)
+    if not x > 1.0:
+        raise ValueError("logarithmic integral implemented for x > 1 only")
+    lx = math.log(x)
+    terms = [euler_constant(), math.log(lx)]
+    term = 1.0
+    k = 0
+    while True:
+        k += 1
+        term *= lx / k
+        contribution = term / k
+        terms.append(contribution)
+        if contribution < _LI_TAIL_EPS * max(1.0, lx):
+            break
+        if k > 500:
+            raise ArithmeticError("series failed to settle")
+    return math.fsum(terms)

@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import ArithTable, chunk_bounds, grid_prefix, mertens_segments
+from .bounds import _check_half_plane
 from .constants import euler_constant
 from .reports import Table, geometric_grid
 
@@ -126,6 +127,15 @@ def one_minus_g_stream(table: ArithTable, limit: int | None = None) -> Coefficie
         return part
 
     return CoefficientStream("one_minus_g", n, chunk)
+
+
+# the streams read off a table, by the names the CLI's --series gives
+# them (unit_stream needs no table)
+TABLE_STREAMS = {
+    "mobius": mobius_stream,
+    "divisor-corrected": divisor_corrected_stream,
+    "one-minus-g": one_minus_g_stream,
+}
 
 
 def custom_stream(name: str, values) -> CoefficientStream:
@@ -264,13 +274,6 @@ def _exact_int_mul(g: np.ndarray, x: np.ndarray):
     hi = c - (c - x)
     lo = x - hi
     return g * hi, g * lo
-
-
-def _check_half_plane(s: complex) -> complex:
-    s = complex(s)
-    if not (s.real > 0):
-        raise ValueError("summation by parts wants Re s > 0")
-    return s
 
 
 def abel_rearranged_sum(n: int, m: int, s: complex,

@@ -18,32 +18,11 @@ from itertools import chain
 import numpy as np
 
 from .arith import chunk_bounds
+from .bounds import _EXP_ARG_LIMIT, _check_exp_arg, _check_not_degenerate
 
 TWO_PI = 2.0 * math.pi
 
 EXPONENT_SIGNS = ("minus", "plus")
-
-# cexp overflows near 709.78; stay clear so intermediate products are
-# finite too
-_EXP_ARG_LIMIT = 700.0
-
-
-def _check_not_degenerate(a: complex) -> complex:
-    a = complex(a)
-    k = round(a.imag / TWO_PI)
-    if abs(a.real) < 1e-8 and abs(a.imag - TWO_PI * k) < 1e-8:
-        raise ValueError("a within 1e-8 of 2 pi i k makes 1 - e^a "
-                         "degenerate; the factorization needs a "
-                         "nonvanishing constant term")
-    return a
-
-
-def _check_exp_arg(z: complex) -> complex:
-    z = complex(z)
-    if abs(z.real) > _EXP_ARG_LIMIT:
-        raise ValueError("direct evaluation of the exponential would "
-                         "overflow binary64")
-    return z
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,29 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
+# the validated box (RE_MIN, RE_MAX, IM_MAX) stays importable from here
+from .bounds import (IM_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, RE_MAX, RE_MIN,
+                     ZERO_SCAN_STEP_MAX, ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX,
+                     _require_in_box, _require_regular)
 from .constants import BERNOULLI_OVER_FACTORIAL, euler_constant
 
-# Euler-Maclaurin with eight correction terms is validated on this box;
-# outside it the truncation estimates below were not checked.
-RE_MIN = -10.0
-RE_MAX = 10.0
-IM_MAX = 120.0
-
 TWO_PI = 2.0 * math.pi
-
-
-def _require_in_box(s: complex) -> None:
-    if not (RE_MIN <= s.real <= RE_MAX) or abs(s.imag) > IM_MAX:
-        raise ValueError(
-            f"s={s!r} outside validated box Re in [{RE_MIN:g},{RE_MAX:g}], "
-            f"|Im| <= {IM_MAX:g}")
-
-
-def _require_regular(s: complex) -> None:
-    """s is off the pole at 1 and inside the validated box."""
-    if s == 1.0:
-        raise ValueError("zeta has a pole at s = 1")
-    _require_in_box(s)
 
 
 def _node_counts(height: np.ndarray) -> np.ndarray:
@@ -319,15 +303,6 @@ def _bisect_xi_real(lo: np.ndarray, hi: np.ndarray,
     return zeros
 
 
-# The zero scan is validated up to this height, and at grid steps no
-# coarser than this; coarser grids can hop over close zero pairs. Steps
-# finer than the floor are refused: at most 10^6 grid points up to
-# ZERO_SCAN_T_MAX.
-ZERO_SCAN_T_MAX = 100.0
-ZERO_SCAN_STEP_MAX = 0.05
-ZERO_SCAN_STEP_MIN = 1e-4
-
-
 def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
               t_min: float = 0.0) -> ZeroScanResult:
     t_max = float(t_max)
@@ -587,11 +562,6 @@ class LogPowerConstant:
     defect_sum: float
     tail_correction: float
     error_estimate: float
-
-
-# the exponents k with a constant, and the smallest defect cutoff n
-LOG_POWER_K_MAX = 8
-LOG_POWER_N_MIN = 1000
 
 
 @lru_cache(maxsize=128)

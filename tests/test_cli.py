@@ -27,8 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetadesk import arith
-from zetadesk.cli import (CACHE_ENV, CliValidationError, acquire_table, main,
-                          parse_complex)
+from zetadesk.cli import (_GROUPS, CACHE_ENV, COMMANDS, CliValidationError,
+                          NumberRange, _resolve_config, acquire_table,
+                          build_parser, main, parse_complex)
 from zetadesk.reports import format_complex, format_float
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -136,6 +137,96 @@ def test_validation_exits_2_and_names_flag(argv, flag, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert flag in err
+
+
+# One failing case per check the flags borrow from the library, with the
+# whole stderr line the CLI prints for it.
+LIBRARY_CHECK_FAILURES = [
+    (["zeta", "--s", "1"], "error: --s: zeta has a pole at s = 1"),
+    (["xi", "--t", "120.5"],
+     "error: --t: s=(0.5+120.5j) outside validated box Re in [-10,10], "
+     "|Im| <= 120"),
+    (["theta", "--limit", "1000", "--s", "1.5"],
+     "error: --s: exponent s must lie in (0, 1]"),
+    (["abel-check", "--n", "100", "--m", "10", "--s=-1+2i"],
+     "error: --s: summation by parts wants Re s > 0"),
+    (["weierstrass", "--x", "0.5", "--a", "0"],
+     "error: --a: a within 1e-8 of 2 pi i k makes 1 - e^a degenerate; the "
+     "factorization needs a nonvanishing constant term"),
+    (["weierstrass", "--x", "800", "--a", "1"],
+     "error: --x: direct evaluation of the exponential would overflow "
+     "binary64"),
+]
+
+
+@pytest.mark.parametrize("argv,line", LIBRARY_CHECK_FAILURES)
+def test_library_checks_print_their_whole_message(argv, line, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+# Valid values for the flags a command needs besides the one under test.
+# prime-window starts at 1, so --stop may take its own lowest value.
+_OTHER_FLAGS = {
+    "mertens": {"--limit": "10"},
+    "dirichlet-sum": {"--s": "0.5", "--limit": "10"},
+    "abel-check": {"--n": "100", "--m": "10", "--s": "0.5"},
+    "convolution-check": {"--limit": "10"},
+    "zeros": {"--t-max": "20"},
+    "theta": {"--limit": "1000"},
+    "divisor-ratio": {"--limit": "10"},
+    "li": {"--x": "2"},
+    "relation-a": {"--x-max": "1000"},
+    "mertens-constant": {"--limit": "100"},
+    "prime-window": {"--start": "1"},
+    "weierstrass": {"--x": "0.3", "--a": "1"},
+    "cache-build": {"--limit": "10", "--dir": "cache"},
+}
+
+
+def _edges(bounds: NumberRange):
+    """(value, accepted) at and beside each bound: one apart for an
+    int flag, the neighbouring double for a float flag."""
+    if bounds.kind is int:
+        below, above = (lambda v: v - 1), (lambda v: v + 1)
+    else:
+        below = lambda v: math.nextafter(v, -math.inf)  # noqa: E731
+        above = lambda v: math.nextafter(v, math.inf)  # noqa: E731
+    if bounds.lo is not None:
+        lo = bounds.kind(bounds.lo)
+        yield below(lo), False
+        yield lo, not bounds.open_lo
+        if bounds.open_lo:
+            yield above(lo), True
+    if bounds.hi is not None:
+        hi = bounds.kind(bounds.hi)
+        yield hi, True
+        yield above(hi), False
+
+
+def _range_cases():
+    for name, spec in COMMANDS.items():
+        for flag in spec.flags:
+            if isinstance(flag.parse, NumberRange):
+                for value, accepted in _edges(flag.parse):
+                    yield pytest.param(name, flag, value, accepted,
+                                       id=f"{name} {flag.name}={value!r}")
+
+
+@pytest.mark.parametrize("name,flag,value,accepted", list(_range_cases()))
+def test_every_range_flag_holds_its_bounds(name, flag, value, accepted):
+    group, _, action = name.partition("-")
+    words = [group, action] if group in _GROUPS else [name]
+    others = _OTHER_FLAGS.get(name, {})
+    argv = [*words, *(f"{k}={v}" for k, v in others.items() if k != flag.name),
+            f"{flag.name}={value!r}"]
+    args = build_parser().parse_args(argv)
+    if accepted:
+        assert _resolve_config(args).params[flag.dest] == value
+    else:
+        with pytest.raises(CliValidationError) as exc:
+            _resolve_config(args)
+        assert str(exc.value).startswith(f"{flag.name} must be ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -250,3 +250,14 @@ def test_kernel_across_its_blocks_with_late_fallback_cells(rows):
     ratio[-3:] = [1e-300, -0.0, math.nan]
     ratio[-KERNEL_ROWS // 2] = -3.5e17
     _kernel_renders(n, -n * 7919, ratio)
+
+
+@settings(max_examples=200)
+@given(st.lists(_floats, min_size=1, max_size=4))
+def test_python_float_cells_print_as_a_float_column_does(values):
+    # a table of Python lists (the CLI's li row) takes the row template,
+    # not the kernel, and must print the same bytes in both formats
+    cells = Table(("x",), ([*values],))
+    column = Table(("x",), (np.array(values, dtype=np.float64),))
+    assert render_csv(cells) == render_csv(column)
+    assert render_json(cells, {}) == render_json(column, {})
