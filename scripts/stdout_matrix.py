@@ -7,8 +7,8 @@ formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the chunk size of the
 table walks and the renderer), every-row tables of 70000 rows, the
 far-point Mertens reads of `identity-explore --n` and `abel-check` near
 10^7, `abel-check` blocks across segment edges and one of 2 * 10^6
-cells, empty `--every` grids and grids whose rows lie chunks apart,
-non-finite cells,
+cells, a `weierstrass` walk over several chunks, sums of nan, empty
+`--every` grids and grids whose rows lie chunks apart, non-finite cells,
 the sieve cache (builds, misses, hits from every table command that
 reads only primes or only mu, inspect), invalid input and
 every help text. Run it on two checkouts on the same machine and diff
@@ -67,6 +67,9 @@ OUTPUTS = [
     *[(f"abel-check-{n}-{m}",
        ["abel-check", "--n", str(n), "--m", str(m), "--s", "0.5+14.1i"])
       for n in (2, 65536) for m in EDGES],
+    # powers of nan: the sums take the non-finite route
+    ("abel-check-nan",
+     ["abel-check", "--n", "100", "--m", "50", "--s", "0.5+1e308i"]),
     ("abel-check-long",
      ["abel-check", "--n", "1000", "--m", "2000000", "--s", "0.5+14.1i"]),
     ("convolution-check", ["convolution-check", "--limit", "1000"]),
@@ -118,6 +121,9 @@ OUTPUTS = [
     *[(f"identity-explore-{n}", ["identity-explore", "--limit", str(n)])
       for n in EDGES],
     ("weierstrass", ["weierstrass", "--x", "0.3", "--a", "1", "--n-terms", "1000"]),
+    # n walks more than one chunk
+    ("weierstrass-multichunk",
+     ["weierstrass", "--x", "0.3", "--a", "1", "--n-terms", "200000"]),
     ("weierstrass-lattice-zero",
      ["weierstrass", "--x", "1+6.283185307179586i", "--a", "1", "--n-terms", "100"]),
     ("cache-build", ["cache", "build", "--limit", "1000", "--dir", f"{TMP}/built"]),
@@ -177,6 +183,7 @@ INVALID = [
     ("abel-over-max", ["abel-check", "--n", "199999999", "--m", "10", "--s", "1"]),
     ("abel-s-overflow", ["abel-check", "--n", "10", "--m", "5", "--s", "1e400"]),
     ("li-x", ["li", "--x", "1"]),
+    ("li-over-cap", ["li", "--x", "1e76"]),
     ("theta-s", ["theta", "--limit", "1000", "--s", "1.5"]),
     ("relation-a-s", ["relation-a", "--x-max", "1000", "--s", "0"]),
     ("series-choice", ["dirichlet-sum", "--series", "zeta", "--s", "1", "--limit", "9"]),

@@ -48,6 +48,11 @@ ZERO_SCAN_STEP_MIN = 1e-4
 LOG_POWER_K_MAX = 8
 LOG_POWER_N_MIN = 1000
 
+# li's series needs more terms as x grows, and from x = 9.77e75 on it
+# does not settle within the 500 it allows; li is declared on
+# (1, LI_X_MAX]
+LI_X_MAX = 1e75
+
 # Euler-Maclaurin with eight correction terms is validated on this box;
 # outside it the truncation estimates of zeta were not checked.
 RE_MIN = -10.0

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .bounds import (LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
+from .bounds import (LI_X_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
                      MERTENS_CONSTANT_N_MIN, SCAN_START, ZERO_SCAN_STEP_MAX,
                      ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX, _check_exp_arg,
                      _check_exponent, _check_half_plane, _check_not_degenerate,
@@ -584,7 +584,7 @@ COMMANDS = {
         (_LIMIT, Flag("--every", NumberRange(int, 1), default=None))),
     "li": Command(
         _cmd_li, "principal-value logarithmic integral",
-        (Flag("--x", NumberRange(float, 1.0, open_lo=True)),)),
+        (Flag("--x", NumberRange(float, 1.0, LI_X_MAX, open_lo=True)),)),
     "relation-a": Command(
         _cmd_relation_a,
         "normalized gap between the weighted prime count and li(x)",

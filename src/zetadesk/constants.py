@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+from .bounds import LI_X_MAX
+
 EULER_CONSTANT = 0.5772156649015321
 
 # B_2, B_4, ..., B_16 as binary64 quotients of the exact rationals.
@@ -51,12 +53,14 @@ _LI_TAIL_EPS = 1e-18
 
 
 def li(x: float) -> float:
-    """Principal-value logarithmic integral for x > 1, through the
-    all-positive-term expansion C + log log x + sum (log x)^k/(k k!);
-    every term is positive so no cancellation enters."""
+    """Principal-value logarithmic integral for 1 < x <= LI_X_MAX,
+    through the all-positive-term expansion
+    C + log log x + sum (log x)^k/(k k!); every term is positive so no
+    cancellation enters."""
     x = float(x)
-    if not x > 1.0:
-        raise ValueError("logarithmic integral implemented for x > 1 only")
+    if not 1.0 < x <= LI_X_MAX:
+        raise ValueError("logarithmic integral implemented for "
+                         f"1 < x <= {LI_X_MAX:g} only")
     lx = math.log(x)
     terms = [euler_constant(), math.log(lx)]
     term = 1.0

@@ -20,6 +20,7 @@ import functools
 
 import numpy as np
 
+from .exact import split
 from .reports import KERNEL_ROWS, format_float
 
 # A block of rows is laid out as a matrix of uint32 words, each word four
@@ -55,9 +56,7 @@ def _powers_of_ten():
     """10^q for q <= 22, exact doubles, with their Dekker split, and
     10^q as int64 for q <= 16."""
     power = 10.0 ** np.arange(23)
-    scaled = 134217729.0 * power
-    high = scaled - (scaled - power)
-    return power, high, power - high, 10 ** np.arange(17, dtype=np.int64)
+    return power, *split(power), 10 ** np.arange(17, dtype=np.int64)
 
 
 @functools.cache
@@ -140,9 +139,7 @@ def _seventeen_digits(a: np.ndarray, d: np.ndarray):
     q = 16 - d
     b, bh, bl = power[q], high[q], low[q]
     p = a * b
-    scaled = 134217729.0 * a
-    ah = scaled - (scaled - a)
-    al = a - ah
+    ah, al = split(a)
     e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
     n = p.astype(np.int64) + np.rint(e).astype(np.int64)
     under = (p < 1e16) | ((p == 1e16) & (e < 0))

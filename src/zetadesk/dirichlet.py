@@ -32,6 +32,7 @@ import numpy as np
 from .arith import ArithTable, chunk_bounds, grid_prefix, mertens_segments
 from .bounds import _check_half_plane
 from .constants import euler_constant
+from .exact import ExactSum, split
 from .reports import Table, geometric_grid
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +229,10 @@ class AbelDecomposition:
     difference terms (m = 0) they are +inf and -inf.
 
     rearranged is not the rounded boundary_terms plus the rounded
-    remainder: it is accumulated in one compensated pass over all the
-    split partial products, so the only rounding separating it from
-    direct_sum is what the power differences themselves carry.
+    remainder: it is the exact sum of all the split partial products,
+    boundary and remainder alike, rounded once, so the only rounding
+    separating it from direct_sum is what the power differences
+    themselves carry.
     """
 
     s: complex
@@ -244,35 +246,12 @@ class AbelDecomposition:
     theta_max: float
 
 
-def _fsum_carry(carry: list[float], terms: np.ndarray) -> list[float]:
-    """A few floats whose exact sum is that of carry and terms.
-
-    Each float is the fsum of what the ones before it leave over, so
-    the list ends where that rest is exactly 0 (or not finite). fsum
-    is correctly rounded, so the fsum of the result is the fsum of
-    every term ever carried, in whatever segments they came.
-    """
-    rest = [*carry, *terms.tolist()]
-    out = []
-    while r := math.fsum(rest):
-        out.append(r)
-        if not math.isfinite(r):
-            break
-        rest.append(-r)
-    return out
-
-
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
-
-
 def _exact_int_mul(g: np.ndarray, x: np.ndarray):
     """g * x as an unevaluated two-float sum, exact for integer-valued
     g below 2^26 (Mertens values at any supported limit are far below
     that). Splitting x into 26-bit halves keeps each partial product
     representable."""
-    c = _SPLITTER * x
-    hi = c - (c - x)
-    lo = x - hi
+    hi, lo = split(x)
     return g * hi, g * lo
 
 
@@ -284,10 +263,10 @@ def abel_rearranged_sum(n: int, m: int, s: complex,
     segments yields M(n - 1) alone and then M on each chunk_bounds
     segment of [n, n + m] (the pieces of arith.mertens_segments, its
     default, or slices of a full prefix). Each segment's powers, splits
-    and exponents are summed and dropped: the sums are carried as a
-    few floats with the same exact value (_fsum_carry), so every sum
-    is the one fsum over the whole block would give, bit for bit, and
-    memory grows with CHUNK, not with m.
+    and exponents are summed and dropped: every sum is carried exactly
+    (exact.ExactSum) and rounded once, so it is the one fsum over the
+    whole block would give, bit for bit, and memory grows with CHUNK,
+    not with m.
     """
     if n < 2:
         raise ValueError("block must start at n >= 2")
@@ -296,7 +275,7 @@ def abel_rearranged_sum(n: int, m: int, s: complex,
     s = _check_half_plane(s)
     pieces = iter(mertens_segments(n, m) if segments is None else segments)
     before = last = int(next(pieces)[0])
-    direct_re, direct_im, rem_re, rem_im = [], [], [], []
+    direct_re, direct_im, rem_re, rem_im = (ExactSum() for _ in range(4))
     theta_min, theta_max = math.inf, -math.inf
     for (lo, hi), block in zip(chunk_bounds(n + m, n), pieces, strict=True):
         if block.size != hi - lo:
@@ -313,16 +292,15 @@ def abel_rearranged_sum(n: int, m: int, s: complex,
         # powers.
         f_block = np.diff(block, prepend=last).astype(np.float64)
         terms = f_block * powers[: hi - lo]
-        direct_re = _fsum_carry(direct_re, terms.real)
-        direct_im = _fsum_carry(direct_im, terms.imag)
+        direct_re.add(terms.real)
+        direct_im.add(terms.imag)
         last = int(block[-1])
         if top > lo:
             g = block[: top - lo].astype(np.float64)
             diff = powers[:-1] - powers[1:]
-            re_hi, re_lo = _exact_int_mul(g, diff.real)
-            im_hi, im_lo = _exact_int_mul(g, diff.imag)
-            rem_re = _fsum_carry(rem_re, np.concatenate([re_hi, re_lo]))
-            rem_im = _fsum_carry(rem_im, np.concatenate([im_hi, im_lo]))
+            for part, acc in ((diff.real, rem_re), (diff.imag, rem_im)):
+                for half in _exact_int_mul(g, part):
+                    acc.add(half)
             thetas = _mean_value_theta_grid(j[:-1], s.real)
             theta_min = float(np.minimum(theta_min, thetas.min()))
             theta_max = float(np.maximum(theta_max, thetas.max()))
@@ -332,15 +310,16 @@ def abel_rearranged_sum(n: int, m: int, s: complex,
     b_im_hi, b_im_lo = _exact_int_mul(b_coeff, b_power.imag)
     first = complex(b_re_hi[0] + b_re_lo[0], b_im_hi[0] + b_im_lo[0])
     second = complex(b_re_hi[1] + b_re_lo[1], b_im_hi[1] + b_im_lo[1])
-    rearranged = complex(
-        math.fsum([*b_re_hi, *b_re_lo, *rem_re]),
-        math.fsum([*b_im_hi, *b_im_lo, *rem_im]))
+    remainder = complex(rem_re.value, rem_im.value)
+    # rearranged: the remainder's exact sums, the boundary parts added
+    rem_re.add(np.concatenate([b_re_hi, b_re_lo]))
+    rem_im.add(np.concatenate([b_im_hi, b_im_lo]))
     return AbelDecomposition(
         s=s, n=n, m=m,
-        direct_sum=complex(math.fsum(direct_re), math.fsum(direct_im)),
-        boundary_terms=(first, second),
-        remainder=complex(math.fsum(rem_re), math.fsum(rem_im)),
-        rearranged=rearranged, theta_min=theta_min, theta_max=theta_max)
+        direct_sum=complex(direct_re.value, direct_im.value),
+        boundary_terms=(first, second), remainder=remainder,
+        rearranged=complex(rem_re.value, rem_im.value),
+        theta_min=theta_min, theta_max=theta_max)
 
 
 def prefix_ratio_scan(coeffs: CoefficientStream, s: float,

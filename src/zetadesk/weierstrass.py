@@ -13,12 +13,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .arith import chunk_bounds
 from .bounds import _EXP_ARG_LIMIT, _check_exp_arg, _check_not_degenerate
+from .exact import ExactSum
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,7 +51,7 @@ def _evaluate_signs(x: complex, a: complex, n_terms: int,
                     signs: tuple) -> list[ProductEvaluation]:
     """One evaluation per exponent sign in signs. The polynomial
     product and the paired inverse sum do not depend on the sign, so
-    they are formed once for all of them."""
+    one walk over n forms both, once for all of them."""
     if any(sign not in EXPONENT_SIGNS for sign in signs):
         raise ValueError(f"exponent_sign must be one of {EXPONENT_SIGNS}")
     if n_terms < 1:
@@ -62,31 +62,25 @@ def _evaluate_signs(x: complex, a: complex, n_terms: int,
     direct = cmath.exp(x) - ea
 
     # n walks 1..n_terms in chunks, so no array grows with n_terms.
-    # Polynomial parts multiplied pairwise (n, -n); factors approach 1
-    # like 1/n^2 so the running product stays well scaled. It enters
-    # each chunk's np.prod as element 0, the step the whole-array
-    # np.prod takes there, so the chunking does not change its bits.
+    # Convergence-factor exponents summed in the symmetric pairing
+    # (n, -n): 1/z_pos + 1/z_neg collapses to 2a/(a^2 + 4 pi^2 n^2)
+    # exactly, and both parts are summed exactly. Polynomial parts
+    # multiplied in the same pairing; factors approach 1 like 1/n^2 so
+    # the running product stays well scaled. It enters each chunk's
+    # np.prod as element 0, the step the whole-array np.prod takes
+    # there, so the chunking does not change its bits.
     poly = []
+    inv_re, inv_im = ExactSum(), ExactSum()
     for lo, hi in chunk_bounds(n_terms):
-        shift = 2j * math.pi * np.arange(lo, hi, dtype=np.float64)
-        factors = (1.0 - x / (a + shift)) * (1.0 - x / (a - shift))
-        poly = [np.prod(np.concatenate((poly, factors)))]
+        n = np.arange(lo, hi, dtype=np.float64)
+        inverse = 2.0 * a / (a * a + (TWO_PI * n) ** 2)
+        inv_re.add(inverse.real)
+        inv_im.add(inverse.imag)
+        shift = 2j * math.pi * n
+        poly = [np.prod(np.concatenate(
+            (poly, (1.0 - x / (a + shift)) * (1.0 - x / (a - shift)))))]
     poly = complex(poly[0]) * (1.0 - x / a)
-
-    # convergence-factor exponents summed in the same symmetric pairing:
-    # 1/z_pos + 1/z_neg collapses to 2a/(a^2 + 4 pi^2 n^2) exactly; fsum
-    # is exact, so it may read them as a chain of per-chunk lists. Each
-    # part makes its chunks anew: one fsum cannot feed two sums, and
-    # carrying exact partial sums from chunk to chunk costs more fsum
-    # passes than the second evaluation does
-    def pair_inverse(part):
-        for lo, hi in chunk_bounds(n_terms):
-            n = np.arange(lo, hi, dtype=np.float64)
-            yield part(2.0 * a / (a * a + (TWO_PI * n) ** 2)).tolist()
-
-    inv_sum = complex(math.fsum(chain.from_iterable(pair_inverse(np.real))),
-                      math.fsum(chain.from_iterable(pair_inverse(np.imag)))
-                      ) + 1.0 / a
+    inv_sum = complex(inv_re.value, inv_im.value) + 1.0 / a
     evaluations = []
     for exponent_sign in signs:
         sign = 1.0 if exponent_sign == "plus" else -1.0

@@ -28,6 +28,7 @@ from .bounds import (IM_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, RE_MAX, RE_MIN,
                      ZERO_SCAN_STEP_MAX, ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX,
                      _require_in_box, _require_regular)
 from .constants import BERNOULLI_OVER_FACTORIAL, euler_constant
+from .exact import exact_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -475,15 +476,15 @@ def _defect_walk(ks, n: int) -> list[tuple[float, float]]:
     route that rounds less there than the moments do.
 
     The cells are walked in chunks of _CHUNK_CELLS, so memory stays
-    bounded whatever n is. Each chunk's defects are summed by one
-    exact fsum, rounded once, and the chunk sums by another; the
-    absolute sum, which only sizes the accumulation floor, is an exact
-    fsum of per-chunk pairwise sums."""
+    bounded whatever n is. Each chunk's defects are summed exactly
+    (exact.exact_sum) and rounded once, and the chunk sums by an exact
+    fsum; the absolute sum, which only sizes the accumulation floor, is
+    an exact fsum of per-chunk pairwise sums."""
     split = min(_PANEL_SPLIT, n)
     parts = [([], []) for _ in ks]
     for k, (sums, abs_sums) in zip(ks, parts):
         defects = _head_defects(k, split)
-        sums.append(math.fsum(defects.tolist()))
+        sums.append(exact_sum(defects))
         abs_sums.append(float(np.abs(defects).sum()))
     for lo in range(split + 1, n + 1, _CHUNK_CELLS):
         c, u = _body_cells(lo, min(lo + _CHUNK_CELLS, n + 1))
@@ -505,7 +506,7 @@ def _defect_walk(ks, n: int) -> list[tuple[float, float]]:
                 if i <= k:
                     coeff += math.comb(k, i) * l0_powers[k - i]
                 defects += coeff * moments[i]
-            sums.append(math.fsum(defects.tolist()))
+            sums.append(exact_sum(defects))
             abs_sums.append(float(np.abs(defects).sum()))
     return [(math.fsum(sums), math.fsum(abs_sums)) for sums, abs_sums in parts]
 
@@ -633,9 +634,8 @@ def log_power_constant_contour(k: int, radius: float = 0.5,
     phases = np.exp(-1j * k * theta)
 
     def coefficient(values: np.ndarray, ph: np.ndarray) -> float:
-        total = complex(math.fsum((values * ph).real) / len(values),
-                        math.fsum((values * ph).imag) / len(values))
-        return total.real / radius ** k
+        # only the real part of the mean is read
+        return exact_sum((values * ph).real) / len(values) / radius ** k
 
     c_full = coefficient(ring, phases)
     c_half = coefficient(ring[::2], phases[::2])

@@ -22,7 +22,7 @@ from .test_cli import LIBRARY_CHECK_FAILURES
 
 ROOT = Path(__file__).resolve().parents[1]
 ENGINES = {"zetadesk.arith", "zetadesk.asymptotics", "zetadesk.dirichlet",
-           "zetadesk.weierstrass", "zetadesk.zeta"}
+           "zetadesk.exact", "zetadesk.weierstrass", "zetadesk.zeta"}
 
 # Runs `zetadesk argv[1:]` as `python -m zetadesk.cli` would, with its
 # output swallowed, then prints its exit code and the modules loaded.
@@ -72,8 +72,8 @@ def test_core_commands_load_no_engine_and_no_numpy(argv, code):
 
 
 @pytest.mark.parametrize("argv,loads,skips", [
-    (["xi", "--t", "14"], {"zetadesk.zeta"},
-     ENGINES - {"zetadesk.zeta"}),
+    (["xi", "--t", "14"], {"zetadesk.zeta", "zetadesk.exact"},
+     ENGINES - {"zetadesk.zeta", "zetadesk.exact"}),
     (["mertens", "--limit", "1000"], {"zetadesk.arith"},
      {"zetadesk.zeta", "zetadesk.weierstrass", "zetadesk.dirichlet"}),
 ])
