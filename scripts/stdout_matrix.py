@@ -2,16 +2,20 @@
 
 Each invocation runs in its own child (`python -m zetadesk.cli`, with
 the package taken from the `src/` next to this script) and prints one
-line: `name exit sha256(stdout)`. The list covers every command in both
+line: `name exit sha256(stdout)`, or the hash of the written file for a
+case that passes --output. The list covers every command in both
 formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the chunk size of the
-table walks and the renderer), every-row tables of 70000 rows, the
-far-point Mertens reads of `identity-explore --n` and `abel-check` near
-10^7, `abel-check` blocks across segment edges and one of 2 * 10^6
-cells, a `weierstrass` walk over several chunks, sums of nan, empty
-`--every` grids and grids whose rows lie chunks apart, non-finite cells,
-the sieve cache (builds, misses, hits from every table command that
-reads only primes or only mu, inspect), invalid input and
-every help text. Run it on two checkouts on the same machine and diff
+table walks), every-row tables at 2^13 - 1, 2^13 and 2^13 + 1 rows (the
+renderer's block size), written to stdout and to --output, tables with
+a list column at the same sizes (rendered by reports.render_csv in a
+child of their own, since no command prints one that long), every-row
+tables of 70000 rows, the far-point Mertens reads of `identity-explore
+--n` and `abel-check` near 10^7, `abel-check` blocks across segment
+edges and one of 2 * 10^6 cells, a `weierstrass` walk over several
+chunks, sums of nan, empty `--every` grids and grids whose rows lie
+chunks apart, non-finite cells, the sieve cache (builds, misses, hits
+from every table command that reads only primes or only mu, inspect),
+invalid input and every help text. Run it on two checkouts on the same machine and diff
 the outputs: a refactor that keeps stdout must print the same lines.
 
 Cache paths in stdout are replaced by a placeholder before hashing, so
@@ -33,6 +37,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 TMP = "{tmp}"
 
 EDGES = (65535, 65536, 65537)
+BLOCK_EDGES = (8191, 8192, 8193)
 
 # (name, argv); argv may hold TMP, which stands for a fresh directory
 # shared by the whole run, so the cache cases see each other's files.
@@ -46,6 +51,11 @@ OUTPUTS = [
     *[(f"mertens-{n}", ["mertens", "--limit", str(n)]) for n in EDGES],
     # every row, across the chunk edge
     ("mertens-70000", ["mertens", "--limit", "70000"]),
+    # every row, at the renderer's block edge, to stdout and to a file
+    *[(f"mertens-{n}", ["mertens", "--limit", str(n)]) for n in BLOCK_EDGES],
+    *[(f"mertens-{n}-output",
+       ["mertens", "--limit", str(n), "--output", f"{TMP}/table"])
+      for n in BLOCK_EDGES],
     ("dirichlet-sum", ["dirichlet-sum", "--s", "0.5", "--limit", "1000"]),
     *[(f"dirichlet-sum-{series}",
        ["dirichlet-sum", "--series", series, "--s", "-0.25", "--limit", "5000"])
@@ -154,6 +164,21 @@ OUTPUTS = [
     ("cache-inspect-dir", ["cache", "inspect", "--path", f"{TMP}/auto"]),
 ]
 
+# A table with a list column takes the row template, not the numeric
+# kernel; n rows of it, rendered as CSV.
+_LIST_COLUMN_TABLE = """
+import sys
+import numpy as np
+from zetadesk.reports import Table, render_csv
+n = np.arange(1, int(sys.argv[1]) + 1, dtype=np.int64)
+parity = [("even", "odd")[i % 2] for i in n.tolist()]
+table = Table(("n", "root", "parity"), (n, np.sqrt(n) * -1.5, parity))
+sys.stdout.write(render_csv(table))
+"""
+
+LIST_COLUMN = [(f"list-column-{n}", ["-c", _LIST_COLUMN_TABLE, str(n)])
+               for n in BLOCK_EDGES]
+
 # exit 2 and an empty stdout, or 1 for a failure found while computing
 INVALID = [
     ("no-command", []),
@@ -227,18 +252,24 @@ def _help_cases():
 
 
 def _run(argv, env, tmp) -> str:
+    """Exit code and the hash of stdout, or of the file an --output case
+    wrote; argv is a CLI command line, or "-c" and a script."""
     argv = [arg.replace(TMP, tmp) for arg in argv]
-    done = subprocess.run([sys.executable, "-m", "zetadesk.cli", *argv],
+    command = argv if argv[:1] == ["-c"] else ["-m", "zetadesk.cli", *argv]
+    done = subprocess.run([sys.executable, *command],
                           env=env, cwd=tmp, capture_output=True)
-    stdout = done.stdout.replace(tmp.encode(), TMP.encode())
-    return f"{done.returncode} {hashlib.sha256(stdout).hexdigest()}"
+    out = done.stdout
+    if "--output" in argv and done.returncode == 0:
+        out = Path(argv[argv.index("--output") + 1]).read_bytes()
+    out = out.replace(tmp.encode(), TMP.encode())
+    return f"{done.returncode} {hashlib.sha256(out).hexdigest()}"
 
 
 def main() -> int:
     env = {k: v for k, v in os.environ.items() if k != "ZETADESK_CACHE_DIR"}
     env["PYTHONPATH"] = str(SRC)
     env["COLUMNS"] = "80"
-    cases = [*_with_formats(OUTPUTS), *INVALID, *_help_cases()]
+    cases = [*_with_formats(OUTPUTS), *LIST_COLUMN, *INVALID, *_help_cases()]
     # the cases that touch TMP run in list order as one task, since the
     # cache ones read what the earlier ones wrote; the rest run two at
     # a time

@@ -6,7 +6,12 @@ computation failed, 2 a flag failed validation (the message names it).
 
 Each handler returns a reports.Table (the scan-backed ones return the
 scan's own table), and run renders it, with the command and its
-parameters as the head of the JSON body.
+parameters as the head of the JSON body, as a stream of text blocks
+that main writes to the sink one at a time: a run holds at most one
+block of its output text. --output is written to a temporary file next
+to the target and renamed over it once the whole table is written, so
+a failed run leaves the target as it was. A reader that closes stdout
+early (`| head`) ends the run quietly, with exit 0.
 
 Each command is declared once, as one entry of COMMANDS: its handler,
 help line, default format, flags and any check that spans several
@@ -48,7 +53,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -59,7 +64,8 @@ from .bounds import (LI_X_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
                      _check_exponent, _check_half_plane, _check_not_degenerate,
                      _require_in_box, _require_regular)
 from .constants import li
-from .reports import Table, geometric_grid, render_csv, render_json
+from .reports import (KERNEL_ROWS, Table, csv_blocks, geometric_grid,
+                      json_blocks, render_csv, render_json)
 
 if TYPE_CHECKING:
     from .arith import ArithTable
@@ -702,12 +708,46 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                      cache_dir=Path(cache_dir) if cache_dir else None)
 
 
-def run(config: RunConfig) -> str:
+def run(config: RunConfig) -> Iterable[str]:
+    """The command's table as blocks of text, rendered as they are
+    read. A table of at most one block of rows is rendered whole by
+    render_csv or render_json, the names perfbench's tracer times as
+    the render stage."""
     table = COMMANDS[config.command].handler(config, **config.params)
+    whole = len(table.rows) <= KERNEL_ROWS
     if config.fmt == "json":
-        return render_json(table, {"command": config.command,
-                                   "params": config.params})
-    return render_csv(table)
+        head = {"command": config.command, "params": config.params}
+        return [render_json(table, head)] if whole else json_blocks(table, head)
+    return [render_csv(table)] if whole else csv_blocks(table)
+
+
+def _write_output(blocks: Iterable[str], output: Path) -> None:
+    """The blocks into a sibling temp file, renamed over output once
+    all are written; on any failure the temp file is removed and
+    output is left as it was."""
+    tmp = output.with_name(f".{output.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            for block in blocks:
+                fh.write(block)
+        os.replace(tmp, output)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_stdout(blocks: Iterable[str]) -> None:
+    """The blocks to stdout, each as it comes. A reader that has gone
+    away stops the run: stdout is pointed at os.devnull so that the
+    flush at exit stays silent, and the rest is not rendered."""
+    try:
+        for block in blocks:
+            sys.stdout.write(block)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -718,11 +758,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = _resolve_config(args)
-        text = run(config)
+        blocks = run(config)
         if config.output is not None:
-            config.output.write_bytes(text.encode("utf-8"))
+            _write_output(blocks, config.output)
         else:
-            sys.stdout.write(text)
+            _write_stdout(blocks)
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

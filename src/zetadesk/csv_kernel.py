@@ -2,7 +2,7 @@
 integer or float arrays, printed byte for byte as str(int) and %.17g
 would print each cell.
 
-reports.render_csv hands such tables here, KERNEL_ROWS rows at a time,
+reports.csv_blocks hands such tables here, KERNEL_ROWS rows at a time,
 and imports this module (and so numpy) only then. Each cell is written
 into a matrix of zero-padded bytes, the separators are added, and one
 bytes.translate drops the padding. Integers print as str(int) would,

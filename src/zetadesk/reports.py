@@ -9,16 +9,19 @@ cells. Rows are a derived view and are only built as Python tuples on
 access. A scan returns its Table, and a CLI handler returns either that
 Table or one of its own.
 
-Every table, in the CLI and in the scripts, is rendered here. A CSV
-table whose columns are all integer or float arrays goes through the
-numpy kernel of csv_kernel.py, KERNEL_ROWS rows at a time, which prints
-every cell byte for byte as str(int) and %.17g would. Every other table
-(JSON, and CSV with a list column) uses a row template built from the
-column kinds: integers as %d would print, floats as %.17g in CSV and as
-repr in JSON, and the cells of list columns rendered one by one, where
-a Python float again prints as %.17g in CSV and as repr in JSON. The
-template is applied to fixed chunks of rows. Neither path ever holds
-per-row Python tuples of the whole table.
+Every table, in the CLI and in the scripts, is rendered here, as a
+stream of text blocks of at most KERNEL_ROWS rows each (csv_blocks,
+json_blocks), so a caller can write each block to its sink as it comes
+and never hold the whole text; render_csv and render_json join the
+blocks into one string. A CSV table whose columns are all integer or
+float arrays goes through the numpy kernel of csv_kernel.py, which
+prints every cell byte for byte as str(int) and %.17g would. Every
+other table (JSON, and CSV with a list column) uses a row template
+built from the column kinds: integers as %d would print, floats as
+%.17g in CSV and as repr in JSON, and the cells of list columns
+rendered one by one, where a Python float again prints as %.17g in CSV
+and as repr in JSON. Neither path ever holds per-row Python tuples of
+the whole table.
 
 This module imports numpy only on the paths that hold arrays (the
 kernel, column_from_values, the finite check of a float column and
@@ -32,15 +35,12 @@ import json
 import math
 import numbers
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
-# Rows rendered per template pass; a constant so output never depends
-# on anything but the table.
-CHUNK_ROWS = 1 << 16
-
-# Rows per pass of the numeric CSV kernel, so its temporary arrays stay
-# small.
+# Rows per rendered block, on the kernel and the template path alike,
+# so temporary arrays and block text stay small; a constant so output
+# never depends on anything but the table.
 KERNEL_ROWS = 1 << 13
 
 
@@ -127,8 +127,8 @@ class RowView(Sequence):
         return tuple(_plain(c, i, i + 1)[0] for c in self._data)
 
     def __iter__(self):
-        for lo in range(0, len(self), CHUNK_ROWS):
-            yield from zip(*(_plain(c, lo, lo + CHUNK_ROWS) for c in self._data))
+        for lo in range(0, len(self), KERNEL_ROWS):
+            yield from zip(*(_plain(c, lo, lo + KERNEL_ROWS) for c in self._data))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,33 +199,31 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
-def _render_rows(data, row, cell, row_sep, finite_only) -> list[str]:
-    """The rows of a table as rendered chunks of CHUNK_ROWS rows.
+def _render_rows(data, row, cell, row_sep, finite_only) -> Iterator[str]:
+    """The rows of a table as rendered blocks of KERNEL_ROWS rows.
 
     row(kinds) builds the row template, once per table from the column
     kinds; cell(value) pre-renders the cells of "cell" columns. With
-    finite_only, a float column whose chunk holds inf or nan is
-    rendered through cell() for that chunk instead.
+    finite_only, a float column whose block holds inf or nan is
+    rendered through cell() for that block instead.
     """
     kinds = [_kind(c) for c in data]
     table_template = row(kinds)
-    chunks = []
-    for lo in range(0, len(data[0]) if data else 0, CHUNK_ROWS):
-        hi = lo + CHUNK_ROWS
-        chunk_kinds = list(kinds)
+    for lo in range(0, len(data[0]) if data else 0, KERNEL_ROWS):
+        hi = lo + KERNEL_ROWS
+        block_kinds = list(kinds)
         parts = []
         for j, column in enumerate(data):
             values = _plain(column, lo, hi)
             if (finite_only and kinds[j] == "float"
                     and not _all_finite(column[lo:hi])):
-                chunk_kinds[j] = "cell"
-            if chunk_kinds[j] == "cell":
+                block_kinds[j] = "cell"
+            if block_kinds[j] == "cell":
                 values = list(map(cell, values))
             parts.append(values)
-        template = (table_template if chunk_kinds == kinds
-                    else row(chunk_kinds))
-        chunks.append(row_sep.join(map(template.__mod__, zip(*parts))))
-    return chunks
+        template = (table_template if block_kinds == kinds
+                    else row(block_kinds))
+        yield row_sep.join(map(template.__mod__, zip(*parts)))
 
 
 def _all_finite(array) -> bool:
@@ -234,41 +232,52 @@ def _all_finite(array) -> bool:
     return bool(np.isfinite(array).all())
 
 
-# The renderers join their pieces once: a long table's text is then
-# held at most twice (its chunks and the result), never three times.
+# The block generators yield the text a piece at a time: the head, each
+# block of rows as soon as it is rendered, then the tail. A caller that
+# writes each piece before asking for the next holds one block of text.
 
-def render_csv(table: Table) -> str:
+def csv_blocks(table: Table) -> Iterator[str]:
     """Header line, then one LF-terminated line per row. A table of int
     and float columns only is rendered by the numeric kernel."""
-    head = ",".join(table.columns)
+    yield ",".join(table.columns) + "\n"
     if table.data and all(_kind(c) != "cell" for c in table.data):
         from .csv_kernel import numeric_csv_blocks
 
-        return "".join([head, "\n", *numeric_csv_blocks(table.data)])
-    chunks = _render_rows(table.data, _csv_row, csv_cell, "\n", False)
-    return "\n".join([head, *chunks, ""])
+        yield from numeric_csv_blocks(table.data)
+        return
+    for block in _render_rows(table.data, _csv_row, csv_cell, "\n", False):
+        yield block + "\n"
 
 
-def render_json(table: Table, head: dict) -> str:
+def json_blocks(table: Table, head: dict) -> Iterator[str]:
     """What json.dumps(body, indent=2) + "\n" prints, where body holds
     the members of head (the CLI's command and params), then the
     table's extra, columns, rows and stats, with every value made
     JSON-ready and the rows rendered from the columns."""
-    pieces = ["{\n"]
-    for key, value in {**head, **table.extra}.items():
-        pieces += [_json_member(key, json_value(value)), ",\n"]
-    pieces += [_json_member("columns", list(table.columns)), ",\n"]
-    chunks = _render_rows(table.data, _json_row, _json_cell, ",\n", True)
-    if chunks:
-        pieces.append('  "rows": [\n')
-        for chunk in chunks:
-            pieces += [chunk, ",\n"]
-        pieces[-1] = "\n  ]"
+    members = [_json_member(key, json_value(value))
+               for key, value in {**head, **table.extra}.items()]
+    members.append(_json_member("columns", list(table.columns)))
+    yield "{\n" + ",\n".join(members) + ",\n"
+    blocks = _render_rows(table.data, _json_row, _json_cell, ",\n", True)
+    first = next(blocks, None)
+    if first is None:
+        yield '  "rows": []'
     else:
-        pieces.append('  "rows": []')
-    pieces += [",\n", _json_member("stats", json_value(table.stats))]
-    pieces.append("\n}\n")
-    return "".join(pieces)
+        yield '  "rows": [\n' + first
+        for block in blocks:
+            yield ",\n" + block
+        yield "\n  ]"
+    yield ",\n" + _json_member("stats", json_value(table.stats)) + "\n}\n"
+
+
+def render_csv(table: Table) -> str:
+    """The whole of csv_blocks(table) as one string."""
+    return "".join(csv_blocks(table))
+
+
+def render_json(table: Table, head: dict) -> str:
+    """The whole of json_blocks(table, head) as one string."""
+    return "".join(json_blocks(table, head))
 
 
 def _json_member(key: str, value) -> str:
@@ -298,4 +307,5 @@ def geometric_grid(n_max: int, start: int = 1):
         if value - points[-1] < 1.0:
             value = points[-1] + 1.0
     points.append(n_max)
-    return np.unique(np.asarray(points, dtype=np.int64))
+    # sorted(set()) rather than np.unique, which loads numpy.ma
+    return np.array(sorted(set(points)), dtype=np.int64)

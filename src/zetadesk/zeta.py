@@ -84,7 +84,8 @@ def _em_minus_pole(s: np.ndarray) -> np.ndarray:
     n = _node_counts(s.imag)
     logs = np.log(np.arange(1, int(n.max()) + 1, dtype=np.float64))
     head = np.empty(s.size, dtype=np.complex128)
-    for count in np.unique(n).tolist():
+    # sorted(set()) rather than np.unique, which loads numpy.ma
+    for count in sorted(set(n.tolist())):
         group = np.flatnonzero(n == count)
         head[group] = np.exp(np.multiply.outer(-s[group], logs[:count - 1])).sum(axis=1)
     log_n = logs[n - 1]
@@ -344,8 +345,6 @@ def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
 # Constants attached to the origin Taylor expansion of zeta, computed as
 # limits of trapezoid defects of (log x)^k.
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
 # cells with m <= _PANEL_SPLIT get a subdivided quadrature; further out
 # a single 12-node panel is already exact to machine precision (the
 # split point is sized for exponents up to 8, where the 24th derivative
@@ -358,14 +357,26 @@ _PANEL_COUNT = 4
 # fixed size keeps the summation, and so the result, bit-reproducible.
 _CHUNK_CELLS = 1 << 13
 
-# leggauss returns symmetric nodes in ascending order, so the last six
-# are the positive halves of the six +-u pairs. A body cell is sampled
-# at u = +-(trapezoid offset, 0.5 * node) / c: positive offsets in the
-# first seven rows, their negations in the last seven; a row's weight
-# in the cell's defect is 1/2 at a trapezoid end, minus half the Gauss
-# weight at a node.
-_PAIR_OFFSETS = np.append(0.5, 0.5 * _GL_NODES[6:])[:, None]
-_BODY_WEIGHTS = np.tile(np.append(0.5, -0.5 * _GL_WEIGHTS[6:]), 2)
+
+@lru_cache(maxsize=1)
+def _quadrature():
+    """The 12-point Gauss-Legendre nodes and weights, and the body
+    cells' sample offsets and weights, built on the first defect walk:
+    at import, numpy.polynomial would cost every zeta command about
+    5 ms.
+
+    leggauss returns symmetric nodes in ascending order, so the last six
+    are the positive halves of the six +-u pairs. A body cell is sampled
+    at u = +-(trapezoid offset, 0.5 * node) / c: positive offsets in the
+    first seven rows, their negations in the last seven; a row's weight
+    in the cell's defect is 1/2 at a trapezoid end, minus half the Gauss
+    weight at a node."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(12)
+    pair_offsets = np.append(0.5, 0.5 * nodes[6:])[:, None]
+    body_weights = np.tile(np.append(0.5, -0.5 * weights[6:]), 2)
+    return nodes, weights, pair_offsets, body_weights
 
 # Ceiling on the series order in delta. The order actually used is the
 # smallest one whose omitted tail is at most _TAIL_RATIO * delta^2 at
@@ -428,19 +439,20 @@ def _centered_log_power(k: int, l0: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _head_defects(k: int, split: int) -> np.ndarray:
     """Defects of the cells m = 2..split, each integrated over
     _PANEL_COUNT subpanels of 12 nodes, all in one evaluation."""
+    gl_nodes, gl_weights = _quadrature()[:2]
     m = np.arange(2, split + 1, dtype=np.float64)
     c = m - 0.5
     half = 0.5 / c
     width = 1.0 / _PANEL_COUNT
     panel = np.arange(_PANEL_COUNT, dtype=np.float64)[:, None, None]
-    x = (m - 1.0) + (panel + 0.5) * width + (0.5 * width * _GL_NODES)[:, None]
-    nodes = _PANEL_COUNT * _GL_NODES.size
+    x = (m - 1.0) + (panel + 0.5) * width + (0.5 * width * gl_nodes)[:, None]
+    nodes = _PANEL_COUNT * gl_nodes.size
     u = np.vstack([half, -half, ((x - c) / c).reshape(nodes, c.size)])
     phi = _centered_log_power(k, np.log(c), u)
-    panels = phi[2:].reshape(_PANEL_COUNT, _GL_NODES.size, c.size)
+    panels = phi[2:].reshape(_PANEL_COUNT, gl_nodes.size, c.size)
     integral = np.zeros_like(c)
     for p in range(_PANEL_COUNT):
-        integral += 0.5 * width * (_GL_WEIGHTS @ panels[p])
+        integral += 0.5 * width * (gl_weights @ panels[p])
     return 0.5 * (phi[0] + phi[1]) - integral
 
 
@@ -449,10 +461,11 @@ def _body_cells(m_lo: int, m_hi: int):
     each integrated by one 12-node panel: one row per sample (the
     trapezoid end and the six positive nodes, then their negations),
     one column per cell."""
+    pair_offsets = _quadrature()[2]
     c = np.arange(m_lo, m_hi, dtype=np.float64) - 0.5
-    rows = len(_PAIR_OFFSETS)
+    rows = len(pair_offsets)
     u = np.empty((2 * rows, c.size))
-    np.divide(_PAIR_OFFSETS, c, out=u[:rows])
+    np.divide(pair_offsets, c, out=u[:rows])
     np.negative(u[:rows], out=u[rows:])
     return c, u
 
@@ -481,6 +494,7 @@ def _defect_walk(ks, n: int) -> list[tuple[float, float]]:
     fsum; the absolute sum, which only sizes the accumulation floor, is
     an exact fsum of per-chunk pairwise sums."""
     split = min(_PANEL_SPLIT, n)
+    body_weights = _quadrature()[3]
     parts = [([], []) for _ in ks]
     for k, (sums, abs_sums) in zip(ks, parts):
         defects = _head_defects(k, split)
@@ -494,7 +508,7 @@ def _defect_walk(ks, n: int) -> list[tuple[float, float]]:
         moments = np.empty((max(order, *ks) + 1, c.size))
         power = delta * delta
         for i in range(2, len(moments)):
-            np.dot(_BODY_WEIGHTS, power, out=moments[i])
+            np.dot(body_weights, power, out=moments[i])
             power *= delta
         l0 = np.log(c)
         l0_powers = [l0 ** j for j in range(LOG_POWER_K_MAX)]

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetadesk import arith
+from zetadesk import arith, cli, reports
 from zetadesk.cli import (_GROUPS, CACHE_ENV, COMMANDS, CliValidationError,
                           NumberRange, _resolve_config, acquire_table,
                           build_parser, main, parse_complex)
@@ -335,16 +335,20 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def _child_env() -> dict:
+    """The environment of a CLI child: this checkout's package and no
+    cache from the environment."""
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = str(Path(arith.__file__).resolve().parents[1])
+    return env
+
+
 def _peak_rss_mb(*argv) -> float:
     """Peak RSS in MB of `zetadesk argv`, run through _PEAK_RSS_PROBE
-    with this checkout's package and no cache from the environment;
-    the run must exit 0."""
-    src = str(Path(arith.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
-    env["PYTHONPATH"] = src
+    in _child_env(); the run must exit 0."""
     probe = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_PROBE, "-m", "zetadesk.cli", *argv],
-        env=env, capture_output=True, text=True, check=True)
+        env=_child_env(), capture_output=True, text=True, check=True)
     code, peak_kb = map(int, probe.stdout.split())
     assert code == 0, f"{argv[0]} exited {code}"
     return peak_kb / 1024
@@ -393,10 +397,39 @@ def test_far_point_commands_ignore_the_cache_dir(tmp_path, capsys):
 
 
 def test_mertens_every_row_memory_stays_bounded():
-    # one row per n: the table is rendered from columns, so memory grows
-    # with the output text, not with a Python tuple per row
+    # one row per n: the table is rendered from columns and written a
+    # block at a time, so no Python tuple per row and no whole text
     peak = _peak_rss_mb("mertens", "--limit", "1000000")
     assert peak < 160, f"mertens peaked at {peak:.0f} MB"
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["mertens", "--limit", "500000"], 55),
+    (["mertens", "--limit", "100000", "--format", "json"], 45),
+])
+def test_every_row_tables_hold_one_block_of_text(argv, bound):
+    # each block is written before the next is rendered; with the whole
+    # text joined before one write these peaked at 70.6 and 50.3 MB
+    peak = _peak_rss_mb(*argv)
+    assert peak < bound, f"{' '.join(argv)} peaked at {peak:.1f} MB"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mertens", "--limit", "300000"],
+    ["mertens", "--limit", "100000", "--format", "json"],
+])
+def test_a_reader_that_closes_early_ends_the_run_quietly(argv):
+    # megabytes of table against a pipe buffer of some 64 KB, so the
+    # run still has blocks to write when the reader goes away
+    child = subprocess.Popen([sys.executable, "-m", "zetadesk.cli", *argv],
+                             env=_child_env(), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE)
+    assert len(child.stdout.read(10)) == 10
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_dirichlet_sum_peak_memory_stays_bounded():
@@ -511,6 +544,37 @@ def test_output_flag_leaves_stdout_empty(tmp_path, capsys):
     assert main(["li", "--x", "100", "--output", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes().startswith(b"x,li\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mertens", "--limit", "30000"],
+    ["mertens", "--limit", "30000", "--format", "json"],
+    ["divisor-ratio", "--limit", "30000", "--every", "1", "--format", "json"],
+])
+def test_output_file_holds_the_bytes_of_stdout(argv, tmp_path, capsys):
+    # tables of several blocks, streamed to either sink
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    assert run_ok(argv, tmp_path / "out") == printed
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_failed_run_leaves_the_output_file_as_it_was(tmp_path, monkeypatch,
+                                                     capsys):
+    target = tmp_path / "m.csv"
+    target.write_bytes(b"previous\n")
+
+    def failing_blocks(table):
+        blocks = reports.csv_blocks(table)
+        yield next(blocks)
+        yield next(blocks)
+        raise RuntimeError("renderer failed")
+
+    monkeypatch.setattr(cli, "csv_blocks", failing_blocks)
+    assert main(["mertens", "--limit", "30000", "--output", str(target)]) == 1
+    assert capsys.readouterr().err == "error: renderer failed\n"
+    assert target.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
 # -- sieve cache lifecycle ----------------------------------------------

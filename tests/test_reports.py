@@ -3,7 +3,7 @@
 The reference formats every cell with format_float/format_complex for
 CSV and lays the JSON body out with json.dumps(indent=2), which is what
 the CLI printed before tables were held as columns. Row counts sit on
-and around the renderer's chunk edge, and the float pools carry the
+and around the renderer's block edge, and the float pools carry the
 values whose text is easiest to get wrong: -0.0, +-inf, nan,
 subnormals and +-1.7e308.
 """
@@ -16,11 +16,14 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.reports import (CHUNK_ROWS, KERNEL_ROWS, RowView, Table,
-                              column_from_values, format_complex, format_float,
-                              render_csv, render_json)
+from zetadesk.reports import (KERNEL_ROWS, RowView, Table, column_from_values,
+                              csv_blocks, format_complex, format_float,
+                              json_blocks, render_csv, render_json)
 
-CHUNK_EDGE_COUNTS = [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+# the block edge, and 2^16, the template's chunk size before every table
+# was rendered in KERNEL_ROWS blocks
+CHUNK_EDGE_COUNTS = [KERNEL_ROWS - 1, KERNEL_ROWS, KERNEL_ROWS + 1,
+                     65535, 65536, 65537]
 SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
                   1.7e308, -1.7e308]
 
@@ -128,12 +131,46 @@ def test_renderer_matches_cell_by_cell_reference(out):
     check_renders(out)
 
 
-# few examples, and no shrinking: each renders a table of some 2^16 rows
-# four times, so a failure is reported as first found
+# few examples, and no shrinking: each renders a table of up to some
+# 2^16 rows four times, so a failure is reported as first found
 @settings(max_examples=6, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(tables(counts=CHUNK_EDGE_COUNTS, max_columns=3))
 def test_renderer_matches_reference_at_the_chunk_edge(out):
     check_renders(out)
+
+
+def _streamed_table(rows, list_column):
+    n = np.arange(1, rows + 1, dtype=np.int64)
+    ratio = np.sin(n) * n ** 0.5
+    if rows:
+        # non-finite cells in the middle and the last block only
+        ratio[rows // 2], ratio[-1] = -math.inf, math.nan
+    data = [n, ratio]
+    if list_column:
+        data.append([("odd", "even")[i % 2] for i in range(rows)])
+    return Table(tuple(f"c{i}" for i in range(len(data))), data,
+                 {"rows": rows})
+
+
+def _block_rows(blocks, row_start):
+    return max(block.count(row_start) for block in blocks)
+
+
+@pytest.mark.parametrize("rows", [0, 1, KERNEL_ROWS - 1, KERNEL_ROWS,
+                                  KERNEL_ROWS + 1, 65537])
+@pytest.mark.parametrize("list_column", [False, True],
+                         ids=["numeric", "list-column"])
+def test_blocks_join_to_the_whole_text_a_block_of_rows_at_a_time(
+        rows, list_column):
+    out = _streamed_table(rows, list_column)
+    csv = list(csv_blocks(out))
+    assert "".join(csv) == render_csv(out)
+    assert first_mismatch("".join(csv), reference_csv(out)) is None
+    assert _block_rows(csv, "\n") <= KERNEL_ROWS
+    json_text = list(json_blocks(out, _head(out)))
+    assert "".join(json_text) == render_json(out, _head(out))
+    assert first_mismatch("".join(json_text), reference_json(out)) is None
+    assert _block_rows(json_text, "    [\n") <= KERNEL_ROWS
 
 
 def test_numpy_bool_column_prints_as_json_and_csv_booleans():
@@ -242,7 +279,7 @@ def test_kernel_integer_extremes():
 
 
 @pytest.mark.parametrize("rows", [KERNEL_ROWS - 1, KERNEL_ROWS + 1,
-                                  CHUNK_ROWS - 1, CHUNK_ROWS + 1])
+                                  65535, 65537])
 def test_kernel_across_its_blocks_with_late_fallback_cells(rows):
     n = np.arange(1, rows + 1, dtype=np.int64)
     ratio = np.sin(n) * n ** 0.5

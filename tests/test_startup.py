@@ -23,6 +23,9 @@ from .test_cli import LIBRARY_CHECK_FAILURES
 ROOT = Path(__file__).resolve().parents[1]
 ENGINES = {"zetadesk.arith", "zetadesk.asymptotics", "zetadesk.dirichlet",
            "zetadesk.exact", "zetadesk.weierstrass", "zetadesk.zeta"}
+# numpy subpackages a command pays 5-16 ms to import: np.unique loads
+# numpy.ma, leggauss numpy.polynomial
+NUMPY_EXTRAS = {"numpy.ma", "numpy.polynomial"}
 
 # Runs `zetadesk argv[1:]` as `python -m zetadesk.cli` would, with its
 # output swallowed, then prints its exit code and the modules loaded.
@@ -36,7 +39,8 @@ with contextlib.redirect_stdout(io.StringIO()), \\
     except SystemExit as exc:
         code = exc.code
 print(json.dumps([code, [m for m in sys.modules
-                         if m == "numpy" or m.startswith("zetadesk.")]]))
+                         if m in ("numpy", "numpy.ma", "numpy.polynomial")
+                         or m.startswith("zetadesk.")]]))
 """
 
 
@@ -73,9 +77,13 @@ def test_core_commands_load_no_engine_and_no_numpy(argv, code):
 
 @pytest.mark.parametrize("argv,loads,skips", [
     (["xi", "--t", "14"], {"zetadesk.zeta", "zetadesk.exact"},
-     ENGINES - {"zetadesk.zeta", "zetadesk.exact"}),
+     ENGINES - {"zetadesk.zeta", "zetadesk.exact"} | NUMPY_EXTRAS),
     (["mertens", "--limit", "1000"], {"zetadesk.arith"},
      {"zetadesk.zeta", "zetadesk.weierstrass", "zetadesk.dirichlet"}),
+    # a geometric grid
+    (["relation-a", "--x-max", "100000"], {"zetadesk.asymptotics"},
+     {"zetadesk.zeta", "zetadesk.weierstrass", "zetadesk.dirichlet"}
+     | NUMPY_EXTRAS),
 ])
 def test_a_command_loads_only_its_engine(argv, loads, skips):
     code, modules = _loaded(argv)
