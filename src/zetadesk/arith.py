@@ -32,6 +32,7 @@ import numpy as np
 
 from .bounds import MAX_LIMIT
 from .constants import euler_constant
+from .files import replace_atomically
 
 CACHE_MAGIC = b"STJZ"
 CACHE_VERSION = 1
@@ -580,29 +581,25 @@ def save_cache(table: ArithTable, path) -> ArithTable:
     as little-endian uint64, then one byte mu(n)+1 per n in 1..limit,
     then CRC32 (IEEE) of the payload as little-endian uint32.
 
-    The bytes go to a sibling temp file that is then renamed over path,
-    so an interrupted save never leaves a partial file under path. The
+    The bytes replace path atomically (files.replace_atomically), so an
+    interrupted save never leaves a partial file under path. The
     returned table shares table's primes and decodes mu from the file
     it wrote, still open, only if mu is read, so a caller that keeps it
     in place of table frees the sieved mu.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fh = open(tmp, "w+b")
-    try:
-        fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit))
-        crc = 0
+    crc = 0
+
+    def payload():
+        nonlocal crc
+        yield _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.limit)
         for lo, hi in chunk_bounds(table.limit):
-            payload = (table.mu[lo:hi] + 1).view(np.uint8)
-            fh.write(payload)
-            crc = zlib.crc32(payload, crc)
-        fh.write(struct.pack("<I", crc))
-        fh.flush()
-        os.replace(tmp, path)
-    except BaseException:
-        fh.close()
-        tmp.unlink(missing_ok=True)
-        raise
+            chunk = (table.mu[lo:hi] + 1).view(np.uint8)
+            crc = zlib.crc32(chunk, crc)
+            yield chunk
+        yield struct.pack("<I", crc)
+
+    fh = replace_atomically(path, payload(), "w+b")
     saved = ArithTable(table.limit, MobiusFile(path, table.limit, crc, fh))
     vars(saved)["primes"] = table.primes  # seeds the cached_property
     return saved

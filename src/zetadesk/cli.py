@@ -8,10 +8,11 @@ Each handler returns a reports.Table (the scan-backed ones return the
 scan's own table), and run renders it, with the command and its
 parameters as the head of the JSON body, as a stream of text blocks
 that main writes to the sink one at a time: a run holds at most one
-block of its output text. --output is written to a temporary file next
-to the target and renamed over it once the whole table is written, so
-a failed run leaves the target as it was. A reader that closes stdout
-early (`| head`) ends the run quietly, with exit 0.
+block of its output text. --output is replaced atomically when it names
+a new or a regular file (files.replace_atomically), so a failed run
+leaves it as it was; a symlink, a device or a FIFO is written in place.
+A reader that closes stdout early (`| head`) ends the run quietly, with
+exit 0.
 
 Each command is declared once, as one entry of COMMANDS: its handler,
 help line, default format, flags and any check that spans several
@@ -64,6 +65,7 @@ from .bounds import (LI_X_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
                      _check_exponent, _check_half_plane, _check_not_degenerate,
                      _require_in_box, _require_regular)
 from .constants import li
+from .files import replace_atomically
 from .reports import (KERNEL_ROWS, Table, csv_blocks, geometric_grid,
                       json_blocks, render_csv, render_json)
 
@@ -721,21 +723,6 @@ def run(config: RunConfig) -> Iterable[str]:
     return [render_csv(table)] if whole else csv_blocks(table)
 
 
-def _write_output(blocks: Iterable[str], output: Path) -> None:
-    """The blocks into a sibling temp file, renamed over output once
-    all are written; on any failure the temp file is removed and
-    output is left as it was."""
-    tmp = output.with_name(f".{output.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            for block in blocks:
-                fh.write(block)
-        os.replace(tmp, output)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_stdout(blocks: Iterable[str]) -> None:
     """The blocks to stdout, each as it comes. A reader that has gone
     away stops the run: stdout is pointed at os.devnull so that the
@@ -760,7 +747,8 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         blocks = run(config)
         if config.output is not None:
-            _write_output(blocks, config.output)
+            replace_atomically(config.output, blocks, "w", encoding="utf-8",
+                               newline="").close()
         else:
             _write_stdout(blocks)
     except CliValidationError as exc:

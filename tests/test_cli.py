@@ -18,8 +18,10 @@ import importlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -575,6 +577,61 @@ def test_failed_run_leaves_the_output_file_as_it_was(tmp_path, monkeypatch,
     assert capsys.readouterr().err == "error: renderer failed\n"
     assert target.read_bytes() == b"previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+def _mertens_stdout(capsys):
+    assert main(["mertens", "--limit", "30000"]) == 0
+    return capsys.readouterr().out.encode()
+
+
+def test_output_through_a_symlink_writes_the_file_it_names(tmp_path, capsys):
+    printed = _mertens_stdout(capsys)
+    real = tmp_path / "real.csv"
+    real.write_bytes(b"previous\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert run_ok(["mertens", "--limit", "30000"], link) == printed
+    assert link.is_symlink() and real.read_bytes() == printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv",
+                                                          "real.csv"]
+
+
+def test_output_into_a_fifo_writes_to_its_reader(tmp_path, capsys):
+    printed = _mertens_stdout(capsys)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert main(["mertens", "--limit", "30000", "--output", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert received == [printed]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_replaced_output_keeps_its_permission_bits(tmp_path, capsys):
+    printed = _mertens_stdout(capsys)
+    target = tmp_path / "m.csv"
+    target.write_bytes(b"previous\n")
+    target.chmod(0o640)
+    assert run_ok(["mertens", "--limit", "30000"], target) == printed
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_hard_linked_output_is_written_under_every_name(tmp_path, capsys):
+    printed = _mertens_stdout(capsys)
+    target = tmp_path / "m.csv"
+    target.write_bytes(b"previous\n")
+    other = tmp_path / "other.csv"
+    os.link(target, other)
+    assert run_ok(["mertens", "--limit", "30000"], target) == printed
+    assert other.read_bytes() == printed
 
 
 # -- sieve cache lifecycle ----------------------------------------------
