@@ -11,7 +11,8 @@ a list column at the same sizes (rendered by reports.render_csv in a
 child of their own, since no command prints one that long), every-row
 tables of 70000 rows, the far-point Mertens reads of `identity-explore
 --n` and `abel-check` near 10^7, `abel-check` blocks across segment
-edges and one of 2 * 10^6 cells, a `weierstrass` walk over several
+edges and one of 2 * 10^6 cells, `theta` and `mertens-constant` at
+the edge of the first 2^16 primes, a `weierstrass` walk over several
 chunks, sums of nan, empty `--every` grids and grids whose rows lie
 chunks apart, non-finite cells, the sieve cache (builds, misses, hits
 from every table command that reads only primes or only mu, inspect),
@@ -77,9 +78,12 @@ OUTPUTS = [
     *[(f"abel-check-{n}-{m}",
        ["abel-check", "--n", str(n), "--m", str(m), "--s", "0.5+14.1i"])
       for n in (2, 65536) for m in EDGES],
-    # powers of nan: the sums take the non-finite route
+    # Im s beyond the bound on s, where every power would be nan
     ("abel-check-nan",
      ["abel-check", "--n", "100", "--m", "50", "--s", "0.5+1e308i"]),
+    # every power underflows to 0, so both sums are 0
+    ("abel-check-underflow",
+     ["abel-check", "--n", "2", "--m", "5", "--s", "2000"]),
     ("abel-check-long",
      ["abel-check", "--n", "1000", "--m", "2000000", "--s", "0.5+14.1i"]),
     ("convolution-check", ["convolution-check", "--limit", "1000"]),
@@ -121,6 +125,10 @@ OUTPUTS = [
     ("li-far", ["li", "--x", "1e20"]),
     ("relation-a", ["relation-a", "--x-max", "5000"]),
     ("mertens-constant", ["mertens-constant", "--limit", "5000"]),
+    # 821641 and 821647 are the 65536th and 65537th primes: theta and the
+    # sum of 1/p are walked over the primes in chunks of 2^16
+    *[(f"theta-{n}", ["theta", "--limit", str(n)]) for n in (821646, 821647)],
+    ("mertens-constant-821647", ["mertens-constant", "--limit", "821647"]),
     ("prime-window", ["prime-window", "--start", "10", "--stop", "10000"]),
     ("identity-explore-n", ["identity-explore", "--n", "100"]),
     ("identity-explore-n-far", ["identity-explore", "--n", "10000007"]),
@@ -207,6 +215,8 @@ INVALID = [
     ("abel-n", ["abel-check", "--n", "1", "--m", "10", "--s", "0.5"]),
     ("abel-over-max", ["abel-check", "--n", "199999999", "--m", "10", "--s", "1"]),
     ("abel-s-overflow", ["abel-check", "--n", "10", "--m", "5", "--s", "1e400"]),
+    ("abel-s-real-overflow",
+     ["abel-check", "--n", "2", "--m", "5", "--s", "1.7e308"]),
     ("li-x", ["li", "--x", "1"]),
     ("li-over-cap", ["li", "--x", "1e76"]),
     ("theta-s", ["theta", "--limit", "1000", "--s", "1.5"]),
@@ -226,6 +236,8 @@ INVALID = [
     ("weierstrass-overflow", ["weierstrass", "--x", "800", "--a", "1"]),
     ("weierstrass-x-overflow", ["weierstrass", "--x=0+1e400i", "--a", "1"]),
     ("weierstrass-runtime", ["weierstrass", "--x", "1", "--a", "1e-7"]),
+    ("weierstrass-pair", ["weierstrass", "--x", "700", "--a=-699"]),
+    ("weierstrass-x-imag", ["weierstrass", "--x=0+1e300i", "--a", "1"]),
     ("convolution-cap", ["convolution-check", "--limit", "300000"]),
     ("cache-inspect-missing", ["cache", "inspect", "--path", f"{TMP}/nowhere"]),
 ]

@@ -2,7 +2,7 @@
 
 Everything downstream (Dirichlet sums, prime-counting statistics, the
 Mertens ratio scans) reads from one immutable ArithTable: primes, the
-Mobius function, prime-log prefix sums, and divisor-count and
+Mobius function, the prime-power weight prefix, and divisor-count and
 smallest-prime-factor arrays, each made on first read. A table read
 from the STJZ sieve cache is checked when it is loaded and decodes mu
 from the file only if mu is read.
@@ -121,14 +121,13 @@ class ArithTable:
 
     Every array is materialized on first read and cached on the
     instance: primes is the ascending prime array, mu[n] the Mobius
-    function (int8, entry 0 unused), prime_log_cumsum[i] is log p summed
-    over the first i+1 primes (ascending, so theta lookups are one
-    bisect), divisor_count and smallest_prime_factor are the sieves
-    their names say, and mangoldt_prefix and prime_reciprocal_cumsum are
-    the prefix sums the asymptotics scans read. Summatory values read
-    only at grid rows (M and D) are walked by grid_prefix instead of
-    held whole. A table with a mu_file decodes mu from that file instead
-    of sieving it. The table is logically immutable.
+    function (int8, entry 0 unused), divisor_count and
+    smallest_prime_factor are the sieves their names say, and
+    mangoldt_prefix is the prefix sum of the prime-power weight.
+    Summatory values read at a few points (M, D, and theta and the sum
+    of 1/p by prime count) are walked by grid_prefix instead of held
+    whole. A table with a mu_file decodes mu from that file instead of
+    sieving it. The table is logically immutable.
     """
 
     limit: int
@@ -149,14 +148,6 @@ class ArithTable:
         return _mobius_sieve(self.limit, self.primes)
 
     @cached_property
-    def prime_log_cumsum(self) -> np.ndarray:
-        """float64 array; entry i is log p summed over the first i+1
-        primes, accumulated in ascending order."""
-        log_cumsum = np.cumsum(np.log(self.primes.astype(np.float64)))
-        log_cumsum.setflags(write=False)
-        return log_cumsum
-
-    @cached_property
     def smallest_prime_factor(self) -> np.ndarray:
         """int32 array; entry n >= 2 is the least prime dividing n."""
         return _smallest_prime_factor_sieve(self.limit, self.primes)
@@ -168,31 +159,15 @@ class ArithTable:
 
     @cached_property
     def mangoldt_prefix(self) -> np.ndarray:
-        """float64 array; entry n holds weight(1) + ... + weight(n) of the
-        prime-power weight: 2C at 1, log p at each p^k, zero elsewhere
-        (see mangoldt_weight)."""
-        w = np.zeros(self.limit + 1, dtype=np.float64)
-        w[1] = 2.0 * euler_constant()
-        if self.limit >= 2:
-            primes = self.primes
-            w[primes] = np.log(primes)
-            for p in primes[primes <= math.isqrt(self.limit)]:
-                lp = math.log(p)
-                q = int(p) * int(p)
-                while q <= self.limit:
-                    w[q] = lp
-                    q *= int(p)
-        np.cumsum(w, out=w)
-        w.setflags(write=False)
-        return w
-
-    @cached_property
-    def prime_reciprocal_cumsum(self) -> np.ndarray:
-        """float64 array; entry i is 1/p summed over the first i+1
-        primes, accumulated in ascending order."""
-        recip = np.cumsum(1.0 / self.primes.astype(np.float64))
-        recip.setflags(write=False)
-        return recip
+        """float64 array; entry n holds w(1) + ... + w(n), w the
+        prime-power weight (prime_power_weight), in ascending order."""
+        weight = prime_power_weight(self, self.limit)
+        prefix = np.zeros(self.limit + 1, dtype=np.float64)
+        for lo, hi in chunk_bounds(self.limit):
+            prefix[lo:hi] = weight(lo, hi)
+        np.cumsum(prefix, out=prefix)
+        prefix.setflags(write=False)
+        return prefix
 
     def prime_count(self, x: float) -> int:
         """pi(x): primes p <= x. Requires 0 <= x <= limit."""
@@ -309,9 +284,10 @@ def chunk_bounds(n: int, start: int = 1):
 
 
 def grid_prefix(chunk, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """f(1) + ... + f(n) at each n of the ascending grid (n >= 1), as
-    dtype, where chunk(lo, hi) gives f(lo..hi-1). A chunk already of
-    dtype is summed in place, so it must be a fresh array.
+    """f(1) + ... + f(n) at each n of the ascending grid (n >= 0, the
+    empty sum 0), as dtype, where chunk(lo, hi) gives f(lo..hi-1). A
+    chunk already of dtype is summed in place, so it must be a fresh
+    array.
 
     Walks chunk_bounds up to the last grid row and adds the carry into
     each chunk's first cell, the step np.add.accumulate takes there
@@ -320,9 +296,9 @@ def grid_prefix(chunk, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
     -0.0 stays -0.0 as it does there. Integer sums are exact while
     dtype holds them; no full-length array is formed.
     """
-    picked = np.empty(grid.size, dtype=dtype)
+    picked = np.zeros(grid.size, dtype=dtype)
     carry = None
-    for lo, hi in chunk_bounds(int(grid[-1])):
+    for lo, hi in chunk_bounds(int(grid.max(initial=0))):
         part = np.asarray(chunk(lo, hi), dtype=dtype)
         if carry is not None:
             part[0] += carry
@@ -511,14 +487,19 @@ def mertens_segments(n: int, m: int):
         last = piece
 
 
+def _prime_sums(table: ArithTable, f, xs) -> np.ndarray:
+    """f(p) summed over the primes p <= x at each x of the ascending xs:
+    grid_prefix walks the primes by prime count (f maps a slice of them
+    to a fresh float64 array), so bit-identical to one cumsum of f."""
+    return grid_prefix(lambda lo, hi: f(table.primes[lo - 1 : hi - 1]),
+                       np.searchsorted(table.primes, xs, side="right"))
+
+
 def chebyshev_theta(table: ArithTable, x: float) -> float:
     """Sum of log p over primes p <= x, accumulated in ascending order."""
     if x < 0 or x > table.limit:
         raise ValueError(f"theta argument {x} outside table range")
-    idx = int(np.searchsorted(table.primes, math.floor(x), side="right"))
-    if idx == 0:
-        return 0.0
-    return float(table.prime_log_cumsum[idx - 1])
+    return float(_prime_sums(table, np.log, [x])[0])
 
 
 def mangoldt_weight(table: ArithTable, n: int, euler_c: float) -> float:
@@ -532,11 +513,37 @@ def mangoldt_weight(table: ArithTable, n: int, euler_c: float) -> float:
         raise ValueError(f"weight argument {n} outside table range")
     if n == 1:
         return 2.0 * euler_c
-    p = int(table.smallest_prime_factor[n])
-    m = n
-    while m % p == 0:
-        m //= p
-    return math.log(p) if m == 1 else 0.0
+    return float(prime_power_weight(table, n)(n, n + 1)[0])
+
+
+def prime_power_weight(table: ArithTable, n: int):
+    """chunk(lo, hi), a fresh float64 array of w(lo..hi-1) for the
+    prime-power weight w over 1..n: 2C at 1, log p at each p^k, zero
+    elsewhere. The p^k with k >= 2 are listed once; every log is
+    math.log(p), as a loop over the prime powers would take it."""
+    primes = table.primes
+    powers = []
+    for p in primes[: table.prime_count(math.isqrt(n))].tolist():
+        pk = p * p
+        while pk <= n:
+            powers.append((pk, math.log(p)))
+            pk *= p
+    powers.sort()
+    at = np.array([pk for pk, _ in powers], dtype=np.int64)
+    logs = np.array([lp for _, lp in powers], dtype=np.float64)
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        part = np.zeros(hi - lo)
+        if lo == 1:
+            part[0] = 2.0 * euler_constant()
+        i, j = np.searchsorted(primes, (lo, hi))
+        ps = primes[i:j]
+        part[ps - lo] = [math.log(p) for p in ps.tolist()]
+        i, j = np.searchsorted(at, (lo, hi))
+        part[at[i:j] - lo] = logs[i:j]
+        return part
+
+    return chunk
 
 
 def squarefree_count(table: ArithTable, n: int) -> int:

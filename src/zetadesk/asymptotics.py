@@ -13,25 +13,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (ArithTable, MertensPrefix, MertensQuotients,
-                    chebyshev_theta, chunk_bounds, grid_prefix,
+                    _prime_sums, chebyshev_theta, chunk_bounds, grid_prefix,
                     integer_root, mangoldt_weight)
 from .bounds import MERTENS_CONSTANT_N_MIN, SCAN_START, _check_exponent
 from .constants import euler_constant, li
 from .reports import Table, geometric_grid
 
 
+def _root_ladder(n: int) -> list[int]:
+    """integer_root(n, k) for k = 1, 2, ... while it is at least 2."""
+    roots = []
+    while (r := integer_root(n, len(roots) + 1)) >= 2:
+        roots.append(r)
+    return roots
+
+
 def psi_sum(table: ArithTable, n: int) -> float:
-    """Chebyshev psi(n) as the root-stacked theta sum over n^(1/k) >= 2."""
+    """Chebyshev psi(n) as the root-stacked theta sum over n^(1/k) >= 2,
+    from one walk over the primes."""
     if n < 1 or n > table.limit:
         raise ValueError("n must lie in 1..limit")
+    thetas = _prime_sums(table, np.log, _root_ladder(n)[::-1])
     total = 0.0
-    k = 1
-    while True:
-        r = integer_root(n, k)
-        if r < 2:
-            break
-        total += chebyshev_theta(table, r)
-        k += 1
+    for theta in thetas[::-1].tolist():
+        total += theta
     return total
 
 
@@ -86,12 +91,11 @@ def theta_deviation_scan(table: ArithTable, s: float,
     if not SCAN_START < n_max <= table.limit:
         raise ValueError(f"need {SCAN_START} < n_max <= limit")
     grid = geometric_grid(n_max, start=SCAN_START)
-    thetas = [chebyshev_theta(table, n) for n in grid.tolist()]
+    thetas = _prime_sums(table, np.log, grid)
     deviations = [(theta - n) / float(n) ** s
-                  for n, theta in zip(grid.tolist(), thetas)]
+                  for n, theta in zip(grid.tolist(), thetas.tolist())]
     return Table(("n", "theta", "deviation"),
-                 (grid.astype(np.float64), np.array(thetas),
-                  np.array(deviations)),
+                 (grid.astype(np.float64), thetas, np.array(deviations)),
                  {"first_abs": abs(deviations[0]),
                   "last_abs": abs(deviations[-1]), "exponent": s})
 
@@ -145,16 +149,8 @@ def riemann_prime_count(table: ArithTable, x: float) -> float:
     x = float(x)
     if x < 0 or x > table.limit:
         raise ValueError("x must lie in 0..limit")
-    base = int(math.floor(x))
-    total = []
-    k = 1
-    while True:
-        r = integer_root(base, k) if base >= 2 else 0
-        if r < 2:
-            break
-        total.append(table.prime_count(r) / k)
-        k += 1
-    return math.fsum(total) if total else 0.0
+    return math.fsum(table.prime_count(r) / k
+                     for k, r in enumerate(_root_ladder(math.floor(x)), 1))
 
 
 def prime_count_gap_ratio(table: ArithTable, x: float, s: float) -> float:
@@ -186,9 +182,8 @@ def mertens_constant_estimate(table: ArithTable, n: int) -> float:
         raise ValueError(f"estimate needs n >= {MERTENS_CONSTANT_N_MIN}")
     if n > table.limit:
         raise ValueError("n exceeds the table limit")
-    count = table.prime_count(n)
-    return (float(table.prime_reciprocal_cumsum[count - 1])
-            - math.log(math.log(n)))
+    recip = float(_prime_sums(table, lambda p: 1.0 / p, [n])[0])
+    return recip - math.log(math.log(n))
 
 
 def prime_window_count(table: ArithTable, n: int, h: float) -> int:

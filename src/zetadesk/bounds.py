@@ -14,8 +14,9 @@ import math
 
 # Builds above this cap are refused. Measured as in-process ru_maxrss
 # (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 300 MB
-# (the prime sieve), a first read of mu takes that to 390 MB and of
-# prime_log_cumsum to 490 MB; 10^8 stays near 170, 215 and 275 MB. A
+# (the prime sieve) and a first read of mu takes that to 390 MB; 10^8
+# stays near 170 and 215 MB. theta and the sum of 1/p are walked over
+# the primes in chunks, so they add no full-length array. A
 # table loaded from the cache sieves nothing until read, so a CLI run
 # at the cap that reads only its mu peaks near 225 MB. A full Mertens
 # prefix adds 4 bytes per integer on top (1.2 GB at the cap); of the
@@ -59,6 +60,10 @@ RE_MIN = -10.0
 RE_MAX = 10.0
 IM_MAX = 120.0
 
+# summation by parts forms n^-s = exp(-s log n) for n <= MAX_LIMIT, where
+# log n < 20, so s log n stays finite with room to spare
+HALF_PLANE_S_MAX = 1e300
+
 # cexp overflows near 709.78; stay clear so intermediate products are
 # finite too
 _EXP_ARG_LIMIT = 700.0
@@ -75,6 +80,9 @@ def _check_half_plane(s: complex) -> complex:
     s = complex(s)
     if not (s.real > 0):
         raise ValueError("summation by parts wants Re s > 0")
+    if s.real > HALF_PLANE_S_MAX or abs(s.imag) > HALF_PLANE_S_MAX:
+        raise ValueError("summation by parts wants Re s and |Im s| at most "
+                         f"{HALF_PLANE_S_MAX:g}")
     return s
 
 
@@ -108,3 +116,13 @@ def _check_exp_arg(z: complex) -> complex:
         raise ValueError("direct evaluation of the exponential would "
                          "overflow binary64")
     return z
+
+
+def _check_exp_pair(x: complex, a: complex) -> None:
+    """x and a of e^x - e^a, each within _check_exp_arg: the pair factors
+    of the product multiply up to about e^(|x|/pi), and beyond
+    |Re(x - a)| = 700 the smaller exponential lies below every binary64
+    digit of the larger, so the product would be checked against one."""
+    if abs(x.imag) > _EXP_ARG_LIMIT or abs(x.real - a.real) > _EXP_ARG_LIMIT:
+        raise ValueError(f"|Im x| and |Re(x - a)| must stay within "
+                         f"{_EXP_ARG_LIMIT:g} for the lattice product")

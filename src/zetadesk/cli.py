@@ -62,8 +62,8 @@ from typing import TYPE_CHECKING
 from .bounds import (LI_X_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
                      MERTENS_CONSTANT_N_MIN, SCAN_START, ZERO_SCAN_STEP_MAX,
                      ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX, _check_exp_arg,
-                     _check_exponent, _check_half_plane, _check_not_degenerate,
-                     _require_in_box, _require_regular)
+                     _check_exp_pair, _check_exponent, _check_half_plane,
+                     _check_not_degenerate, _require_in_box, _require_regular)
 from .constants import li
 from .files import replace_atomically
 from .reports import (KERNEL_ROWS, Table, csv_blocks, geometric_grid,
@@ -259,7 +259,8 @@ def _cmd_abel_check(config: RunConfig, n, m, s) -> Table:
 
     dec = dirichlet.abel_rearranged_sum(n, m, s)
     gap = abs(dec.direct_sum - dec.rearranged)
-    rel = gap / abs(dec.direct_sum) if dec.direct_sum != 0 else math.inf
+    direct = abs(dec.direct_sum)
+    rel = gap / direct if direct else (math.inf if gap else 0.0)
     row = (n, m, s, dec.direct_sum, dec.rearranged, gap, rel,
            dec.theta_min if m else math.nan, dec.theta_max if m else math.nan)
     stats = {"boundary_terms": [dec.boundary_terms[0], dec.boundary_terms[1]],
@@ -529,6 +530,13 @@ def _exponent_base(a: complex) -> None:
     _check_exp_arg(_check_not_degenerate(a))
 
 
+def _exponent_pair(params) -> None:
+    try:
+        _check_exp_pair(params["x"], params["a"])
+    except ValueError as exc:
+        raise CliValidationError(f"--x: {exc}") from None
+
+
 _LIMIT = Flag("--limit", NumberRange(int, 1, MAX_LIMIT))
 _EXPONENT = Flag("--s", NumberRange(float), default=0.75,
                  check=_check_exponent)
@@ -621,7 +629,8 @@ COMMANDS = {
               help="complex, RE+IMi"),
          Flag("--a", parse_complex, check=_exponent_base,
               help="complex, RE+IMi"),
-         Flag("--n-terms", NumberRange(int, 1, 10_000_000), default=10_000))),
+         Flag("--n-terms", NumberRange(int, 1, 10_000_000), default=10_000)),
+        check=_exponent_pair),
     "cache-build": Command(
         _cmd_cache_build, "sieve to --limit and write an STJZ file",
         (_LIMIT, Flag("--dir"))),

@@ -29,7 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import ArithTable, chunk_bounds, grid_prefix, mertens_segments
+from .arith import (ArithTable, chunk_bounds, grid_prefix, mertens_segments,
+                    prime_power_weight)
 from .bounds import _check_half_plane
 from .constants import euler_constant
 from .exact import ExactSum, split
@@ -94,40 +95,13 @@ def divisor_corrected_stream(table: ArithTable, limit: int | None = None) -> Coe
 
 
 def one_minus_g_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
-    """lambda(n) = 1 - w(n), w the prime-power log weight with 2C head.
-
-    So lambda(1) = 1 - 2C, lambda(p^k) = 1 - log p, lambda(n) = 1
-    elsewhere. This is the Mobius convolution image of the corrected
-    divisor stream (checked in tests and the CLI). Each chunk finds
-    its primes in table.primes; the few p^k with k >= 2 (p <= sqrt n)
-    are listed once. Every weight is 1.0 - math.log(p), the scalar log,
-    so the values match a loop over the prime powers bit for bit.
-    """
+    """lambda(n) = 1 - w(n), w the prime-power log weight with 2C head
+    (arith.prime_power_weight): the Mobius convolution image of the
+    corrected divisor stream (checked in tests and the CLI)."""
     n = _stream_limit(table, limit)
-    head = 1.0 - 2.0 * euler_constant()
-    primes = table.primes
-    powers = []
-    for p in primes[: table.prime_count(math.isqrt(n))].tolist():
-        pk = p * p
-        while pk <= n:
-            powers.append((pk, 1.0 - math.log(p)))
-            pk *= p
-    powers.sort()
-    at = np.array([pk for pk, _ in powers], dtype=np.int64)
-    weight = np.array([w for _, w in powers], dtype=np.float64)
-
-    def chunk(lo: int, hi: int) -> np.ndarray:
-        part = np.ones(hi - lo)
-        if lo == 1:
-            part[0] = head
-        i, j = np.searchsorted(primes, (lo, hi))
-        ps = primes[i:j]
-        part[ps - lo] = [1.0 - math.log(p) for p in ps.tolist()]
-        i, j = np.searchsorted(at, (lo, hi))
-        part[at[i:j] - lo] = weight[i:j]
-        return part
-
-    return CoefficientStream("one_minus_g", n, chunk)
+    weight = prime_power_weight(table, n)
+    return CoefficientStream("one_minus_g", n,
+                             lambda lo, hi: 1.0 - weight(lo, hi))
 
 
 # the streams read off a table, by the names the CLI's --series gives

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import chunk_bounds
-from .bounds import _EXP_ARG_LIMIT, _check_exp_arg, _check_not_degenerate
+from .bounds import (_EXP_ARG_LIMIT, _check_exp_arg, _check_exp_pair,
+                     _check_not_degenerate)
 from .exact import ExactSum
 
 TWO_PI = 2.0 * math.pi
@@ -58,6 +59,7 @@ def _evaluate_signs(x: complex, a: complex, n_terms: int,
         raise ValueError("need n_terms >= 1")
     x = _check_exp_arg(x)
     a = _check_exp_arg(_check_not_degenerate(a))
+    _check_exp_pair(x, a)
     ea = cmath.exp(a)
     direct = cmath.exp(x) - ea
 

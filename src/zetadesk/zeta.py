@@ -305,6 +305,17 @@ def _bisect_xi_real(lo: np.ndarray, hi: np.ndarray,
     return zeros
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of the 1-D array x, which would import numpy.ma: nan if
+    any cell is nan, else the middle cell, or the mean of the two middle
+    cells for an even count."""
+    lo, hi = (x.size - 1) // 2, x.size // 2
+    part = np.partition(x, [lo, hi, -1])
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(part[hi] if lo == hi else (part[lo] + part[hi]) / 2)
+
+
 def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
               t_min: float = 0.0) -> ZeroScanResult:
     t_max = float(t_max)
@@ -327,7 +338,7 @@ def zero_scan(t_max: float, step: float = ZERO_SCAN_STEP_MAX,
     flips = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
     zeros = _bisect_xi_real(grid[flips], grid[flips + 1], values[flips])
     absval = np.abs(values, out=values)
-    scale = float(np.median(absval)) + 1e-300
+    scale = _median(absval) + 1e-300
     inner = absval[1:-1]
     local_min = ((inner <= absval[:-2]) & (inner <= absval[2:])
                  & (inner < 1e-4 * scale))

@@ -50,7 +50,7 @@ def test_cached_table_makes_each_array_on_first_read(table4, tmp_path):
     assert np.array_equal(loaded.mu, table4.mu)
     assert "primes" not in vars(loaded)
     assert np.array_equal(loaded.primes, table4.primes)
-    assert np.array_equal(loaded.prime_log_cumsum, table4.prime_log_cumsum)
+    assert np.array_equal(loaded.mangoldt_prefix, table4.mangoldt_prefix)
 
     scanned = load_cache(path)
     theta_deviation_scan(scanned, 0.5, table4.limit)

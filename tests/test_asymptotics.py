@@ -71,6 +71,45 @@ def test_psi_sum_is_theta_ladder(table6):
                             rel_tol=1e-13)
 
 
+# the 65536th and 65537th primes, either side of the edge of the first
+# 2^16-prime chunk of the walks over the primes
+PRIME_CHUNK_EDGE = (821641, 821647)
+
+
+def test_prime_walks_equal_whole_prefix_arrays(table6):
+    # the whole prefix arrays the table once held, as the reference
+    primes = table6.primes.astype(np.float64)
+    log_cumsum = np.cumsum(np.log(primes))
+    recip_cumsum = np.cumsum(1.0 / primes)
+    assert tuple(table6.primes[65535:65537]) == PRIME_CHUNK_EDGE
+
+    def theta(x):
+        count = table6.prime_count(x)
+        return float(log_cumsum[count - 1]) if count else 0.0
+
+    near_edge = [p + d for p in PRIME_CHUNK_EDGE for d in (-1, 0, 1)]
+    points = [1, 2, 3, 100, *near_edge, table6.limit]
+    for x in [0, 1.5, *points]:
+        assert chebyshev_theta(table6, x) == theta(x), x
+    for n in points:
+        want = 0.0
+        k = 1
+        while (r := integer_root(n, k)) >= 2:
+            want += theta(r)
+            k += 1
+        assert psi_sum(table6, n) == want, n
+    for n in [10, *near_edge, table6.limit]:
+        count = table6.prime_count(n)
+        want = float(recip_cumsum[count - 1]) - math.log(math.log(n))
+        assert mertens_constant_estimate(table6, n) == want, n
+    for n_max in [*near_edge, table6.limit]:
+        grid, got = theta_deviation_scan(table6, 0.75, n_max).data[:2]
+        counts = np.searchsorted(table6.primes, grid.astype(np.int64),
+                                 side="right")
+        want = log_cumsum[counts - 1]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_psi_decomposition_identity(table6):
     for n in (2, 10, 1000, 123_456, 1_000_000):
         dec = psi_decomposition_check(table6, n)

@@ -158,6 +158,14 @@ LIBRARY_CHECK_FAILURES = [
     (["weierstrass", "--x", "800", "--a", "1"],
      "error: --x: direct evaluation of the exponential would overflow "
      "binary64"),
+    (["abel-check", "--n", "100", "--m", "50", "--s", "0.5+1e308i"],
+     "error: --s: summation by parts wants Re s and |Im s| at most 1e+300"),
+    (["weierstrass", "--x=0+1e300i", "--a", "1"],
+     "error: --x: |Im x| and |Re(x - a)| must stay within 700 for the "
+     "lattice product"),
+    (["weierstrass", "--x", "700", "--a=-699"],
+     "error: --x: |Im x| and |Re(x - a)| must stay within 700 for the "
+     "lattice product"),
 ]
 
 
@@ -432,6 +440,34 @@ def test_a_reader_that_closes_early_ends_the_run_quietly(argv):
     child.stderr.close()
     assert child.wait(timeout=120) == 0
     assert err == b""
+
+
+@pytest.mark.parametrize("argv,code", [
+    # s log n past binary64: every power nan, or 0 after an overflow
+    (["abel-check", "--n", "100", "--m", "50", "--s", "0.5+1e308i"], 2),
+    (["abel-check", "--n", "2", "--m", "5", "--s", "1.7e308"], 2),
+    # inside the bound, and every power underflows to 0
+    (["abel-check", "--n", "2", "--m", "5", "--s", "2000"], 0),
+    # |Re(x - a)| past 700, where the minus-sign exponent overflows, and
+    # |Im x| past it, where the pair factors overflow to nan
+    (["weierstrass", "--x", "700", "--a=-699"], 2),
+    (["weierstrass", "--x=0+1e300i", "--a", "1"], 2),
+])
+def test_run_time_corners_exit_0_with_finite_cells_or_2(argv, code):
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "zetadesk.cli",
+         *argv], env=_child_env(), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == code, done.stderr
+    if code == 2:
+        assert done.stderr.startswith("error: --")
+        assert done.stdout == ""
+        return
+    assert done.stderr == ""
+    header, row = done.stdout.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["abs_diff"] == cells["rel_diff"] == "0"
+    assert "nan" not in row and "inf" not in row
 
 
 def test_dirichlet_sum_peak_memory_stays_bounded():

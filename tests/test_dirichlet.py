@@ -209,6 +209,18 @@ def test_abel_rejections(prefix4):
         abel_rearranged_sum(2, 10, 0.75, [prefix4.values[1:2]])
     with pytest.raises(ValueError):
         abel_rearranged_sum(2, MAX_LIMIT, 0.75)
+    # s log n would leave binary64: the powers are nan or all zero
+    for s in (complex(0.5, 1e308), 1.7e308, complex(1e301, 0.5),
+              complex(0.5, -1e301)):
+        with pytest.raises(ValueError):
+            abel_rearranged_sum(2, 5, s)
+
+
+def test_abel_block_whose_powers_all_underflow():
+    # j^-2000 is below the least subnormal for every j >= 2
+    dec = abel_rearranged_sum(2, 5, 2000.0)
+    assert dec.direct_sum == dec.rearranged == dec.remainder == 0j
+    assert 0.0 < dec.theta_min <= dec.theta_max < 1.0
 
 
 def test_abel_empty_block_has_no_exponents(prefix4):

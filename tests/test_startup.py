@@ -23,8 +23,8 @@ from .test_cli import LIBRARY_CHECK_FAILURES
 ROOT = Path(__file__).resolve().parents[1]
 ENGINES = {"zetadesk.arith", "zetadesk.asymptotics", "zetadesk.dirichlet",
            "zetadesk.exact", "zetadesk.weierstrass", "zetadesk.zeta"}
-# numpy subpackages a command pays 5-16 ms to import: np.unique loads
-# numpy.ma, leggauss numpy.polynomial
+# numpy subpackages a command pays 5-16 ms to import: np.unique and
+# np.median load numpy.ma, leggauss numpy.polynomial
 NUMPY_EXTRAS = {"numpy.ma", "numpy.polynomial"}
 
 # Runs `zetadesk argv[1:]` as `python -m zetadesk.cli` would, with its
@@ -84,6 +84,9 @@ def test_core_commands_load_no_engine_and_no_numpy(argv, code):
     (["relation-a", "--x-max", "100000"], {"zetadesk.asymptotics"},
      {"zetadesk.zeta", "zetadesk.weierstrass", "zetadesk.dirichlet"}
      | NUMPY_EXTRAS),
+    # the scale of the close-call test is a median, by np.partition
+    (["zeros", "--t-max", "30"], {"zetadesk.zeta"},
+     ENGINES - {"zetadesk.zeta", "zetadesk.exact"} | NUMPY_EXTRAS),
 ])
 def test_a_command_loads_only_its_engine(argv, loads, skips):
     code, modules = _loaded(argv)

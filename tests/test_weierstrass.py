@@ -93,6 +93,11 @@ def test_rejections():
             exp_difference_product(0.3, bad_a, 10)
     with pytest.raises(ValueError):
         exp_difference_product(800.0, 1.0, 10)
+    # |Im x| past the bound on Re x, and |Re(x - a)| past it
+    for x, a in ((complex(0.0, 1e300), 1.0), (complex(0.3, -700.5), 1.0),
+                 (700.0, -699.0), (-400.0, 301.0)):
+        with pytest.raises(ValueError):
+            exp_difference_product(x, a, 10)
     with pytest.raises(ValueError):
         exp_difference_product(0.3, 1.0, 0)
     with pytest.raises(ValueError):

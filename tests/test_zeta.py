@@ -12,7 +12,7 @@ from zetadesk.zeta import (_CHUNK_CELLS, _KERNEL_CELLS, _PANEL_SPLIT,
                            _PHI_ORDER, _TAIL_RATIO, IM_MAX, RE_MAX, RE_MIN,
                            ZERO_SCAN_STEP_MIN, _centered_log_power,
                            _defect_sum, _defect_walk, _head_defects,
-                           _node_counts, _series_order, _xi_array,
+                           _median, _node_counts, _series_order, _xi_array,
                            _zeta_array, completed_zeta,
                            functional_equation_residual, gauss_pi,
                            log_gamma, log_power_constant,
@@ -195,6 +195,17 @@ def test_zero_count_estimate_monotone_and_guarded():
     assert all(b > a for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         riemann_von_mangoldt(6.0)
+
+
+@given(st.lists(st.floats(width=64), min_size=1, max_size=12),
+       st.integers(0, 3))
+def test_median_follows_numpy_rules(cells, repeats):
+    # repeats copies of the cells make ties and both parities
+    x = np.array(cells * (repeats + 1), dtype=np.float64)
+    want = np.median(x)
+    got = _median(x)
+    assert (math.isnan(got) and math.isnan(want)) or got == want
+    assert np.array_equal(x, np.array(cells * (repeats + 1)), equal_nan=True)
 
 
 def test_zero_scan_finds_known_ordinates():
