@@ -12,8 +12,11 @@ child of their own, since no command prints one that long), every-row
 tables of 70000 rows, the far-point Mertens reads of `identity-explore
 --n` and `abel-check` near 10^7, `abel-check` blocks across segment
 edges and one of 2 * 10^6 cells, `theta` and `mertens-constant` at
-the edge of the first 2^16 primes, a `weierstrass` walk over several
-chunks, sums of nan, empty `--every` grids and grids whose rows lie
+the edge of the first 2^16 primes, `theta` at the edge of the prime
+sieve's first 2^16 flags, a `mertens` whose Mobius sieve forms its
+cofactor products over more than one chunk of primes, a `weierstrass`
+walk over several chunks, a `weierstrass` product whose first two
+factors overflow, sums of nan, empty `--every` grids and grids whose rows lie
 chunks apart, non-finite cells, the sieve cache (builds, misses, hits
 from every table command that reads only primes or only mu, inspect),
 invalid input and every help text. Run it on two checkouts on the same machine and diff
@@ -128,6 +131,14 @@ OUTPUTS = [
     # 821641 and 821647 are the 65536th and 65537th primes: theta and the
     # sum of 1/p are walked over the primes in chunks of 2^16
     *[(f"theta-{n}", ["theta", "--limit", str(n)]) for n in (821646, 821647)],
+    # the prime sieve writes the primes a chunk of 2^16 odd-number flags
+    # at a time: flag 2^16 stands for 131075, and 131101 is the first
+    # prime of the second chunk
+    *[(f"theta-{n}", ["theta", "--limit", str(n)])
+      for n in (131074, 131075, 131076, 131101)],
+    # pi(n) - pi(sqrt(n)) > 2^16: the Mobius sieve's cofactor products
+    # span chunks of primes
+    ("mertens-1000003", ["mertens", "--limit", "1000003", "--every", "1000"]),
     ("mertens-constant-821647", ["mertens-constant", "--limit", "821647"]),
     ("prime-window", ["prime-window", "--start", "10", "--stop", "10000"]),
     ("identity-explore-n", ["identity-explore", "--n", "100"]),
@@ -144,6 +155,8 @@ OUTPUTS = [
      ["weierstrass", "--x", "0.3", "--a", "1", "--n-terms", "200000"]),
     ("weierstrass-lattice-zero",
      ["weierstrass", "--x", "1+6.283185307179586i", "--a", "1", "--n-terms", "100"]),
+    # (1 - e^a) e^E overflows, the whole product does not
+    ("weierstrass-late-poly", ["weierstrass", "--x", "699", "--a", "700"]),
     ("cache-build", ["cache", "build", "--limit", "1000", "--dir", f"{TMP}/built"]),
     ("cache-miss", ["mertens", "--limit", "3000", "--every", "100",
                     "--cache-dir", f"{TMP}/auto"]),
@@ -238,6 +251,8 @@ INVALID = [
     ("weierstrass-runtime", ["weierstrass", "--x", "1", "--a", "1e-7"]),
     ("weierstrass-pair", ["weierstrass", "--x", "700", "--a=-699"]),
     ("weierstrass-x-imag", ["weierstrass", "--x=0+1e300i", "--a", "1"]),
+    ("weierstrass-product-overflow",
+     ["weierstrass", "--x=0+699i", "--a", "690", "--n-terms", "100"]),
     ("convolution-cap", ["convolution-check", "--limit", "300000"]),
     ("cache-inspect-missing", ["cache", "inspect", "--path", f"{TMP}/nowhere"]),
 ]

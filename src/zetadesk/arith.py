@@ -2,10 +2,10 @@
 
 Everything downstream (Dirichlet sums, prime-counting statistics, the
 Mertens ratio scans) reads from one immutable ArithTable: primes, the
-Mobius function, the prime-power weight prefix, and divisor-count and
-smallest-prime-factor arrays, each made on first read. A table read
-from the STJZ sieve cache is checked when it is loaded and decodes mu
-from the file only if mu is read.
+Mobius function, and divisor-count and smallest-prime-factor arrays,
+each made on first read. A table read from the STJZ sieve cache is
+checked when it is loaded and decodes mu from the file only if mu is
+read.
 
 Arrays are indexed by the integer they describe (entry 0 is padding).
 Floating accumulations run in a fixed ascending order, so a rebuild at
@@ -121,11 +121,10 @@ class ArithTable:
 
     Every array is materialized on first read and cached on the
     instance: primes is the ascending prime array, mu[n] the Mobius
-    function (int8, entry 0 unused), divisor_count and
-    smallest_prime_factor are the sieves their names say, and
-    mangoldt_prefix is the prefix sum of the prime-power weight.
-    Summatory values read at a few points (M, D, and theta and the sum
-    of 1/p by prime count) are walked by grid_prefix instead of held
+    function (int8, entry 0 unused), and divisor_count and
+    smallest_prime_factor are the sieves their names say. Summatory
+    values (M, D, the prime-power weight sum, and theta and the sum of
+    1/p by prime count) are walked by grid_prefix instead of held
     whole. A table with a mu_file decodes mu from that file instead of
     sieving it. The table is logically immutable.
     """
@@ -154,20 +153,8 @@ class ArithTable:
 
     @cached_property
     def divisor_count(self) -> np.ndarray:
-        """int32 array; entry n is the number of divisors of n."""
+        """int16 array; entry n is the number of divisors of n."""
         return _divisor_count_sieve(self.limit)
-
-    @cached_property
-    def mangoldt_prefix(self) -> np.ndarray:
-        """float64 array; entry n holds w(1) + ... + w(n), w the
-        prime-power weight (prime_power_weight), in ascending order."""
-        weight = prime_power_weight(self, self.limit)
-        prefix = np.zeros(self.limit + 1, dtype=np.float64)
-        for lo, hi in chunk_bounds(self.limit):
-            prefix[lo:hi] = weight(lo, hi)
-        np.cumsum(prefix, out=prefix)
-        prefix.setflags(write=False)
-        return prefix
 
     def prime_count(self, x: float) -> int:
         """pi(x): primes p <= x. Requires 0 <= x <= limit."""
@@ -203,32 +190,36 @@ def _prime_sieve(limit: int) -> np.ndarray:
         if flags[i]:
             p = 2 * i + 3
             flags[(p * p - 3) // 2 :: p] = False
-    odd = np.flatnonzero(flags)
-    primes = np.empty(odd.size + 1, dtype=np.int64)
+    # written one CHUNK of flags at a time, so no index array spans them
+    primes = np.empty(np.count_nonzero(flags) + 1, dtype=np.int64)
     primes[0] = 2
-    np.multiply(odd, 2, out=primes[1:])
-    primes[1:] += 3
+    at = 1
+    for lo in range(0, flags.size, CHUNK):
+        odd = np.flatnonzero(flags[lo : lo + CHUNK])
+        primes[at : at + odd.size] = 2 * (odd + lo) + 3
+        at += odd.size
     return primes
 
 
 def _mobius_sieve(limit: int, primes: np.ndarray) -> np.ndarray:
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    root = math.isqrt(limit)
-    for p in primes[primes <= root]:
-        p = int(p)
+    first_large = int(np.searchsorted(primes, math.isqrt(limit),
+                                      side="right"))
+    for p in primes[:first_large].tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     # Any n with a prime factor q > sqrt(limit) is n = c*q with exactly
     # one such q and c <= sqrt(limit), whose mu is already final, so
-    # mu(n) = -mu(c); multiples of a square (mu(c) = 0) are done.
-    first_large = int(np.searchsorted(primes, root, side="right"))
+    # mu(n) = -mu(c); multiples of a square (mu(c) = 0) are done. The
+    # products are formed one CHUNK of primes at a time.
     if first_large < len(primes):
         cofactors = np.arange(1, limit // int(primes[first_large]) + 1)
         cofactors = cofactors[mu[cofactors] != 0]
         ends = np.searchsorted(primes, limit // cofactors, side="right")
-        for c, hi in zip(cofactors.tolist(), ends.tolist()):
-            mu[c * primes[first_large:hi]] = -mu[c]
+        for c, end in zip(cofactors.tolist(), ends.tolist()):
+            for lo in range(first_large, end, CHUNK):
+                mu[c * primes[lo : min(lo + CHUNK, end)]] = -mu[c]
     mu.setflags(write=False)
     return mu
 
@@ -251,7 +242,8 @@ def _smallest_prime_factor_sieve(limit: int, primes: np.ndarray) -> np.ndarray:
 def _divisor_count_sieve(limit: int) -> np.ndarray:
     # Divisors of n pair up as (d, n/d) with d <= sqrt(n): each d counts
     # twice on the multiples n >= d^2 it divides, once on n = d^2 itself.
-    counts = np.zeros(limit + 1, dtype=np.int32)
+    # d(n) <= 2 sqrt(n) <= 28285 < 2^15 for n <= MAX_LIMIT
+    counts = np.zeros(limit + 1, dtype=np.int16)
     for d in range(1, math.isqrt(limit) + 1):
         counts[d * d :: d] += 2
         counts[d * d] -= 1
@@ -500,20 +492,6 @@ def chebyshev_theta(table: ArithTable, x: float) -> float:
     if x < 0 or x > table.limit:
         raise ValueError(f"theta argument {x} outside table range")
     return float(_prime_sums(table, np.log, [x])[0])
-
-
-def mangoldt_weight(table: ArithTable, n: int, euler_c: float) -> float:
-    """Prime-power log weight with a constant head.
-
-    2*euler_c at n = 1, log p at prime powers p^k, zero elsewhere.
-    This is the coefficient sequence whose prefix sums decompose into
-    shifted theta values (see asymptotics.psi_decomposition_check).
-    """
-    if n < 1 or n > table.limit:
-        raise ValueError(f"weight argument {n} outside table range")
-    if n == 1:
-        return 2.0 * euler_c
-    return float(prime_power_weight(table, n)(n, n + 1)[0])
 
 
 def prime_power_weight(table: ArithTable, n: int):

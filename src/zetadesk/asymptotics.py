@@ -14,7 +14,7 @@ import numpy as np
 
 from .arith import (ArithTable, MertensPrefix, MertensQuotients,
                     _prime_sums, chebyshev_theta, chunk_bounds, grid_prefix,
-                    integer_root, mangoldt_weight)
+                    integer_root, prime_power_weight)
 from .bounds import MERTENS_CONSTANT_N_MIN, SCAN_START, _check_exponent
 from .constants import euler_constant, li
 from .reports import Table, geometric_grid
@@ -54,12 +54,20 @@ class PsiDecomposition:
         return self.lhs - self.rhs
 
 
-def psi_decomposition_check(table: ArithTable, n: int) -> PsiDecomposition:
-    if n < 1 or n > table.limit:
-        raise ValueError("n must lie in 1..limit")
-    lhs = float(table.mangoldt_prefix[n])
-    rhs = 2.0 * euler_constant() + psi_sum(table, n)
-    return PsiDecomposition(n=n, lhs=lhs, rhs=rhs)
+def psi_decomposition_check(table: ArithTable,
+                            ns) -> list[PsiDecomposition]:
+    """The decomposition at each n of ns, a non-empty ascending
+    sequence in 1..limit. The left sides come from one grid_prefix walk
+    over prime_power_weight up to the last n, so each is bit-identical
+    to one cumsum of the weight; the right side is 2C + psi_sum."""
+    grid = np.asarray(ns, dtype=np.int64)
+    if (grid.ndim != 1 or grid.size == 0 or grid[0] < 1
+            or grid[-1] > table.limit or np.any(grid[1:] < grid[:-1])):
+        raise ValueError("ns must ascend within 1..limit")
+    lhs = grid_prefix(prime_power_weight(table, int(grid[-1])), grid)
+    c2 = 2.0 * euler_constant()
+    return [PsiDecomposition(n=n, lhs=left, rhs=c2 + psi_sum(table, n))
+            for n, left in zip(grid.tolist(), lhs.tolist())]
 
 
 def psi_deviation(table: ArithTable, n: int, s: float) -> float:
@@ -385,5 +393,5 @@ __all__ = [
     "MERTENS_CONSTANT_N_MIN", "mertens_constant_estimate",
     "prime_window_count", "prime_window_decades", "LHS_CONVENTIONS", "H_READINGS",
     "FloorIdentityProbe", "floor_identity_probe", "FloorIdentitySweep",
-    "floor_identity_sweep", "mangoldt_weight",
+    "floor_identity_sweep",
 ]

@@ -747,6 +747,10 @@ def _write_stdout(blocks: Iterable[str]) -> None:
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a spinning worker thread at import, and no
+    # command makes a BLAS call that would use it; a caller's value wins
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -91,6 +91,12 @@ def _evaluate_signs(x: complex, a: complex, n_terms: int,
             raise ValueError("convergence-factor exponent would overflow; "
                              "reduce |x| or move a away from 2 pi i k")
         product = (1.0 - ea) * cmath.exp(exponent) * poly
+        if not cmath.isfinite(product):
+            # (1 - e^a) e^E can overflow where poly brings it back
+            product = (1.0 - ea) * (cmath.exp(exponent) * poly)
+        if not cmath.isfinite(product):
+            raise ValueError("truncated product overflows; "
+                             "reduce |x| or |a|")
         if direct != 0:
             rel = abs(product - direct) / abs(direct)
         else:

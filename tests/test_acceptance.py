@@ -97,10 +97,10 @@ def test_acceptance_05_mobius_convolution_closed_form(table4):
 def test_acceptance_06_psi_theta_ladder_decomposition(table6):
     rng = np.random.default_rng(53)
     samples = np.unique(rng.integers(1, 1_000_001, size=1_000))
-    for n in samples:
-        check = asymptotics.psi_decomposition_check(table6, int(n))
+    for check in asymptotics.psi_decomposition_check(table6, samples):
         rel = abs(check.diff) / max(abs(check.lhs), 1.0)
-        assert rel <= 1e-9, f"psi decomposition gap {rel:.3e} at n={n}"
+        assert rel <= 1e-9, \
+            f"psi decomposition gap {rel:.3e} at n={check.n}"
     _report(6, "psi_theta_ladder_decomposition")
 
 

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from zetadesk.arith import (CACHE_PIECE, CHUNK, CacheChecksumError, CacheError,
                             CacheMagicError, CachePayloadError,
                             CacheTruncatedError, CacheVersionError, MAX_LIMIT,
-                            _header_limit, _prime_sieve, build_tables, cache_summary,
+                            _header_limit, _mobius_sieve, _prime_sieve,
+                            build_tables, cache_summary,
                             cauchy_schwarz_prefix_bound, chebyshev_theta,
                             chunk_bounds, grid_prefix, integer_root, load_cache,
-                            mangoldt_weight, mertens_identity_check,
-                            mertens_prefix, mertens_quotients,
-                            mertens_ratio_window, mertens_segments,
-                            mobius_segment, save_cache, squarefree_count)
-from zetadesk.asymptotics import theta_deviation_scan
+                            mertens_identity_check, mertens_prefix,
+                            mertens_quotients, mertens_ratio_window,
+                            mertens_segments, mobius_segment,
+                            prime_power_weight, save_cache, squarefree_count)
+from zetadesk.asymptotics import psi_decomposition_check, theta_deviation_scan
 from zetadesk.constants import euler_constant
 from zetadesk.dirichlet import mobius_stream, prefix_ratio_scan
 
@@ -50,7 +51,10 @@ def test_cached_table_makes_each_array_on_first_read(table4, tmp_path):
     assert np.array_equal(loaded.mu, table4.mu)
     assert "primes" not in vars(loaded)
     assert np.array_equal(loaded.primes, table4.primes)
-    assert np.array_equal(loaded.mangoldt_prefix, table4.mangoldt_prefix)
+    ns = [1, 2, 100, table4.limit]
+    for got, want in zip(psi_decomposition_check(loaded, ns),
+                         psi_decomposition_check(table4, ns)):
+        assert (got.lhs, got.rhs) == (want.lhs, want.rhs), got.n
 
     scanned = load_cache(path)
     theta_deviation_scan(scanned, 0.5, table4.limit)
@@ -67,14 +71,29 @@ def test_primes_match_trial_division(table4):
 
 
 def test_odd_only_sieve_matches_trial_division():
-    # every limit up to 50, odd prime squares, and both sides of 2^16
-    top = (1 << 16) + 1
+    # every limit up to 50, odd prime squares, both sides of 2^16, both
+    # sides of 131075, which flag 2^16 stands for (flag i stands for
+    # 2i + 3), the first flag of the second chunk, and 131101, the first
+    # prime in that chunk
+    top = 131101
     reference = np.array([n for n in range(top + 1) if trial_is_prime(n)],
                          dtype=np.int64)
-    for limit in [*range(51), 49, 121, 961, (1 << 16) - 1, 1 << 16, top]:
+    for limit in [*range(51), 49, 121, 961, (1 << 16) - 1, 1 << 16,
+                  (1 << 16) + 1, *range(131073, 131078), top]:
         got = _prime_sieve(limit)
         assert got.dtype == np.int64
         assert np.array_equal(got, reference[reference <= limit]), limit
+
+
+def test_mobius_sieve_across_prime_chunks():
+    # pi(n) - pi(sqrt(n)) > 2^16, so the products of cofactor 1 (and
+    # of the next few) with the large primes span more than one chunk
+    limit = 1_000_003
+    primes = _prime_sieve(limit)
+    root = math.isqrt(limit)
+    assert np.count_nonzero(primes > root) > CHUNK
+    want = mobius_segment(1, limit + 1)
+    assert np.array_equal(_mobius_sieve(limit, primes)[1:], want)
 
 
 def test_divisor_counts_match_factorization(table4):
@@ -92,7 +111,7 @@ def _hyperbola_divisor_sum(x: int) -> int:
                                    2400, 2401, 2402])
 def test_divisor_sieve_matches_trial_counts(limit):
     counts = build_tables(limit).divisor_count
-    assert counts.dtype == np.int32 and counts.size == limit + 1
+    assert counts.dtype == np.int16 and counts.size == limit + 1
     assert counts[0] == 0
     assert [int(c) for c in counts[1:]] == [
         trial_divisor_count(n) for n in range(1, limit + 1)]
@@ -105,6 +124,15 @@ def test_divisor_sieve_matches_hyperbola_sums(limit):
     prefix = np.cumsum(counts, dtype=np.int64)
     for x in (limit, limit - 1, limit // 2, 1_000, 1):
         assert int(prefix[x]) == _hyperbola_divisor_sum(x), x
+
+
+def test_divisor_counts_fit_int16_up_to_max_limit():
+    # the divisors d <= sqrt(n) pair up with those >= sqrt(n), so
+    # d(n) <= 2 isqrt(n), and the int16 table holds every count
+    assert 2 * math.isqrt(MAX_LIMIT) <= np.iinfo(np.int16).max
+    counts = build_tables(1_000_000).divisor_count
+    assert counts.dtype == np.int16
+    assert int(counts.max()) == 240 == int(counts[720720])
 
 
 def test_smallest_prime_factor(table4):
@@ -331,15 +359,18 @@ def test_chebyshev_theta_is_prime_log_sum(table4):
 
 
 def test_mangoldt_weight_cases(table4):
+    def weight(n):
+        return prime_power_weight(table4, n)(n, n + 1)[0]
+
     c = euler_constant()
-    assert mangoldt_weight(table4, 1, c) == 2.0 * c
+    assert weight(1) == 2.0 * c
     for p in (2, 3, 5, 97):
         for k in (1, 2, 3):
             if p ** k <= table4.limit:
-                got = mangoldt_weight(table4, p ** k, c)
+                got = weight(p ** k)
                 assert abs(got - math.log(p)) < 1e-15
     for n in (6, 10, 12, 100, 9999):
-        assert mangoldt_weight(table4, n, c) == 0.0
+        assert weight(n) == 0.0
 
 
 def test_squarefree_count_matches_trial(table4):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.arith import (MertensPrefix, MertensQuotients, chebyshev_theta,
-                            integer_root, mertens_quotients)
+from zetadesk.arith import (CHUNK, MertensPrefix, MertensQuotients,
+                            chebyshev_theta, chunk_bounds, integer_root,
+                            mertens_quotients, prime_power_weight)
 from zetadesk.asymptotics import (H_READINGS, LHS_CONVENTIONS,
                                   divisor_asymptotic_ratio,
                                   divisor_ratio_scan, floor_identity_probe,
@@ -38,9 +39,10 @@ def test_integer_root_exact_powers():
 
 
 def test_mangoldt_prefix_matches_direct_sum(table4):
-    prefix = table4.mangoldt_prefix
+    ns = (1, 2, 16, 100, 1000, 9999)
+    lhs = {dec.n: dec.lhs for dec in psi_decomposition_check(table4, ns)}
     c2 = 2.0 * euler_constant()
-    for n in (1, 2, 16, 100, 1000, 9999):
+    for n in ns:
         direct = [c2]
         for p in table4.primes.tolist():
             if p > n:
@@ -51,9 +53,27 @@ def test_mangoldt_prefix_matches_direct_sum(table4):
             while p ** (count + 1) <= n:
                 count += 1
             direct.append(count * math.log(p))
-        assert abs(prefix[n] - math.fsum(direct)) < 1e-10, n
-    again = table4.mangoldt_prefix
-    assert again is prefix
+        assert abs(lhs[n] - math.fsum(direct)) < 1e-10, n
+
+
+@pytest.mark.parametrize("ns", [[CHUNK - 1, CHUNK, CHUNK + 1],
+                                [1, 2, 999_999, 1_000_000]])
+def test_psi_decomposition_left_side_is_one_cumsum(table6, ns):
+    # the walked left sides against one cumsum of the whole weight, bit
+    # for bit, on both sides of the first chunk edge and at 10^6
+    weight = prime_power_weight(table6, ns[-1])
+    whole = np.cumsum(np.concatenate(
+        [weight(lo, hi) for lo, hi in chunk_bounds(ns[-1])]))
+    got = np.array([dec.lhs for dec in psi_decomposition_check(table6, ns)])
+    want = whole[np.array(ns) - 1]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("ns", [[], [0, 5], [5, 4], [1, 10_001], 5,
+                                [[1, 2]]])
+def test_psi_decomposition_wants_ascending_ns_in_range(table4, ns):
+    with pytest.raises(ValueError):
+        psi_decomposition_check(table4, ns)
 
 
 def test_psi_sum_is_theta_ladder(table6):
@@ -111,9 +131,11 @@ def test_prime_walks_equal_whole_prefix_arrays(table6):
 
 
 def test_psi_decomposition_identity(table6):
-    for n in (2, 10, 1000, 123_456, 1_000_000):
-        dec = psi_decomposition_check(table6, n)
-        assert abs(dec.diff) <= 1e-9 * max(1.0, abs(dec.lhs)), n
+    ns = (2, 10, 1000, 123_456, 1_000_000)
+    decs = psi_decomposition_check(table6, ns)
+    assert [dec.n for dec in decs] == list(ns)
+    for dec in decs:
+        assert abs(dec.diff) <= 1e-9 * max(1.0, abs(dec.lhs)), dec.n
 
 
 def test_deviation_definitions(table6):
@@ -122,9 +144,9 @@ def test_deviation_definitions(table6):
     assert theta_deviation(table6, n, s) == (theta - n) / n ** s
     # the deviation is built on the theta ladder; the log-weight prefix
     # route must agree within the decomposition tolerance
-    prefix = table6.mangoldt_prefix
+    [dec] = psi_decomposition_check(table6, [n])
     ladder_route = psi_deviation(table6, n, s)
-    prefix_route = (prefix[n] - 2.0 * euler_constant() - n) / n ** s
+    prefix_route = (dec.lhs - 2.0 * euler_constant() - n) / n ** s
     assert math.isclose(ladder_route, prefix_route, rel_tol=0.0,
                         abs_tol=1e-8)
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ correctly rounded (integer counts, cumulative integer sums divided by
 square roots), so they are stable across conforming IEEE-754 platforms.
 """
 
+import cmath
 import importlib
 import json
 import math
@@ -442,6 +443,13 @@ def test_a_reader_that_closes_early_ends_the_run_quietly(argv):
     assert err == b""
 
 
+def _run_warnings_as_errors(argv) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "zetadesk.cli",
+         *argv], env=_child_env(), capture_output=True, text=True,
+        timeout=120)
+
+
 @pytest.mark.parametrize("argv,code", [
     # s log n past binary64: every power nan, or 0 after an overflow
     (["abel-check", "--n", "100", "--m", "50", "--s", "0.5+1e308i"], 2),
@@ -454,10 +462,7 @@ def test_a_reader_that_closes_early_ends_the_run_quietly(argv):
     (["weierstrass", "--x=0+1e300i", "--a", "1"], 2),
 ])
 def test_run_time_corners_exit_0_with_finite_cells_or_2(argv, code):
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "zetadesk.cli",
-         *argv], env=_child_env(), capture_output=True, text=True,
-        timeout=120)
+    done = _run_warnings_as_errors(argv)
     assert done.returncode == code, done.stderr
     if code == 2:
         assert done.stderr.startswith("error: --")
@@ -468,6 +473,25 @@ def test_run_time_corners_exit_0_with_finite_cells_or_2(argv, code):
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["abs_diff"] == cells["rel_diff"] == "0"
     assert "nan" not in row and "inf" not in row
+
+
+def test_weierstrass_product_multiplies_poly_in_where_it_must():
+    # (1 - e^a) e^E overflows here, though the product is finite; it
+    # printed -inf-infi with exit 0
+    done = _run_warnings_as_errors(["weierstrass", "--x", "699", "--a", "700"])
+    assert done.returncode == 0 and done.stderr == ""
+    rows = [line.split(",") for line in done.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["minus", "plus"]
+    for _, product, _, rel in rows:
+        assert cmath.isfinite(complex(product.replace("i", "j")))
+        assert math.isfinite(float(rel))
+    assert rows[1][1].startswith("-1.8599314431261301e+303")
+    # no order of the factors keeps this product finite: exit 1
+    done = _run_warnings_as_errors(["weierstrass", "--x=0+699i", "--a", "690",
+                                    "--n-terms", "100"])
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: truncated product overflows; " \
+                          "reduce |x| or |a|\n"
 
 
 def test_dirichlet_sum_peak_memory_stays_bounded():
@@ -500,6 +524,21 @@ def test_cache_hit_pays_only_for_the_arrays_it_reads(argv, bound, tmp_path):
                  "--dir", str(tmp_path)]) == 0
     peak = _peak_rss_mb(*argv, "--cache-dir", str(tmp_path))
     assert peak < bound, f"{argv[0]} hit peaked at {peak:.0f} MB"
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["relation-a", "--x-max", "20000000"], 54),
+    (["mertens", "--limit", "20000000", "--every", "1000000"], 65),
+    (["divisor-ratio", "--limit", "20000000"], 95),
+])
+def test_sieves_form_no_full_length_temporary(argv, bound):
+    # the primes are written a chunk of flags at a time, the Mobius
+    # cofactor products a chunk of primes at a time, and the divisor
+    # counts are int16; with an index array over all the flags, products
+    # over all the large primes and int32 counts these peaked at 59.2,
+    # 69.2 and 117.4 MB
+    peak = _peak_rss_mb(*argv)
+    assert peak < bound, f"{' '.join(argv)} peaked at {peak:.1f} MB"
 
 
 def test_csv_line_endings_and_header(tmp_path):
@@ -687,6 +726,25 @@ def test_cache_build_then_inspect_ok(tmp_path, capsys):
     assert row["status"] == "ok"
     assert row["limit"] == 500
     assert row["crc_ok"] is True
+
+
+def test_two_writers_of_one_cache_file(tmp_path, capsys):
+    argv = [sys.executable, "-m", "zetadesk.cli", "cache", "build",
+            "--limit", "200000", "--dir", str(tmp_path)]
+    writers = [subprocess.Popen(argv, env=_child_env(),
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE) for _ in range(2)]
+    for writer in writers:
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err
+    assert main(["cache", "inspect", "--path", str(tmp_path),
+                 "--format", "json"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    [row] = [dict(zip(body["columns"], row)) for row in body["rows"]]
+    assert Path(row["path"]).name == "mu-200000.stjz"
+    assert (row["status"], row["limit"]) == ("ok", 200000)
+    assert row["file_bytes"] == 16 + 200000 + 4
+    assert [p.name for p in tmp_path.iterdir()] == ["mu-200000.stjz"]
 
 
 def test_cache_inspect_reports_corruption(tmp_path, capsys):

@@ -5,7 +5,8 @@ that command loaded: the CLI core is the standard library, bounds,
 constants, reports and the argument parser, and each handler imports
 the one engine it calls. The tracer cases run perfbench/trace_child.py
 as the benchmark does and check that it still wraps every engine call
-it names, with stdout unchanged.
+it names, with stdout unchanged. A CLI run also starts numpy without
+OpenBLAS's thread pool.
 """
 
 import json
@@ -93,6 +94,38 @@ def test_a_command_loads_only_its_engine(argv, loads, skips):
     assert code == 0
     assert loads <= modules
     assert not modules & skips, sorted(modules)
+
+
+# Runs `zetadesk xi --t 14` as _MODULES_PROBE does, then prints the
+# threads the process has left and the OpenBLAS thread setting it saw.
+_THREADS_PROBE = """
+import contextlib, io, json, os, runpy, sys
+sys.argv[1:] = ["xi", "--t", "14"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("zetadesk.cli", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+print(json.dumps([len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_starts_numpy_without_a_blas_thread_pool(preset):
+    env = {k: v for k, v in _child_env().items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                         capture_output=True, check=True, timeout=120).stdout
+    tasks, seen = json.loads(out)
+    if preset is None:
+        assert (tasks, seen) == (1, "1")
+    else:
+        assert seen == preset
 
 
 def test_package_import_loads_no_submodule():
