@@ -18,7 +18,8 @@ cofactor products over more than one chunk of primes, a `weierstrass`
 walk over several chunks, a `weierstrass` product whose first two
 factors overflow, sums of nan, empty `--every` grids and grids whose rows lie
 chunks apart, non-finite cells, the sieve cache (builds, misses, hits
-from every table command that reads only primes or only mu, inspect),
+from commands that read mu, one on a file far longer than its limit,
+the prime-only commands, which leave the cache alone, and inspect),
 invalid input and every help text. Run it on two checkouts on the same machine and diff
 the outputs: a refactor that keeps stdout must print the same lines.
 
@@ -162,8 +163,9 @@ OUTPUTS = [
                     "--cache-dir", f"{TMP}/auto"]),
     ("cache-hit", ["mertens", "--limit", "2000", "--every", "100",
                    "--cache-dir", f"{TMP}/auto"]),
-    # one byte past the 2^20-byte pieces of the cache check, then hits on
-    # it from commands that read only the primes, only mu, or both
+    # one byte past the 2^20-byte pieces of the cache check, then runs
+    # against it of commands that read only the primes (which leave the
+    # cache alone), only mu, or both
     ("cache-build-piece",
      ["cache", "build", "--limit", "1048577", "--dir", f"{TMP}/piece"]),
     ("cache-hit-theta",
@@ -179,6 +181,9 @@ OUTPUTS = [
       "--cache-dir", f"{TMP}/piece"]),
     ("cache-hit-convolution-check",
      ["convolution-check", "--limit", "200000", "--cache-dir", f"{TMP}/piece"]),
+    # mu read from a file a thousand times longer than the limit
+    ("cache-hit-mertens-small",
+     ["mertens", "--limit", "1000", "--every", "10", "--cache-dir", f"{TMP}/piece"]),
     ("cache-miss-theta",
      ["theta", "--limit", "5000", "--cache-dir", f"{TMP}/theta"]),
     ("cache-inspect", ["cache", "inspect", "--path", f"{TMP}/built"]),
@@ -255,6 +260,8 @@ INVALID = [
      ["weierstrass", "--x=0+699i", "--a", "690", "--n-terms", "100"]),
     ("convolution-cap", ["convolution-check", "--limit", "300000"]),
     ("cache-inspect-missing", ["cache", "inspect", "--path", f"{TMP}/nowhere"]),
+    # theta reads no mu, so its cache directory is never made
+    ("cache-inspect-theta", ["cache", "inspect", "--path", f"{TMP}/theta"]),
 ]
 
 

@@ -3,9 +3,8 @@
 Everything downstream (Dirichlet sums, prime-counting statistics, the
 Mertens ratio scans) reads from one immutable ArithTable: primes, the
 Mobius function, and divisor-count and smallest-prime-factor arrays,
-each made on first read. A table read from the STJZ sieve cache is
-checked when it is loaded and decodes mu from the file only if mu is
-read.
+each made on first read. A table read from the STJZ sieve cache
+holds the mu its file stores, checked and decoded in one pass.
 
 Arrays are indexed by the integer they describe (entry 0 is padding).
 Floating accumulations run in a fixed ascending order, so a rebuild at
@@ -21,12 +20,10 @@ from __future__ import annotations
 import math
 import os
 import struct
-import weakref
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -37,7 +34,7 @@ from .files import replace_atomically
 CACHE_MAGIC = b"STJZ"
 CACHE_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")  # magic, version, limit
-# payload bytes per read of the file check, so it holds no whole file
+# payload bytes per read of a cache file, so a check holds no whole file
 CACHE_PIECE = 1 << 20
 
 
@@ -78,44 +75,6 @@ class CachePayloadError(CacheError):
 
 
 @dataclass(frozen=True, eq=False)
-class MobiusFile:
-    """The payload of an STJZ file: limit bytes mu(n)+1 whose CRC32 was
-    crc when the file was checked or written.
-
-    handle is that file, held open from the check or the write until
-    mu is decoded (or this object is collected), so the decode reads
-    the same file even if path is removed or replaced meanwhile; path
-    only names it in messages."""
-
-    path: Path
-    limit: int
-    crc: int
-    handle: BinaryIO
-
-    def __post_init__(self):
-        weakref.finalize(self, self.handle.close)
-
-    def decode(self) -> np.ndarray:
-        """mu as ArithTable.mu holds it, read in one pass into the int8
-        array. Bytes that no longer match crc raise CacheChecksumError,
-        so a file changed since its check never yields a table. The
-        file is closed afterwards."""
-        mu = np.empty(self.limit + 1, dtype=np.int8)
-        mu[0] = 0
-        raw = mu[1:].view(np.uint8)
-        with self.handle as fh:
-            fh.seek(_HEADER.size)
-            got = fh.readinto(raw)
-        if got != self.limit or zlib.crc32(raw) != self.crc:
-            raise CacheChecksumError(
-                f"{self.path}: payload changed since it was checked")
-        # byte b holds mu + 1; b - 1 wraps 0 to 255, which reads as int8 -1
-        np.subtract(raw, 1, out=raw)
-        mu.setflags(write=False)
-        return mu
-
-
-@dataclass(frozen=True, eq=False)
 class ArithTable:
     """Immutable arithmetic tables covering 1..limit.
 
@@ -125,12 +84,13 @@ class ArithTable:
     smallest_prime_factor are the sieves their names say. Summatory
     values (M, D, the prime-power weight sum, and theta and the sum of
     1/p by prime count) are walked by grid_prefix instead of held
-    whole. A table with a mu_file decodes mu from that file instead of
-    sieving it. The table is logically immutable.
+    whole. A table with a mu_source takes mu from one call of it,
+    made on the first read of mu, instead of sieving it. The table is
+    logically immutable.
     """
 
     limit: int
-    mu_file: MobiusFile | None = None
+    mu_source: Callable[[], np.ndarray] | None = None
 
     @cached_property
     def primes(self) -> np.ndarray:
@@ -142,8 +102,8 @@ class ArithTable:
     @cached_property
     def mu(self) -> np.ndarray:
         """int8 array; entry n >= 1 is the Mobius function of n."""
-        if self.mu_file is not None:
-            return self.mu_file.decode()
+        if self.mu_source is not None:
+            return self.mu_source()
         return _mobius_sieve(self.limit, self.primes)
 
     @cached_property
@@ -559,20 +519,15 @@ def cauchy_schwarz_prefix_bound(values) -> CauchyBound:
 
 
 def save_cache(table: ArithTable, path) -> ArithTable:
-    """Write the Mobius table in the STJZ byte layout and return a table
-    backed by the written file.
+    """Write the Mobius table in the STJZ byte layout and return table.
 
     Layout: 4-byte magic "STJZ", version as little-endian uint32, limit
     as little-endian uint64, then one byte mu(n)+1 per n in 1..limit,
     then CRC32 (IEEE) of the payload as little-endian uint32.
 
     The bytes replace path atomically (files.replace_atomically), so an
-    interrupted save never leaves a partial file under path. The
-    returned table shares table's primes and decodes mu from the file
-    it wrote, still open, only if mu is read, so a caller that keeps it
-    in place of table frees the sieved mu.
+    interrupted save never leaves a partial file under path.
     """
-    path = Path(path)
     crc = 0
 
     def payload():
@@ -584,10 +539,8 @@ def save_cache(table: ArithTable, path) -> ArithTable:
             yield chunk
         yield struct.pack("<I", crc)
 
-    fh = replace_atomically(path, payload(), "w+b")
-    saved = ArithTable(table.limit, MobiusFile(path, table.limit, crc, fh))
-    vars(saved)["primes"] = table.primes  # seeds the cached_property
-    return saved
+    replace_atomically(path, payload(), "wb").close()
+    return table
 
 
 def _header_limit(data: bytes, path) -> int:
@@ -612,13 +565,15 @@ def read_cache_limit(path) -> int:
         return _header_limit(fh.read(_HEADER.size), path)
 
 
-def _checked_file(fh, path) -> MobiusFile:
-    """The payload of the open STJZ file fh, with fh as its handle, once
-    every check passes; otherwise the CacheError for the first one that
-    fails, in this order: header, file size, CRC32, byte range.
+def _read_payload(fh, path, decode: bool = False) -> np.ndarray | None:
+    """Check the open STJZ file fh in one pass from its start, and
+    return mu as ArithTable.mu holds it when decode, else None. The
+    first check that fails raises its CacheError, in this order:
+    header, file size, CRC32, byte range.
 
-    Reads the file from its start in pieces of CACHE_PIECE bytes, so
-    memory stays flat whatever the limit.
+    The payload is read CACHE_PIECE bytes at a time, straight into mu
+    when decoding and otherwise through one buffer of that size, so a
+    check alone holds no whole file.
     """
     fh.seek(0)
     limit = _header_limit(fh.read(_HEADER.size), path)
@@ -627,10 +582,16 @@ def _checked_file(fh, path) -> MobiusFile:
     if size != expected:
         raise CacheTruncatedError(
             f"{path}: {size} bytes, header promises {expected}")
-    buffer = np.empty(min(limit, CACHE_PIECE), dtype=np.uint8)
+    if decode:
+        mu = np.empty(limit + 1, dtype=np.int8)
+        mu[0] = 0
+        raw = mu[1:].view(np.uint8)
+    else:
+        raw = np.empty(min(limit, CACHE_PIECE), dtype=np.uint8)
     crc = top = 0
     for start in range(0, limit, CACHE_PIECE):
-        piece = buffer[: min(CACHE_PIECE, limit - start)]
+        stop = min(start + CACHE_PIECE, limit)
+        piece = raw[start:stop] if decode else raw[: stop - start]
         if fh.readinto(piece) != piece.size:
             raise CacheTruncatedError(f"{path}: shorter than it was")
         crc = zlib.crc32(piece, crc)
@@ -642,7 +603,12 @@ def _checked_file(fh, path) -> MobiusFile:
         raise CacheChecksumError(f"{path}: payload CRC mismatch")
     if top > 2:
         raise CachePayloadError(f"{path}: payload byte outside {{0, 1, 2}}")
-    return MobiusFile(Path(path), limit, crc, fh)
+    if not decode:
+        return None
+    # byte b holds mu + 1; b - 1 wraps 0 to 255, which reads as int8 -1
+    np.subtract(raw, 1, out=raw)
+    mu.setflags(write=False)
+    return mu
 
 
 def cache_summary(path) -> dict:
@@ -658,7 +624,7 @@ def cache_summary(path) -> dict:
             summary["version"] = int(version)
             summary["limit"] = int(limit)
         try:
-            _checked_file(fh, path)
+            _read_payload(fh, path)
         except CacheError as exc:
             summary["status"] = exc.status
             summary["crc_ok"] = isinstance(exc, CachePayloadError)
@@ -666,18 +632,15 @@ def cache_summary(path) -> dict:
 
 
 def load_cache(path) -> ArithTable:
-    """Check an STJZ file and return a table backed by it.
+    """The table an STJZ file holds, at its stored limit.
 
-    The whole file is checked here (header, size, CRC32, byte range),
-    and a malformed file raises the specific CacheError subclass for
-    what went wrong. The arrays are made on first read: mu is decoded
-    from the file opened here, checked against the CRC seen here once
-    more, and primes are sieved.
+    The file is checked (header, size, CRC32, byte range) in the one
+    pass that decodes its mu, and a malformed file raises the specific
+    CacheError subclass for what went wrong. The table holds that mu
+    from the start; its primes are sieved on first read.
     """
-    fh = open(path, "rb")
-    try:
-        stored = _checked_file(fh, path)
-    except BaseException:
-        fh.close()
-        raise
-    return ArithTable(stored.limit, stored)
+    with open(path, "rb") as fh:
+        mu = _read_payload(fh, path, decode=True)
+    table = ArithTable(mu.size - 1)
+    vars(table)["mu"] = mu  # seeds the cached_property
+    return table

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import math
 
-# Builds above this cap are refused. Measured as in-process ru_maxrss
-# (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 300 MB
-# (the prime sieve) and a first read of mu takes that to 390 MB; 10^8
-# stays near 170 and 215 MB. theta and the sum of 1/p are walked over
-# the primes in chunks, so they add no full-length array. A
-# table loaded from the cache sieves nothing until read, so a CLI run
-# at the cap that reads only its mu peaks near 225 MB. A full Mertens
-# prefix adds 4 bytes per integer on top (1.2 GB at the cap); of the
+# Builds above this cap are refused. Measured as a CLI run's ru_maxrss
+# (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 210 MB
+# (the prime sieve) and a first read of mu takes that to 307 MB; 10^8
+# stays near 122 and 171 MB. theta and the sum of 1/p are walked over
+# the primes in chunks, so they add no full-length array. A table
+# loaded from the cache holds the mu its file stores, decoded as it is
+# checked, and sieves its primes only if read, so a CLI run at the cap
+# that reads only mu from a cache hit peaks near 222 MB. A full Mertens
+# prefix adds 4 bytes per integer on top (800 MB at the cap); of the
 # CLI commands only identity-explore --limit (at most 10^5) still
-# builds one. divisor-ratio holds the int32 divisor counts, 4 bytes
-# per integer (800 MB at the cap), and reads D(n) at its grid rows
-# through grid_prefix. identity-explore --n and
+# builds one. divisor-ratio holds the int16 divisor counts, 2 bytes per
+# integer (400 MB at the cap, with a 497.5 MB peak), and reads D(n) at
+# its grid rows through grid_prefix. identity-explore --n and
 # abel-check read M through mertens_quotients and mertens_segments,
 # whose memory grows with about n^(2/3) and with CHUNK.
 MAX_LIMIT = 200_000_000

@@ -39,16 +39,19 @@ order and repr-level float precision. Identical parameters and cache
 state therefore reproduce byte-identical output.
 
 Sieve tables are rebuilt per run unless --cache-dir (or the
-ZETADESK_CACHE_DIR environment variable) points at a directory; the
-smallest cached table covering the requested limit is loaded, and a
-fresh build is saved there for next time. identity-explore --n and
-abel-check read M at a few points only, from small sieves of their
-own, and neither read nor write the cache.
+ZETADESK_CACHE_DIR environment variable) points at a directory. The
+cache is touched only where mu is first read: the smallest cached table
+covering the requested limit gives mu, else a fresh build gives it and
+is saved there for next time. Commands that read only the primes or
+d(n), and identity-explore --n and abel-check, which read M at a few
+points only from small sieves of their own, neither read nor write the
+cache, nor create its directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import math
 import os
@@ -70,6 +73,8 @@ from .reports import (KERNEL_ROWS, Table, csv_blocks, geometric_grid,
                       json_blocks, render_csv, render_json)
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .arith import ArithTable
 
 CACHE_ENV = "ZETADESK_CACHE_DIR"
@@ -181,22 +186,34 @@ def _cache_files(cache_dir: Path) -> list[Path]:
             if p.stem[3:].isdigit()]
 
 
-def acquire_table(limit: int, cache_dir: Path | None) -> ArithTable:
-    """Smallest cached table covering limit, else a fresh build (saved
-    back to the cache directory when one is configured).
+def _cache_path(cache_dir: Path, limit: int) -> Path:
+    """Where a table of limit is saved in cache_dir."""
+    return cache_dir / f"mu-{limit}.stjz"
 
-    Coverage is read from each file's header, never from its name. A
-    chosen file that fails its check or cannot be read (say, removed by
-    another process since the scan) is reported on stderr, rebuilt and
-    replaced, so one bad file cannot break later runs. A fresh build
-    comes back backed by the file it was saved to, so its sieved mu is
-    freed before the handler runs and read back only if the handler
-    reads mu.
-    """
+
+def acquire_table(limit: int, cache_dir: Path | None) -> ArithTable:
+    """A table to limit: a fresh build, or, with a cache directory, a
+    table whose mu comes from _cached_mu on its first read, so a
+    command that reads no mu leaves the cache alone."""
     from . import arith
 
     if cache_dir is None:
         return arith.build_tables(limit)
+    return arith.ArithTable(limit, functools.partial(_cached_mu, limit,
+                                                     cache_dir))
+
+
+def _cached_mu(limit: int, cache_dir: Path) -> np.ndarray:
+    """mu to limit from the smallest cached table covering limit, else
+    from a fresh build, which is saved to cache_dir.
+
+    Coverage is read from each file's header, never from its name. A
+    chosen file that fails its check or cannot be read (say, removed by
+    another process since the scan) is reported on stderr, rebuilt and
+    replaced, so one bad file cannot break later runs.
+    """
+    from . import arith
+
     cache_dir.mkdir(parents=True, exist_ok=True)
     covering = []
     for path in _cache_files(cache_dir):
@@ -209,16 +226,16 @@ def acquire_table(limit: int, cache_dir: Path | None) -> ArithTable:
     broken = None
     if covering:
         try:
-            return arith.load_cache(min(covering)[1])
+            return arith.load_cache(min(covering)[1]).mu[: limit + 1]
         except (arith.CacheError, OSError) as exc:
             print(f"warning: {exc}; rebuilding the cache file",
                   file=sys.stderr)
             broken = min(covering)[1]
-    target = cache_dir / f"mu-{limit}.stjz"
-    table = arith.save_cache(arith.build_tables(limit), target)
+    target = _cache_path(cache_dir, limit)
+    mu = arith.save_cache(arith.build_tables(limit), target).mu
     if broken is not None and broken != target:
         broken.unlink(missing_ok=True)
-    return table
+    return mu
 
 
 # -- command handlers --------------------------------------------------
@@ -425,7 +442,7 @@ def _cmd_cache_build(config: RunConfig, limit, dir) -> Table:
 
     target = Path(dir)
     target.mkdir(parents=True, exist_ok=True)
-    path = target / f"mu-{limit}.stjz"
+    path = _cache_path(target, limit)
     arith.save_cache(arith.build_tables(limit), path)
     return Table.from_rows(("path", "limit", "file_bytes"),
                            [(str(path), limit, path.stat().st_size)])

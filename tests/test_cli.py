@@ -240,6 +240,28 @@ def test_every_range_flag_holds_its_bounds(name, flag, value, accepted):
         assert str(exc.value).startswith(f"{flag.name} must be ")
 
 
+def _accepted_ranges_rows() -> dict:
+    """README's Accepted-ranges table: the command in each row's first
+    cell, as typed, against the rest of the row."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Accepted ranges", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, rest = line[3:].split("` |", 1)
+            rows[command] = rest
+    return rows
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_readme_accepted_ranges_name_every_flag(name):
+    group, _, action = name.partition("-")
+    typed = f"{group} {action}" if group in _GROUPS else name
+    row = _accepted_ranges_rows()[typed]
+    for flag in COMMANDS[name].flags:
+        assert f"`{flag.name}`" in row, f"{typed} row lacks {flag.name}"
+
+
 @pytest.mark.parametrize("argv", [
     ["zeta", "--s", "10"],
     ["xi", "--t", "120"],
@@ -526,6 +548,17 @@ def test_cache_hit_pays_only_for_the_arrays_it_reads(argv, bound, tmp_path):
     assert peak < bound, f"{argv[0]} hit peaked at {peak:.0f} MB"
 
 
+def test_prime_only_command_beside_a_large_cache_file_pays_nothing(tmp_path):
+    # the covering file's CRC pass and a prime sieve to its stored limit
+    # peaked at 49.4 MB here, against 31.6 MB uncached
+    assert main(["cache", "build", "--limit", "20000000",
+                 "--dir", str(tmp_path)]) == 0
+    argv = ["theta", "--limit", "1000000"]
+    cached = _peak_rss_mb(*argv, "--cache-dir", str(tmp_path))
+    plain = _peak_rss_mb(*argv)
+    assert cached < plain + 3, f"{cached:.1f} MB against {plain:.1f} MB"
+
+
 @pytest.mark.parametrize("argv,bound", [
     (["relation-a", "--x-max", "20000000"], 54),
     (["mertens", "--limit", "20000000", "--every", "1000000"], 65),
@@ -791,12 +824,18 @@ def test_mobius_sieve_runs_only_when_mu_is_read(argv, reads_mu, tmp_path,
     run_ok(argv, tmp_path / "out.csv")
     assert len(built) == 1
     assert ("mu" in vars(built[0])) == reads_mu
+    # a prime-only command once checked a covering file, or sieved and
+    # saved a mu it never read; now only a mu reader makes the directory
+    cache = tmp_path / "cache"
+    run_ok([*argv, "--cache-dir", str(cache)], tmp_path / "out.csv")
+    assert cache.exists() == reads_mu
 
 
 def test_cache_auto_consult_reuses_covering_file(tmp_path):
     arith.save_cache(arith.build_tables(300), tmp_path / "mu-300.stjz")
     table = acquire_table(120, tmp_path)
-    assert table.limit == 300
+    assert table.limit == 120
+    assert table.mu.tolist() == arith.build_tables(120).mu.tolist()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mu-300.stjz"]
 
 
@@ -804,14 +843,43 @@ def test_cache_auto_extend_saves_fresh_build(tmp_path):
     arith.save_cache(arith.build_tables(300), tmp_path / "mu-300.stjz")
     table = acquire_table(450, tmp_path)
     assert table.limit == 450
+    table.mu  # the cache is consulted on the first read of mu
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "mu-300.stjz", "mu-450.stjz"]
 
 
-def test_cache_prefers_smallest_covering_file(tmp_path):
+def test_cache_prefers_smallest_covering_file(tmp_path, monkeypatch):
     arith.save_cache(arith.build_tables(1000), tmp_path / "mu-1000.stjz")
     arith.save_cache(arith.build_tables(400), tmp_path / "mu-400.stjz")
-    assert acquire_table(350, tmp_path).limit == 400
+    loaded = []
+    real_load = arith.load_cache
+
+    def load(path):
+        loaded.append(Path(path).name)
+        return real_load(path)
+
+    monkeypatch.setattr(arith, "load_cache", load)
+    table = acquire_table(350, tmp_path)
+    assert table.limit == 350
+    table.mu
+    assert loaded == ["mu-400.stjz"]
+
+
+def test_mu_reader_against_a_larger_file_reads_its_limit(tmp_path, capsys):
+    path = tmp_path / "mu-3000.stjz"
+    arith.save_cache(arith.build_tables(3000), path)
+    fresh = arith.build_tables(1000).mu.tolist()
+    table = acquire_table(1000, tmp_path)
+    assert len(table.mu) == 1001
+    assert table.mu.tolist() == fresh
+    # the whole stored payload is checked, past the limit read too
+    blob = bytearray(path.read_bytes())
+    blob[16 + 2000] ^= 0x01
+    path.write_bytes(bytes(blob))
+    table = acquire_table(1000, tmp_path)
+    assert table.mu.tolist() == fresh
+    assert "CRC mismatch" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mu-1000.stjz"]
 
 
 def test_cache_dir_environment_variable(tmp_path, monkeypatch, capsys):
@@ -880,7 +948,8 @@ def test_truncated_cache_file_is_rebuilt_and_replaced(tmp_path, capsys):
 
 def test_corrupt_payload_is_rebuilt_for_a_prime_only_command(tmp_path,
                                                              capsys):
-    # theta reads no mu, yet the hit checks the whole file up front
+    # theta reads no mu, so it leaves the corrupt file alone; the next
+    # command that reads mu finds the fault and rebuilds
     cache = tmp_path / "cache"
     cache.mkdir()
     path = cache / "mu-3000.stjz"
@@ -893,7 +962,14 @@ def test_corrupt_payload_is_rebuilt_for_a_prime_only_command(tmp_path,
     fresh = capsys.readouterr().out
     assert main([*argv, "--cache-dir", str(cache)]) == 0
     first = capsys.readouterr()
-    assert first.out == fresh and "CRC mismatch" in first.err
+    assert first.out == fresh and first.err == ""
+    assert path.read_bytes() == bytes(blob)
+    argv = ["mertens", "--limit", "2500", "--every", "7"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main([*argv, "--cache-dir", str(cache)]) == 0
+    second = capsys.readouterr()
+    assert second.out == fresh and "CRC mismatch" in second.err
     assert sorted(p.name for p in cache.iterdir()) == ["mu-2500.stjz"]
     assert arith.cache_summary(cache / "mu-2500.stjz")["status"] == "ok"
 
