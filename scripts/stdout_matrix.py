@@ -6,7 +6,8 @@ line: `name exit sha256(stdout)`, or the hash of the written file for a
 case that passes --output. The list covers every command in both
 formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the chunk size of the
 table walks), every-row tables at 2^13 - 1, 2^13 and 2^13 + 1 rows (the
-renderer's block size), written to stdout and to --output, tables with
+renderer's block size), written to stdout and to --output, `li`
+written to --output by the numpy-free core, tables with
 a list column at the same sizes (rendered by reports.render_csv in a
 child of their own, since no command prints one that long), every-row
 tables of 70000 rows, the far-point Mertens reads of `identity-explore
@@ -127,6 +128,8 @@ OUTPUTS = [
     # below 1 in magnitude and exponent-form cells
     ("li-near-one", ["li", "--x", "1.0000000000000002"]),
     ("li-far", ["li", "--x", "1e20"]),
+    # --output on the numpy-free core, which imports its writer lazily
+    ("li-output", ["li", "--x", "2", "--output", f"{TMP}/table"]),
     ("relation-a", ["relation-a", "--x-max", "5000"]),
     ("mertens-constant", ["mertens-constant", "--limit", "5000"]),
     # 821641 and 821647 are the 65536th and 65537th primes: theta and the

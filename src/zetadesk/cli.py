@@ -22,9 +22,10 @@ library's own check. Adding a command means writing its handler and
 adding one COMMANDS entry; the handler receives the validated flags as
 keyword arguments.
 
-Start-up loads only the standard library, bounds, constants, reports
-and the argument parser: the flags are parsed and validated against
-bounds.py, so --help and every exit 2 load no engine and no numpy.
+Start-up loads only the standard library (not dataclasses or json),
+bounds, constants, reports and the argument parser: the flags are
+parsed and validated against bounds.py, so --help and every exit 2 load
+no engine and no numpy, and files loads only for --output.
 Each handler imports the one engine it calls when it runs. The engine
 functions a handler calls by name (xi, zero_scan, zeta_function, ...,
 and the _SERIES_BUILDERS table) are this module's attributes, imported
@@ -58,9 +59,8 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import (LI_X_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
                      MERTENS_CONSTANT_N_MIN, SCAN_START, ZERO_SCAN_STEP_MAX,
@@ -68,7 +68,6 @@ from .bounds import (LI_X_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
                      _check_exp_pair, _check_exponent, _check_half_plane,
                      _check_not_degenerate, _require_in_box, _require_regular)
 from .constants import li
-from .files import replace_atomically
 from .reports import (KERNEL_ROWS, Table, csv_blocks, geometric_grid,
                       json_blocks, render_csv, render_json)
 
@@ -118,8 +117,7 @@ class CliValidationError(Exception):
     """Bad parameter value; the message names the offending flag."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a dispatch needs: the command, its validated
     parameters in declaration order, and the I/O choices."""
 
@@ -132,13 +130,14 @@ class RunConfig:
 
 # -- parameter parsing -------------------------------------------------
 
+# compiled (and cached by re) on the first complex flag, not at start-up
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^([+-]?{_NUM})(?:([+-])({_NUM})i)?$")
+_COMPLEX = rf"^([+-]?{_NUM})(?:([+-])({_NUM})i)?$"
 
 
 def parse_complex(text: str, flag: str) -> complex:
     """Grammar RE, RE+IMi, RE-IMi; anything else is a validation error."""
-    m = _COMPLEX_RE.match(text.strip())
+    m = re.match(_COMPLEX, text.strip())
     if not m:
         raise CliValidationError(
             f"{flag}: expected RE, RE+IMi or RE-IMi, got {text!r}")
@@ -149,8 +148,7 @@ def parse_complex(text: str, flag: str) -> complex:
     return complex(real, imag)
 
 
-@dataclass(frozen=True)
-class NumberRange:
+class NumberRange(NamedTuple):
     """Parser for a finite int or float flag within [lo, hi], or
     (lo, hi] when open_lo; a bound of None is no bound. The range is
     data, so the accepted values of every flag can be listed."""
@@ -478,8 +476,7 @@ _REQUIRED = object()  # argparse demands the flag
 _UNSET = object()     # the flag is left out of params when not given
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """One flag of a command. parse(text, flag) turns the given text
     into its value (None keeps the text); check(value) is the library's
     own check, whose ValueError is reported against the flag. default
@@ -498,8 +495,7 @@ class Flag:
         return self.name[2:].replace("-", "_")
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One command: handler(config, **params) -> Table, its help
     line, its flags in params order, a check(params) over several flags,
     and the default output format."""
@@ -777,6 +773,8 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         blocks = run(config)
         if config.output is not None:
+            from .files import replace_atomically
+
             replace_atomically(config.output, blocks, "w", encoding="utf-8",
                                newline="").close()
         else:

@@ -1,7 +1,7 @@
 """Replacing a file's contents as a whole: the one recipe behind
 `--output` and the STJZ cache writer.
 
-Standard library only, so the CLI loads it before any engine.
+Standard library only, so --output loads no engine.
 """
 
 from __future__ import annotations

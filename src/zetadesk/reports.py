@@ -25,18 +25,16 @@ the whole table.
 
 This module imports numpy only on the paths that hold arrays (the
 kernel, column_from_values, the finite check of a float column and
-geometric_grid), so a table of Python lists, such as the CLI's li row,
-is built and rendered without it.
+geometric_grid) and json only for JSON, so a table of Python lists,
+such as the CLI's li row, is built and rendered as CSV without either.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 
 # Rows per rendered block, on the kernel and the template path alike,
 # so temporary arrays and block text stay small; a constant so output
@@ -131,7 +129,6 @@ class RowView(Sequence):
             yield from zip(*(_plain(c, lo, lo + KERNEL_ROWS) for c in self._data))
 
 
-@dataclass(frozen=True, eq=False)
 class Table:
     """A result table held as columns: data has one numpy array
     (numeric) or list (other cells, or a few Python numbers) per name
@@ -139,14 +136,13 @@ class Table:
     CSV; extra lands at the top level of the JSON body (the zeros
     command promises a top-level count there)."""
 
-    columns: tuple
-    data: tuple
-    stats: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("columns", "data", "stats", "extra")
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "data", tuple(self.data))
+    def __init__(self, columns, data, stats=None, extra=None):
+        self.columns = tuple(columns)
+        self.data = tuple(data)
+        self.stats = {} if stats is None else stats
+        self.extra = {} if extra is None else extra
         if len(self.data) != len(self.columns):
             raise ValueError(f"{len(self.data)} data columns for "
                              f"{len(self.columns)} names")
@@ -156,8 +152,7 @@ class Table:
     @classmethod
     def from_rows(cls, columns, rows, stats=None, extra=None) -> Table:
         """A Table from a short list of row tuples."""
-        data = tuple(column_from_values(c) for c in zip(*rows))
-        return cls(columns, data, stats or {}, extra or {})
+        return cls(columns, map(column_from_values, zip(*rows)), stats, extra)
 
     @property
     def rows(self) -> RowView:
@@ -193,6 +188,8 @@ def _json_row(kinds) -> str:
 
 
 def _json_cell(value) -> str:
+    import json
+
     value = json_value(value)
     if isinstance(value, (list, dict)):
         return json.dumps(value, indent=2).replace("\n", "\n      ")
@@ -281,6 +278,8 @@ def render_json(table: Table, head: dict) -> str:
 
 
 def _json_member(key: str, value) -> str:
+    import json
+
     # a member's value sits at depth 1 of the body
     text = json.dumps(value, indent=2).replace("\n", "\n  ")
     return f"  {json.dumps(key)}: {text}"

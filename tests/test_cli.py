@@ -224,20 +224,62 @@ def _range_cases():
                                        id=f"{name} {flag.name}={value!r}")
 
 
-@pytest.mark.parametrize("name,flag,value,accepted", list(_range_cases()))
-def test_every_range_flag_holds_its_bounds(name, flag, value, accepted):
+def _edge_argv(name, flag, value) -> list:
+    """The command line of name with flag at value, and _OTHER_FLAGS."""
     group, _, action = name.partition("-")
     words = [group, action] if group in _GROUPS else [name]
     others = _OTHER_FLAGS.get(name, {})
-    argv = [*words, *(f"{k}={v}" for k, v in others.items() if k != flag.name),
+    return [*words, *(f"{k}={v}" for k, v in others.items() if k != flag.name),
             f"{flag.name}={value!r}"]
-    args = build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("name,flag,value,accepted", list(_range_cases()))
+def test_every_range_flag_holds_its_bounds(name, flag, value, accepted):
+    args = build_parser().parse_args(_edge_argv(name, flag, value))
     if accepted:
         assert _resolve_config(args).params[flag.dest] == value
     else:
         with pytest.raises(CliValidationError) as exc:
             _resolve_config(args)
         assert str(exc.value).startswith(f"{flag.name} must be ")
+
+
+# An accepted integer edge above this is not run: such a flag (a limit,
+# --n, --n-terms) sieves or walks that many cells, seconds at the caps.
+_RUN_CELLS_MAX = 10**6
+
+
+def _numeric_cell_is_finite(cell: str) -> bool:
+    """False for a numeric CSV cell that is nan or infinite; other
+    cells (names, paths, true/false) pass."""
+    try:
+        return cmath.isfinite(complex(cell.replace("i", "j")))
+    except ValueError:
+        return True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,flag,value", [
+    pytest.param(*case.values[:3], id=case.id) for case in _range_cases()
+    if case.values[3] and not (isinstance(case.values[2], int)
+                               and case.values[2] > _RUN_CELLS_MAX)])
+def test_every_accepted_range_edge_runs(name, flag, value, tmp_path,
+                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # cache-build writes into its --dir
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    code = main([*_edge_argv(name, flag, value), "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: --") and out == ""
+        return
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    for row in rows:
+        cells = dict(zip(header, row))
+        if name == "abel-check" and flag.name == "--m":
+            # an empty block has no theta to bound
+            assert cells.pop("theta_min") == cells.pop("theta_max") == "nan"
+        assert all(map(_numeric_cell_is_finite, cells.values())), row
 
 
 def _accepted_ranges_rows() -> dict:

@@ -210,6 +210,11 @@ def test_table_rejects_ragged_columns():
         Table(("n", "r"), (np.arange(3.0), np.arange(2.0)))
     with pytest.raises(ValueError, match="2 names"):
         Table(("n", "r"), (np.arange(3.0),))
+    # a table built without stats or extra gets dicts of its own
+    first, second = Table(("n",), ([1],)), Table.from_rows(("n",), [(1,)])
+    assert first.stats == first.extra == {}
+    assert first.stats is not second.stats
+    assert first.extra is not second.extra
 
 
 # -- the numeric CSV kernel ------------------------------------------------

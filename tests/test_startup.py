@@ -2,11 +2,12 @@
 
 Each case runs in a fresh child, so the modules it lists are the ones
 that command loaded: the CLI core is the standard library, bounds,
-constants, reports and the argument parser, and each handler imports
-the one engine it calls. The tracer cases run perfbench/trace_child.py
-as the benchmark does and check that it still wraps every engine call
-it names, with stdout unchanged. A CLI run also starts numpy without
-OpenBLAS's thread pool.
+constants, reports and the argument parser, without dataclasses (and
+the inspect it pulls in), json or the --output writer, and each handler
+imports the one engine it calls. The tracer cases run
+perfbench/trace_child.py as the benchmark does and check that it still
+wraps every engine call it names, with stdout unchanged. A CLI run also
+starts numpy without OpenBLAS's thread pool.
 """
 
 import json
@@ -27,11 +28,15 @@ ENGINES = {"zetadesk.arith", "zetadesk.asymptotics", "zetadesk.dirichlet",
 # numpy subpackages a command pays 5-16 ms to import: np.unique and
 # np.median load numpy.ma, leggauss numpy.polynomial
 NUMPY_EXTRAS = {"numpy.ma", "numpy.polynomial"}
+# what the core loads only where it is used: json for JSON output,
+# zetadesk.files for --output; dataclasses (with inspect) not at all
+CORE_EXTRAS = {"dataclasses", "inspect", "json", "zetadesk.files"}
 
 # Runs `zetadesk argv[1:]` as `python -m zetadesk.cli` would, with its
-# output swallowed, then prints its exit code and the modules loaded.
+# output swallowed, then prints its exit code and the modules loaded;
+# the probe imports json only after it has listed them.
 _MODULES_PROBE = """
-import contextlib, io, json, runpy, sys
+import contextlib, io, runpy, sys
 code = 0
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
@@ -39,9 +44,11 @@ with contextlib.redirect_stdout(io.StringIO()), \\
         runpy.run_module("zetadesk.cli", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, [m for m in sys.modules
-                         if m in ("numpy", "numpy.ma", "numpy.polynomial")
-                         or m.startswith("zetadesk.")]]))
+loaded = [m for m in sys.modules
+          if m in ("numpy", "numpy.ma", "numpy.polynomial", "dataclasses",
+                   "inspect", "json") or m.startswith("zetadesk.")]
+import json
+print(json.dumps([code, loaded]))
 """
 
 
@@ -73,7 +80,19 @@ def _loaded(argv) -> tuple[int, set]:
 def test_core_commands_load_no_engine_and_no_numpy(argv, code):
     got, modules = _loaded(argv)
     assert got == code
-    assert not modules & (ENGINES | {"numpy"}), sorted(modules)
+    assert not modules & (ENGINES | {"numpy"} | CORE_EXTRAS), sorted(modules)
+
+
+def test_json_and_the_output_writer_load_where_they_are_used(tmp_path):
+    code, modules = _loaded(["li", "--x", "2", "--format", "json"])
+    assert code == 0
+    assert "json" in modules
+    assert not modules & {"dataclasses", "inspect", "zetadesk.files"}
+    code, modules = _loaded(["li", "--x", "2", "--output",
+                             str(tmp_path / "table")])
+    assert code == 0 and (tmp_path / "table").is_file()
+    assert "zetadesk.files" in modules
+    assert not modules & {"dataclasses", "inspect", "json"}
 
 
 @pytest.mark.parametrize("argv,loads,skips", [
