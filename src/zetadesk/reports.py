@@ -187,13 +187,11 @@ def _json_row(kinds) -> str:
             + "\n    ]")
 
 
-def _json_cell(value) -> str:
-    import json
-
+def _json_cell(dumps, value) -> str:
     value = json_value(value)
     if isinstance(value, (list, dict)):
-        return json.dumps(value, indent=2).replace("\n", "\n      ")
-    return json.dumps(value)
+        return dumps(value, indent=2).replace("\n", "\n      ")
+    return dumps(value)
 
 
 def _render_rows(data, row, cell, row_sep, finite_only) -> Iterator[str]:
@@ -251,11 +249,15 @@ def json_blocks(table: Table, head: dict) -> Iterator[str]:
     the members of head (the CLI's command and params), then the
     table's extra, columns, rows and stats, with every value made
     JSON-ready and the rows rendered from the columns."""
-    members = [_json_member(key, json_value(value))
+    from functools import partial
+    from json import dumps
+
+    members = [_json_member(dumps, key, json_value(value))
                for key, value in {**head, **table.extra}.items()]
-    members.append(_json_member("columns", list(table.columns)))
+    members.append(_json_member(dumps, "columns", list(table.columns)))
     yield "{\n" + ",\n".join(members) + ",\n"
-    blocks = _render_rows(table.data, _json_row, _json_cell, ",\n", True)
+    blocks = _render_rows(table.data, _json_row, partial(_json_cell, dumps),
+                          ",\n", True)
     first = next(blocks, None)
     if first is None:
         yield '  "rows": []'
@@ -264,7 +266,8 @@ def json_blocks(table: Table, head: dict) -> Iterator[str]:
         for block in blocks:
             yield ",\n" + block
         yield "\n  ]"
-    yield ",\n" + _json_member("stats", json_value(table.stats)) + "\n}\n"
+    stats = _json_member(dumps, "stats", json_value(table.stats))
+    yield ",\n" + stats + "\n}\n"
 
 
 def render_csv(table: Table) -> str:
@@ -277,12 +280,10 @@ def render_json(table: Table, head: dict) -> str:
     return "".join(json_blocks(table, head))
 
 
-def _json_member(key: str, value) -> str:
-    import json
-
+def _json_member(dumps, key: str, value) -> str:
     # a member's value sits at depth 1 of the body
-    text = json.dumps(value, indent=2).replace("\n", "\n  ")
-    return f"  {json.dumps(key)}: {text}"
+    text = dumps(value, indent=2).replace("\n", "\n  ")
+    return f"  {dumps(key)}: {text}"
 
 
 # -- grids ---------------------------------------------------------------

@@ -191,13 +191,9 @@ def log_gamma(z: complex) -> complex:
     """Lanczos approximation (g=7, 9 coefficients), reflected for
     Re z < 1/2. Branch matters only through exp for our callers."""
     z = complex(z)
-    _check_gamma_pole(z)
-    return complex(_log_gamma(np.array([z]))[0])
-
-
-def _check_gamma_pole(z: complex) -> None:
     if z.real < 0.5 and z.imag == 0.0 and z.real == math.floor(z.real):
         raise ValueError(f"gamma pole at z={z.real:g}")
+    return complex(_log_gamma(np.array([z]))[0])
 
 
 def gauss_pi(x: float) -> float:
@@ -210,27 +206,18 @@ def gauss_pi(x: float) -> float:
 
 def completed_zeta(s: complex) -> complex:
     """Gamma(s/2) pi^(-s/2) zeta(s); invariant under s -> 1-s."""
-    return _completed_zetas(complex(s))[0]
-
-
-def _completed_zetas(*points: complex) -> list[complex]:
-    """completed_zeta at each point, each checked as it checks one, from
-    one log-gamma and one zeta kernel call."""
-    for s in points:
-        if s == 0.0 or s == 1.0:
-            raise ValueError("completed zeta has poles at s = 0 and s = 1")
-        _check_gamma_pole(0.5 * s)
-        _require_regular(s)
-    log_gammas = _log_gamma(np.array([0.5 * s for s in points]))
-    return [cmath.exp(complex(g) - 0.5 * s * _LOG_PI) * complex(z)
-            for s, g, z in zip(points, log_gammas, _zeta_array(np.array(points)))]
+    s = complex(s)
+    if s == 0.0 or s == 1.0:
+        raise ValueError("completed zeta has poles at s = 0 and s = 1")
+    return cmath.exp(log_gamma(0.5 * s) - 0.5 * s * math.log(math.pi)) * zeta(s)
 
 
 def functional_equation_residual(s: complex) -> float:
     """Relative defect |F(s) - F(1-s)| / |F(s)| of the reflection
     symmetry; both s and 1-s must sit in the validated box."""
     s = complex(s)
-    a, b = _completed_zetas(s, 1.0 - s)
+    a = completed_zeta(s)
+    b = completed_zeta(1.0 - s)
     return abs(a - b) / (abs(a) + 1e-300)
 
 
