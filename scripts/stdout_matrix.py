@@ -15,14 +15,17 @@ tables of 70000 rows, the far-point Mertens reads of `identity-explore
 edges and one of 2 * 10^6 cells, `theta` and `mertens-constant` at
 the edge of the first 2^16 primes, `theta` at the edge of the prime
 sieve's first 2^16 flags, a `mertens` whose Mobius sieve forms its
-cofactor products over more than one chunk of primes, a `weierstrass`
-walk over several chunks, a `weierstrass` product whose first two
-factors overflow, sums of nan, empty `--every` grids and grids whose rows lie
-chunks apart, non-finite cells, the sieve cache (builds, misses, hits
-from commands that read mu, one on a file far longer than its limit,
-the prime-only commands, which leave the cache alone, and inspect),
-invalid input and every help text. Run it on two checkouts on the same machine and diff
-the outputs: a refactor that keeps stdout must print the same lines.
+cofactor products over more than one chunk of primes, `weierstrass`
+walks of 2^16 - 1, 2^16 and 2^16 + 1 terms and one over several
+chunks, a `weierstrass` product whose first two factors overflow, sums
+of nan, empty `--every` grids and grids whose rows lie chunks apart,
+non-finite cells, the sieve cache (builds, misses, hits from commands
+that read mu, one on a file far longer than its limit, the prime-only
+commands, which leave the cache alone even when --cache-dir names a
+file, a cache directory that is a file or lies under one, and
+inspect), invalid input and every help text. Run it on two checkouts
+on the same machine and diff the outputs: a refactor that keeps stdout
+must print the same lines.
 
 Cache paths in stdout are replaced by a placeholder before hashing, so
 the hashes do not depend on the temporary directory. The whole list
@@ -154,7 +157,10 @@ OUTPUTS = [
     *[(f"identity-explore-{n}", ["identity-explore", "--limit", str(n)])
       for n in EDGES],
     ("weierstrass", ["weierstrass", "--x", "0.3", "--a", "1", "--n-terms", "1000"]),
-    # n walks more than one chunk
+    # n walks one chunk, one chunk and a cell, and more than one chunk
+    *[(f"weierstrass-{n}",
+       ["weierstrass", "--x", "0.3", "--a", "1", "--n-terms", str(n)])
+      for n in EDGES],
     ("weierstrass-multichunk",
      ["weierstrass", "--x", "0.3", "--a", "1", "--n-terms", "200000"]),
     ("weierstrass-lattice-zero",
@@ -162,6 +168,9 @@ OUTPUTS = [
     # (1 - e^a) e^E overflows, the whole product does not
     ("weierstrass-late-poly", ["weierstrass", "--x", "699", "--a", "700"]),
     ("cache-build", ["cache", "build", "--limit", "1000", "--dir", f"{TMP}/built"]),
+    # a prime-only command leaves even a --cache-dir that is a file alone
+    ("cache-file-dir-theta",
+     ["theta", "--limit", "5000", "--cache-dir", f"{TMP}/built/mu-1000.stjz"]),
     ("cache-miss", ["mertens", "--limit", "3000", "--every", "100",
                     "--cache-dir", f"{TMP}/auto"]),
     ("cache-hit", ["mertens", "--limit", "2000", "--every", "100",
@@ -265,6 +274,13 @@ INVALID = [
     ("cache-inspect-missing", ["cache", "inspect", "--path", f"{TMP}/nowhere"]),
     # theta reads no mu, so its cache directory is never made
     ("cache-inspect-theta", ["cache", "inspect", "--path", f"{TMP}/theta"]),
+    # a cache directory that is a file, or lies under one
+    ("cache-dir-is-file", ["mertens", "--limit", "100", "--cache-dir",
+                           f"{TMP}/built/mu-1000.stjz"]),
+    ("cache-dir-under-file", ["mertens", "--limit", "100", "--cache-dir",
+                              f"{TMP}/built/mu-1000.stjz/sub"]),
+    ("cache-build-dir-is-file", ["cache", "build", "--limit", "100", "--dir",
+                                 f"{TMP}/built/mu-1000.stjz"]),
 ]
 
 

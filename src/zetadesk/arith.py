@@ -1,10 +1,11 @@
 """Sieve-backed arithmetic tables.
 
 Everything downstream (Dirichlet sums, prime-counting statistics, the
-Mertens ratio scans) reads from one immutable ArithTable: primes, the
-Mobius function, and divisor-count and smallest-prime-factor arrays,
-each made on first read. A table read from the STJZ sieve cache
-holds the mu its file stores, checked and decoded in one pass.
+Mertens ratio scans) reads from one ArithTable, a plain class that is
+logically immutable: primes, the Mobius function, and divisor-count and
+smallest-prime-factor arrays, each a read-only cached_property made on
+first read. A table read from the STJZ sieve cache holds the mu its
+file stores, checked and decoded in one pass, set over the property.
 
 Arrays are indexed by the integer they describe (entry 0 is padding).
 Floating accumulations run in a fixed ascending order, so a rebuild at
@@ -22,12 +23,12 @@ import os
 import struct
 import zlib
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import MAX_LIMIT
+from .bounds import CHUNK, MAX_LIMIT, chunk_bounds
 from .constants import euler_constant
 from .files import replace_atomically
 
@@ -74,7 +75,6 @@ class CachePayloadError(CacheError):
     status = "bad-payload"
 
 
-@dataclass(frozen=True, eq=False)
 class ArithTable:
     """Immutable arithmetic tables covering 1..limit.
 
@@ -89,8 +89,10 @@ class ArithTable:
     logically immutable.
     """
 
-    limit: int
-    mu_source: Callable[[], np.ndarray] | None = None
+    def __init__(self, limit: int,
+                 mu_source: Callable[[], np.ndarray] | None = None):
+        self.limit = limit
+        self.mu_source = mu_source
 
     @cached_property
     def primes(self) -> np.ndarray:
@@ -211,8 +213,7 @@ def _divisor_count_sieve(limit: int) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True, eq=False)
-class MertensPrefix:
+class MertensPrefix(NamedTuple):
     """Prefix sums M(n) of the Mobius function with observed extremes
     of M(n)/sqrt(n) over 1..limit."""
 
@@ -222,17 +223,6 @@ class MertensPrefix:
     argmin: int
     observed_max_ratio: float
     argmax: int
-
-
-# cells per step of every chunked walk over 1..n in the package
-CHUNK = 1 << 16
-
-
-def chunk_bounds(n: int, start: int = 1):
-    """(lo, hi) for consecutive chunks of at most CHUNK cells covering
-    start..n, hi exclusive."""
-    for lo in range(start, n + 1, CHUNK):
-        yield lo, min(lo + CHUNK, n + 1)
 
 
 def grid_prefix(chunk, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -329,7 +319,6 @@ def integer_root(n: int, k: int) -> int:
     return r
 
 
-@dataclass(frozen=True, eq=False)
 class MertensQuotients:
     """M(v) at every floor quotient v = n//j of one n.
 
@@ -339,10 +328,12 @@ class MertensQuotients:
     an int64 array of them, gives M there as int64.
     """
 
-    n: int
-    mu: np.ndarray
-    small: np.ndarray
-    large: np.ndarray
+    def __init__(self, n: int, mu: np.ndarray, small: np.ndarray,
+                 large: np.ndarray):
+        self.n = n
+        self.mu = mu
+        self.small = small
+        self.large = large
 
     def __getitem__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64)
@@ -491,8 +482,7 @@ def squarefree_count(table: ArithTable, n: int) -> int:
     return int(np.count_nonzero(table.mu[1 : n + 1]))
 
 
-@dataclass(frozen=True)
-class CauchyBound:
+class CauchyBound(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
@@ -642,5 +632,5 @@ def load_cache(path) -> ArithTable:
     with open(path, "rb") as fh:
         mu = _read_payload(fh, path, decode=True)
     table = ArithTable(mu.size - 1)
-    vars(table)["mu"] = mu  # seeds the cached_property
+    table.mu = mu
     return table

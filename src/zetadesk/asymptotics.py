@@ -8,7 +8,7 @@ than one reading."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ def psi_sum(table: ArithTable, n: int) -> float:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class PsiDecomposition:
+class PsiDecomposition(NamedTuple):
     """Both sides of sum_{m<=n} weight(m) = 2C + theta(n) +
     theta(n^(1/2)) + ... and their gap."""
 
@@ -246,8 +245,7 @@ def _lhs_variants(g_at_quotients: np.ndarray) -> dict[str, int]:
     }
 
 
-@dataclass(frozen=True, eq=False)
-class FloorIdentityProbe:
+class FloorIdentityProbe(NamedTuple):
     """All readings of the identity at one n: left side under each sign
     convention, right side under each parity reading of h, and the
     (convention, reading) pairs that agree exactly. bound_holds records
@@ -296,8 +294,7 @@ def floor_identity_probe(mertens: MertensQuotients) -> FloorIdentityProbe:
                               matches=matches, bound_holds=bound_holds)
 
 
-@dataclass(frozen=True, eq=False)
-class FloorIdentitySweep:
+class FloorIdentitySweep(NamedTuple):
     """Match counting over 1..n_max: how often each (convention,
     reading) pair reproduces the right side exactly, plus how many n
     matched under no reading at all and how many matching n broke the

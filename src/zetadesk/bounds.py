@@ -5,7 +5,8 @@ Each bound is declared here once. The engines import it from here
 (and keep it importable under its old module name), and the CLI's flags
 read the same values and run the same checks. Nothing here imports
 numpy, so the CLI can validate every flag, and exit 2 on a bad one,
-before any engine is loaded.
+before any engine is loaded. CHUNK, the step of every chunked walk,
+lives here too, so weierstrass walks in chunks without loading arith.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ import math
 # abel-check read M through mertens_quotients and mertens_segments,
 # whose memory grows with about n^(2/3) and with CHUNK.
 MAX_LIMIT = 200_000_000
+
+# cells per step of every chunked walk over 1..n in the package
+CHUNK = 1 << 16
+
+
+def chunk_bounds(n: int, start: int = 1):
+    """(lo, hi) for consecutive chunks of at most CHUNK cells covering
+    start..n, hi exclusive."""
+    for lo in range(start, n + 1, CHUNK):
+        yield lo, min(lo + CHUNK, n + 1)
+
 
 # first grid point of the theta and prime-count gap scans, whose grid
 # must end above it

@@ -22,10 +22,10 @@ library's own check. Adding a command means writing its handler and
 adding one COMMANDS entry; the handler receives the validated flags as
 keyword arguments.
 
-Start-up loads only the standard library (not dataclasses or json),
-bounds, constants, reports and the argument parser: the flags are
-parsed and validated against bounds.py, so --help and every exit 2 load
-no engine and no numpy, and files loads only for --output.
+Start-up loads only the standard library (not json), bounds,
+constants, reports and the argument parser: the flags are parsed and
+validated against bounds.py, so --help and every exit 2 load no engine
+and no numpy, and files loads only for --output.
 Each handler imports the one engine it calls when it runs. The engine
 functions a handler calls by name (xi, zero_scan, zeta_function, ...,
 and the _SERIES_BUILDERS table) are this module's attributes, imported
@@ -189,6 +189,16 @@ def _cache_path(cache_dir: Path, limit: int) -> Path:
     return cache_dir / f"mu-{limit}.stjz"
 
 
+def _make_cache_dir(path: Path, flag: str) -> None:
+    """Make the directory path and its parents; a path where no
+    directory can be made is a bad flag."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliValidationError(f"{flag}: cannot use {path} as a "
+                                 f"directory: {exc.strerror}") from None
+
+
 def acquire_table(limit: int, cache_dir: Path | None) -> ArithTable:
     """A table to limit: a fresh build, or, with a cache directory, a
     table whose mu comes from _cached_mu on its first read, so a
@@ -212,7 +222,7 @@ def _cached_mu(limit: int, cache_dir: Path) -> np.ndarray:
     """
     from . import arith
 
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    _make_cache_dir(cache_dir, f"--cache-dir (or ${CACHE_ENV})")
     covering = []
     for path in _cache_files(cache_dir):
         try:
@@ -439,7 +449,7 @@ def _cmd_cache_build(config: RunConfig, limit, dir) -> Table:
     from . import arith
 
     target = Path(dir)
-    target.mkdir(parents=True, exist_ok=True)
+    _make_cache_dir(target, "--dir")
     path = _cache_path(target, limit)
     arith.save_cache(arith.build_tables(limit), path)
     return Table.from_rows(("path", "limit", "file_bytes"),

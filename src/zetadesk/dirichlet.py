@@ -15,17 +15,17 @@ Every coefficient source (Mobius, unit, corrected divisor counts, the
 1 - prime-power-log weight, a convolution, or anything custom) is one
 CoefficientStream, made 2^16 cells at a time. Its whole array (entry 0
 unused) is filled from the chunks only when something reads values;
-custom streams and convolutions start with theirs. Prefix scans walk
-the chunks (arith.grid_prefix); the convolution and direct partial
-sums read values.
+custom streams and convolutions have theirs set over that property.
+Prefix scans walk the chunks (arith.grid_prefix); the convolution and
+direct partial sums read values.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .constants import euler_constant
 from .exact import ExactSum, split
 from .reports import Table, geometric_grid
 
-@dataclass(frozen=True, eq=False)
 class CoefficientStream:
     """Dirichlet coefficients lambda(1..limit), made chunk by chunk:
     chunk(lo, hi) gives a fresh float64 array of lambda(lo..hi-1).
@@ -45,9 +44,11 @@ class CoefficientStream:
     chunks on first read and cached on the instance (read-only).
     """
 
-    name: str
-    limit: int
-    chunk: Callable[[int, int], np.ndarray]
+    def __init__(self, name: str, limit: int,
+                 chunk: Callable[[int, int], np.ndarray]):
+        self.name = name
+        self.limit = limit
+        self.chunk = chunk
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -65,8 +66,7 @@ def _seeded(name: str, values: np.ndarray) -> CoefficientStream:
     values.setflags(write=False)
     stream = CoefficientStream(name, len(values) - 1,
                                lambda lo, hi: values[lo:hi].copy())
-    # seeds the cached_property, so values is this array, not a copy
-    vars(stream)["values"] = values
+    stream.values = values
     return stream
 
 
@@ -188,8 +188,7 @@ def _mean_value_theta_grid(j: np.ndarray, sigma: float) -> np.ndarray:
     return j * np.expm1(-ratio_log / (sigma + 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class AbelDecomposition:
+class AbelDecomposition(NamedTuple):
     """Summation by parts of sum_{j=n}^{n+m} (M(j)-M(j-1)) j^{-s}.
 
     boundary_terms holds (M(n+m)/(n+m)^s, -M(n-1)/n^s), signs applied;
@@ -338,8 +337,7 @@ def dirichlet_convolution(a: CoefficientStream, b: CoefficientStream) -> Coeffic
     return _seeded(f"({a.name})*({b.name})", out)
 
 
-@dataclass(frozen=True, eq=False)
-class AbscissaProbe:
+class AbscissaProbe(NamedTuple):
     """Least-squares growth exponents of prefix sums on a log grid.
 
     conditional_estimate fits the running-max envelope of |P(n)|
@@ -387,8 +385,7 @@ def _envelope_slope(grid: np.ndarray, envelope: np.ndarray) -> float:
     return float(slope)
 
 
-@dataclass(frozen=True)
-class ConvergenceParams:
+class ConvergenceParams(NamedTuple):
     """Abscissa bookkeeping for a product of two Dirichlet series.
 
     alpha is a conditional-convergence abscissa for the first factor,

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import chunk_bounds
 from .bounds import (_EXP_ARG_LIMIT, _check_exp_arg, _check_exp_pair,
-                     _check_not_degenerate)
+                     _check_not_degenerate, chunk_bounds)
 from .exact import ExactSum
 
 TWO_PI = 2.0 * math.pi
@@ -26,8 +25,7 @@ TWO_PI = 2.0 * math.pi
 EXPONENT_SIGNS = ("minus", "plus")
 
 
-@dataclass(frozen=True, eq=False)
-class ProductEvaluation:
+class ProductEvaluation(NamedTuple):
     """Truncated product vs direct evaluation of e^x - e^a.
 
     relative_error is |product - direct| / |direct|; when the direct
@@ -108,8 +106,7 @@ def _evaluate_signs(x: complex, a: complex, n_terms: int,
     return evaluations
 
 
-@dataclass(frozen=True, eq=False)
-class SignComparison:
+class SignComparison(NamedTuple):
     """Both exponent-sign evaluations side by side; converging_sign
     names the one closer to the direct value at this truncation."""
 

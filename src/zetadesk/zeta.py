@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,8 +252,7 @@ def riemann_von_mangoldt(t: float) -> float:
     return u * (math.log(u) - 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroScanResult:
+class ZeroScanResult(NamedTuple):
     """Sign-change census of Re xi on [t_min, t_max].
 
     zeros holds bisection-refined ordinates; close_calls lists grid
@@ -572,8 +571,7 @@ def _log_power_derivative(k: int, r: int, x: float) -> float:
     return x ** (-r) * float(np.polynomial.polynomial.polyval(lx, poly))
 
 
-@dataclass(frozen=True, eq=False)
-class LogPowerConstant:
+class LogPowerConstant(NamedTuple):
     """Limit constant of sum (log m)^k - integral - half endpoint,
     estimated from the cutoff-n trapezoid defect sum.
 
@@ -631,8 +629,7 @@ def _zeta_ring(radius: float, nodes: int) -> np.ndarray:
                                  for a in theta]))
 
 
-@dataclass(frozen=True, eq=False)
-class ContourConstant:
+class ContourConstant(NamedTuple):
     """Same limit constant recovered from a Cauchy integral for the
     k-th Taylor coefficient of zeta at the origin. convergence_gap is
     the change when the node count is halved; treat the value as
@@ -671,8 +668,7 @@ def log_power_constant_contour(k: int, radius: float = 0.5,
                            value=value, convergence_gap=gap)
 
 
-@dataclass(frozen=True, eq=False)
-class ZetaOriginConstants:
+class ZetaOriginConstants(NamedTuple):
     """Defect-route and contour-route values side by side for k = 1..k_max."""
 
     n: int

@@ -943,6 +943,31 @@ def test_cache_dir_flag_overrides_environment(tmp_path, monkeypatch, capsys):
     assert not env_dir.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["mertens", "--limit", "100", "--cache-dir"],
+     f"--cache-dir (or ${CACHE_ENV})"),
+    (["cache", "build", "--limit", "100", "--dir"], "--dir"),
+])
+# the path is a file, or lies under one
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_cache_directory_that_cannot_be_made_exits_2(argv, flag, below,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    in_the_way = tmp_path / "mu-100.stjz"
+    in_the_way.write_bytes(b"not a directory")
+    built = []
+    real_build = arith.build_tables
+    monkeypatch.setattr(arith, "build_tables",
+                        lambda limit: built.append(limit) or real_build(limit))
+    assert main([*argv, str(in_the_way / below)]) == 2
+    run = capsys.readouterr()
+    assert run.out == ""
+    assert run.err.startswith(f"error: {flag}: cannot use {in_the_way}")
+    assert built == []
+    assert in_the_way.read_bytes() == b"not a directory"
+
+
 def test_cached_and_fresh_runs_are_byte_identical(tmp_path):
     cache = tmp_path / "cache"
     first = run_ok(["mertens", "--limit", "60",

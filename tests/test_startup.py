@@ -2,9 +2,11 @@
 
 Each case runs in a fresh child, so the modules it lists are the ones
 that command loaded: the CLI core is the standard library, bounds,
-constants, reports and the argument parser, without dataclasses (and
-the inspect it pulls in), json or the --output writer, and each handler
-imports the one engine it calls. The tracer cases run
+constants, reports and the argument parser, without json or the
+--output writer, and each handler imports the one engine it calls (and
+weierstrass, which walks in chunks from bounds, no arith). No module of
+the package loads dataclasses (or the inspect it pulls in). The tracer
+cases run
 perfbench/trace_child.py as the benchmark does and check that it still
 wraps every engine call it names, with stdout unchanged. A CLI run also
 starts numpy without OpenBLAS's thread pool.
@@ -97,16 +99,22 @@ def test_json_and_the_output_writer_load_where_they_are_used(tmp_path):
 
 @pytest.mark.parametrize("argv,loads,skips", [
     (["xi", "--t", "14"], {"zetadesk.zeta", "zetadesk.exact"},
-     ENGINES - {"zetadesk.zeta", "zetadesk.exact"} | NUMPY_EXTRAS),
+     ENGINES - {"zetadesk.zeta", "zetadesk.exact"} | NUMPY_EXTRAS
+     | {"dataclasses"}),
     (["mertens", "--limit", "1000"], {"zetadesk.arith"},
-     {"zetadesk.zeta", "zetadesk.weierstrass", "zetadesk.dirichlet"}),
+     {"zetadesk.zeta", "zetadesk.weierstrass", "zetadesk.dirichlet",
+      "dataclasses"}),
     # a geometric grid
     (["relation-a", "--x-max", "100000"], {"zetadesk.asymptotics"},
-     {"zetadesk.zeta", "zetadesk.weierstrass", "zetadesk.dirichlet"}
-     | NUMPY_EXTRAS),
+     {"zetadesk.zeta", "zetadesk.weierstrass", "zetadesk.dirichlet",
+      "dataclasses"} | NUMPY_EXTRAS),
     # the scale of the close-call test is a median, by np.partition
     (["zeros", "--t-max", "30"], {"zetadesk.zeta"},
-     ENGINES - {"zetadesk.zeta", "zetadesk.exact"} | NUMPY_EXTRAS),
+     ENGINES - {"zetadesk.zeta", "zetadesk.exact"} | NUMPY_EXTRAS
+     | {"dataclasses"}),
+    (["weierstrass", "--x", "0.3", "--a", "1", "--n-terms", "100"],
+     {"zetadesk.weierstrass", "zetadesk.exact"},
+     {"zetadesk.arith", "zetadesk.files", "dataclasses"}),
 ])
 def test_a_command_loads_only_its_engine(argv, loads, skips):
     code, modules = _loaded(argv)
