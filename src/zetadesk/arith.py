@@ -495,6 +495,11 @@ def cauchy_schwarz_prefix_bound(values) -> CauchyBound:
     by the largest magnitude so they cannot underflow to zero; `holds`
     is the literal comparison lhs <= rhs, which mathematically always
     holds, with equality only when all entries coincide.
+
+    lhs is the correctly rounded |sum|, but the square root may round
+    rhs below the exact bound (e.g. [1e6, 1e6 - ulp]), so rhs is
+    stepped up to the first float whose square, compared in exact
+    integer arithmetic, reaches n * sum a_i^2.
     """
     seq = [float(v) for v in values]
     if not seq:
@@ -505,6 +510,15 @@ def cauchy_schwarz_prefix_bound(values) -> CauchyBound:
         return CauchyBound(lhs=lhs, rhs=0.0, holds=lhs <= 0.0)
     rhs = scale * math.sqrt(
         len(seq) * math.fsum((v / scale) * (v / scale) for v in seq))
+    # every denominator is a power of two, so den is a multiple of each
+    ratios = [v.as_integer_ratio() for v in seq]
+    den = max(d for _, d in ratios)
+    squares = len(seq) * sum((p * (den // d)) ** 2 for p, d in ratios)
+    while True:
+        p, d = rhs.as_integer_ratio()
+        if p * p * den * den >= squares * d * d:
+            break
+        rhs = math.nextafter(rhs, math.inf)
     return CauchyBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 
