@@ -22,8 +22,10 @@ of nan, empty `--every` grids and grids whose rows lie chunks apart,
 non-finite cells, the sieve cache (builds, misses, hits from commands
 that read mu, one on a file far longer than its limit, the prime-only
 commands, which leave the cache alone even when --cache-dir names a
-file, a cache directory that is a file or lies under one, and
-inspect), invalid input and every help text. Run it on two checkouts
+file, a cache directory that is a file or lies under one, a miss whose
+save is blocked by a directory, and inspect), the decade sweep with
+decade ends inside chunks, the zero census with an empty ladder,
+invalid input and every help text. Run it on two checkouts
 on the same machine and diff the outputs: a refactor that keeps stdout
 must print the same lines.
 
@@ -65,6 +67,9 @@ OUTPUTS = [
     *[(f"mertens-{n}-output",
        ["mertens", "--limit", str(n), "--output", f"{TMP}/table"])
       for n in BLOCK_EDGES],
+    # the decade sweep: one decade, two, and decade ends inside chunks
+    *[(f"mertens-sweep-{n}", ["mertens-sweep", "--limit", str(n)])
+      for n in (100, 1000, *EDGES, 1000000)],
     ("dirichlet-sum", ["dirichlet-sum", "--s", "0.5", "--limit", "1000"]),
     *[(f"dirichlet-sum-{series}",
        ["dirichlet-sum", "--series", series, "--s", "-0.25", "--limit", "5000"])
@@ -109,6 +114,9 @@ OUTPUTS = [
     ("zeros-window", ["zeros", "--t-max", "26", "--t-min", "20", "--step", "0.01"]),
     ("zeros-no-prediction", ["zeros", "--t-max", "5"]),
     ("zeros-to-100", ["zeros", "--t-max", "100", "--step", "0.01"]),
+    # an empty ladder below T = 10, then 3 and 10 rungs
+    *[(f"zero-census-{t}", ["zero-census", "--t-max", t, "--step", h])
+      for t, h in (("5", "0.05"), ("30", "0.05"), ("100", "0.02"))],
     ("constants", ["constants", "--k", "2", "--n", "5000"]),
     ("constants-k8", ["constants", "--k", "8", "--n", "200000"]),
     ("constants-no-accelerate",
@@ -126,6 +134,10 @@ OUTPUTS = [
     # every row across the chunk edge, some ratios in exponent form
     ("divisor-ratio-70000",
      ["divisor-ratio", "--limit", "70000", "--every", "1"]),
+    # the trend tables at a limit off every grid point
+    ("theta-12345", ["theta", "--limit", "12345", "--s", "0.6"]),
+    ("relation-a-12345", ["relation-a", "--x-max", "12345", "--s", "0.6"]),
+    ("divisor-ratio-12345", ["divisor-ratio", "--limit", "12345"]),
     ("li", ["li", "--x", "100"]),
     # li's row is Python floats, printed by the row template: a cell far
     # below 1 in magnitude and exponent-form cells
@@ -198,6 +210,12 @@ OUTPUTS = [
      ["mertens", "--limit", "1000", "--every", "10", "--cache-dir", f"{TMP}/piece"]),
     ("cache-miss-theta",
      ["theta", "--limit", "5000", "--cache-dir", f"{TMP}/theta"]),
+    # a directory in the place of the file a miss saves: the save fails
+    # and the run goes on
+    ("cache-build-in-the-way",
+     ["cache", "build", "--limit", "10", "--dir", f"{TMP}/blocked/mu-100.stjz"]),
+    ("cache-save-blocked",
+     ["mertens", "--limit", "100", "--cache-dir", f"{TMP}/blocked"]),
     ("cache-inspect", ["cache", "inspect", "--path", f"{TMP}/built"]),
     ("cache-inspect-dir", ["cache", "inspect", "--path", f"{TMP}/auto"]),
 ]

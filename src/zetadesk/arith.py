@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import CHUNK, MAX_LIMIT, chunk_bounds
+from .bounds import CHUNK, MAX_LIMIT, TREND_LIMIT_MIN, chunk_bounds
 from .constants import euler_constant
 from .files import replace_atomically
 
@@ -225,29 +225,37 @@ class MertensPrefix(NamedTuple):
     argmax: int
 
 
-def grid_prefix(chunk, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """f(1) + ... + f(n) at each n of the ascending grid (n >= 0, the
-    empty sum 0), as dtype, where chunk(lo, hi) gives f(lo..hi-1). A
-    chunk already of dtype is summed in place, so it must be a fresh
-    array.
+def prefix_chunks(chunk, n: int, dtype=np.float64):
+    """(lo, the prefix sums f(1) + ... + f(m) for m in lo..hi-1) for each
+    chunk of chunk_bounds(n), as dtype, where chunk(lo, hi) gives
+    f(lo..hi-1). A chunk already of dtype is summed in place, so it
+    must be a fresh array; each yielded array is valid until the next.
 
-    Walks chunk_bounds up to the last grid row and adds the carry into
-    each chunk's first cell, the step np.add.accumulate takes there
-    over the whole array, so float sums are bit-identical to one
-    np.cumsum of f(1..n). The first chunk gets no carry, so a leading
-    -0.0 stays -0.0 as it does there. Integer sums are exact while
-    dtype holds them; no full-length array is formed.
+    The carry goes into each chunk's first cell, the step
+    np.add.accumulate takes there over the whole array, so float sums
+    are bit-identical to one np.cumsum of f(1..n). The first chunk gets
+    no carry, so a leading -0.0 stays -0.0 as it does there. Integer
+    sums are exact while dtype holds them; no full-length array is
+    formed.
     """
-    picked = np.zeros(grid.size, dtype=dtype)
     carry = None
-    for lo, hi in chunk_bounds(int(grid.max(initial=0))):
+    for lo, hi in chunk_bounds(n):
         part = np.asarray(chunk(lo, hi), dtype=dtype)
         if carry is not None:
             part[0] += carry
         np.cumsum(part, out=part)
-        hit = slice(*np.searchsorted(grid, (lo, hi)))
-        picked[hit] = part[grid[hit] - lo]
         carry = part[-1]
+        yield lo, part
+
+
+def grid_prefix(chunk, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """f(1) + ... + f(n) at each n of the ascending grid (n >= 0, the
+    empty sum 0), as dtype: prefix_chunks walked up to the last grid
+    row, read at the rows."""
+    picked = np.zeros(grid.size, dtype=dtype)
+    for lo, part in prefix_chunks(chunk, int(grid.max(initial=0)), dtype):
+        hit = slice(*np.searchsorted(grid, (lo, lo + part.size)))
+        picked[hit] = part[grid[hit] - lo]
     return picked
 
 
@@ -269,6 +277,22 @@ def mertens_prefix(table: ArithTable, limit: int | None = None) -> MertensPrefix
     return mertens_ratio_window(whole, 1, n)
 
 
+def _ratio_extremes(extremes: tuple, values: np.ndarray, start: int) -> tuple:
+    """extremes (min, argmin, max, argmax) of M(n)/sqrt(n) taken over
+    values too, which hold M(start), M(start + 1), ...; on a tie the
+    least n wins."""
+    ratios = values / np.sqrt(np.arange(start, start + values.size,
+                                        dtype=np.float64))
+    best_min, arg_min, best_max, arg_max = extremes
+    i_lo = int(np.argmin(ratios))
+    i_hi = int(np.argmax(ratios))
+    if ratios[i_lo] < best_min:
+        best_min, arg_min = float(ratios[i_lo]), start + i_lo
+    if ratios[i_hi] > best_max:
+        best_max, arg_max = float(ratios[i_hi]), start + i_hi
+    return best_min, arg_min, best_max, arg_max
+
+
 def mertens_ratio_window(prefix: MertensPrefix, lo: int,
                          hi: int) -> MertensPrefix:
     """Ratio extremes of M(n)/sqrt(n) restricted to lo <= n <= hi,
@@ -276,23 +300,40 @@ def mertens_ratio_window(prefix: MertensPrefix, lo: int,
     needs no second full float array."""
     if not 1 <= lo <= hi <= prefix.limit:
         raise ValueError(f"window [{lo}, {hi}] outside prefix range")
-    best_min = math.inf
-    best_max = -math.inf
-    arg_min = arg_max = lo
+    extremes = (math.inf, lo, -math.inf, lo)
     for start, stop in chunk_bounds(hi, lo):
-        idx = np.arange(start, stop, dtype=np.float64)
-        ratios = prefix.values[start:stop] / np.sqrt(idx)
-        i_lo = int(np.argmin(ratios))
-        i_hi = int(np.argmax(ratios))
-        if ratios[i_lo] < best_min:
-            best_min = float(ratios[i_lo])
-            arg_min = start + i_lo
-        if ratios[i_hi] > best_max:
-            best_max = float(ratios[i_hi])
-            arg_max = start + i_hi
-    return MertensPrefix(limit=prefix.limit, values=prefix.values,
-                         observed_min_ratio=best_min, argmin=arg_min,
-                         observed_max_ratio=best_max, argmax=arg_max)
+        extremes = _ratio_extremes(extremes, prefix.values[start:stop], start)
+    return prefix._replace(observed_min_ratio=extremes[0], argmin=extremes[1],
+                           observed_max_ratio=extremes[2], argmax=extremes[3])
+
+
+def mertens_decades(table: ArithTable) -> list[tuple]:
+    """(end, min, argmin, max, argmax) of M(n)/sqrt(n) over each decade
+    1..TREND_LIMIT_MIN, then up to 10 times the last end, the last
+    decade ending at the table's limit (at least TREND_LIMIT_MIN).
+
+    One walk of mu by prefix_chunks, M carried as int32, so no
+    full-length prefix forms; a decade edge may cut a chunk.
+    """
+    limit = table.limit
+    if limit < TREND_LIMIT_MIN:
+        raise ValueError(f"sweep limit {limit} below {TREND_LIMIT_MIN}")
+    rows = []
+    end = TREND_LIMIT_MIN
+    extremes = (math.inf, 1, -math.inf, 1)
+    for lo, part in prefix_chunks(lambda a, b: table.mu[a:b], limit,
+                                  np.int32):
+        start = lo
+        while start < lo + part.size:
+            stop = min(lo + part.size, end + 1)
+            extremes = _ratio_extremes(extremes, part[start - lo:stop - lo],
+                                       start)
+            start = stop
+            if stop == end + 1:
+                rows.append((end, *extremes))
+                extremes = (math.inf, stop, -math.inf, stop)
+                end = min(10 * end, limit)
+    return rows
 
 
 def mertens_identity_check(prefix: MertensPrefix, n: int) -> bool:

@@ -84,12 +84,6 @@ def theta_deviation(table: ArithTable, n: int, s: float) -> float:
     return (chebyshev_theta(table, n) - n) / float(n) ** s
 
 
-# end of the first decade of a decade-by-decade trend, so the least
-# limit such a trend runs to (scripts/mertens_sweep.py and
-# scripts/convergence_trends.py)
-TREND_LIMIT_MIN = 100
-
-
 def theta_deviation_scan(table: ArithTable, s: float,
                          n_max: int | None = None) -> Table:
     s = _check_exponent(s)
@@ -383,7 +377,7 @@ def _identity_sides(prefix: MertensPrefix, table: ArithTable, ns: np.ndarray):
 __all__ = [
     "psi_sum",
     "PsiDecomposition", "psi_decomposition_check", "psi_deviation",
-    "theta_deviation", "SCAN_START", "TREND_LIMIT_MIN",
+    "theta_deviation", "SCAN_START",
     "theta_deviation_scan",
     "divisor_asymptotic_ratio", "divisor_ratio_scan", "li",
     "riemann_prime_count", "prime_count_gap_ratio", "prime_count_gap_scan",

@@ -45,6 +45,10 @@ def chunk_bounds(n: int, start: int = 1):
 # must end above it
 SCAN_START = 10
 
+# end of the first decade of the Mertens sweep, so the least limit it
+# runs to
+TREND_LIMIT_MIN = 100
+
 # the smallest n the Mertens-constant estimate takes, and the first of
 # the CLI's decade points
 MERTENS_CONSTANT_N_MIN = 10

@@ -63,10 +63,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import (LI_X_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
-                     MERTENS_CONSTANT_N_MIN, SCAN_START, ZERO_SCAN_STEP_MAX,
-                     ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX, _check_exp_arg,
-                     _check_exp_pair, _check_exponent, _check_half_plane,
-                     _check_not_degenerate, _require_in_box, _require_regular)
+                     MERTENS_CONSTANT_N_MIN, SCAN_START, TREND_LIMIT_MIN,
+                     ZERO_SCAN_STEP_MAX, ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX,
+                     _check_exp_arg, _check_exp_pair, _check_exponent,
+                     _check_half_plane, _check_not_degenerate,
+                     _require_in_box, _require_regular)
 from .constants import li
 from .reports import (KERNEL_ROWS, Table, csv_blocks, geometric_grid,
                       json_blocks, render_csv, render_json)
@@ -218,7 +219,9 @@ def _cached_mu(limit: int, cache_dir: Path) -> np.ndarray:
     Coverage is read from each file's header, never from its name. A
     chosen file that fails its check or cannot be read (say, removed by
     another process since the scan) is reported on stderr, rebuilt and
-    replaced, so one bad file cannot break later runs.
+    replaced, so one bad file cannot break later runs. A save that
+    fails is reported on stderr too, and the run goes on with the mu it
+    sieved.
     """
     from . import arith
 
@@ -240,10 +243,15 @@ def _cached_mu(limit: int, cache_dir: Path) -> np.ndarray:
                   file=sys.stderr)
             broken = min(covering)[1]
     target = _cache_path(cache_dir, limit)
-    mu = arith.save_cache(arith.build_tables(limit), target).mu
+    table = arith.build_tables(limit)
+    try:
+        arith.save_cache(table, target)
+    except OSError as exc:
+        # the cache only saves work: a run that cannot save goes on
+        print(f"warning: {exc}; the table is not cached", file=sys.stderr)
     if broken is not None and broken != target:
         broken.unlink(missing_ok=True)
-    return mu
+    return table.mu
 
 
 # -- command handlers --------------------------------------------------
@@ -266,6 +274,22 @@ def _cmd_mertens(config: RunConfig, limit, every) -> Table:
     stats = {"observed_min_ratio": float(ratios.min()),
              "observed_max_ratio": float(ratios.max())}
     return Table(("n", "M", "ratio"), (grid, values, ratios), stats)
+
+
+def _cmd_mertens_sweep(config: RunConfig, limit) -> Table:
+    from . import arith
+
+    rows = []
+    running_min = running_max = 0.0
+    table = acquire_table(limit, config.cache_dir)
+    for end, low, argmin, high, argmax in arith.mertens_decades(table):
+        running_min = min(running_min, low)
+        running_max = max(running_max, high)
+        rows.append((end, low, argmin, high, argmax, running_min, running_max))
+    return Table.from_rows(
+        ("decade_end", "min_ratio", "argmin", "max_ratio", "argmax",
+         "running_min", "running_max"),
+        rows, {"sup_abs_ratio": max(-running_min, running_max)})
 
 
 def _cmd_dirichlet_sum(config: RunConfig, limit, series, s) -> Table:
@@ -337,6 +361,21 @@ def _cmd_zeros(config: RunConfig, t_max, step, t_min) -> Table:
              "close_calls": report.close_calls.tolist()}
     return Table(("index", "zero"), (index, zeros), stats,
                  extra={"count": report.count})
+
+
+def _cmd_zero_census(config: RunConfig, t_max, step) -> Table:
+    from .zeta import riemann_von_mangoldt
+
+    report = _engine("zero_scan")(t_max, step)
+    rows = []
+    # the smooth estimate needs T > 2 pi: the ladder starts at 10
+    for height in range(10, int(t_max) + 1, 10):
+        count = int((report.zeros <= height).sum())
+        estimate = riemann_von_mangoldt(float(height))
+        rows.append((height, count, estimate, count - estimate))
+    return Table.from_rows(("T", "count", "smooth_estimate", "gap"), rows,
+                           {"zero_count": report.count,
+                            "close_call_count": len(report.close_calls)})
 
 
 def _cmd_constants(config: RunConfig, k, n, accelerate) -> Table:
@@ -561,6 +600,10 @@ def _exponent_pair(params) -> None:
 
 
 _LIMIT = Flag("--limit", NumberRange(int, 1, MAX_LIMIT))
+_T_MAX = Flag("--t-max", NumberRange(float, 0.0, ZERO_SCAN_T_MAX, open_lo=True))
+_STEP = Flag("--step", NumberRange(float, ZERO_SCAN_STEP_MIN,
+                                   ZERO_SCAN_STEP_MAX),
+             default=ZERO_SCAN_STEP_MAX)
 _EXPONENT = Flag("--s", NumberRange(float), default=0.75,
                  check=_check_exponent)
 # a theta or prime-count gap scan ends above its first grid point
@@ -573,6 +616,11 @@ COMMANDS = {
     "mertens": Command(
         _cmd_mertens, "Mobius prefix sums M(n) and M(n)/sqrt(n)",
         (_LIMIT, Flag("--every", NumberRange(int, 1), default=1))),
+    "mertens-sweep": Command(
+        _cmd_mertens_sweep,
+        "extremes of M(n)/sqrt(n) decade by decade, and their running "
+        "extremes",
+        (Flag("--limit", NumberRange(int, TREND_LIMIT_MIN, MAX_LIMIT)),)),
     "dirichlet-sum": Command(
         _cmd_dirichlet_sum,
         "prefix ratio scan P(n)/n^s of a coefficient stream",
@@ -600,13 +648,12 @@ COMMANDS = {
         (Flag("--t", NumberRange(float), check=_on_critical_line),)),
     "zeros": Command(
         _cmd_zeros, "critical-line zero scan by sign changes",
-        (Flag("--t-max",
-              NumberRange(float, 0.0, ZERO_SCAN_T_MAX, open_lo=True)),
-         Flag("--step",
-              NumberRange(float, ZERO_SCAN_STEP_MIN, ZERO_SCAN_STEP_MAX),
-              default=ZERO_SCAN_STEP_MAX),
-         Flag("--t-min", NumberRange(float, 0.0), default=0.0)),
+        (_T_MAX, _STEP, Flag("--t-min", NumberRange(float, 0.0), default=0.0)),
         check=_t_min_below_t_max, fmt="json"),
+    "zero-census": Command(
+        _cmd_zero_census,
+        "zero count against the smooth estimate at T = 10, 20, ...",
+        (_T_MAX, _STEP)),
     "constants": Command(
         _cmd_constants,
         "zeta Taylor constants at the origin, defect and contour routes",
@@ -677,7 +724,11 @@ def _add_flag(parser: argparse.ArgumentParser, flag: Flag) -> None:
                             choices=flag.choices, help=flag.help)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command and group name with its help line.
+    The common flags and a command's own go only to the command whose
+    words argv starts with, or to every command when argv is None, so a
+    run builds the flags of one command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output table format (default csv; zeros "
@@ -695,18 +746,21 @@ def build_parser() -> argparse.ArgumentParser:
     groups = {}
     for name, spec in COMMANDS.items():
         group, _, action = name.partition("-")
+        words = [group, action] if group in _GROUPS else [name]
+        flagged = argv is None or list(argv[:len(words)]) == words
+        kw = {"parents": [common] if flagged else [], "help": spec.help}
         if group in _GROUPS:
             if group not in groups:
                 groups[group] = sub.add_parser(
                     group, help=_GROUPS[group]).add_subparsers(
                         dest=f"{group}_action", required=True)
-            p = groups[group].add_parser(action, parents=[common],
-                                         help=spec.help)
+            p = groups[group].add_parser(action, **kw)
         else:
-            p = sub.add_parser(name, parents=[common], help=spec.help)
+            p = sub.add_parser(name, **kw)
         p.set_defaults(command_name=name)
-        for flag in spec.flags:
-            _add_flag(p, flag)
+        if flagged:
+            for flag in spec.flags:
+                _add_flag(p, flag)
     return parser
 
 
@@ -774,7 +828,9 @@ def main(argv=None) -> int:
     # command makes a BLAS call that would use it; a caller's value wins
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -801,4 +857,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # A run ends without the interpreter's teardown: what main wrote is
+    # closed, and stdout (through the broken-pipe handling of every
+    # write) and stderr are flushed here.
+    code = main()
+    _write_stdout(())
+    sys.stderr.flush()
+    os._exit(code)

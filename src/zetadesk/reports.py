@@ -9,7 +9,7 @@ cells. Rows are a derived view and are only built as Python tuples on
 access. A scan returns its Table, and a CLI handler returns either that
 Table or one of its own.
 
-Every table, in the CLI and in the scripts, is rendered here, as a
+Every table, in the CLI and in the library, is rendered here, as a
 stream of text blocks of at most KERNEL_ROWS rows each (csv_blocks,
 json_blocks), so a caller can write each block to its sink as it comes
 and never hold the whole text; render_csv and render_json join the
@@ -151,8 +151,11 @@ class Table:
 
     @classmethod
     def from_rows(cls, columns, rows, stats=None, extra=None) -> Table:
-        """A Table from a short list of row tuples."""
-        return cls(columns, map(column_from_values, zip(*rows)), stats, extra)
+        """A Table from a short list of row tuples; no rows give empty
+        columns."""
+        columns = tuple(columns)
+        cells = list(zip(*rows)) or [()] * len(columns)
+        return cls(columns, map(column_from_values, cells), stats, extra)
 
     @property
     def rows(self) -> RowView:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.arith import (CACHE_PIECE, CHUNK, CacheChecksumError, CacheError,
-                            CacheMagicError, CachePayloadError,
-                            CacheTruncatedError, CacheVersionError, MAX_LIMIT,
-                            _header_limit, _mobius_sieve, _prime_sieve,
-                            build_tables, cache_summary,
-                            cauchy_schwarz_prefix_bound, chebyshev_theta,
-                            chunk_bounds, grid_prefix, integer_root, load_cache,
+from zetadesk.arith import (CACHE_PIECE, CHUNK, MAX_LIMIT, ArithTable,
+                            CacheChecksumError, CacheError, CacheMagicError,
+                            CachePayloadError, CacheTruncatedError,
+                            CacheVersionError, MertensPrefix, _header_limit,
+                            _mobius_sieve, _prime_sieve, build_tables,
+                            cache_summary, cauchy_schwarz_prefix_bound,
+                            chebyshev_theta, chunk_bounds, grid_prefix,
+                            integer_root, load_cache, mertens_decades,
                             mertens_identity_check, mertens_prefix,
                             mertens_quotients, mertens_ratio_window,
                             mertens_segments, mobius_segment,
@@ -227,6 +228,43 @@ def test_mertens_ratio_window_matches_slice(prefix4):
         mertens_ratio_window(prefix4, 0, 10)
     with pytest.raises(ValueError):
         mertens_ratio_window(prefix4, 10, prefix4.limit + 1)
+
+
+def _peaked_mu(limit: int, peaks) -> np.ndarray:
+    """mu-like values in {-1, 0, 1} whose sum M climbs one step at a
+    time to m at each (n, m) of peaks and falls straight back to 0; at
+    a square n = m^2, M(n)/sqrt(n) is exactly 1 or -1, so peaks tie."""
+    mu = np.zeros(limit + 1, dtype=np.int8)
+    for n, m in peaks:
+        step = 1 if m > 0 else -1
+        mu[n - abs(m) + 1:n + 1] = step
+        mu[n + 1:n + abs(m) + 1] = -step
+    return mu
+
+
+def test_sweep_extremes_keep_the_least_n_on_a_tie():
+    # ties inside one chunk (1 and 4, 16 and 49) and chunks apart
+    # (129600 and 262144 = 4 * 2^16, 160000 and 250000)
+    limit = 4 * CHUNK
+    mu = _peaked_mu(limit, [(1, 1), (4, 2), (16, -4), (49, -7),
+                            (129600, 360), (160000, -400), (250000, -500),
+                            (262144, 512)])
+    whole = np.cumsum(mu, dtype=np.int64)
+    expected, lo, hi = [], 1, 100
+    while lo <= limit:
+        hi = min(hi, limit)
+        ratios = whole[lo:hi + 1] / np.sqrt(np.arange(lo, hi + 1.0))
+        expected.append((hi, ratios.min(), lo + int(ratios.argmin()),
+                         ratios.max(), lo + int(ratios.argmax())))
+        lo, hi = hi + 1, 10 * hi
+    got = mertens_decades(ArithTable(limit, lambda: mu))
+    assert got == expected
+    assert (got[0][2], got[0][4]) == (16, 1)
+    assert (got[-1][2], got[-1][4]) == (160000, 129600)
+    prefix = MertensPrefix(limit, whole.astype(np.int32), math.nan, 1,
+                           math.nan, 1)
+    window = mertens_ratio_window(prefix, 100001, limit)
+    assert (window.argmin, window.argmax) == (160000, 129600)
 
 
 def test_mertens_identity_sampled(prefix4):

@@ -15,6 +15,7 @@ square roots), so they are stable across conforming IEEE-754 platforms.
 """
 
 import cmath
+import errno
 import importlib
 import json
 import math
@@ -26,7 +27,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetadesk import arith, cli, reports
@@ -184,6 +185,7 @@ _OTHER_FLAGS = {
     "abel-check": {"--n": "100", "--m": "10", "--s": "0.5"},
     "convolution-check": {"--limit": "10"},
     "zeros": {"--t-max": "20"},
+    "zero-census": {"--t-max": "20"},
     "theta": {"--limit": "1000"},
     "divisor-ratio": {"--limit": "10"},
     "li": {"--x": "2"},
@@ -1076,3 +1078,187 @@ def test_cache_save_leaves_no_partial_file(tmp_path, monkeypatch):
         arith.save_cache(arith.build_tables(600), path)
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["mu-500.stjz"]
+
+
+def test_blocked_cache_save_warns_and_the_run_goes_on(tmp_path, monkeypatch,
+                                                      capsys):
+    # a directory where the miss saves its file
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    cache = tmp_path / "cache"
+    (cache / "mu-100.stjz").mkdir(parents=True)
+    argv = ["mertens", "--limit", "100"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main([*argv, "--cache-dir", str(cache)]) == 0
+    run = capsys.readouterr()
+    assert run.out == fresh
+    [line] = run.err.splitlines()
+    assert line.startswith("warning: ") and f"[Errno {errno.EISDIR}]" in line
+    # cache build, whose whole job is the save, still fails
+    assert main(["cache", "build", "--limit", "100", "--dir", str(cache)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cache_save_out_of_space_warns_and_leaves_no_temp_file(
+        tmp_path, monkeypatch, capsys):
+    from zetadesk import files
+
+    class Full:
+        """A file whose device is full."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def writelines(self, chunks):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    argv = ["mertens", "--limit", "1000", "--every", "100"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    monkeypatch.setattr(files, "open", lambda *a, **kw: Full(open(*a, **kw)),
+                        raising=False)
+    cache = tmp_path / "cache"
+    assert main([*argv, "--cache-dir", str(cache)]) == 0
+    run = capsys.readouterr()
+    assert run.out == fresh
+    [line] = run.err.splitlines()
+    assert line.startswith("warning: ") and f"[Errno {errno.ENOSPC}]" in line
+    assert list(cache.iterdir()) == []
+
+
+def test_output_and_cache_miss_are_whole_when_the_process_exits(tmp_path):
+    # a CLI process ends with os._exit, with no teardown after main: the
+    # output file and the saved cache file must be complete by then
+    argv = [sys.executable, "-m", "zetadesk.cli", "mertens", "--limit",
+            "100000"]
+    printed = subprocess.run(argv, env=_child_env(), capture_output=True,
+                             check=True, timeout=120).stdout
+    out, cache = tmp_path / "out.csv", tmp_path / "cache"
+    done = subprocess.run([*argv, "--output", str(out), "--cache-dir",
+                           str(cache)], env=_child_env(), capture_output=True,
+                          check=True, timeout=120)
+    assert done.stdout == done.stderr == b""
+    assert out.read_bytes() == printed
+    inspect = subprocess.run(
+        [sys.executable, "-m", "zetadesk.cli", "cache", "inspect", "--path",
+         str(cache), "--format", "json"], env=_child_env(),
+        capture_output=True, check=True, timeout=120)
+    body = json.loads(inspect.stdout)
+    [row] = [dict(zip(body["columns"], row)) for row in body["rows"]]
+    assert (row["status"], row["limit"]) == ("ok", 100000)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "out.csv"]
+
+
+# -- parsing only the named command --------------------------------------
+
+
+def _typed(name: str) -> list:
+    group, _, action = name.partition("-")
+    return [group, action] if group in _GROUPS else [name]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["frobnicate"], ["cache"], ["cache", "--help"],
+    ["mertens"], ["mertens", "--limit", "10", "--bogus"],
+    *([*_typed(name), "--help"] for name in COMMANDS),
+], ids=" ".join)
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    # main attaches flags only to the command argv names
+    code = main(argv)
+    named = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == named
+
+
+def test_only_the_named_command_gets_flags():
+    parsers = build_parser(["li", "--x", "2"])._subparsers._group_actions[0]
+    flagged = {name for name, p in parsers.choices.items()
+               if name not in _GROUPS and len(p._actions) > 1}
+    assert flagged == {"li"}
+
+
+# -- the experiment commands ---------------------------------------------
+
+
+# what the scripts/ drivers these commands replace wrote to their files
+@pytest.mark.parametrize("argv,header", [
+    pytest.param(["mertens-sweep", "--limit", "1000"],
+                 "decade_end,min_ratio,argmin,max_ratio,argmax,running_min,"
+                 "running_max", id="mertens-sweep"),
+    pytest.param(["zero-census", "--t-max", "30", "--step", "0.05"],
+                 "T,count,smooth_estimate,gap", id="zero-census"),
+    pytest.param(["theta", "--limit", "1000"], "n,theta,deviation",
+                 id="theta"),
+    pytest.param(["relation-a", "--x-max", "1000"], "x,ratio",
+                 id="relation-a"),
+    pytest.param(["divisor-ratio", "--limit", "1000"], "n,ratio",
+                 id="divisor-ratio"),
+])
+def test_experiment_commands_print_their_tables(argv, header, capsys):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header and len(lines) > 1
+
+
+@settings(max_examples=20)
+@given(limit=st.integers(100, 100_000))
+@example(limit=100)
+@example(limit=1000)
+@example(limit=65535)
+@example(limit=65536)
+@example(limit=65537)
+def test_sweep_rows_match_the_whole_prefix_windows(limit, capsys):
+    # second route: the full int32 prefix, read one decade window at a time
+    assert main(["mertens-sweep", "--limit", str(limit)]) == 0
+    rows = [line.split(",") for line in
+            capsys.readouterr().out.splitlines()[1:]]
+    prefix = arith.mertens_prefix(arith.build_tables(limit))
+    expected = []
+    lo, hi, low, high = 1, 100, 0.0, 0.0
+    while lo <= limit:
+        hi = min(hi, limit)
+        w = arith.mertens_ratio_window(prefix, lo, hi)
+        low = min(low, w.observed_min_ratio)
+        high = max(high, w.observed_max_ratio)
+        expected.append([str(hi), format_float(w.observed_min_ratio),
+                         str(w.argmin), format_float(w.observed_max_ratio),
+                         str(w.argmax), format_float(low), format_float(high)])
+        lo, hi = hi + 1, 10 * hi
+    assert rows == expected
+
+
+def test_census_rows_match_the_zeros_and_the_smooth_count(capsys):
+    from zetadesk.zeta import riemann_von_mangoldt, zero_scan
+
+    assert main(["zero-census", "--t-max", "64", "--step", "0.05",
+                 "--format", "json"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    report = zero_scan(64.0, 0.05)
+    zeros = report.zeros.tolist()
+    expected = []
+    for height in range(10, 61, 10):
+        count = sum(z <= height for z in zeros)
+        estimate = riemann_von_mangoldt(height)
+        expected.append([height, count, estimate, count - estimate])
+    assert body["rows"] == expected
+    assert body["stats"] == {"zero_count": len(zeros),
+                             "close_call_count": len(report.close_calls)}
+    # 13 zeros lie below 60, the last at 59.347
+    assert expected[-1][1] == 13
+    # the zeros are what zeros prints
+    assert main(["zeros", "--t-max", "64", "--step", "0.05"]) == 0
+    printed = json.loads(capsys.readouterr().out)["rows"]
+    assert [zero for _, zero in printed] == zeros
+
+
+def test_mertens_sweep_peak_memory_stays_bounded():
+    # one walk of mu with M carried from chunk to chunk; the sweep built
+    # on a full int32 prefix peaked at 85 MB here
+    peak = _peak_rss_mb("mertens-sweep", "--limit", "10000000")
+    assert peak < 70, f"mertens-sweep peaked at {peak:.1f} MB"

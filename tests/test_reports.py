@@ -217,6 +217,18 @@ def test_table_rejects_ragged_columns():
     assert first.extra is not second.extra
 
 
+def test_table_from_no_rows_renders_its_header_only():
+    # zero-census below T = 10 has no rung, and once raised here
+    table = Table.from_rows(("T", "count", "smooth_estimate", "gap"), [])
+    assert table.columns == ("T", "count", "smooth_estimate", "gap")
+    assert len(table.rows) == 0
+    assert render_csv(table) == "T,count,smooth_estimate,gap\n"
+    body = json.loads(render_json(table, {"command": "x"}))
+    assert body == {"command": "x",
+                    "columns": ["T", "count", "smooth_estimate", "gap"],
+                    "rows": [], "stats": {}}
+
+
 # -- the numeric CSV kernel ------------------------------------------------
 #
 # A table of int and float columns only is rendered by a numpy kernel

@@ -36,9 +36,14 @@ CORE_EXTRAS = {"dataclasses", "inspect", "json", "zetadesk.files"}
 
 # Runs `zetadesk argv[1:]` as `python -m zetadesk.cli` would, with its
 # output swallowed, then prints its exit code and the modules loaded;
-# the probe imports json only after it has listed them.
+# the probe imports json only after it has listed them. The CLI ends
+# with os._exit, which the probe turns into SystemExit so that it
+# lives on to print.
 _MODULES_PROBE = """
-import contextlib, io, runpy, sys
+import contextlib, io, os, runpy, sys
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 code = 0
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
@@ -127,6 +132,9 @@ def test_a_command_loads_only_its_engine(argv, loads, skips):
 # threads the process has left and the OpenBLAS thread setting it saw.
 _THREADS_PROBE = """
 import contextlib, io, json, os, runpy, sys
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 sys.argv[1:] = ["xi", "--t", "14"]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
