@@ -1,14 +1,16 @@
-"""Exit code and stdout hash of a fixed list of CLI invocations.
+"""Exit code, stdout hash and stderr hash of a fixed list of CLI
+invocations.
 
 Each invocation runs in its own child (`python -m zetadesk.cli`, with
 the package taken from the `src/` next to this script) and prints one
-line: `name exit sha256(stdout)`, or the hash of the written file for a
-case that passes --output. The list covers every command in both
-formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the chunk size of the
-table walks), every-row tables at 2^13 - 1, 2^13 and 2^13 + 1 rows (the
-renderer's block size), written to stdout and to --output, `li`
-written to --output by the numpy-free core, tables with
-a list column at the same sizes (rendered by reports.render_csv in a
+line: `name exit sha256(stdout) sha256(stderr)`, where a case that
+passes --output hashes the written file in place of stdout, so every
+`warning:` and `error:` text is pinned too. The list covers every
+command in both formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the
+chunk size of the table walks), every-row tables at 2^13 - 1, 2^13
+and 2^13 + 1 rows (the renderer's block size), written to stdout and
+to --output, `li` written to --output by the numpy-free core, tables
+with a list column at the same sizes (rendered by reports.render_csv in a
 child of their own, since no command prints one that long), every-row
 tables of 70000 rows, the far-point Mertens reads of `identity-explore
 --n` and `abel-check` near 10^7, `abel-check` blocks across segment
@@ -29,9 +31,9 @@ invalid input and every help text. Run it on two checkouts
 on the same machine and diff the outputs: a refactor that keeps stdout
 must print the same lines.
 
-Cache paths in stdout are replaced by a placeholder before hashing, so
-the hashes do not depend on the temporary directory. The whole list
-takes about 30 s on 2 vCPUs.
+Cache paths in stdout and stderr are replaced by a placeholder before
+hashing, so the hashes do not depend on the temporary directory. The
+whole list takes about 30 s on 2 vCPUs.
 
 Usage: python3 scripts/stdout_matrix.py > matrix.txt
 """
@@ -322,9 +324,14 @@ def _help_cases():
         yield f"help-cache-{action}", ["cache", action, "--help"]
 
 
+def _digest(data: bytes, tmp: str) -> str:
+    return hashlib.sha256(data.replace(tmp.encode(), TMP.encode())).hexdigest()
+
+
 def _run(argv, env, tmp) -> str:
-    """Exit code and the hash of stdout, or of the file an --output case
-    wrote; argv is a CLI command line, or "-c" and a script."""
+    """Exit code, the hash of stdout (or of the file an --output case
+    wrote) and the hash of stderr; argv is a CLI command line, or "-c"
+    and a script."""
     argv = [arg.replace(TMP, tmp) for arg in argv]
     command = argv if argv[:1] == ["-c"] else ["-m", "zetadesk.cli", *argv]
     done = subprocess.run([sys.executable, *command],
@@ -332,8 +339,8 @@ def _run(argv, env, tmp) -> str:
     out = done.stdout
     if "--output" in argv and done.returncode == 0:
         out = Path(argv[argv.index("--output") + 1]).read_bytes()
-    out = out.replace(tmp.encode(), TMP.encode())
-    return f"{done.returncode} {hashlib.sha256(out).hexdigest()}"
+    return (f"{done.returncode} {_digest(out, tmp)} "
+            f"{_digest(done.stderr, tmp)}")
 
 
 def main() -> int:

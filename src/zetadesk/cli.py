@@ -409,9 +409,7 @@ def _cmd_divisor_ratio(config: RunConfig, limit, every) -> Table:
 
 
 def _cmd_li(config: RunConfig, x) -> Table:
-    # Python cells, which the row template prints as the numeric kernel
-    # prints floats, so li loads no numpy
-    return Table(("x", "li"), ([x], [li(x)]))
+    return Table.from_rows(("x", "li"), [(x, li(x))])
 
 
 def _cmd_relation_a(config: RunConfig, x_max, s) -> Table:

@@ -57,7 +57,10 @@ def replace_atomically(path, chunks: Iterable, mode: str = "wb",
         fh.flush()
         os.replace(tmp, path)
     except BaseException:
-        fh.close()
+        # a write that failed leaves its bytes in the buffer, so close
+        # fails again; the first error is the one to report
+        with contextlib.suppress(OSError):
+            fh.close()
         tmp.unlink(missing_ok=True)
         raise
     return fh

@@ -3,30 +3,31 @@
 Every result in the package, from the grid scans (ratio scans, trend
 tables, divisor ratios) to each CLI command, is one Table: named
 columns destined for CSV or JSON, plus a few statistics and any
-top-level JSON extras. A table is held as columns, one per name: numpy
-arrays for numeric columns, short lists for string, complex or bool
-cells. Rows are a derived view and are only built as Python tuples on
-access. A scan returns its Table, and a CLI handler returns either that
-Table or one of its own.
+top-level JSON extras. A table is held as columns, one per name, each
+of the type its producer gave: numpy arrays from the scans, lists of
+Python cells from the handlers that build a few rows. Rows are a
+derived view and are only built as Python tuples on access. A scan
+returns its Table, and a CLI handler returns either that Table or one
+of its own.
 
 Every table, in the CLI and in the library, is rendered here, as a
 stream of text blocks of at most KERNEL_ROWS rows each (csv_blocks,
 json_blocks), so a caller can write each block to its sink as it comes
 and never hold the whole text; render_csv and render_json join the
-blocks into one string. A CSV table whose columns are all integer or
-float arrays goes through the numpy kernel of csv_kernel.py, which
-prints every cell byte for byte as str(int) and %.17g would. Every
-other table (JSON, and CSV with a list column) uses a row template
-built from the column kinds: integers as %d would print, floats as
-%.17g in CSV and as repr in JSON, and the cells of list columns
-rendered one by one, where a Python float again prints as %.17g in CSV
-and as repr in JSON. Neither path ever holds per-row Python tuples of
-the whole table.
+blocks into one string. A column is rendered by its type, one rule for
+every table: a CSV table whose columns are all integer or float arrays
+goes through the numpy kernel of csv_kernel.py, which prints every cell
+byte for byte as str(int) and %.17g would. Every other table (JSON, and
+CSV with a list column) uses a row template built from the column
+kinds, with list cells rendered one by one; an int prints as str(int)
+and a float as %.17g in CSV and as repr in JSON, from an array or a
+list alike. Neither path ever holds per-row Python tuples of the whole
+table.
 
 This module imports numpy only on the paths that hold arrays (the
-kernel, column_from_values, the finite check of a float column and
-geometric_grid) and json only for JSON, so a table of Python lists,
-such as the CLI's li row, is built and rendered as CSV without either.
+kernel, the finite check of a float column and geometric_grid) and
+json only for JSON, so a table built from rows is built and rendered
+as CSV without either.
 """
 
 from __future__ import annotations
@@ -89,21 +90,6 @@ def json_value(value):
     return str(value)
 
 
-def column_from_values(values):
-    """One column from Python cells: an int64 or float64 array when
-    every cell is a (non-bool) integer or every cell is a float, else
-    the list itself, rendered cell by cell."""
-    import numpy as np
-
-    values = list(values)
-    if values and all(isinstance(v, (int, np.integer))
-                      and not isinstance(v, (bool, np.bool_)) for v in values):
-        return np.array(values, dtype=np.int64)
-    if values and all(isinstance(v, (float, np.floating)) for v in values):
-        return np.array(values, dtype=np.float64)
-    return values
-
-
 def _plain(column, lo: int, hi: int) -> list:
     part = column[lo:hi]
     return list(part) if isinstance(part, (list, tuple)) else part.tolist()
@@ -130,11 +116,10 @@ class RowView(Sequence):
 
 
 class Table:
-    """A result table held as columns: data has one numpy array
-    (numeric) or list (other cells, or a few Python numbers) per name
-    in columns, all of one length. stats only appear in JSON, never in
-    CSV; extra lands at the top level of the JSON body (the zeros
-    command promises a top-level count there)."""
+    """A result table held as columns: data has one numpy array or
+    list of cells per name in columns, all of one length. stats only
+    appear in JSON, never in CSV; extra lands at the top level of the
+    JSON body (the zeros command promises a top-level count there)."""
 
     __slots__ = ("columns", "data", "stats", "extra")
 
@@ -151,11 +136,12 @@ class Table:
 
     @classmethod
     def from_rows(cls, columns, rows, stats=None, extra=None) -> Table:
-        """A Table from a short list of row tuples; no rows give empty
-        columns."""
+        """A Table from a short list of row tuples: each column is the
+        list of cells the rows gave, rendered cell by cell; no rows give
+        empty lists."""
         columns = tuple(columns)
         cells = list(zip(*rows)) or [()] * len(columns)
-        return cls(columns, map(column_from_values, cells), stats, extra)
+        return cls(columns, map(list, cells), stats, extra)
 
     @property
     def rows(self) -> RowView:

@@ -50,7 +50,9 @@ def _evaluate_signs(x: complex, a: complex, n_terms: int,
                     signs: tuple) -> list[ProductEvaluation]:
     """One evaluation per exponent sign in signs. The polynomial
     product and the paired inverse sum do not depend on the sign, so
-    one walk over n forms both, once for all of them."""
+    one pass over n forms each, once for all of them. The inverse sum
+    comes first, so an exponent that would overflow fails before the
+    product pass."""
     if any(sign not in EXPONENT_SIGNS for sign in signs):
         raise ValueError(f"exponent_sign must be one of {EXPONENT_SIGNS}")
     if n_terms < 1:
@@ -64,30 +66,39 @@ def _evaluate_signs(x: complex, a: complex, n_terms: int,
     # n walks 1..n_terms in chunks, so no array grows with n_terms.
     # Convergence-factor exponents summed in the symmetric pairing
     # (n, -n): 1/z_pos + 1/z_neg collapses to 2a/(a^2 + 4 pi^2 n^2)
-    # exactly, and both parts are summed exactly. Polynomial parts
-    # multiplied in the same pairing; factors approach 1 like 1/n^2 so
-    # the running product stays well scaled. It enters each chunk's
-    # np.prod as element 0, the step the whole-array np.prod takes
-    # there, so the chunking does not change its bits.
-    poly = []
+    # exactly, and both parts are summed exactly.
     inv_re, inv_im = ExactSum(), ExactSum()
     for lo, hi in chunk_bounds(n_terms):
         n = np.arange(lo, hi, dtype=np.float64)
         inverse = 2.0 * a / (a * a + (TWO_PI * n) ** 2)
         inv_re.add(inverse.real)
         inv_im.add(inverse.imag)
-        shift = 2j * math.pi * n
-        poly = [np.prod(np.concatenate(
-            (poly, (1.0 - x / (a + shift)) * (1.0 - x / (a - shift)))))]
-    poly = complex(poly[0]) * (1.0 - x / a)
     inv_sum = complex(inv_re.value, inv_im.value) + 1.0 / a
-    evaluations = []
-    for exponent_sign in signs:
+
+    def exponent_of(exponent_sign: str) -> complex:
         sign = 1.0 if exponent_sign == "plus" else -1.0
         exponent = sign * x * inv_sum - x / (ea - 1.0)
         if abs(exponent.real) > _EXP_ARG_LIMIT:
             raise ValueError("convergence-factor exponent would overflow; "
                              "reduce |x| or move a away from 2 pi i k")
+        return exponent
+
+    # the first check the loop below makes, ahead of the product pass;
+    # the other signs keep their place after the first one's product
+    exponent_of(signs[0])
+    # Polynomial parts multiplied in the same pairing; factors approach
+    # 1 like 1/n^2 so the running product stays well scaled. It enters
+    # each chunk's np.prod as element 0, the step the whole-array
+    # np.prod takes there, so the chunking does not change its bits.
+    poly = []
+    for lo, hi in chunk_bounds(n_terms):
+        shift = 2j * math.pi * np.arange(lo, hi, dtype=np.float64)
+        poly = [np.prod(np.concatenate(
+            (poly, (1.0 - x / (a + shift)) * (1.0 - x / (a - shift)))))]
+    poly = complex(poly[0]) * (1.0 - x / a)
+    evaluations = []
+    for exponent_sign in signs:
+        exponent = exponent_of(exponent_sign)
         product = (1.0 - ea) * cmath.exp(exponent) * poly
         if not cmath.isfinite(product):
             # (1 - e^a) e^E can overflow where poly brings it back

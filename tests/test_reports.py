@@ -16,9 +16,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.reports import (KERNEL_ROWS, RowView, Table, column_from_values,
-                              csv_blocks, format_complex, format_float,
-                              json_blocks, render_csv, render_json)
+from zetadesk.reports import (KERNEL_ROWS, RowView, Table, csv_blocks,
+                              format_complex, format_float, json_blocks,
+                              render_csv, render_json)
 
 # the block edge, and 2^16, the template's chunk size before every table
 # was rendered in KERNEL_ROWS blocks
@@ -193,12 +193,16 @@ def test_row_view_reads_rows_from_columns():
         rows[5]
 
 
-def test_column_kinds_from_python_cells():
-    assert column_from_values([1, 2]).dtype == np.int64
-    assert column_from_values([1.0, 2.5]).dtype == np.float64
-    # a mixed, bool, string or complex column stays a list of cells
-    for cells in ([1, 2.5], [True, False], ["x"], [1j]):
-        assert column_from_values(cells) == cells
+def test_from_rows_keeps_the_cells_as_given():
+    rows = [(1, 0.5, np.float64(2.5), 1, True, "x", 1j),
+            (2, -1.0, np.float64(-0.0), 2.5, False, "y", 2j)]
+    table = Table.from_rows(("n", "r", "f", "mixed", "b", "s", "z"), rows)
+    assert table.data == ([1, 2], [0.5, -1.0], [2.5, -0.0], [1, 2.5],
+                          [True, False], ["x", "y"], [1j, 2j])
+    assert [type(c) for c in table.data] == [list] * 7
+    # numpy cells stay numpy cells: no column becomes an array
+    assert type(table.data[2][0]) is np.float64
+    assert table.rows[1] == rows[1]
 
 
 def test_table_rejects_ragged_columns():
@@ -306,12 +310,24 @@ def test_kernel_across_its_blocks_with_late_fallback_cells(rows):
     _kernel_renders(n, -n * 7919, ratio)
 
 
+_int64_cells = st.one_of(
+    st.integers(-(2**63 - 1), 2**63 - 1),
+    st.sampled_from([0, -1, 1, 2**63 - 1, -(2**63 - 1)]))
+
+
 @settings(max_examples=200)
-@given(st.lists(_floats, min_size=1, max_size=4))
-def test_python_float_cells_print_as_a_float_column_does(values):
-    # a table of Python lists (the CLI's li row) takes the row template,
-    # not the kernel, and must print the same bytes in both formats
-    cells = Table(("x",), ([*values],))
-    column = Table(("x",), (np.array(values, dtype=np.float64),))
-    assert render_csv(cells) == render_csv(column)
-    assert render_json(cells, {}) == render_json(column, {})
+@given(st.lists(st.tuples(_int64_cells, _floats), min_size=1, max_size=4))
+def test_python_float_cells_print_as_a_float_column_does(rows):
+    # a table built from rows keeps its Python int and float cells and
+    # takes the row template, not the kernel: it must print the bytes
+    # that arrays of the same cells print, in both formats, alone and
+    # side by side in one row
+    arrays = {"n": np.array([n for n, _ in rows], dtype=np.int64),
+              "x": np.array([x for _, x in rows], dtype=np.float64)}
+    for names in (("x",), ("n",), ("n", "x"), ("x", "n")):
+        picked = [tuple(row["nx".index(name)] for name in names)
+                  for row in rows]
+        cells = Table.from_rows(names, picked)
+        columns = Table(names, [arrays[name] for name in names])
+        assert render_csv(cells) == render_csv(columns)
+        assert render_json(cells, {}) == render_json(columns, {})

@@ -4,8 +4,9 @@ Each case runs in a fresh child, so the modules it lists are the ones
 that command loaded: the CLI core is the standard library, bounds,
 constants, reports and the argument parser, without json or the
 --output writer, and each handler imports the one engine it calls (and
-weierstrass, which walks in chunks from bounds, no arith). No module of
-the package loads dataclasses (or the inspect it pulls in). The tracer
+weierstrass, which walks in chunks from bounds, no arith). Only tables
+of arrays load the CSV kernel. No module of the package loads
+dataclasses (or the inspect it pulls in). The tracer
 cases run
 perfbench/trace_child.py as the benchmark does and check that it still
 wraps every engine call it names, with stdout unchanged. A CLI run also
@@ -33,6 +34,8 @@ NUMPY_EXTRAS = {"numpy.ma", "numpy.polynomial"}
 # what the core loads only where it is used: json for JSON output,
 # zetadesk.files for --output; dataclasses (with inspect) not at all
 CORE_EXTRAS = {"dataclasses", "inspect", "json", "zetadesk.files"}
+# the numpy kernel that prints CSV tables of integer and float arrays
+KERNEL = "zetadesk.csv_kernel"
 
 # Runs `zetadesk argv[1:]` as `python -m zetadesk.cli` would, with its
 # output swallowed, then prints its exit code and the modules loaded;
@@ -105,8 +108,9 @@ def test_json_and_the_output_writer_load_where_they_are_used(tmp_path):
 @pytest.mark.parametrize("argv,loads,skips", [
     (["xi", "--t", "14"], {"zetadesk.zeta", "zetadesk.exact"},
      ENGINES - {"zetadesk.zeta", "zetadesk.exact"} | NUMPY_EXTRAS
-     | {"dataclasses"}),
-    (["mertens", "--limit", "1000"], {"zetadesk.arith"},
+     | {"dataclasses", KERNEL}),
+    # a table of arrays is printed by the CSV kernel
+    (["mertens", "--limit", "1000"], {"zetadesk.arith", KERNEL},
      {"zetadesk.zeta", "zetadesk.weierstrass", "zetadesk.dirichlet",
       "dataclasses"}),
     # a geometric grid
@@ -120,6 +124,14 @@ def test_json_and_the_output_writer_load_where_they_are_used(tmp_path):
     (["weierstrass", "--x", "0.3", "--a", "1", "--n-terms", "100"],
      {"zetadesk.weierstrass", "zetadesk.exact"},
      {"zetadesk.arith", "zetadesk.files", "dataclasses"}),
+    # tables built from rows of numbers are printed without the kernel
+    *[(argv, {"zetadesk." + engine}, {KERNEL}) for argv, engine in [
+        (["constants", "--k", "2", "--n", "1000"], "zeta"),
+        (["mertens-constant", "--limit", "1000"], "asymptotics"),
+        (["mertens-sweep", "--limit", "1000"], "arith"),
+        (["prime-window", "--stop", "10000"], "asymptotics"),
+        (["zero-census", "--t-max", "30"], "zeta"),
+    ]],
 ])
 def test_a_command_loads_only_its_engine(argv, loads, skips):
     code, modules = _loaded(argv)

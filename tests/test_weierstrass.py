@@ -109,6 +109,17 @@ def test_rejections():
         exp_difference_product(1.0, 1e-6, 10, "minus")
 
 
+def test_exponent_overflow_fails_before_the_product_pass(monkeypatch):
+    # the minus-sign exponent needs only the inverse sum, so a walk of
+    # 10^7 terms fails without forming one product chunk
+    def no_product(*args, **kwargs):
+        raise AssertionError("product pass reached")
+
+    monkeypatch.setattr(np, "prod", no_product)
+    with pytest.raises(ValueError, match="exponent would overflow"):
+        compare_exponent_signs(1.0, 1e-7, 10_000_000)
+
+
 def test_zero_set_check():
     assert zero_set_check(1.0, 10)
     assert zero_set_check(complex(0.5, 0.3), 25)
