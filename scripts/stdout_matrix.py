@@ -22,7 +22,8 @@ walks of 2^16 - 1, 2^16 and 2^16 + 1 terms and one over several
 chunks, a `weierstrass` product whose first two factors overflow, sums
 of nan, empty `--every` grids and grids whose rows lie chunks apart,
 non-finite cells, the sieve cache (builds, misses, hits from commands
-that read mu, one on a file far longer than its limit, the prime-only
+that read mu, one on a file far longer than its limit, hits whose kept
+mu ends at either side of the reader's piece edge, the prime-only
 commands, which leave the cache alone even when --cache-dir names a
 file, a cache directory that is a file or lies under one, a miss whose
 save is blocked by a directory, and inspect), the decade sweep with
@@ -210,6 +211,11 @@ OUTPUTS = [
     # mu read from a file a thousand times longer than the limit
     ("cache-hit-mertens-small",
      ["mertens", "--limit", "1000", "--every", "10", "--cache-dir", f"{TMP}/piece"]),
+    # hits whose kept mu ends one before, at and one after the edge of
+    # the reader's first 2^20-byte piece
+    *[(f"cache-hit-mertens-sweep-{n}",
+       ["mertens-sweep", "--limit", str(n), "--cache-dir", f"{TMP}/piece"])
+      for n in (1048575, 1048576, 1048577)],
     ("cache-miss-theta",
      ["theta", "--limit", "5000", "--cache-dir", f"{TMP}/theta"]),
     # a directory in the place of the file a miss saves: the save fails

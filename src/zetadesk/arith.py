@@ -584,7 +584,7 @@ def save_cache(table: ArithTable, path) -> ArithTable:
             yield chunk
         yield struct.pack("<I", crc)
 
-    replace_atomically(path, payload(), "wb").close()
+    replace_atomically(path, payload(), "wb")
     return table
 
 
@@ -610,15 +610,14 @@ def read_cache_limit(path) -> int:
         return _header_limit(fh.read(_HEADER.size), path)
 
 
-def _read_payload(fh, path, decode: bool = False) -> np.ndarray | None:
+def _read_payload(fh, path, keep: int) -> np.ndarray:
     """Check the open STJZ file fh in one pass from its start, and
-    return mu as ArithTable.mu holds it when decode, else None. The
-    first check that fails raises its CacheError, in this order:
-    header, file size, CRC32, byte range.
+    return its first min(keep, stored limit) entries of mu as
+    ArithTable.mu holds them. The first check that fails raises its
+    CacheError, in this order: header, file size, CRC32, byte range.
 
-    The payload is read CACHE_PIECE bytes at a time, straight into mu
-    when decoding and otherwise through one buffer of that size, so a
-    check alone holds no whole file.
+    The payload is read CACHE_PIECE bytes at a time through one buffer
+    of that size, so the pass holds no more than the mu it keeps.
     """
     fh.seek(0)
     limit = _header_limit(fh.read(_HEADER.size), path)
@@ -627,20 +626,19 @@ def _read_payload(fh, path, decode: bool = False) -> np.ndarray | None:
     if size != expected:
         raise CacheTruncatedError(
             f"{path}: {size} bytes, header promises {expected}")
-    if decode:
-        mu = np.empty(limit + 1, dtype=np.int8)
-        mu[0] = 0
-        raw = mu[1:].view(np.uint8)
-    else:
-        raw = np.empty(min(limit, CACHE_PIECE), dtype=np.uint8)
+    mu = np.zeros(min(keep, limit) + 1, dtype=np.int8)
+    kept = mu[1:].view(np.uint8)
+    buffer = np.empty(min(limit, CACHE_PIECE), dtype=np.uint8)
     crc = top = 0
     for start in range(0, limit, CACHE_PIECE):
-        stop = min(start + CACHE_PIECE, limit)
-        piece = raw[start:stop] if decode else raw[: stop - start]
+        piece = buffer[: min(CACHE_PIECE, limit - start)]
         if fh.readinto(piece) != piece.size:
             raise CacheTruncatedError(f"{path}: shorter than it was")
         crc = zlib.crc32(piece, crc)
         top = max(top, int(piece.max()))
+        head = kept[start:start + piece.size]
+        # byte b holds mu + 1; b - 1 wraps 0 to 255, which reads as int8 -1
+        np.subtract(piece[: head.size], 1, out=head)
     trailer = fh.read(4)
     if len(trailer) != 4:
         raise CacheTruncatedError(f"{path}: shorter than it was")
@@ -648,12 +646,15 @@ def _read_payload(fh, path, decode: bool = False) -> np.ndarray | None:
         raise CacheChecksumError(f"{path}: payload CRC mismatch")
     if top > 2:
         raise CachePayloadError(f"{path}: payload byte outside {{0, 1, 2}}")
-    if not decode:
-        return None
-    # byte b holds mu + 1; b - 1 wraps 0 to 255, which reads as int8 -1
-    np.subtract(raw, 1, out=raw)
     mu.setflags(write=False)
     return mu
+
+
+def read_mu(path, keep: int) -> np.ndarray:
+    """mu to min(keep, stored limit) from the STJZ file at path, after
+    _read_payload's one checked pass over the whole file."""
+    with open(path, "rb") as fh:
+        return _read_payload(fh, path, keep)
 
 
 def cache_summary(path) -> dict:
@@ -669,7 +670,7 @@ def cache_summary(path) -> dict:
             summary["version"] = int(version)
             summary["limit"] = int(limit)
         try:
-            _read_payload(fh, path)
+            _read_payload(fh, path, 0)
         except CacheError as exc:
             summary["status"] = exc.status
             summary["crc_ok"] = isinstance(exc, CachePayloadError)
@@ -677,15 +678,9 @@ def cache_summary(path) -> dict:
 
 
 def load_cache(path) -> ArithTable:
-    """The table an STJZ file holds, at its stored limit.
-
-    The file is checked (header, size, CRC32, byte range) in the one
-    pass that decodes its mu, and a malformed file raises the specific
-    CacheError subclass for what went wrong. The table holds that mu
-    from the start; its primes are sieved on first read.
-    """
-    with open(path, "rb") as fh:
-        mu = _read_payload(fh, path, decode=True)
+    """The table an STJZ file holds, at its stored limit: its mu is
+    read_mu's whole payload, and its primes are sieved on first read."""
+    mu = read_mu(path, MAX_LIMIT)
     table = ArithTable(mu.size - 1)
     table.mu = mu
     return table

@@ -17,10 +17,11 @@ import math
 # (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 210 MB
 # (the prime sieve) and a first read of mu takes that to 307 MB; 10^8
 # stays near 122 and 171 MB. theta and the sum of 1/p are walked over
-# the primes in chunks, so they add no full-length array. A table
-# loaded from the cache holds the mu its file stores, decoded as it is
-# checked, and sieves its primes only if read, so a CLI run at the cap
-# that reads only mu from a cache hit peaks near 222 MB. A full Mertens
+# the primes in chunks, so they add no full-length array. A cache hit
+# checks the whole file through a 1 MiB buffer but keeps mu only to its
+# own limit, and sieves its primes only if read: a CLI run at the cap
+# that reads only mu from a hit peaks near 222 MB, and a smaller run
+# beside the cap file as it would uncached. A full Mertens
 # prefix adds 4 bytes per integer on top (800 MB at the cap); of the
 # CLI commands only identity-explore --limit (at most 10^5) still
 # builds one. divisor-ratio holds the int16 divisor counts, 2 bytes per

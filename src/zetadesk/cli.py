@@ -9,8 +9,10 @@ scan's own table), and run renders it, with the command and its
 parameters as the head of the JSON body, as a stream of text blocks
 that main writes to the sink one at a time: a run holds at most one
 block of its output text. --output is replaced atomically when it names
-a new or a regular file (files.replace_atomically), so a failed run
-leaves it as it was; a symlink, a device or a FIFO is written in place.
+a new or a regular file (files.replace_atomically, whose writer owns
+the file from open to rename), so a failed run, a failed close
+included, leaves it as it was; a symlink, a device or a FIFO is
+written in place.
 A reader that closes stdout early (`| head`) ends the run quietly, with
 exit 0.
 
@@ -42,11 +44,12 @@ state therefore reproduce byte-identical output.
 Sieve tables are rebuilt per run unless --cache-dir (or the
 ZETADESK_CACHE_DIR environment variable) points at a directory. The
 cache is touched only where mu is first read: the smallest cached table
-covering the requested limit gives mu, else a fresh build gives it and
-is saved there for next time. Commands that read only the primes or
-d(n), and identity-explore --n and abel-check, which read M at a few
-points only from small sieves of their own, neither read nor write the
-cache, nor create its directory.
+covering the requested limit gives mu, checked whole but kept only to
+that limit, else a fresh build gives it and is saved there for next
+time. Commands that read only the primes or d(n), and identity-explore
+--n and abel-check, which read M at a few points only from small sieves
+of their own, neither read nor write the cache, nor create its
+directory.
 """
 
 from __future__ import annotations
@@ -213,44 +216,49 @@ def acquire_table(limit: int, cache_dir: Path | None) -> ArithTable:
 
 
 def _cached_mu(limit: int, cache_dir: Path) -> np.ndarray:
-    """mu to limit from the smallest cached table covering limit, else
-    from a fresh build, which is saved to cache_dir.
-
-    Coverage is read from each file's header, never from its name. A
-    chosen file that fails its check or cannot be read (say, removed by
-    another process since the scan) is reported on stderr, rebuilt and
-    replaced, so one bad file cannot break later runs. A save that
-    fails is reported on stderr too, and the run goes on with the mu it
-    sieved.
+    """mu to limit from the smallest cached table covering limit (by its
+    header, never its name), checked whole but kept only to limit; else
+    from a fresh build, saved to cache_dir. A chosen file that fails its
+    check or cannot be read (say, removed since the scan) is reported on
+    stderr, rebuilt and replaced, so one bad file cannot break later
+    runs. The cache only saves work: a directory that cannot be listed,
+    a failed save or a bad file that cannot be removed is a warning on
+    stderr, and the run goes on with the mu it sieved.
     """
     from . import arith
 
     _make_cache_dir(cache_dir, f"--cache-dir (or ${CACHE_ENV})")
     covering = []
-    for path in _cache_files(cache_dir):
+    try:
+        files = _cache_files(cache_dir)
+    except OSError as exc:
+        print(f"warning: {exc}; the cache is not read", file=sys.stderr)
+        files = []
+    for path in files:
         try:
             stored = arith.read_cache_limit(path)
         except (arith.CacheError, OSError):
             continue
         if stored >= limit:
             covering.append((stored, path))
-    broken = None
-    if covering:
+    chosen = min(covering, default=(0, None))[1]
+    if chosen is not None:
         try:
-            return arith.load_cache(min(covering)[1]).mu[: limit + 1]
+            return arith.read_mu(chosen, limit)
         except (arith.CacheError, OSError) as exc:
             print(f"warning: {exc}; rebuilding the cache file",
                   file=sys.stderr)
-            broken = min(covering)[1]
     target = _cache_path(cache_dir, limit)
     table = arith.build_tables(limit)
     try:
         arith.save_cache(table, target)
     except OSError as exc:
-        # the cache only saves work: a run that cannot save goes on
         print(f"warning: {exc}; the table is not cached", file=sys.stderr)
-    if broken is not None and broken != target:
-        broken.unlink(missing_ok=True)
+    if chosen is not None and chosen != target:
+        try:
+            chosen.unlink(missing_ok=True)
+        except OSError as exc:
+            print(f"warning: {exc}; the bad file stays", file=sys.stderr)
     return table.mu
 
 
@@ -840,7 +848,7 @@ def main(argv=None) -> int:
             from .files import replace_atomically
 
             replace_atomically(config.output, blocks, "w", encoding="utf-8",
-                               newline="").close()
+                               newline="")
         else:
             _write_stdout(blocks)
     except CliValidationError as exc:

@@ -1,5 +1,7 @@
 """Replacing a file's contents as a whole: the one recipe behind
-`--output` and the STJZ cache writer.
+`--output` and the STJZ cache writer. The writer owns its file from
+open to rename: it closes the file before the new contents take the
+path's name, so a close that fails is a failed write.
 
 Standard library only, so --output loads no engine.
 """
@@ -11,21 +13,19 @@ import os
 import stat
 from collections.abc import Iterable
 from pathlib import Path
-from typing import IO
 
 
 def replace_atomically(path, chunks: Iterable, mode: str = "wb",
-                       **open_kw) -> IO:
-    """Write every chunk to path and return the file, still open, so a
-    caller may read back what it wrote; the caller closes it.
+                       **open_kw) -> None:
+    """Write every chunk to path and close the file.
 
     A path that does not exist, or names a regular file reached by no
     other link, is replaced atomically: the chunks go to a sibling
     temporary file `.<name>.<pid>.tmp`, which takes the old file's
     permission bits (and its owner and group, where the process may set
-    them) and is renamed over path once all are written. Readers see the
-    old contents or the new, and a failure at any point removes the
-    temporary file and leaves path as it was.
+    them), and is closed and renamed over path once all are written.
+    Readers see the old contents or the new, and a failure at any point
+    removes the temporary file and leaves path as it was.
 
     Anything else (a symlink, a hard-linked file, a device such as
     /dev/null or /dev/stdout, a FIFO, a directory) is opened and written
@@ -38,14 +38,9 @@ def replace_atomically(path, chunks: Iterable, mode: str = "wb",
     except FileNotFoundError:
         st = None
     if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
-        fh = open(path, mode, **open_kw)
-        try:
+        with open(path, mode, **open_kw) as fh:
             fh.writelines(chunks)
-            fh.flush()
-        except BaseException:
-            fh.close()
-            raise
-        return fh
+        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     fh = open(tmp, mode, **open_kw)
     try:
@@ -55,6 +50,7 @@ def replace_atomically(path, chunks: Iterable, mode: str = "wb",
                 os.fchown(fh.fileno(), st.st_uid, st.st_gid)
         fh.writelines(chunks)
         fh.flush()
+        fh.close()
         os.replace(tmp, path)
     except BaseException:
         # a write that failed leaves its bytes in the buffer, so close
@@ -63,4 +59,3 @@ def replace_atomically(path, chunks: Iterable, mode: str = "wb",
             fh.close()
         tmp.unlink(missing_ok=True)
         raise
-    return fh

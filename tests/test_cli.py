@@ -592,12 +592,17 @@ def test_cache_hit_pays_only_for_the_arrays_it_reads(argv, bound, tmp_path):
     assert peak < bound, f"{argv[0]} hit peaked at {peak:.0f} MB"
 
 
-def test_prime_only_command_beside_a_large_cache_file_pays_nothing(tmp_path):
-    # the covering file's CRC pass and a prime sieve to its stored limit
-    # peaked at 49.4 MB here, against 31.6 MB uncached
+@pytest.mark.parametrize("argv", [
+    ["theta", "--limit", "1000000"],
+    ["mertens", "--limit", "1000000", "--every", "1000"],
+], ids=["theta", "mertens"])
+def test_command_beside_a_large_cache_file_pays_nothing(argv, tmp_path):
+    # theta reads no mu: the covering file's CRC pass and a prime sieve
+    # to its stored limit peaked at 49.4 MB here, against 31.6 MB
+    # uncached. mertens reads mu from a hit on that file: decoded to the
+    # stored limit, it peaked at 49.5 MB, against 32.3 MB uncached
     assert main(["cache", "build", "--limit", "20000000",
                  "--dir", str(tmp_path)]) == 0
-    argv = ["theta", "--limit", "1000000"]
     cached = _peak_rss_mb(*argv, "--cache-dir", str(tmp_path))
     plain = _peak_rss_mb(*argv)
     assert cached < plain + 3, f"{cached:.1f} MB against {plain:.1f} MB"
@@ -896,13 +901,13 @@ def test_cache_prefers_smallest_covering_file(tmp_path, monkeypatch):
     arith.save_cache(arith.build_tables(1000), tmp_path / "mu-1000.stjz")
     arith.save_cache(arith.build_tables(400), tmp_path / "mu-400.stjz")
     loaded = []
-    real_load = arith.load_cache
+    real_read = arith.read_mu
 
-    def load(path):
+    def read(path, keep):
         loaded.append(Path(path).name)
-        return real_load(path)
+        return real_read(path, keep)
 
-    monkeypatch.setattr(arith, "load_cache", load)
+    monkeypatch.setattr(arith, "read_mu", read)
     table = acquire_table(350, tmp_path)
     assert table.limit == 350
     table.mu
@@ -1049,13 +1054,13 @@ def test_cache_file_removed_before_its_load_is_rebuilt(tmp_path, monkeypatch,
     cache = tmp_path / "cache"
     cache.mkdir()
     arith.save_cache(arith.build_tables(3000), cache / "mu-3000.stjz")
-    real_load = arith.load_cache
+    real_read = arith.read_mu
 
-    def load_after_removal(path):
+    def read_after_removal(path, keep):
         Path(path).unlink()
-        return real_load(path)
+        return real_read(path, keep)
 
-    monkeypatch.setattr(arith, "load_cache", load_after_removal)
+    monkeypatch.setattr(arith, "read_mu", read_after_removal)
     argv = ["mertens", "--limit", "2000", "--every", "7"]
     assert main(argv) == 0
     fresh = capsys.readouterr().out
