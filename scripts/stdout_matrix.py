@@ -10,8 +10,9 @@ command in both formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the
 chunk size of the table walks), every-row tables at 2^13 - 1, 2^13
 and 2^13 + 1 rows (the renderer's block size), written to stdout and
 to --output, `li` written to --output by the numpy-free core, tables
-with a list column at the same sizes (rendered by reports.render_csv in a
-child of their own, since no command prints one that long), every-row
+with a list column at the same sizes and at 70000 rows (rendered by
+reports.render_csv and render_json in a child of their own, since no
+command prints one that long), every-row
 tables of 70000 rows, the far-point Mertens reads of `identity-explore
 --n` and `abel-check` near 10^7, `abel-check` blocks across segment
 edges and one of 2 * 10^6 cells, `theta` and `mertens-constant` at
@@ -26,7 +27,8 @@ that read mu, one on a file far longer than its limit, hits whose kept
 mu ends at either side of the reader's piece edge, the prime-only
 commands, which leave the cache alone even when --cache-dir names a
 file, a cache directory that is a file or lies under one, a miss whose
-save is blocked by a directory, and inspect), the decade sweep with
+save is blocked by a directory, and inspect, also of a directory whose
+one entry is such a directory), the decade sweep with
 decade ends inside chunks, the zero census with an empty ladder,
 invalid input and every help text. Run it on two checkouts
 on the same machine and diff the outputs: a refactor that keeps stdout
@@ -142,7 +144,7 @@ OUTPUTS = [
     ("relation-a-12345", ["relation-a", "--x-max", "12345", "--s", "0.6"]),
     ("divisor-ratio-12345", ["divisor-ratio", "--limit", "12345"]),
     ("li", ["li", "--x", "100"]),
-    # li's row is Python floats, printed by the row template: a cell far
+    # li's row is Python floats, printed cell by cell: a cell far
     # below 1 in magnitude and exponent-form cells
     ("li-near-one", ["li", "--x", "1.0000000000000002"]),
     ("li-far", ["li", "--x", "1e20"]),
@@ -228,20 +230,22 @@ OUTPUTS = [
     ("cache-inspect-dir", ["cache", "inspect", "--path", f"{TMP}/auto"]),
 ]
 
-# A table with a list column takes the row template, not the numeric
-# kernel; n rows of it, rendered as CSV.
+# A table with a list column is printed cell by cell, not by the numeric
+# kernel; n rows of it, rendered as CSV, then as JSON.
 _LIST_COLUMN_TABLE = """
 import sys
 import numpy as np
-from zetadesk.reports import Table, render_csv
+from zetadesk.reports import Table, render_csv, render_json
 n = np.arange(1, int(sys.argv[1]) + 1, dtype=np.int64)
 parity = [("even", "odd")[i % 2] for i in n.tolist()]
 table = Table(("n", "root", "parity"), (n, np.sqrt(n) * -1.5, parity))
-sys.stdout.write(render_csv(table))
+sys.stdout.write(render_json(table, {}) if sys.argv[2:] else render_csv(table))
 """
 
-LIST_COLUMN = [(f"list-column-{n}", ["-c", _LIST_COLUMN_TABLE, str(n)])
-               for n in BLOCK_EDGES]
+LIST_COLUMN = [(f"list-column-{n}{suffix}",
+                ["-c", _LIST_COLUMN_TABLE, str(n), *extra])
+               for suffix, extra in (("", []), ("/json", ["json"]))
+               for n in (*BLOCK_EDGES, 70000)]
 
 # exit 2 and an empty stdout, or 1 for a failure found while computing
 INVALID = [
@@ -300,6 +304,10 @@ INVALID = [
     ("cache-inspect-missing", ["cache", "inspect", "--path", f"{TMP}/nowhere"]),
     # theta reads no mu, so its cache directory is never made
     ("cache-inspect-theta", ["cache", "inspect", "--path", f"{TMP}/theta"]),
+    # after cache-save-blocked: a directory in a cache file's place is
+    # not a cache file, so none is left
+    ("cache-inspect-blocked",
+     ["cache", "inspect", "--path", f"{TMP}/blocked"]),
     # a cache directory that is a file, or lies under one
     ("cache-dir-is-file", ["mertens", "--limit", "100", "--cache-dir",
                            f"{TMP}/built/mu-1000.stjz"]),

@@ -183,9 +183,9 @@ class NumberRange(NamedTuple):
 # -- sieve cache -------------------------------------------------------
 
 def _cache_files(cache_dir: Path) -> list[Path]:
-    """The mu-<number>.stjz files in cache_dir, sorted by name."""
+    """The regular mu-<number>.stjz files in cache_dir, sorted by name."""
     return [p for p in sorted(cache_dir.glob("mu-*.stjz"))
-            if p.stem[3:].isdigit()]
+            if p.stem[3:].isdigit() and p.is_file()]
 
 
 def _cache_path(cache_dir: Path, limit: int) -> Path:
@@ -219,11 +219,13 @@ def _cached_mu(limit: int, cache_dir: Path) -> np.ndarray:
     """mu to limit from the smallest cached table covering limit (by its
     header, never its name), checked whole but kept only to limit; else
     from a fresh build, saved to cache_dir. A chosen file that fails its
-    check or cannot be read (say, removed since the scan) is reported on
-    stderr, rebuilt and replaced, so one bad file cannot break later
-    runs. The cache only saves work: a directory that cannot be listed,
-    a failed save or a bad file that cannot be removed is a warning on
-    stderr, and the run goes on with the mu it sieved.
+    check is reported on stderr, rebuilt and replaced, so one bad file
+    cannot break later runs; one that cannot be read (say, removed since
+    the scan, or a transient I/O error) is reported and the build saved
+    beside it, since a read error does not prove the file bad. The cache
+    only saves work: a directory that cannot be listed, a failed save or
+    a bad file that cannot be removed is a warning on stderr, and the
+    run goes on with the mu it sieved.
     """
     from . import arith
 
@@ -245,9 +247,13 @@ def _cached_mu(limit: int, cache_dir: Path) -> np.ndarray:
     if chosen is not None:
         try:
             return arith.read_mu(chosen, limit)
-        except (arith.CacheError, OSError) as exc:
+        except arith.CacheError as exc:
             print(f"warning: {exc}; rebuilding the cache file",
                   file=sys.stderr)
+        except OSError as exc:
+            print(f"warning: {exc}; the cache file is not read",
+                  file=sys.stderr)
+            chosen = None  # not proven bad, so it stays
     target = _cache_path(cache_dir, limit)
     table = arith.build_tables(limit)
     try:
@@ -808,7 +814,7 @@ def run(config: RunConfig) -> Iterable[str]:
     render_csv or render_json, the names perfbench's tracer times as
     the render stage."""
     table = COMMANDS[config.command].handler(config, **config.params)
-    whole = len(table.rows) <= KERNEL_ROWS
+    whole = len(table) <= KERNEL_ROWS
     if config.fmt == "json":
         head = {"command": config.command, "params": config.params}
         return [render_json(table, head)] if whole else json_blocks(table, head)

@@ -3,11 +3,12 @@ integer or float arrays, printed byte for byte as str(int) and %.17g
 would print each cell.
 
 reports.csv_blocks hands such tables here, KERNEL_ROWS rows at a time,
-and imports this module (and so numpy) only then. Each cell is written
-into a matrix of zero-padded bytes, the separators are added, and one
-bytes.translate drops the padding. Integers print as str(int) would,
-four digits per table lookup. A float prints as %.17g would: its 17
-digits are the exact round-half-even of |x| * 10^(16-d), formed with
+and the int and float arrays of any other CSV table one column at a
+time, and imports this module (and so numpy) only then. Each cell is
+written into a matrix of zero-padded bytes, the separators are added,
+and one bytes.translate drops the padding. Integers print as str(int)
+would, four digits per table lookup. A float prints as %.17g would: its
+17 digits are the exact round-half-even of |x| * 10^(16-d), formed with
 Dekker's error-free product, for every cell in fixed notation (decimal
 exponent d in [-4, 16]). Zeros, inf, nan and exponent-form cells,
 subnormals among them, are written by format_float into the same
@@ -21,7 +22,7 @@ import functools
 import numpy as np
 
 from .exact import split
-from .reports import KERNEL_ROWS, format_float
+from .reports import format_float
 
 # A block of rows is laid out as a matrix of uint32 words, each word four
 # ASCII bytes in which a 0 byte is padding; one bytes.translate drops the
@@ -191,17 +192,10 @@ def _float_words(values: np.ndarray, sep: int) -> np.ndarray:
     return out
 
 
-def _numeric_csv_block(columns) -> str:
+def numeric_csv_block(columns) -> str:
     """CSV lines, each ending in LF, of int and float columns."""
     words = [(_int_words if c.dtype.kind in "iu" else _float_words)(
         c, _COMMA if j else 0) for j, c in enumerate(columns)]
     words.append(np.full((len(columns[0]), 1), _LF, np.uint32))
     text = np.concatenate(words, axis=1).tobytes().translate(None, b"\0")
     return text.decode("ascii")
-
-
-def numeric_csv_blocks(data):
-    """The lines of a table of int and float columns, KERNEL_ROWS at a
-    time."""
-    for lo in range(0, len(data[0]), KERNEL_ROWS):
-        yield _numeric_csv_block([c[lo:lo + KERNEL_ROWS] for c in data])

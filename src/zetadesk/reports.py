@@ -5,8 +5,8 @@ tables, divisor ratios) to each CLI command, is one Table: named
 columns destined for CSV or JSON, plus a few statistics and any
 top-level JSON extras. A table is held as columns, one per name, each
 of the type its producer gave: numpy arrays from the scans, lists of
-Python cells from the handlers that build a few rows. Rows are a
-derived view and are only built as Python tuples on access. A scan
+Python cells from the handlers that build a few rows. Table.rows builds
+the rows as Python tuples on each read; the renderer never does. A scan
 returns its Table, and a CLI handler returns either that Table or one
 of its own.
 
@@ -17,12 +17,13 @@ and never hold the whole text; render_csv and render_json join the
 blocks into one string. A column is rendered by its type, one rule for
 every table: a CSV table whose columns are all integer or float arrays
 goes through the numpy kernel of csv_kernel.py, which prints every cell
-byte for byte as str(int) and %.17g would. Every other table (JSON, and
-CSV with a list column) uses a row template built from the column
-kinds, with list cells rendered one by one; an int prints as str(int)
-and a float as %.17g in CSV and as repr in JSON, from an array or a
-list alike. Neither path ever holds per-row Python tuples of the whole
-table.
+byte for byte as str(int) and %.17g would. Any other CSV table prints
+its integer and float arrays through the same kernel a column at a
+time, and every other cell through csv_cell, which gives the same
+bytes for a Python int or float. JSON rows use a row template built
+from the column kinds, with list cells rendered one by one; an int
+prints as str(int) and a float as repr, from an array or a list alike.
+No path ever holds per-row Python tuples of the whole table.
 
 This module imports numpy only on the paths that hold arrays (the
 kernel, the finite check of a float column and geometric_grid) and
@@ -35,11 +36,11 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
-# Rows per rendered block, on the kernel and the template path alike,
-# so temporary arrays and block text stay small; a constant so output
-# never depends on anything but the table.
+# Rows per rendered block, in CSV and JSON alike, so temporary arrays
+# and block text stay small; a constant so output never depends on
+# anything but the table.
 KERNEL_ROWS = 1 << 13
 
 
@@ -90,29 +91,9 @@ def json_value(value):
     return str(value)
 
 
-def _plain(column, lo: int, hi: int) -> list:
-    part = column[lo:hi]
+def _plain(part) -> list:
+    """A column, or a slice of one, as Python cells."""
     return list(part) if isinstance(part, (list, tuple)) else part.tolist()
-
-
-class RowView(Sequence):
-    """Read-only rows of a columnar table, built as tuples on access."""
-
-    def __init__(self, data: tuple):
-        self._data = data
-
-    def __len__(self) -> int:
-        return len(self._data[0]) if self._data else 0
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        i = range(len(self))[i]
-        return tuple(_plain(c, i, i + 1)[0] for c in self._data)
-
-    def __iter__(self):
-        for lo in range(0, len(self), KERNEL_ROWS):
-            yield from zip(*(_plain(c, lo, lo + KERNEL_ROWS) for c in self._data))
 
 
 class Table:
@@ -143,9 +124,13 @@ class Table:
         cells = list(zip(*rows)) or [()] * len(columns)
         return cls(columns, map(list, cells), stats, extra)
 
+    def __len__(self) -> int:
+        return len(self.data[0]) if self.data else 0
+
     @property
-    def rows(self) -> RowView:
-        return RowView(self.data)
+    def rows(self) -> list:
+        """The rows as tuples of Python cells, built on each read."""
+        return list(zip(*map(_plain, self.data)))
 
 
 # -- rendering ----------------------------------------------------------
@@ -162,12 +147,7 @@ def _kind(column) -> str:
 
 # Integer cells arrive as Python ints (tolist), which %s prints exactly
 # as %d would, about 15% faster per row.
-_CSV_SLOTS = {"int": "%s", "float": "%.17g", "cell": "%s"}
 _JSON_SLOTS = {"int": "%s", "float": "%r", "cell": "%s"}
-
-
-def _csv_row(kinds) -> str:
-    return ",".join(_CSV_SLOTS[k] for k in kinds)
 
 
 def _json_row(kinds) -> str:
@@ -183,31 +163,27 @@ def _json_cell(dumps, value) -> str:
     return dumps(value)
 
 
-def _render_rows(data, row, cell, row_sep, finite_only) -> Iterator[str]:
-    """The rows of a table as rendered blocks of KERNEL_ROWS rows.
-
-    row(kinds) builds the row template, once per table from the column
-    kinds; cell(value) pre-renders the cells of "cell" columns. With
-    finite_only, a float column whose block holds inf or nan is
-    rendered through cell() for that block instead.
-    """
-    kinds = [_kind(c) for c in data]
-    table_template = row(kinds)
-    for lo in range(0, len(data[0]) if data else 0, KERNEL_ROWS):
-        hi = lo + KERNEL_ROWS
-        block_kinds = list(kinds)
-        parts = []
-        for j, column in enumerate(data):
-            values = _plain(column, lo, hi)
-            if (finite_only and kinds[j] == "float"
-                    and not _all_finite(column[lo:hi])):
-                block_kinds[j] = "cell"
-            if block_kinds[j] == "cell":
-                values = list(map(cell, values))
-            parts.append(values)
+def _json_rows(table: Table, dumps) -> Iterator[str]:
+    """The JSON rows of a table in blocks of KERNEL_ROWS rows, through
+    a row template built once from the column kinds. The cells of list
+    columns are rendered one by one, and so are those of a float column
+    for a block that holds inf or nan."""
+    kinds = [_kind(c) for c in table.data]
+    table_template = _json_row(kinds)
+    for lo in range(0, len(table), KERNEL_ROWS):
+        block_kinds, cells = [], []
+        for kind, column in zip(kinds, table.data):
+            part = column[lo:lo + KERNEL_ROWS]
+            if kind == "float" and not _all_finite(part):
+                kind = "cell"
+            values = _plain(part)
+            if kind == "cell":
+                values = [_json_cell(dumps, v) for v in values]
+            block_kinds.append(kind)
+            cells.append(values)
         template = (table_template if block_kinds == kinds
-                    else row(block_kinds))
-        yield row_sep.join(map(template.__mod__, zip(*parts)))
+                    else _json_row(block_kinds))
+        yield ",\n".join(map(template.__mod__, zip(*cells)))
 
 
 def _all_finite(array) -> bool:
@@ -221,16 +197,22 @@ def _all_finite(array) -> bool:
 # writes each piece before asking for the next holds one block of text.
 
 def csv_blocks(table: Table) -> Iterator[str]:
-    """Header line, then one LF-terminated line per row. A table of int
-    and float columns only is rendered by the numeric kernel."""
+    """Header line, then one LF-terminated line per row. Int and float
+    arrays are printed by the numeric kernel, whole lines of a table of
+    nothing else, and every other cell through csv_cell."""
     yield ",".join(table.columns) + "\n"
-    if table.data and all(_kind(c) != "cell" for c in table.data):
-        from .csv_kernel import numeric_csv_blocks
-
-        yield from numeric_csv_blocks(table.data)
-        return
-    for block in _render_rows(table.data, _csv_row, csv_cell, "\n", False):
-        yield block + "\n"
+    arrays = [_kind(c) != "cell" for c in table.data]
+    if any(arrays):
+        from .csv_kernel import numeric_csv_block
+    for lo in range(0, len(table), KERNEL_ROWS):
+        part = [c[lo:lo + KERNEL_ROWS] for c in table.data]
+        if all(arrays):
+            yield numeric_csv_block(part)
+            continue
+        cells = [numeric_csv_block([p])[:-1].split("\n") if array
+                 else map(csv_cell, _plain(p))
+                 for p, array in zip(part, arrays)]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def json_blocks(table: Table, head: dict) -> Iterator[str]:
@@ -238,15 +220,13 @@ def json_blocks(table: Table, head: dict) -> Iterator[str]:
     the members of head (the CLI's command and params), then the
     table's extra, columns, rows and stats, with every value made
     JSON-ready and the rows rendered from the columns."""
-    from functools import partial
     from json import dumps
 
     members = [_json_member(dumps, key, json_value(value))
                for key, value in {**head, **table.extra}.items()]
     members.append(_json_member(dumps, "columns", list(table.columns)))
     yield "{\n" + ",\n".join(members) + ",\n"
-    blocks = _render_rows(table.data, _json_row, partial(_json_cell, dumps),
-                          ",\n", True)
+    blocks = _json_rows(table, dumps)
     first = next(blocks, None)
     if first is None:
         yield '  "rows": []'

@@ -1102,6 +1102,10 @@ def test_blocked_cache_save_warns_and_the_run_goes_on(tmp_path, monkeypatch,
     # cache build, whose whole job is the save, still fails
     assert main(["cache", "build", "--limit", "100", "--dir", str(cache)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # the directory is no cache file, so inspect finds none
+    assert main(["cache", "inspect", "--path", str(cache)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --path: no mu-*.stjz files under {cache}\n")
 
 
 def test_cache_save_out_of_space_warns_and_leaves_no_temp_file(

@@ -264,6 +264,9 @@ def test_a_failed_cache_read_loses_only_cache_work(scenario, site, code,
         statuses = _inspect_statuses(directory, capsys)
         if corrupt:
             statuses.pop(laid_down, None)
+        elif stored is not None:
+            # a read error does not prove a good file bad, so it stays
+            assert laid_down in statuses
         assert statuses and set(statuses.values()) == {"ok"}
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from zetadesk.reports import (KERNEL_ROWS, RowView, Table, csv_blocks,
+from zetadesk.reports import (KERNEL_ROWS, Table, csv_blocks,
                               format_complex, format_float, json_blocks,
                               render_csv, render_json)
 
@@ -61,7 +61,7 @@ def tables(draw, counts, max_columns):
 
 
 def _head(out):
-    return {"command": "probe", "params": {"limit": len(out.rows), "s": 0.5}}
+    return {"command": "probe", "params": {"limit": len(out), "s": 0.5}}
 
 
 def _plain_rows(out):
@@ -180,19 +180,6 @@ def test_numpy_bool_column_prints_as_json_and_csv_booleans():
         [1, True], [2, False], [3, True]]
 
 
-def test_row_view_reads_rows_from_columns():
-    data = (np.arange(5, dtype=np.int64), np.linspace(0.0, 1.0, 5),
-            ["a", "b", "c", "d", "e"])
-    rows = RowView(data)
-    assert len(rows) == 5
-    assert rows[0] == (0, 0.0, "a") and rows[-1] == (4, 1.0, "e")
-    assert type(rows[1][0]) is int and type(rows[1][1]) is float
-    assert list(rows)[2] == (2, 0.5, "c")
-    assert rows[1:3] == ((1, 0.25, "b"), (2, 0.5, "c"))
-    with pytest.raises(IndexError):
-        rows[5]
-
-
 def test_from_rows_keeps_the_cells_as_given():
     rows = [(1, 0.5, np.float64(2.5), 1, True, "x", 1j),
             (2, -1.0, np.float64(-0.0), 2.5, False, "y", 2j)]
@@ -206,8 +193,12 @@ def test_from_rows_keeps_the_cells_as_given():
 
 
 def test_table_rejects_ragged_columns():
-    table = Table(["n", "r"], [np.array([1.0, 2.0, 3.0]), [0.5, -1.0, 2.0]])
-    assert table.columns == ("n", "r") and table.rows[-1] == (3.0, 2.0)
+    table = Table(["n", "r", "k"], [np.array([1.0, 2.0, 3.0]),
+                                    [0.5, -1.0, 2.0], np.arange(3)])
+    assert table.columns == ("n", "r", "k") and len(table) == 3
+    assert table.rows[-1] == (3.0, 2.0, 2)
+    # cells from array columns arrive as Python floats and ints
+    assert [type(c) for c in table.rows[0]] == [float, float, int]
     rows = Table.from_rows(("n", "r"), [(1, 0.5), (2, -1.0)]).rows
     assert rows[1] == (2, -1.0)
     with pytest.raises(ValueError, match="differ in length"):
@@ -225,7 +216,7 @@ def test_table_from_no_rows_renders_its_header_only():
     # zero-census below T = 10 has no rung, and once raised here
     table = Table.from_rows(("T", "count", "smooth_estimate", "gap"), [])
     assert table.columns == ("T", "count", "smooth_estimate", "gap")
-    assert len(table.rows) == 0
+    assert len(table) == len(table.rows) == 0
     assert render_csv(table) == "T,count,smooth_estimate,gap\n"
     body = json.loads(render_json(table, {"command": "x"}))
     assert body == {"command": "x",
@@ -235,9 +226,9 @@ def test_table_from_no_rows_renders_its_header_only():
 
 # -- the numeric CSV kernel ------------------------------------------------
 #
-# A table of int and float columns only is rendered by a numpy kernel
-# rather than the row template; these hold it to format_float and
-# str(int) cell by cell.
+# A table of int and float arrays only is rendered by a numpy kernel
+# rather than cell by cell; these hold it to format_float and str(int)
+# cell by cell.
 
 def _kernel_renders(*columns):
     out = Table(tuple(f"c{i}" for i in range(len(columns))), columns)
@@ -319,7 +310,7 @@ _int64_cells = st.one_of(
 @given(st.lists(st.tuples(_int64_cells, _floats), min_size=1, max_size=4))
 def test_python_float_cells_print_as_a_float_column_does(rows):
     # a table built from rows keeps its Python int and float cells and
-    # takes the row template, not the kernel: it must print the bytes
+    # is rendered cell by cell, not by the kernel: it must print the bytes
     # that arrays of the same cells print, in both formats, alone and
     # side by side in one row
     arrays = {"n": np.array([n for n, _ in rows], dtype=np.int64),
