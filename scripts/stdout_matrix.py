@@ -10,9 +10,11 @@ command in both formats, limits at 2^16 - 1, 2^16 and 2^16 + 1 (the
 chunk size of the table walks), every-row tables at 2^13 - 1, 2^13
 and 2^13 + 1 rows (the renderer's block size), written to stdout and
 to --output, `li` written to --output by the numpy-free core, tables
-with a list column at the same sizes and at 70000 rows (rendered by
-reports.render_csv and render_json in a child of their own, since no
-command prints one that long), every-row
+with a list column at the same sizes and at 70000 rows, and tables of
+a float column non-finite only in its last block beside a bool column
+at the same block edges (rendered by reports.render_csv and
+render_json in a child of their own, since no command prints one that
+long), every-row
 tables of 70000 rows, the far-point Mertens reads of `identity-explore
 --n` and `abel-check` near 10^7, `abel-check` blocks across segment
 edges and one of 2 * 10^6 cells, `theta` and `mertens-constant` at
@@ -242,10 +244,27 @@ table = Table(("n", "root", "parity"), (n, np.sqrt(n) * -1.5, parity))
 sys.stdout.write(render_json(table, {}) if sys.argv[2:] else render_csv(table))
 """
 
-LIST_COLUMN = [(f"list-column-{n}{suffix}",
-                ["-c", _LIST_COLUMN_TABLE, str(n), *extra])
+# A float array whose only nan and -inf lie in its last block (so an
+# earlier block prints as finite floats) beside a numpy bool array,
+# which is printed cell by cell; n rows, as CSV, then as JSON.
+_NON_FINITE_TABLE = """
+import sys
+import numpy as np
+from zetadesk.reports import KERNEL_ROWS, Table, render_csv, render_json
+n = int(sys.argv[1])
+root = np.sqrt(np.arange(1, n + 1, dtype=np.float64)) * -1.5
+root[(n - 1) // KERNEL_ROWS * KERNEL_ROWS] = -np.inf
+root[-1] = np.nan
+table = Table(("root", "odd"), (root, np.arange(n) % 2 == 1))
+sys.stdout.write(render_json(table, {}) if sys.argv[2:] else render_csv(table))
+"""
+
+LIST_COLUMN = [(f"{kind}-{n}{suffix}", ["-c", script, str(n), *extra])
+               for kind, script, sizes in (
+                   ("list-column", _LIST_COLUMN_TABLE, (*BLOCK_EDGES, 70000)),
+                   ("non-finite-column", _NON_FINITE_TABLE, BLOCK_EDGES))
                for suffix, extra in (("", []), ("/json", ["json"]))
-               for n in (*BLOCK_EDGES, 70000)]
+               for n in sizes]
 
 # exit 2 and an empty stdout, or 1 for a failure found while computing
 INVALID = [

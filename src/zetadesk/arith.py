@@ -259,18 +259,24 @@ def grid_prefix(chunk, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
     return picked
 
 
+def _mertens_values(mu: np.ndarray) -> np.ndarray:
+    """The prefix sums of mu as a read-only int32 array. |M(n)| <= n <=
+    MAX_LIMIT < 2^31; mu is cast into the result and summed there, so no
+    full-length temporary forms."""
+    values = np.empty(mu.size, dtype=np.int32)
+    values[:] = mu
+    np.cumsum(values, out=values)
+    values.setflags(write=False)
+    return values
+
+
 def mertens_prefix(table: ArithTable, limit: int | None = None) -> MertensPrefix:
     """Cumulative Mobius sums plus ratio extremes over 1..limit (the
     whole table by default)."""
     n = table.limit if limit is None else limit
     if not 1 <= n <= table.limit:
         raise ValueError(f"Mertens limit {n} outside table range")
-    # |M(n)| <= n <= MAX_LIMIT < 2^31; the int8 table is cast into the
-    # int32 result and summed there, so no full-length temporary forms
-    values = np.empty(n + 1, dtype=np.int32)
-    values[:] = table.mu[: n + 1]
-    np.cumsum(values, out=values)
-    values.setflags(write=False)
+    values = _mertens_values(table.mu[: n + 1])
     whole = MertensPrefix(limit=n, values=values,
                           observed_min_ratio=math.nan, argmin=1,
                           observed_max_ratio=math.nan, argmax=1)
@@ -404,9 +410,7 @@ def mertens_quotients(n: int) -> MertensQuotients:
         raise ValueError(f"Mertens quotients of {n} outside 1..{MAX_LIMIT}")
     small_limit = max(math.isqrt(n), integer_root(n, 3) ** 2)
     table = build_tables(small_limit)
-    # |M(v)| <= v <= MAX_LIMIT < 2^31, so int32 holds every prefix
-    small = np.cumsum(table.mu, dtype=np.int32)
-    small.setflags(write=False)
+    small = _mertens_values(table.mu)
     top = n // (small_limit + 1)  # n//j > L exactly for the j <= top
     large = np.zeros(top + 1, dtype=np.int64)
     for j in range(top, 0, -1):

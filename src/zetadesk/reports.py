@@ -14,16 +14,19 @@ Every table, in the CLI and in the library, is rendered here, as a
 stream of text blocks of at most KERNEL_ROWS rows each (csv_blocks,
 json_blocks), so a caller can write each block to its sink as it comes
 and never hold the whole text; render_csv and render_json join the
-blocks into one string. A column is rendered by its type, one rule for
-every table: a CSV table whose columns are all integer or float arrays
-goes through the numpy kernel of csv_kernel.py, which prints every cell
-byte for byte as str(int) and %.17g would. Any other CSV table prints
-its integer and float arrays through the same kernel a column at a
-time, and every other cell through csv_cell, which gives the same
-bytes for a Python int or float. JSON rows use a row template built
-from the column kinds, with list cells rendered one by one; an int
-prints as str(int) and a float as repr, from an array or a list alike.
-No path ever holds per-row Python tuples of the whole table.
+blocks into one string. Both formats walk the blocks in one loop, and
+each supplies the function that turns a block's column slices into its
+text. A column is rendered by its type, one rule for every table: a
+CSV table whose columns are all integer or float arrays goes through
+the numpy kernel of csv_kernel.py, which prints every cell byte for
+byte as str(int) and %.17g would. Any other CSV table prints its
+integer and float arrays through the same kernel a column at a time,
+and every other cell through csv_cell, which gives the same bytes for
+a Python int or float. In JSON an integer array's cells print through
+str, a float array's through repr when the block's slice is all
+finite, and every other cell through json_value and json.dumps, which
+give the same bytes for a Python int or finite float. No path ever
+holds per-row Python tuples of the whole table.
 
 This module imports numpy only on the paths that hold arrays (the
 kernel, the finite check of a float column and geometric_grid) and
@@ -145,17 +148,6 @@ def _kind(column) -> str:
     return "cell"
 
 
-# Integer cells arrive as Python ints (tolist), which %s prints exactly
-# as %d would, about 15% faster per row.
-_JSON_SLOTS = {"int": "%s", "float": "%r", "cell": "%s"}
-
-
-def _json_row(kinds) -> str:
-    # a row sits at depth 2 of the body (body, rows), its cells at 3
-    return ("    [\n      " + ",\n      ".join(_JSON_SLOTS[k] for k in kinds)
-            + "\n    ]")
-
-
 def _json_cell(dumps, value) -> str:
     value = json_value(value)
     if isinstance(value, (list, dict)):
@@ -163,27 +155,21 @@ def _json_cell(dumps, value) -> str:
     return dumps(value)
 
 
-def _json_rows(table: Table, dumps) -> Iterator[str]:
-    """The JSON rows of a table in blocks of KERNEL_ROWS rows, through
-    a row template built once from the column kinds. The cells of list
-    columns are rendered one by one, and so are those of a float column
-    for a block that holds inf or nan."""
-    kinds = [_kind(c) for c in table.data]
-    table_template = _json_row(kinds)
-    for lo in range(0, len(table), KERNEL_ROWS):
-        block_kinds, cells = [], []
-        for kind, column in zip(kinds, table.data):
-            part = column[lo:lo + KERNEL_ROWS]
-            if kind == "float" and not _all_finite(part):
-                kind = "cell"
-            values = _plain(part)
-            if kind == "cell":
-                values = [_json_cell(dumps, v) for v in values]
-            block_kinds.append(kind)
-            cells.append(values)
-        template = (table_template if block_kinds == kinds
-                    else _json_row(block_kinds))
-        yield ",\n".join(map(template.__mod__, zip(*cells)))
+def _json_block(dumps, part) -> str:
+    """The JSON rows of one block from its column slices. An int
+    array's cells print through str and a float array's through repr
+    when its slice is all finite; every other cell, inf and nan among
+    them, prints through _json_cell."""
+    cells = []
+    for column in part:
+        kind = _kind(column)
+        if kind == "int" or (kind == "float" and _all_finite(column)):
+            cells.append(map(str if kind == "int" else repr, column.tolist()))
+        else:
+            cells.append([_json_cell(dumps, v) for v in _plain(column)])
+    # a row sits at depth 2 of the body (body, rows), its cells at 3
+    rows = map(",\n      ".join, zip(*cells))
+    return "    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]"
 
 
 def _all_finite(array) -> bool:
@@ -196,6 +182,12 @@ def _all_finite(array) -> bool:
 # block of rows as soon as it is rendered, then the tail. A caller that
 # writes each piece before asking for the next holds one block of text.
 
+def _blocks(table: Table, render) -> Iterator[str]:
+    """render(column slices) of each block of KERNEL_ROWS rows."""
+    for lo in range(0, len(table), KERNEL_ROWS):
+        yield render([c[lo:lo + KERNEL_ROWS] for c in table.data])
+
+
 def csv_blocks(table: Table) -> Iterator[str]:
     """Header line, then one LF-terminated line per row. Int and float
     arrays are printed by the numeric kernel, whole lines of a table of
@@ -204,15 +196,16 @@ def csv_blocks(table: Table) -> Iterator[str]:
     arrays = [_kind(c) != "cell" for c in table.data]
     if any(arrays):
         from .csv_kernel import numeric_csv_block
-    for lo in range(0, len(table), KERNEL_ROWS):
-        part = [c[lo:lo + KERNEL_ROWS] for c in table.data]
+
+    def block(part):
         if all(arrays):
-            yield numeric_csv_block(part)
-            continue
+            return numeric_csv_block(part)
         cells = [numeric_csv_block([p])[:-1].split("\n") if array
                  else map(csv_cell, _plain(p))
                  for p, array in zip(part, arrays)]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    yield from _blocks(table, block)
 
 
 def json_blocks(table: Table, head: dict) -> Iterator[str]:
@@ -226,7 +219,7 @@ def json_blocks(table: Table, head: dict) -> Iterator[str]:
                for key, value in {**head, **table.extra}.items()]
     members.append(_json_member(dumps, "columns", list(table.columns)))
     yield "{\n" + ",\n".join(members) + ",\n"
-    blocks = _json_rows(table, dumps)
+    blocks = _blocks(table, lambda part: _json_block(dumps, part))
     first = next(blocks, None)
     if first is None:
         yield '  "rows": []'

@@ -97,7 +97,7 @@ def test_json_and_the_output_writer_load_where_they_are_used(tmp_path):
     code, modules = _loaded(["li", "--x", "2", "--format", "json"])
     assert code == 0
     assert "json" in modules
-    assert not modules & {"dataclasses", "inspect", "zetadesk.files"}
+    assert not modules & {"dataclasses", "inspect", "numpy", "zetadesk.files"}
     code, modules = _loaded(["li", "--x", "2", "--output",
                              str(tmp_path / "table")])
     assert code == 0 and (tmp_path / "table").is_file()
