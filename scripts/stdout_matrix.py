@@ -273,6 +273,11 @@ INVALID = [
     ("unknown-flag", ["mertens", "--limit", "10", "--bogus"]),
     ("missing-flag", ["mertens"]),
     ("bad-int", ["mertens", "--limit", "ten"]),
+    # an integer flag takes ASCII digits and an optional minus only
+    ("int-underscore", ["mertens", "--limit", "1_000"]),
+    ("int-space", ["mertens", "--limit", " 1000"]),
+    ("int-plus", ["mertens", "--limit", "+1000"]),
+    ("int-fullwidth", ["mertens", "--limit", "\uff11\uff10\uff10\uff10"]),
     ("bad-limit", ["mertens", "--limit", "0"]),
     ("bad-every", ["mertens", "--limit", "10", "--every", "0"]),
     ("over-max-limit", ["mertens", "--limit", "200000001"]),
@@ -321,6 +326,8 @@ INVALID = [
      ["weierstrass", "--x=0+699i", "--a", "690", "--n-terms", "100"]),
     ("convolution-cap", ["convolution-check", "--limit", "300000"]),
     ("cache-inspect-missing", ["cache", "inspect", "--path", f"{TMP}/nowhere"]),
+    # a path that exists but is neither a file nor a directory
+    ("cache-inspect-device", ["cache", "inspect", "--path", "/dev/null"]),
     # theta reads no mu, so its cache directory is never made
     ("cache-inspect-theta", ["cache", "inspect", "--path", f"{TMP}/theta"]),
     # after cache-save-blocked: a directory in a cache file's place is
@@ -334,6 +341,8 @@ INVALID = [
                               f"{TMP}/built/mu-1000.stjz/sub"]),
     ("cache-build-dir-is-file", ["cache", "build", "--limit", "100", "--dir",
                                  f"{TMP}/built/mu-1000.stjz"]),
+    ("output-under-file", ["li", "--x", "2", "--output",
+                           f"{TMP}/built/mu-1000.stjz/table"]),
 ]
 
 

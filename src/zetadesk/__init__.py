@@ -1,12 +1,13 @@
 """Desk-scale numerical laboratory for Mertens sums, Dirichlet series,
 and the Riemann xi function.
 
-`import zetadesk` imports no submodule. Each exported name (and each
-submodule) is imported on first access, `zetadesk.xi` say, through the
-module __getattr__ of PEP 562, so the CLI starts without loading the
-engines or numpy. `zetadesk.zeta` is the zeta function, not the
-submodule of that name, whatever the import order: importing
-zetadesk.zeta binds the function here, not the module.
+`import zetadesk` imports no submodule. Each exported name is imported
+on first access, `zetadesk.xi` say, through the module __getattr__ of
+PEP 562, so the CLI starts without loading the engines or numpy. A
+submodule is imported as any is (`from zetadesk import arith`).
+`zetadesk.zeta` is the zeta function, not the submodule of that name,
+whatever the import order: importing zetadesk.zeta binds the function
+here, not the module.
 """
 
 import importlib
@@ -35,16 +36,10 @@ _EXPORTS = {
          "zero_scan", "zeta", "zeta_series_near_zero"), "zeta"),
 }
 
-# submodules reachable as zetadesk.<name> with no import of their own
-_SUBMODULES = ("arith", "asymptotics", "constants", "dirichlet", "reports",
-               "weierstrass")
-
 __all__ = [*_EXPORTS, "__version__"]
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
     try:
         module = _EXPORTS[name]
     except KeyError:

@@ -155,7 +155,9 @@ def parse_complex(text: str, flag: str) -> complex:
 class NumberRange(NamedTuple):
     """Parser for a finite int or float flag within [lo, hi], or
     (lo, hi] when open_lo; a bound of None is no bound. The range is
-    data, so the accepted values of every flag can be listed."""
+    data, so the accepted values of every flag can be listed. An int
+    flag takes ASCII digits after an optional minus sign, nothing else
+    int() would read (1_000, +1000, spaces, other scripts' digits)."""
 
     kind: type
     lo: int | float | None = None
@@ -165,6 +167,8 @@ class NumberRange(NamedTuple):
     def __call__(self, text: str, flag: str):
         noun = "an integer" if self.kind is int else "a number"
         try:
+            if self.kind is int and not re.fullmatch("-?[0-9]+", text):
+                raise ValueError
             value = self.kind(text)
         except ValueError:
             raise CliValidationError(
@@ -519,7 +523,9 @@ def _cmd_cache_inspect(config: RunConfig, path) -> Table:
     elif target.is_file():
         files = [target]
     else:
-        raise CliValidationError(f"--path: {target} does not exist")
+        what = ("is neither a regular file nor a directory"
+                if target.exists() else "does not exist")
+        raise CliValidationError(f"--path: {target} {what}")
     rows = []
     for p in files:
         info = arith.cache_summary(p)
@@ -736,11 +742,10 @@ def _add_flag(parser: argparse.ArgumentParser, flag: Flag) -> None:
                             choices=flag.choices, help=flag.help)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
     """The parser of every command and group name with its help line.
     The common flags and a command's own go only to the command whose
-    words argv starts with, or to every command when argv is None, so a
-    run builds the flags of one command."""
+    words argv starts with, so a run builds the flags of one command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output table format (default csv; zeros "
@@ -759,7 +764,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     for name, spec in COMMANDS.items():
         group, _, action = name.partition("-")
         words = [group, action] if group in _GROUPS else [name]
-        flagged = argv is None or list(argv[:len(words)]) == words
+        flagged = list(argv[:len(words)]) == words
         kw = {"parents": [common] if flagged else [], "help": spec.help}
         if group in _GROUPS:
             if group not in groups:
@@ -800,6 +805,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         spec.check(params)
     output = Path(args.output) if args.output else None
     if output is not None and not output.parent.is_dir():
+        if output.parent.exists():
+            raise CliValidationError(
+                f"--output: {output.parent} is not a directory")
         raise CliValidationError(
             f"--output: directory {output.parent} does not exist")
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)

@@ -3,8 +3,7 @@ integer or float arrays, printed byte for byte as str(int) and %.17g
 would print each cell.
 
 reports.csv_blocks hands such tables here, KERNEL_ROWS rows at a time,
-and the int and float arrays of any other CSV table one column at a
-time, and imports this module (and so numpy) only then. Each cell is
+and imports this module (and so numpy) only then. Each cell is
 written into a matrix of zero-padded bytes, the separators are added,
 and one bytes.translate drops the padding. Integers print as str(int)
 would, four digits per table lookup. A float prints as %.17g would: its

@@ -16,17 +16,17 @@ json_blocks), so a caller can write each block to its sink as it comes
 and never hold the whole text; render_csv and render_json join the
 blocks into one string. Both formats walk the blocks in one loop, and
 each supplies the function that turns a block's column slices into its
-text. A column is rendered by its type, one rule for every table: a
-CSV table whose columns are all integer or float arrays goes through
+text. A table is rendered by the types of its columns, one rule for
+every table: a CSV table whose columns are all integer or float arrays goes through
 the numpy kernel of csv_kernel.py, which prints every cell byte for
-byte as str(int) and %.17g would. Any other CSV table prints its
-integer and float arrays through the same kernel a column at a time,
-and every other cell through csv_cell, which gives the same bytes for
-a Python int or float. In JSON an integer array's cells print through
-str, a float array's through repr when the block's slice is all
-finite, and every other cell through json_value and json.dumps, which
-give the same bytes for a Python int or finite float. No path ever
-holds per-row Python tuples of the whole table.
+byte as str(int) and %.17g would. Any other CSV table prints every
+cell through csv_cell, which gives the same bytes for an int or a
+float, so a table that mixes arrays and lists (no command returns one)
+prints as the kernel would. In JSON an integer array's cells print
+through str, a float array's through repr when the block's slice is
+all finite, and every other cell through json_value and json.dumps,
+which give the same bytes for a Python int or finite float. No path
+ever holds per-row Python tuples of the whole table.
 
 This module imports numpy only on the paths that hold arrays (the
 kernel, the finite check of a float column and geometric_grid) and
@@ -188,24 +188,22 @@ def _blocks(table: Table, render) -> Iterator[str]:
         yield render([c[lo:lo + KERNEL_ROWS] for c in table.data])
 
 
+def _csv_cells_block(part) -> str:
+    cells = [map(csv_cell, _plain(p)) for p in part]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def csv_blocks(table: Table) -> Iterator[str]:
-    """Header line, then one LF-terminated line per row. Int and float
-    arrays are printed by the numeric kernel, whole lines of a table of
-    nothing else, and every other cell through csv_cell."""
+    """Header line, then one LF-terminated line per row. A table of int
+    and float arrays only is printed by the numeric kernel, any other
+    table cell by cell through csv_cell."""
     yield ",".join(table.columns) + "\n"
-    arrays = [_kind(c) != "cell" for c in table.data]
-    if any(arrays):
+    if all(_kind(c) != "cell" for c in table.data):
         from .csv_kernel import numeric_csv_block
 
-    def block(part):
-        if all(arrays):
-            return numeric_csv_block(part)
-        cells = [numeric_csv_block([p])[:-1].split("\n") if array
-                 else map(csv_cell, _plain(p))
-                 for p, array in zip(part, arrays)]
-        return "\n".join(map(",".join, zip(*cells))) + "\n"
-
-    yield from _blocks(table, block)
+        yield from _blocks(table, numeric_csv_block)
+    else:
+        yield from _blocks(table, _csv_cells_block)
 
 
 def json_blocks(table: Table, head: dict) -> Iterator[str]:

@@ -137,8 +137,8 @@ def compare_exponent_signs(x: complex, a: complex,
     return SignComparison(minus=minus, plus=plus)
 
 
-def zero_set_check(a: complex, count: int, tolerance: float = 1e-12) -> bool:
-    """e^{a + 2 n pi i} agrees with e^a to the tolerance for all
+def zero_set_check(a: complex, count: int) -> bool:
+    """e^{a + 2 n pi i} agrees with e^a to a relative 1e-12 for all
     |n| <= count: the lattice points really are zeros of e^x - e^a."""
     if count < 1:
         raise ValueError("need count >= 1")
@@ -147,7 +147,7 @@ def zero_set_check(a: complex, count: int, tolerance: float = 1e-12) -> bool:
     scale = abs(base)
     for n in range(-count, count + 1):
         shifted = cmath.exp(complex(a.real, a.imag + TWO_PI * n))
-        if abs(shifted - base) > tolerance * scale:
+        if abs(shifted - base) > 1e-12 * scale:
             return False
     return True
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -368,7 +368,7 @@ _PANEL_COUNT = 4
 _CHUNK_CELLS = 1 << 13
 
 
-@lru_cache(maxsize=1)
+@cache
 def _quadrature():
     """The 12-point Gauss-Legendre nodes and weights, and the body
     cells' sample offsets and weights, built on the first defect walk:
@@ -535,17 +535,11 @@ def _defect_walk(ks, n: int) -> list[tuple[float, float]]:
     return [(math.fsum(sums), math.fsum(abs_sums)) for sums, abs_sums in parts]
 
 
-@lru_cache(maxsize=8)
+@cache
 def _defect_sums(n: int, k_top: int) -> tuple[tuple[float, float], ...]:
-    """_defect_walk for every k = 1..k_top at cutoff n."""
+    """_defect_walk for every k = 1..k_top at cutoff n: the (sum,
+    absolute-value sum) of the cell defects of (log x)^k up to n."""
     return tuple(_defect_walk(range(1, k_top + 1), n))
-
-
-def _defect_sum(k: int, n: int, k_top: int | None = None) -> tuple[float, float]:
-    """(sum, absolute-value sum) of the cell defects of (log x)^k up to
-    n, from the one walk shared by every k up to k_top (by default
-    LOG_POWER_K_MAX)."""
-    return _defect_sums(n, k_top or LOG_POWER_K_MAX)[k - 1]
 
 
 def _derivative_polys(k: int, r_max: int) -> list[np.ndarray]:
@@ -588,7 +582,7 @@ class LogPowerConstant(NamedTuple):
     error_estimate: float
 
 
-@lru_cache(maxsize=128)
+@cache
 def log_power_constant(k: int, n: int = 100_000, accelerate: bool = True,
                        k_top: int = LOG_POWER_K_MAX) -> LogPowerConstant:
     """The constant for exponent k at cutoff n. Its defect sum comes
@@ -602,7 +596,7 @@ def log_power_constant(k: int, n: int = 100_000, accelerate: bool = True,
         raise ValueError(f"k_top must be in {k}..{LOG_POWER_K_MAX}")
     if n < LOG_POWER_N_MIN:
         raise ValueError(f"cutoff n must be at least {LOG_POWER_N_MIN}")
-    defect, abs_defect = _defect_sum(k, n, k_top)
+    defect, abs_defect = _defect_sums(n, k_top)[k - 1]
     tail = 0.0
     if accelerate:
         tail = -math.fsum(
@@ -622,11 +616,18 @@ def log_power_constant(k: int, n: int = 100_000, accelerate: bool = True,
                             error_estimate=next_term + floor)
 
 
-@lru_cache(maxsize=8)
-def _zeta_ring(radius: float, nodes: int) -> np.ndarray:
-    theta = TWO_PI * np.arange(nodes) / nodes
-    return _zeta_array(np.array([complex(radius * math.cos(a), radius * math.sin(a))
-                                 for a in theta]))
+# The contour route's circle: radius 1/2 stays inside the pole at s = 1,
+# and its 512 nodes leave a convergence gap far below the constants.
+_CONTOUR_RADIUS = 0.5
+_CONTOUR_NODES = 512
+_CONTOUR_ANGLES = TWO_PI * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES
+
+
+@cache
+def _zeta_ring() -> np.ndarray:
+    r = _CONTOUR_RADIUS
+    return _zeta_array(np.array([complex(r * math.cos(a), r * math.sin(a))
+                                 for a in _CONTOUR_ANGLES]))
 
 
 class ContourConstant(NamedTuple):
@@ -636,36 +637,29 @@ class ContourConstant(NamedTuple):
     unconverged when the gap is not small next to the value."""
 
     k: int
-    radius: float
-    nodes: int
     value: float
     convergence_gap: float
 
 
-def log_power_constant_contour(k: int, radius: float = 0.5,
-                               nodes: int = 512) -> ContourConstant:
+def log_power_constant_contour(k: int) -> ContourConstant:
+    """The constant for exponent k (0..LOG_POWER_K_MAX) from the
+    trapezoid rule on one fixed circle, |s| = 1/2 at 512 equally spaced
+    nodes, whose zeta values are computed on the first call."""
     if k < 0 or k > LOG_POWER_K_MAX:
         raise ValueError(f"exponent k must be in 0..{LOG_POWER_K_MAX}")
-    if not 0.1 <= radius <= 0.9:
-        raise ValueError("contour radius must stay in [0.1, 0.9], inside "
-                         "the pole at s=1")
-    if nodes < 64 or nodes % 2:
-        raise ValueError("need an even node count of at least 64")
-    ring = _zeta_ring(float(radius), int(nodes))
-    theta = TWO_PI * np.arange(nodes) / nodes
-    phases = np.exp(-1j * k * theta)
+    ring = _zeta_ring()
+    phases = np.exp(-1j * k * _CONTOUR_ANGLES)
 
     def coefficient(values: np.ndarray, ph: np.ndarray) -> float:
         # only the real part of the mean is read
-        return exact_sum((values * ph).real) / len(values) / radius ** k
+        return exact_sum((values * ph).real) / len(values) / _CONTOUR_RADIUS ** k
 
     c_full = coefficient(ring, phases)
     c_half = coefficient(ring[::2], phases[::2])
     sign = -1.0 if k % 2 else 1.0
     value = sign * math.factorial(k) * (c_full + 1.0)
     gap = abs(math.factorial(k) * (c_full - c_half))
-    return ContourConstant(k=k, radius=radius, nodes=nodes,
-                           value=value, convergence_gap=gap)
+    return ContourConstant(k=k, value=value, convergence_gap=gap)
 
 
 class ZetaOriginConstants(NamedTuple):
@@ -693,18 +687,16 @@ def origin_constants(k_max: int = LOG_POWER_K_MAX,
                                contour_route=contour)
 
 
-def zeta_series_near_zero(s: complex, order: int = LOG_POWER_K_MAX) -> complex:
+def zeta_series_near_zero(s: complex) -> complex:
     """Taylor evaluation 1/(s-1) + 1/2 + sum of signed constants times
-    s^k / k!, valid for |s| <= 1/2 where the omitted tail sits near
-    1e-12."""
+    s^k / k! for k = 1..LOG_POWER_K_MAX, valid for |s| <= 1/2 where the
+    omitted tail sits near 1e-12."""
     s = complex(s)
     if abs(s) > 0.5:
         raise ValueError("series validated only for |s| <= 1/2")
-    if order < 1 or order > LOG_POWER_K_MAX:
-        raise ValueError(f"order must be in 1..{LOG_POWER_K_MAX}")
     total = 1.0 / (s - 1.0) + 0.5
     term = 1.0 + 0j
-    for k in range(1, order + 1):
+    for k in range(1, LOG_POWER_K_MAX + 1):
         term *= -s / k  # (-1)^k s^k / k!
         total += log_power_constant(k).value * term
     return total

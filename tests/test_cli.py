@@ -237,7 +237,8 @@ def _edge_argv(name, flag, value) -> list:
 
 @pytest.mark.parametrize("name,flag,value,accepted", list(_range_cases()))
 def test_every_range_flag_holds_its_bounds(name, flag, value, accepted):
-    args = build_parser().parse_args(_edge_argv(name, flag, value))
+    argv = _edge_argv(name, flag, value)
+    args = build_parser(argv).parse_args(argv)
     if accepted:
         assert _resolve_config(args).params[flag.dest] == value
     else:
@@ -339,6 +340,43 @@ def test_output_into_missing_directory_exits_2(tmp_path, capsys):
     assert main(["li", "--x", "100", "--output", str(target)]) == 2
     assert capsys.readouterr().err.startswith("error: --output:")
     assert not target.parent.exists()
+
+
+def test_output_under_a_file_exits_2_and_says_what_is_there(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    assert main(["li", "--x", "2", "--output", str(blocker / "out.csv")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --output: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: os.mkfifo(path),
+    lambda path: os.symlink(os.devnull, path),
+], ids=["fifo", "device"])
+def test_cache_inspect_of_a_special_file_exits_2_and_opens_nothing(
+        make, tmp_path, capsys):
+    # opening a FIFO with no writer would block: a hang here is a failure
+    target = tmp_path / "mu-10.stjz"
+    make(target)
+    assert main(["cache", "inspect", "--path", str(target)]) == 2
+    assert capsys.readouterr().err == (f"error: --path: {target} is neither a "
+                                       "regular file nor a directory\n")
+
+
+@pytest.mark.parametrize("text", ["1_000", " 1000", "+1000",
+                                  "\uff11\uff10\uff10\uff10", "1000 ", ""])
+def test_integer_flags_take_ascii_digits_only(text, capsys):
+    # int() reads every one of these as 1000 (or fails on "")
+    assert main(["mertens", "--limit", text]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --limit must be an integer, got {text!r}\n")
+
+
+def test_a_negative_integer_reaches_the_range_check(capsys):
+    assert main(["mertens", "--limit", "-5"]) == 2
+    assert capsys.readouterr().err == "error: --limit must be at least 1, got -5\n"
 
 
 def test_output_write_failure_exits_1(tmp_path, capsys):
@@ -1176,11 +1214,11 @@ def _typed(name: str) -> list:
     *([*_typed(name), "--help"] for name in COMMANDS),
 ], ids=" ".join)
 def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
-    # main attaches flags only to the command argv names
+    # main gives the exit code and the text of the parser itself
     code = main(argv)
     named = capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
+        build_parser(argv).parse_args(argv)
     assert exc.value.code == code
     assert capsys.readouterr() == named
 
@@ -1271,3 +1309,37 @@ def test_mertens_sweep_peak_memory_stays_bounded():
     # on a full int32 prefix peaked at 85 MB here
     peak = _peak_rss_mb("mertens-sweep", "--limit", "10000000")
     assert peak < 70, f"mertens-sweep peaked at {peak:.1f} MB"
+
+
+# One small valid command line per command; {tmp} is a fresh directory.
+_SMALL_RUNS = {
+    **{name: [f"{k}={v}" for k, v in flags.items()]
+       for name, flags in _OTHER_FLAGS.items()},
+    "mertens-sweep": ["--limit=1000"],
+    "zeta": ["--s=0.5+14i"],
+    "xi": ["--t=14"],
+    "constants": ["--k=2", "--n=1000"],
+    "prime-window": ["--stop=1000"],
+    "identity-explore": ["--n=100"],
+    "cache-build": ["--limit=10", "--dir={tmp}"],
+    "cache-inspect": ["--path={tmp}"],
+}
+
+
+def test_every_table_is_all_arrays_or_all_lists(tmp_path):
+    # csv_blocks prints a table of int and float arrays through the
+    # kernel and any other cell by cell: a command table that mixed
+    # arrays with lists would print its arrays cell by cell too
+    import numpy as np
+
+    assert set(_SMALL_RUNS) == set(COMMANDS)
+    kinds = {}
+    for name in COMMANDS:  # cache-build runs before cache-inspect
+        argv = [*_typed(name),
+                *(a.replace("{tmp}", str(tmp_path)) for a in _SMALL_RUNS[name])]
+        config = _resolve_config(build_parser(argv).parse_args(argv))
+        table = COMMANDS[name].handler(config, **config.params)
+        assert len(table) > 0, name
+        kinds[name] = {type(c) for c in table.data}
+    assert {name: k for name, k in kinds.items()
+            if k not in ({np.ndarray}, {list})} == {}
