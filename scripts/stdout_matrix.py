@@ -259,6 +259,18 @@ table = Table(("root", "odd"), (root, np.arange(n) % 2 == 1))
 sys.stdout.write(render_json(table, {}) if sys.argv[2:] else render_csv(table))
 """
 
+# Copies the cache file argv[2] into the new directory argv[1] under the
+# name mu-\u00b2.stjz, then inspects that directory.
+_SUPERSCRIPT_CACHE = """
+import shutil
+import sys
+from pathlib import Path
+from zetadesk.cli import main
+Path(sys.argv[1]).mkdir()
+shutil.copy(sys.argv[2], Path(sys.argv[1]) / "mu-\\u00b2.stjz")
+sys.exit(main(["cache", "inspect", "--path", sys.argv[1]]))
+"""
+
 LIST_COLUMN = [(f"{kind}-{n}{suffix}", ["-c", script, str(n), *extra])
                for kind, script, sizes in (
                    ("list-column", _LIST_COLUMN_TABLE, (*BLOCK_EDGES, 70000)),
@@ -278,6 +290,13 @@ INVALID = [
     ("int-space", ["mertens", "--limit", " 1000"]),
     ("int-plus", ["mertens", "--limit", "+1000"]),
     ("int-fullwidth", ["mertens", "--limit", "\uff11\uff10\uff10\uff10"]),
+    # a float flag or a complex part takes an ASCII number only
+    ("float-underscore",
+     ["dirichlet-sum", "--series", "unit", "--limit", "10", "--s", "0_5"]),
+    ("float-fullwidth",
+     ["dirichlet-sum", "--series", "unit", "--limit", "10", "--s", "\uff10.\uff15"]),
+    ("float-arabic-indic", ["xi", "--t", "\u0661\u0664"]),
+    ("complex-fullwidth", ["zeta", "--s", "\uff11+2i"]),
     ("bad-limit", ["mertens", "--limit", "0"]),
     ("bad-every", ["mertens", "--limit", "10", "--every", "0"]),
     ("over-max-limit", ["mertens", "--limit", "200000001"]),
@@ -328,6 +347,10 @@ INVALID = [
     ("cache-inspect-missing", ["cache", "inspect", "--path", f"{TMP}/nowhere"]),
     # a path that exists but is neither a file nor a directory
     ("cache-inspect-device", ["cache", "inspect", "--path", "/dev/null"]),
+    # after cache-build: a directory whose one file is named with a
+    # superscript digit, which is no cache file name
+    ("cache-inspect-superscript",
+     ["-c", _SUPERSCRIPT_CACHE, f"{TMP}/superscript", f"{TMP}/built/mu-1000.stjz"]),
     # theta reads no mu, so its cache directory is never made
     ("cache-inspect-theta", ["cache", "inspect", "--path", f"{TMP}/theta"]),
     # after cache-save-blocked: a directory in a cache file's place is

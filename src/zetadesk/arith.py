@@ -270,12 +270,10 @@ def _mertens_values(mu: np.ndarray) -> np.ndarray:
     return values
 
 
-def mertens_prefix(table: ArithTable, limit: int | None = None) -> MertensPrefix:
-    """Cumulative Mobius sums plus ratio extremes over 1..limit (the
-    whole table by default)."""
-    n = table.limit if limit is None else limit
-    if not 1 <= n <= table.limit:
-        raise ValueError(f"Mertens limit {n} outside table range")
+def mertens_prefix(table: ArithTable) -> MertensPrefix:
+    """Cumulative Mobius sums plus ratio extremes over the whole table,
+    1..table.limit."""
+    n = table.limit
     values = _mertens_values(table.mu[: n + 1])
     whole = MertensPrefix(limit=n, values=values,
                           observed_min_ratio=math.nan, argmin=1,

@@ -84,14 +84,13 @@ def theta_deviation(table: ArithTable, n: int, s: float) -> float:
     return (chebyshev_theta(table, n) - n) / float(n) ** s
 
 
-def theta_deviation_scan(table: ArithTable, s: float,
-                         n_max: int | None = None) -> Table:
+def theta_deviation_scan(table: ArithTable, s: float) -> Table:
+    """theta_deviation on a geometric grid from SCAN_START to the
+    table's limit, which must lie above SCAN_START."""
     s = _check_exponent(s)
-    if n_max is None:
-        n_max = table.limit
-    if not SCAN_START < n_max <= table.limit:
-        raise ValueError(f"need {SCAN_START} < n_max <= limit")
-    grid = geometric_grid(n_max, start=SCAN_START)
+    if table.limit <= SCAN_START:
+        raise ValueError(f"need limit > {SCAN_START}")
+    grid = geometric_grid(table.limit, start=SCAN_START)
     thetas = _prime_sums(table, np.log, grid)
     deviations = [(theta - n) / float(n) ** s
                   for n, theta in zip(grid.tolist(), thetas.tolist())]
@@ -118,15 +117,13 @@ def _divisor_summatory(table: ArithTable, grid: np.ndarray) -> np.ndarray:
                        np.int64)
 
 
-def divisor_ratio_scan(table: ArithTable, n_max: int | None = None,
-                       every: int | None = None,
+def divisor_ratio_scan(table: ArithTable, every: int | None = None,
                        n_min: int = 1) -> Table:
-    """Ratio rows on either an arithmetic grid (every) or the default
-    geometric grid."""
-    if n_max is None:
-        n_max = table.limit
-    if not 1 <= n_min <= n_max <= table.limit:
-        raise ValueError("need 1 <= n_min <= n_max <= limit")
+    """Ratio rows from n_min to the table's limit, on either an
+    arithmetic grid (every) or the default geometric grid."""
+    n_max = table.limit
+    if not 1 <= n_min <= n_max:
+        raise ValueError("need 1 <= n_min <= limit")
     if every is not None:
         if every < 1:
             raise ValueError("every must be positive")
@@ -162,14 +159,13 @@ def prime_count_gap_ratio(table: ArithTable, x: float, s: float) -> float:
     return (riemann_prime_count(table, x) - li(x)) / float(x) ** s
 
 
-def prime_count_gap_scan(table: ArithTable, s: float,
-                         x_max: int | None = None) -> Table:
+def prime_count_gap_scan(table: ArithTable, s: float) -> Table:
+    """prime_count_gap_ratio on a geometric grid from SCAN_START to the
+    table's limit, which must lie above SCAN_START."""
     s = _check_exponent(s)
-    if x_max is None:
-        x_max = table.limit
-    if not SCAN_START < x_max <= table.limit:
-        raise ValueError(f"need {SCAN_START} < x_max <= limit")
-    grid = geometric_grid(x_max, start=SCAN_START)
+    if table.limit <= SCAN_START:
+        raise ValueError(f"need limit > {SCAN_START}")
+    grid = geometric_grid(table.limit, start=SCAN_START)
     ratios = [prime_count_gap_ratio(table, float(xv), s) for xv in grid.tolist()]
     return Table(("x", "ratio"), (grid.astype(np.float64), np.array(ratios)),
                  {"first_abs": abs(ratios[0]), "last_abs": abs(ratios[-1]),
@@ -301,12 +297,14 @@ class FloorIdentitySweep(NamedTuple):
     bound_violations: int
 
 
-def floor_identity_sweep(prefix: MertensPrefix, table: ArithTable,
-                         n_max: int) -> FloorIdentitySweep:
-    """floor_identity_probe at every n in 1..n_max, tallied; the same
-    exact integer sums, made for a block of n at a time."""
-    if n_max < 1 or n_max > prefix.limit or n_max > table.limit:
-        raise ValueError("n_max must lie in 1..limit of both tables")
+def floor_identity_sweep(prefix: MertensPrefix,
+                         table: ArithTable) -> FloorIdentitySweep:
+    """floor_identity_probe at every n in 1..prefix.limit, tallied; the
+    same exact integer sums, made for a block of n at a time. The
+    table gives mu and must reach as far as the prefix."""
+    n_max = prefix.limit
+    if n_max > table.limit:
+        raise ValueError("the prefix runs past the table's limit")
     counts = {(conv, reading): 0
               for conv in LHS_CONVENTIONS for reading in H_READINGS}
     unmatched = 0

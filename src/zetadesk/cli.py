@@ -134,8 +134,9 @@ class RunConfig(NamedTuple):
 
 # -- parameter parsing -------------------------------------------------
 
-# compiled (and cached by re) on the first complex flag, not at start-up
-_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# compiled (and cached by re) on the first float or complex flag, not
+# at start-up; ASCII digits only, where \d would take any script's
+_NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _COMPLEX = rf"^([+-]?{_NUM})(?:([+-])({_NUM})i)?$"
 
 
@@ -157,7 +158,10 @@ class NumberRange(NamedTuple):
     (lo, hi] when open_lo; a bound of None is no bound. The range is
     data, so the accepted values of every flag can be listed. An int
     flag takes ASCII digits after an optional minus sign, nothing else
-    int() would read (1_000, +1000, spaces, other scripts' digits)."""
+    int() would read (1_000, +1000, spaces, other scripts' digits); a
+    float flag takes an optional sign and a complex part's ASCII number
+    between optional spaces, nothing else float() would read (0_5, inf,
+    nan, other scripts' digits)."""
 
     kind: type
     lo: int | float | None = None
@@ -165,9 +169,12 @@ class NumberRange(NamedTuple):
     open_lo: bool = False
 
     def __call__(self, text: str, flag: str):
-        noun = "an integer" if self.kind is int else "a number"
+        if self.kind is int:
+            noun, grammar, body = "an integer", "-?[0-9]+", text
+        else:
+            noun, grammar, body = "a number", rf"[+-]?{_NUM}", text.strip()
         try:
-            if self.kind is int and not re.fullmatch("-?[0-9]+", text):
+            if not re.fullmatch(grammar, body):
                 raise ValueError
             value = self.kind(text)
         except ValueError:
@@ -189,7 +196,7 @@ class NumberRange(NamedTuple):
 def _cache_files(cache_dir: Path) -> list[Path]:
     """The regular mu-<number>.stjz files in cache_dir, sorted by name."""
     return [p for p in sorted(cache_dir.glob("mu-*.stjz"))
-            if p.stem[3:].isdigit() and p.is_file()]
+            if re.fullmatch("[0-9]+", p.stem[3:]) and p.is_file()]
 
 
 def _cache_path(cache_dir: Path, limit: int) -> Path:
@@ -317,8 +324,8 @@ def _cmd_dirichlet_sum(config: RunConfig, limit, series, s) -> Table:
         coeffs = dirichlet.unit_stream(limit)
     else:
         table = acquire_table(limit, config.cache_dir)
-        coeffs = _engine("_SERIES_BUILDERS")[series](table, limit)
-    return dirichlet.prefix_ratio_scan(coeffs, s, limit)
+        coeffs = _engine("_SERIES_BUILDERS")[series](table)
+    return dirichlet.prefix_ratio_scan(coeffs, s)
 
 
 def _cmd_abel_check(config: RunConfig, n, m, s) -> Table:
@@ -345,9 +352,9 @@ def _cmd_convolution_check(config: RunConfig, limit) -> Table:
 
     table = acquire_table(limit, config.cache_dir)
     conv = dirichlet.dirichlet_convolution(
-        dirichlet.mobius_stream(table, limit),
-        dirichlet.divisor_corrected_stream(table, limit))
-    expected = dirichlet.one_minus_g_stream(table, limit)
+        dirichlet.mobius_stream(table),
+        dirichlet.divisor_corrected_stream(table))
+    expected = dirichlet.one_minus_g_stream(table)
     diff = conv.values[1:] - expected.values[1:]
     grid = geometric_grid(limit)
     stats = {"max_abs_difference": float(np.max(np.abs(diff)))}
@@ -416,14 +423,14 @@ def _cmd_theta(config: RunConfig, limit, s) -> Table:
     from . import asymptotics
 
     table = acquire_table(limit, config.cache_dir)
-    return asymptotics.theta_deviation_scan(table, s, limit)
+    return asymptotics.theta_deviation_scan(table, s)
 
 
 def _cmd_divisor_ratio(config: RunConfig, limit, every) -> Table:
     from . import asymptotics
 
     table = acquire_table(limit, config.cache_dir)
-    return asymptotics.divisor_ratio_scan(table, limit, every)
+    return asymptotics.divisor_ratio_scan(table, every)
 
 
 def _cmd_li(config: RunConfig, x) -> Table:
@@ -434,7 +441,7 @@ def _cmd_relation_a(config: RunConfig, x_max, s) -> Table:
     from . import asymptotics
 
     table = acquire_table(x_max, config.cache_dir)
-    return asymptotics.prime_count_gap_scan(table, s, x_max)
+    return asymptotics.prime_count_gap_scan(table, s)
 
 
 def _cmd_mertens_constant(config: RunConfig, limit) -> Table:
@@ -477,8 +484,8 @@ def _cmd_identity_explore(config: RunConfig, n=None,
         return Table.from_rows(("convention", "reading", "lhs", "rhs",
                                 "match"), rows, stats)
     table = acquire_table(limit, config.cache_dir)
-    prefix = arith.mertens_prefix(table, limit)
-    sweep = asymptotics.floor_identity_sweep(prefix, table, limit)
+    sweep = asymptotics.floor_identity_sweep(arith.mertens_prefix(table),
+                                             table)
     rows = [(conv, reading, sweep.match_counts[(conv, reading)], sweep.total)
             for conv in asymptotics.LHS_CONVENTIONS
             for reading in asymptotics.H_READINGS]

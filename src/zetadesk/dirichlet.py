@@ -17,7 +17,9 @@ CoefficientStream, made 2^16 cells at a time. Its whole array (entry 0
 unused) is filled from the chunks only when something reads values;
 custom streams and convolutions have theirs set over that property.
 Prefix scans walk the chunks (arith.grid_prefix); the convolution and
-direct partial sums read values.
+direct partial sums read values. A stream read off a table runs to the
+table's limit, and a scan or probe covers its whole stream, so each
+bound is set once, where the table is built.
 """
 
 from __future__ import annotations
@@ -70,9 +72,9 @@ def _seeded(name: str, values: np.ndarray) -> CoefficientStream:
     return stream
 
 
-def mobius_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
-    n = _stream_limit(table, limit)
-    return CoefficientStream("mobius", n,
+def mobius_stream(table: ArithTable) -> CoefficientStream:
+    """lambda(n) = mu(n) over the whole table."""
+    return CoefficientStream("mobius", table.limit,
                              lambda lo, hi: table.mu[lo:hi].astype(np.float64))
 
 
@@ -82,25 +84,25 @@ def unit_stream(limit: int) -> CoefficientStream:
     return CoefficientStream("unit", limit, lambda lo, hi: np.ones(hi - lo))
 
 
-def divisor_corrected_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
-    """lambda(n) = d(n) - log n - 2C, over each chunk's own index range."""
-    n = _stream_limit(table, limit)
+def divisor_corrected_stream(table: ArithTable) -> CoefficientStream:
+    """lambda(n) = d(n) - log n - 2C over the whole table, each chunk
+    over its own index range."""
     c2 = 2.0 * euler_constant()
 
     def chunk(lo: int, hi: int) -> np.ndarray:
         idx = np.arange(lo, hi, dtype=np.float64)
         return table.divisor_count[lo:hi] - np.log(idx) - c2
 
-    return CoefficientStream("divisor_corrected", n, chunk)
+    return CoefficientStream("divisor_corrected", table.limit, chunk)
 
 
-def one_minus_g_stream(table: ArithTable, limit: int | None = None) -> CoefficientStream:
-    """lambda(n) = 1 - w(n), w the prime-power log weight with 2C head
-    (arith.prime_power_weight): the Mobius convolution image of the
-    corrected divisor stream (checked in tests and the CLI)."""
-    n = _stream_limit(table, limit)
-    weight = prime_power_weight(table, n)
-    return CoefficientStream("one_minus_g", n,
+def one_minus_g_stream(table: ArithTable) -> CoefficientStream:
+    """lambda(n) = 1 - w(n) over the whole table, w the prime-power log
+    weight with 2C head (arith.prime_power_weight): the Mobius
+    convolution image of the corrected divisor stream (checked in tests
+    and the CLI)."""
+    weight = prime_power_weight(table, table.limit)
+    return CoefficientStream("one_minus_g", table.limit,
                              lambda lo, hi: 1.0 - weight(lo, hi))
 
 
@@ -119,13 +121,6 @@ def custom_stream(name: str, values) -> CoefficientStream:
         raise ValueError("custom stream needs a flat array with entry 0 padding")
     arr[0] = 0.0
     return _seeded(name, arr)
-
-
-def _stream_limit(table: ArithTable, limit: int | None) -> int:
-    n = table.limit if limit is None else limit
-    if n < 1 or n > table.limit:
-        raise ValueError(f"stream limit {n} outside table range")
-    return n
 
 
 def partial_sum(coeffs: CoefficientStream, s: complex, upto: int) -> complex:
@@ -295,16 +290,14 @@ def abel_rearranged_sum(n: int, m: int, s: complex,
         theta_min=theta_min, theta_max=theta_max)
 
 
-def prefix_ratio_scan(coeffs: CoefficientStream, s: float,
-                      n_max: int | None = None) -> Table:
-    """r(n) = P(n)/n^s on a geometric grid, P the prefix sums.
+def prefix_ratio_scan(coeffs: CoefficientStream, s: float) -> Table:
+    """r(n) = P(n)/n^s on a geometric grid to the stream's limit, P the
+    prefix sums.
 
     stats carries the sup of |r| over the grid tail (top decade) and
     the first/last ratios, which is what the trend tables want.
     """
-    n_max = coeffs.limit if n_max is None else n_max
-    if n_max < 1 or n_max > coeffs.limit:
-        raise ValueError(f"scan bound {n_max} outside stream range")
+    n_max = coeffs.limit
     grid = geometric_grid(n_max)
     p = grid_prefix(coeffs.chunk, grid)
     r = p / np.power(grid.astype(np.float64), s)
@@ -353,13 +346,12 @@ class AbscissaProbe(NamedTuple):
     absolute_prefix: np.ndarray
 
 
-def abscissa_probe(coeffs: CoefficientStream,
-                   n_max: int | None = None) -> AbscissaProbe:
-    n_max = coeffs.limit if n_max is None else n_max
+def abscissa_probe(coeffs: CoefficientStream) -> AbscissaProbe:
+    """The growth exponents of the stream's prefix sums on a log grid
+    to its limit, which must be at least 10^4."""
+    n_max = coeffs.limit
     if n_max < 10_000:
         raise ValueError("abscissa probe wants at least 10^4 coefficients")
-    if n_max > coeffs.limit:
-        raise ValueError(f"probe bound {n_max} outside stream range")
     grid = geometric_grid(n_max, start=10)
     # grid ends at n_max, so the last absolute prefix is zero exactly
     # when every coefficient is

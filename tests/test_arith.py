@@ -59,7 +59,7 @@ def test_cached_table_makes_each_array_on_first_read(table4, tmp_path):
         assert (got.lhs, got.rhs) == (want.lhs, want.rhs), got.n
 
     streamed = load_cache(path)
-    prefix_ratio_scan(mobius_stream(streamed), 0.5, table4.limit)
+    prefix_ratio_scan(mobius_stream(streamed), 0.5)
     assert "primes" not in vars(streamed)
 
 
@@ -190,11 +190,9 @@ def test_mertens_chunks_carry_across_chunk_edges(limit):
     walked = grid_prefix(lambda lo, hi: table.mu[lo:hi], every_row, np.int32)
     assert walked.dtype == np.int32
     assert np.array_equal(walked, direct[:stop])
-    bounded = mertens_prefix(table, stop)
+    bounded = mertens_prefix(build_tables(stop))
     assert bounded.limit == stop
     assert np.array_equal(bounded.values[1:], direct[:stop])
-    with pytest.raises(ValueError):
-        mertens_prefix(table, limit + 1)
 
 
 def test_grid_prefix_sums_divisor_counts_exactly(table6):

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetadesk.arith import (CHUNK, MertensPrefix, MertensQuotients,
-                            chebyshev_theta, chunk_bounds, integer_root,
-                            mertens_quotients, prime_power_weight)
+                            build_tables, chebyshev_theta, chunk_bounds,
+                            integer_root, mertens_prefix, mertens_quotients,
+                            prime_power_weight)
 from zetadesk.asymptotics import (H_READINGS, LHS_CONVENTIONS,
                                   divisor_asymptotic_ratio,
                                   divisor_ratio_scan, floor_identity_probe,
@@ -123,7 +124,7 @@ def test_prime_walks_equal_whole_prefix_arrays(table6):
         want = float(recip_cumsum[count - 1]) - math.log(math.log(n))
         assert mertens_constant_estimate(table6, n) == want, n
     for n_max in [*near_edge, table6.limit]:
-        grid, got = theta_deviation_scan(table6, 0.75, n_max).data[:2]
+        grid, got = theta_deviation_scan(build_tables(n_max), 0.75).data[:2]
         counts = np.searchsorted(table6.primes, grid.astype(np.int64),
                                  side="right")
         want = log_cumsum[counts - 1]
@@ -155,8 +156,8 @@ def test_deviation_definitions(table6):
         theta_deviation(table6, n, 1.5)
 
 
-def test_theta_deviation_scan_shape(table6):
-    report = theta_deviation_scan(table6, 0.75, 100_000)
+def test_theta_deviation_scan_shape():
+    report = theta_deviation_scan(build_tables(100_000), 0.75)
     assert report.columns == ("n", "theta", "deviation")
     assert report.rows[-1][0] == 100_000
     assert report.stats["exponent"] == 0.75
@@ -170,10 +171,10 @@ def test_divisor_ratio_values(table4):
 
 
 def test_divisor_ratio_scan_grids(table4):
-    geo = divisor_ratio_scan(table4, 10_000, n_min=1000)
+    geo = divisor_ratio_scan(table4, n_min=1000)
     assert geo.rows[-1][0] == 10_000
     assert geo.stats["sup_abs"] <= 1.0
-    arith_grid = divisor_ratio_scan(table4, 1000, every=250)
+    arith_grid = divisor_ratio_scan(build_tables(1000), every=250)
     assert [row[0] for row in arith_grid.rows] == [250, 500, 750, 1000]
     # scan rows are vectorized, the single-point route is scalar math
     assert math.isclose(arith_grid.rows[-1][1],
@@ -228,7 +229,7 @@ def test_gap_ratio_definition(table6):
     x, s = 10_000.0, 0.75
     expected = (riemann_prime_count(table6, x) - li(x)) / x ** s
     assert prime_count_gap_ratio(table6, x, s) == expected
-    report = prime_count_gap_scan(table6, s, 100_000)
+    report = prime_count_gap_scan(build_tables(100_000), s)
     assert report.columns == ("x", "ratio")
     assert report.rows[-1][0] == 100_000
 
@@ -288,8 +289,9 @@ def test_identity_probe_small_cases(prefix4, table4):
     assert p100.lhs["alternating"] == p100.rhs["odd_is_one"] == 0
 
 
-def test_identity_sweep_counts(prefix4, table4):
-    sweep = floor_identity_sweep(prefix4, table4, 500)
+def test_identity_sweep_counts():
+    table = build_tables(500)
+    sweep = floor_identity_sweep(mertens_prefix(table), table)
     assert sweep.total == 500
     assert sweep.match_counts[("alternating", "odd_is_one")] == 499
     assert sweep.unmatched == 1
@@ -312,20 +314,21 @@ def _probe_tallies(prefix, table, n_max):
         yield dict(counts), unmatched, violations
 
 
-def _sweep_tallies(prefix, table, n_max):
-    sweep = floor_identity_sweep(prefix, table, n_max)
-    assert sweep.n_max == sweep.total == n_max
+def _sweep_tallies(prefix, table):
+    sweep = floor_identity_sweep(prefix, table)
+    assert sweep.n_max == sweep.total == prefix.limit
     return sweep.match_counts, sweep.unmatched, sweep.bound_violations
 
 
 def test_identity_sweep_matches_probe_at_every_small_bound(prefix4, table4):
     for n, tallies in enumerate(_probe_tallies(prefix4, table4, 300), 1):
-        assert _sweep_tallies(prefix4, table4, n) == tallies, n
+        table = build_tables(n)
+        assert _sweep_tallies(mertens_prefix(table), table) == tallies, n
 
 
 def test_identity_sweep_matches_probe_at_ten_thousand(prefix4, table4):
     tallies = list(_probe_tallies(prefix4, table4, 10_000))[-1]
-    assert _sweep_tallies(prefix4, table4, 10_000) == tallies
+    assert _sweep_tallies(prefix4, table4) == tallies
 
 
 def test_identity_sweep_matches_probe_when_the_bound_breaks(table4):
@@ -336,7 +339,7 @@ def test_identity_sweep_matches_probe_when_the_bound_breaks(table4):
                            argmin=1, observed_max_ratio=0.0, argmax=1)
     tallies = list(_probe_tallies(prefix, table4, 3000))[-1]
     assert tallies[2] > 0
-    assert _sweep_tallies(prefix, table4, 3000) == tallies
+    assert _sweep_tallies(prefix, table4) == tallies
 
 
 def _probe_fields(probe):

@@ -21,9 +21,11 @@ import json
 import math
 import os
 import stat
+import struct
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,8 @@ from zetadesk.cli import (_GROUPS, CACHE_ENV, COMMANDS, CliValidationError,
                           NumberRange, _resolve_config, acquire_table,
                           build_parser, main, parse_complex)
 from zetadesk.reports import format_complex, format_float
+
+from .oracles import trial_mobius
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,7 +71,8 @@ def test_parse_complex_valid(text, expected):
 
 @pytest.mark.parametrize("text", [
     "abc", "1+2j", "i", "2i", "1++2i", "1+2", "", "1 + 2i",
-    "nan", "inf", "1+infi", "--2", "1.5+",
+    "nan", "inf", "1+infi", "--2", "1.5+", "0_5",
+    "\uff11+2i", "0.5+\uff11i", "\u0661\u0664",
 ])
 def test_parse_complex_invalid(text):
     with pytest.raises(CliValidationError) as exc:
@@ -372,6 +377,31 @@ def test_integer_flags_take_ascii_digits_only(text, capsys):
     assert main(["mertens", "--limit", text]) == 2
     assert capsys.readouterr() == (
         "", f"error: --limit must be an integer, got {text!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dirichlet-sum", "--series", "unit", "--limit", "10", "--s", "0_5"],
+    ["dirichlet-sum", "--series", "unit", "--limit", "10",
+     "--s", "\uff10.\uff15"],
+    ["xi", "--t", "\u0661\u0664"],
+    ["xi", "--t", "nan"],
+    ["xi", "--t", "inf"],
+])
+def test_float_flags_take_ascii_numbers_only(argv, capsys):
+    # float() reads these as 0.5, 0.5, 14, nan and inf
+    flag, text = argv[-2:]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {flag} must be a number, got {text!r}\n")
+
+
+def test_float_flags_take_signed_ascii_numbers():
+    for text, value in (("+0.5", 0.5), (" .5 ", 0.5), ("5.", 5.0),
+                        ("-1E-3", -0.001)):
+        assert NumberRange(float)(text, "--s") == value
+    with pytest.raises(CliValidationError,
+                       match="^--s must be finite, got inf$"):
+        NumberRange(float)("1e400", "--s")
 
 
 def test_a_negative_integer_reaches_the_range_check(capsys):
@@ -888,6 +918,72 @@ def test_cache_inspect_reports_corruption(tmp_path, capsys):
     assert by_name["mu-200.stjz"] == "ok"
     assert by_name["mu-201.stjz"] == "bad-checksum"
     assert by_name["mu-202.stjz"] == "truncated"
+
+
+def _stjz_row(path: Path) -> list:
+    """The cache inspect row of the file at path, parsed by the STJZ
+    layout alone: b"STJZ", version 1 as uint32, a limit in
+    1..200000000 as uint64, one byte mu(n) + 1 per n <= limit, and the
+    payload's CRC32 as uint32, all little-endian. The first check that
+    fails names the status; the byte range is checked after the CRC."""
+    blob = path.read_bytes()
+    status, version, limit = "ok", -1, -1
+    if len(blob) < 16:
+        status = "truncated"
+    else:
+        magic, version, limit = struct.unpack_from("<4sIQ", blob)
+        payload = blob[16:-4]
+        if magic != b"STJZ":
+            status = "bad-magic"
+        elif version != 1:
+            status = "bad-version"
+        elif not 1 <= limit <= 200_000_000 or len(blob) != limit + 20:
+            status = "truncated"
+        elif zlib.crc32(payload) != struct.unpack("<I", blob[-4:])[0]:
+            status = "bad-checksum"
+        elif max(payload) > 2:
+            status = "bad-payload"
+    return [str(path), status, version, limit, len(blob),
+            status in ("ok", "bad-payload")]
+
+
+def test_cache_inspect_rows_match_an_independent_parse(tmp_path, capsys):
+    assert main(["cache", "build", "--limit", "300",
+                 "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    good = (tmp_path / "mu-300.stjz").read_bytes()
+    assert list(good[16:-4]) == [trial_mobius(n) + 1 for n in range(1, 301)]
+    # mu(5) + 1 = 0 at byte 20, flipped to 1; a 7 in its place, with the
+    # CRC made again, fails only the byte range
+    flipped = good[16:20] + b"\x01" + good[21:-4]
+    seven = good[16:20] + b"\x07" + good[21:-4]
+    files = [b"STJY" + good[4:],
+             good[:4] + struct.pack("<I", 2) + good[8:],
+             good[:-1],
+             good[:10],
+             good[:16] + flipped + good[-4:],
+             good[:16] + seven + struct.pack("<I", zlib.crc32(seven))]
+    for n, blob in enumerate(files, 301):
+        (tmp_path / f"mu-{n}.stjz").write_bytes(blob)
+    assert main(["cache", "inspect", "--path", str(tmp_path),
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == [_stjz_row(tmp_path / f"mu-{n}.stjz")
+                    for n in range(300, 307)]
+    assert [row[1] for row in rows] == [
+        "ok", "bad-magic", "bad-version", "truncated", "truncated",
+        "bad-checksum", "bad-payload"]
+
+
+def test_cache_files_take_ascii_digit_names_only(tmp_path, capsys):
+    # str.isdigit() holds for the superscript 2, but the name is no limit
+    arith.save_cache(arith.build_tables(10), tmp_path / "mu-\u00b2.stjz")
+    assert main(["cache", "inspect", "--path", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --path: no mu-*.stjz files under {tmp_path}\n")
+    assert acquire_table(5, tmp_path).mu.tolist() == [0, 1, -1, -1, 0, -1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "mu-5.stjz", "mu-\u00b2.stjz"]
 
 
 @pytest.mark.parametrize("argv,reads_mu", [

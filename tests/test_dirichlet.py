@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetadesk import dirichlet
-from zetadesk.arith import (CHUNK, MAX_LIMIT, chunk_bounds, grid_prefix,
-                            mertens_prefix)
+from zetadesk.arith import (CHUNK, MAX_LIMIT, build_tables, chunk_bounds,
+                            grid_prefix, mertens_prefix)
 from zetadesk.constants import euler_constant
 from zetadesk.dirichlet import (ConvergenceParams, _exact_int_mul,
                                 _mean_value_theta_grid, abel_rearranged_sum,
@@ -20,8 +20,9 @@ from zetadesk.dirichlet import (ConvergenceParams, _exact_int_mul,
                                 partial_sum, prefix_ratio_scan, unit_stream)
 
 
-def test_stream_values(table4):
-    mob = mobius_stream(table4, 100)
+def test_stream_values():
+    table = build_tables(100)
+    mob = mobius_stream(table)
     assert mob.values[0] == 0.0
     assert mob.values[1] == 1.0 and mob.values[6] == 1.0
     assert mob.values[4] == 0.0 and mob.values[30] == -1.0
@@ -30,11 +31,11 @@ def test_stream_values(table4):
     assert unit.values[1:].sum() == 50.0
 
     c2 = 2.0 * euler_constant()
-    div = divisor_corrected_stream(table4, 100)
+    div = divisor_corrected_stream(table)
     assert abs(div.values[1] - (1.0 - c2)) < 1e-15
     assert abs(div.values[12] - (6.0 - math.log(12) - c2)) < 1e-15
 
-    g = one_minus_g_stream(table4, 100)
+    g = one_minus_g_stream(table)
     assert abs(g.values[1] - (1.0 - c2)) < 1e-15
     assert abs(g.values[8] - (1.0 - math.log(2))) < 1e-15
     assert abs(g.values[97] - (1.0 - math.log(97))) < 1e-15
@@ -50,7 +51,7 @@ def test_custom_stream_validation():
 
 
 def test_partial_sum_matches_direct(table4):
-    mob = mobius_stream(table4, 200)
+    mob = mobius_stream(build_tables(200))
     s = complex(0.8, -2.0)
     direct = sum(int(table4.mu[n]) * cmath.exp(-s * math.log(n))
                  for n in range(1, 151))
@@ -360,10 +361,11 @@ def _per_d_convolution(a, b):
 # r^2 - 1, r^2, r^2 + r and (r + 1)^2 - 1 around r = 37 put the split at
 # isqrt(n) on every side of a square
 @pytest.mark.parametrize("limit", [1, 2, 3, 1368, 1369, 1406, 1443, 4000])
-def test_convolution_is_bit_identical_to_per_d_loop(table4, limit):
+def test_convolution_is_bit_identical_to_per_d_loop(limit):
     rng = np.random.default_rng(limit)
-    pairs = [(mobius_stream(table4, limit), divisor_corrected_stream(table4, limit)),
-             (divisor_corrected_stream(table4, limit), one_minus_g_stream(table4, limit)),
+    table = build_tables(limit)
+    pairs = [(mobius_stream(table), divisor_corrected_stream(table)),
+             (divisor_corrected_stream(table), one_minus_g_stream(table)),
              (custom_stream("x", rng.standard_normal(limit + 1)),
               custom_stream("y", rng.standard_normal(limit + 1)))]
     for a, b in pairs:
@@ -382,33 +384,33 @@ def test_convolution_streams_are_bit_identical_to_per_d_loop(a_vals, b_vals):
     assert got.tobytes() == _per_d_convolution(a, b).tobytes()
 
 
-def test_delta_is_neutral(table4):
-    mob = mobius_stream(table4, 64)
+def test_delta_is_neutral():
+    mob = mobius_stream(build_tables(64))
     delta = custom_stream("delta", [0.0, 1.0] + [0.0] * 63)
     assert np.array_equal(dirichlet_convolution(mob, delta).values,
                           mob.values)
 
 
-def test_mobius_inverts_unit(table4):
+def test_mobius_inverts_unit():
     n = 512
-    conv = dirichlet_convolution(mobius_stream(table4, n), unit_stream(n))
+    conv = dirichlet_convolution(mobius_stream(build_tables(n)), unit_stream(n))
     assert conv.values[1] == 1.0
     assert not np.any(conv.values[2:])
 
 
-def test_convolution_identity_for_divisor_correction(table4):
-    n = 4000
-    got = dirichlet_convolution(mobius_stream(table4, n),
-                                divisor_corrected_stream(table4, n))
-    want = one_minus_g_stream(table4, n)
+def test_convolution_identity_for_divisor_correction():
+    table = build_tables(4000)
+    got = dirichlet_convolution(mobius_stream(table),
+                                divisor_corrected_stream(table))
+    want = one_minus_g_stream(table)
     assert np.max(np.abs(got.values[1:] - want.values[1:])) < 1e-9
 
 
 # -- scans and probes ----------------------------------------------------
 
 def test_prefix_ratio_scan_anchors(table4):
-    mob = mobius_stream(table4, 10_000)
-    report = prefix_ratio_scan(mob, 0.6, 10_000)
+    mob = mobius_stream(table4)
+    report = prefix_ratio_scan(mob, 0.6)
     assert report.columns == ("n", "prefix", "ratio")
     last = report.rows[-1]
     assert last[0] == 10_000
@@ -444,12 +446,13 @@ def _whole_range_one_minus_g(table, n):
 @pytest.mark.parametrize("limit", [1, 2, _EDGE - 1, _EDGE, _EDGE + 1, 3 * _EDGE + 5])
 @pytest.mark.parametrize("make", [
     mobius_stream,
-    lambda table, n: unit_stream(n),
+    lambda table: unit_stream(table.limit),
     divisor_corrected_stream,
     one_minus_g_stream,
 ], ids=["mobius", "unit", "divisor_corrected", "one_minus_g"])
 def test_chunked_prefix_is_bit_identical_to_full_cumsum(table6, make, limit):
-    stream = make(table6, limit)
+    table = build_tables(limit)
+    stream = make(table)
     n = np.arange(1, limit + 1, dtype=np.float64)
     whole = {"mobius": table6.mu[1 : limit + 1].astype(np.float64),
              "unit": np.ones(limit),
@@ -464,7 +467,7 @@ def test_chunked_prefix_is_bit_identical_to_full_cumsum(table6, make, limit):
     grid = np.unique([1, limit, *(e + d for e in edges for d in (-1, 0, 1, 2))])
     grid = grid[grid <= limit].astype(np.int64)
     # chunks made from the table, and chunks sliced from the filled values
-    for coeffs in (make(table6, limit), custom_stream(stream.name, stream.values)):
+    for coeffs in (make(table), custom_stream(stream.name, stream.values)):
         got = grid_prefix(coeffs.chunk, grid)
         assert np.array_equal(got.view(np.uint64), full[grid - 1].view(np.uint64))
         rows, prefix = prefix_ratio_scan(coeffs, 0.5).data[:2]
@@ -479,7 +482,7 @@ def test_chunked_prefix_keeps_a_leading_negative_zero():
 
 
 def test_abscissa_probe_slopes(table6):
-    mob = abscissa_probe(mobius_stream(table6), 1_000_000)
+    mob = abscissa_probe(mobius_stream(table6))
     assert 0.2 < mob.conditional_estimate < 0.8
     assert abs(mob.absolute_estimate - 1.0) < 0.05
     unit = abscissa_probe(unit_stream(100_000))

@@ -4,9 +4,9 @@ ROUTES maps every cli.COMMANDS name to the tests (file::function, under
 tests/) that check the command's cells, or the engine that computes
 them, against an independent route: trial division, a published value,
 mpmath or sympy, a closed form or a direct sum, a whole-array formula
-beside a chunked walk, a cached run beside an uncached one. "none"
-marks a command that no test checks that way. A golden file, a
-run-twice identity or a finiteness check is not a route.
+beside a chunked walk, a cached run beside an uncached one, a file's
+bytes parsed by their layout alone. A golden file, a run-twice
+identity or a finiteness check is not a route.
 """
 
 import ast
@@ -44,6 +44,7 @@ ROUTES = {
     "xi": (
         "test_zeta.py::test_xi_real_even_and_anchored",
         "test_zeta.py::test_completed_zeta_symmetry",
+        "test_zeta.py::test_xi_matches_mpmath_off_the_origin",
     ),
     "zeros": (
         "test_acceptance.py::test_acceptance_09_xi_zero_census",
@@ -94,9 +95,9 @@ ROUTES = {
         "test_arith.py::test_cache_roundtrip_bit_exact",
         "test_cli.py::test_cached_and_fresh_runs_are_byte_identical",
     ),
-    # its cells are read from a file's header and checksum, and each
-    # status is checked only on a file made to have it
-    "cache-inspect": "none",
+    "cache-inspect": (
+        "test_cli.py::test_cache_inspect_rows_match_an_independent_parse",
+    ),
 }
 
 
@@ -109,8 +110,7 @@ def _test_functions(path: Path) -> set:
 def test_every_command_has_an_entry_and_every_named_test_exists():
     assert list(ROUTES) == list(COMMANDS)
     here = Path(__file__).parent
-    missing = [test for tests in ROUTES.values() if tests != "none"
-               for test in tests
+    missing = [test for tests in ROUTES.values() for test in tests
                if test.split("::")[1]
                not in _test_functions(here / test.split("::")[0])]
     assert missing == []

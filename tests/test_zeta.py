@@ -128,6 +128,19 @@ def test_xi_real_even_and_anchored():
         assert abs(v - w) <= 1e-10 * abs(v)
 
 
+def test_xi_matches_mpmath_off_the_origin():
+    # xi(1/2 + it) shrinks by 37 orders up to t = 119, formed as exp of
+    # a log-gamma exponent times zeta; the relative gaps measured here
+    # are 1.7e-15 at t = 1 and at most 3.6e-13 at the other points, so
+    # 1e-12 leaves a margin of about 3
+    with mpmath.workdps(40):
+        for t in (1.0, 21.0, 50.0, 99.5, 119.0):
+            s = mpmath.mpc(0.5, t)
+            want = complex(s * (s - 1) / 2 * mpmath.pi ** (-s / 2)
+                           * mpmath.gamma(s / 2) * mpmath.zeta(s))
+            assert abs(xi(t) - want) <= 1e-12 * abs(want), t
+
+
 def test_xi_changes_sign_at_first_zero():
     assert xi(14.0).real * xi(14.3).real < 0.0
 
