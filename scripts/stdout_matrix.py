@@ -28,9 +28,10 @@ non-finite cells, the sieve cache (builds, misses, hits from commands
 that read mu, one on a file far longer than its limit, hits whose kept
 mu ends at either side of the reader's piece edge, the prime-only
 commands, which leave the cache alone even when --cache-dir names a
-file, a cache directory that is a file or lies under one, a miss whose
-save is blocked by a directory, and inspect, also of a directory whose
-one entry is such a directory), the decade sweep with
+file, the d(n) readers beside a cache file, each printing what its
+uncached twin does, a cache directory that is a file or lies under
+one, a miss whose save is blocked by a directory, and inspect, also of
+a directory whose one entry is such a directory), the decade sweep with
 decade ends inside chunks, the zero census with an empty ladder,
 invalid input and every help text. Run it on two checkouts
 on the same machine and diff the outputs: a refactor that keeps stdout
@@ -199,6 +200,14 @@ OUTPUTS = [
     # cache alone), only mu, or both
     ("cache-build-piece",
      ["cache", "build", "--limit", "1048577", "--dir", f"{TMP}/piece"]),
+    # the d(n) readers, which read neither mu nor the primes: each
+    # prints what its uncached twin does
+    ("cache-hit-divisor-ratio-65537",
+     ["divisor-ratio", "--limit", "65537", "--every", "1",
+      "--cache-dir", f"{TMP}/piece"]),
+    ("cache-hit-dirichlet-sum-divisor-corrected",
+     ["dirichlet-sum", "--series", "divisor-corrected", "--s", "-0.25",
+      "--limit", "5000", "--cache-dir", f"{TMP}/piece"]),
     ("cache-hit-theta",
      ["theta", "--limit", "1048577", "--cache-dir", f"{TMP}/piece"]),
     ("cache-hit-relation-a",

@@ -4,8 +4,9 @@ Everything downstream (Dirichlet sums, prime-counting statistics, the
 Mertens ratio scans) reads from one ArithTable, a plain class that is
 logically immutable: primes, the Mobius function, and divisor-count and
 smallest-prime-factor arrays, each a read-only cached_property made on
-first read. A table read from the STJZ sieve cache holds the mu its
-file stores, checked and decoded in one pass, set over the property.
+first read, so a run sieves only what it reads, cached or not. A table
+read from the STJZ sieve cache holds the mu its file stores, checked
+and decoded in one pass, set over the property.
 
 Arrays are indexed by the integer they describe (entry 0 is padding).
 Floating accumulations run in a fixed ascending order, so a rebuild at
@@ -76,7 +77,7 @@ class CachePayloadError(CacheError):
 
 
 class ArithTable:
-    """Immutable arithmetic tables covering 1..limit.
+    """Immutable arithmetic tables covering 1..limit <= MAX_LIMIT.
 
     Every array is materialized on first read and cached on the
     instance: primes is the ascending prime array, mu[n] the Mobius
@@ -91,6 +92,8 @@ class ArithTable:
 
     def __init__(self, limit: int,
                  mu_source: Callable[[], np.ndarray] | None = None):
+        if not 1 <= limit <= MAX_LIMIT:
+            raise ValueError(f"table limit {limit} outside 1..{MAX_LIMIT}")
         self.limit = limit
         self.mu_source = mu_source
 
@@ -126,20 +129,9 @@ class ArithTable:
 
 
 def build_tables(limit: int) -> ArithTable:
-    """Sieve the primes up to limit; the other arrays of the table
-    follow on first read.
-
-    Refuses limit > MAX_LIMIT (memory bound, documented above).
-    """
-    if limit < 1:
-        raise ValueError("table limit must be at least 1")
-    if limit > MAX_LIMIT:
-        raise ValueError(
-            f"table limit {limit} exceeds the supported bound {MAX_LIMIT}"
-        )
-    table = ArithTable(limit)
-    table.primes  # sieved here, so the sieve stays inside this call
-    return table
+    """The table to limit, with no array made yet: each is made on its
+    first read, so a command that reads only d(n) sieves no primes."""
+    return ArithTable(limit)
 
 
 def _prime_sieve(limit: int) -> np.ndarray:
@@ -488,11 +480,13 @@ def chebyshev_theta(table: ArithTable, x: float) -> float:
     return float(_prime_sums(table, np.log, [x])[0])
 
 
-def prime_power_weight(table: ArithTable, n: int):
+def prime_power_weight(table: ArithTable):
     """chunk(lo, hi), a fresh float64 array of w(lo..hi-1) for the
-    prime-power weight w over 1..n: 2C at 1, log p at each p^k, zero
-    elsewhere. The p^k with k >= 2 are listed once; every log is
-    math.log(p), as a loop over the prime powers would take it."""
+    prime-power weight w over the table: 2C at 1, log p at each p^k,
+    zero elsewhere; a range outside 1..limit raises ValueError. The p^k
+    with k >= 2 are listed once; every log is math.log(p), as a loop
+    over the prime powers would take it."""
+    n = table.limit
     primes = table.primes
     powers = []
     for p in primes[: table.prime_count(math.isqrt(n))].tolist():
@@ -505,6 +499,8 @@ def prime_power_weight(table: ArithTable, n: int):
     logs = np.array([lp for _, lp in powers], dtype=np.float64)
 
     def chunk(lo: int, hi: int) -> np.ndarray:
+        if not 1 <= lo <= hi <= n + 1:
+            raise ValueError(f"weight range [{lo}, {hi}) outside 1..{n}")
         part = np.zeros(hi - lo)
         if lo == 1:
             part[0] = 2.0 * euler_constant()

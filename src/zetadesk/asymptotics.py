@@ -63,7 +63,7 @@ def psi_decomposition_check(table: ArithTable,
     if (grid.ndim != 1 or grid.size == 0 or grid[0] < 1
             or grid[-1] > table.limit or np.any(grid[1:] < grid[:-1])):
         raise ValueError("ns must ascend within 1..limit")
-    lhs = grid_prefix(prime_power_weight(table, int(grid[-1])), grid)
+    lhs = grid_prefix(prime_power_weight(table), grid)
     c2 = 2.0 * euler_constant()
     return [PsiDecomposition(n=n, lhs=left, rhs=c2 + psi_sum(table, n))
             for n, left in zip(grid.tolist(), lhs.tolist())]

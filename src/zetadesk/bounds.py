@@ -13,22 +13,22 @@ from __future__ import annotations
 
 import math
 
-# Builds above this cap are refused. Measured as a CLI run's ru_maxrss
-# (Python 3.11, numpy 2.4): at the cap, build_tables peaks near 210 MB
-# (the prime sieve) and a first read of mu takes that to 307 MB; 10^8
-# stays near 122 and 171 MB. theta and the sum of 1/p are walked over
-# the primes in chunks, so they add no full-length array. A cache hit
-# checks the whole file through a 1 MiB buffer but keeps mu only to its
-# own limit, and sieves its primes only if read: a CLI run at the cap
-# that reads only mu from a hit peaks near 222 MB, and a smaller run
-# beside the cap file as it would uncached. A full Mertens
-# prefix adds 4 bytes per integer on top (800 MB at the cap); of the
-# CLI commands only identity-explore --limit (at most 10^5) still
-# builds one. divisor-ratio holds the int16 divisor counts, 2 bytes per
-# integer (400 MB at the cap, with a 497.5 MB peak), and reads D(n) at
-# its grid rows through grid_prefix. identity-explore --n and
-# abel-check read M through mertens_quotients and mertens_segments,
-# whose memory grows with about n^(2/3) and with CHUNK.
+# Tables above this cap are refused. Measured as a CLI run's ru_maxrss
+# (Python 3.11, numpy 2.4): build_tables makes no array; at the cap the
+# prime sieve, run on the first read of primes or mu, peaks near 210 MB
+# and a first read of mu takes that to 307 MB; 10^8 stays near 122 and
+# 171 MB. theta and the sum of 1/p are walked over the primes in
+# chunks, so they add no full-length array. A cache hit checks the
+# whole file through a 1 MiB buffer but keeps mu only to its own limit:
+# a CLI run at the cap that reads only mu from a hit peaks near 222 MB,
+# and a smaller run beside the cap file as it would uncached. A full
+# Mertens prefix adds 4 bytes per integer on top (800 MB at the cap);
+# of the CLI commands only identity-explore --limit (at most 10^5)
+# still builds one. divisor-ratio holds the int16 divisor counts, 2
+# bytes per integer (400 MB at the cap, with a 413 MB peak, as it sieves
+# no primes), and reads D(n) at its grid rows through grid_prefix.
+# identity-explore --n and abel-check read M through mertens_quotients
+# and mertens_segments, whose memory grows with about n^(2/3) and CHUNK.
 MAX_LIMIT = 200_000_000
 
 # cells per step of every chunked walk over 1..n in the package
@@ -62,10 +62,11 @@ ZERO_SCAN_T_MAX = 100.0
 ZERO_SCAN_STEP_MAX = 0.05
 ZERO_SCAN_STEP_MIN = 1e-4
 
-# the exponents k with a log-power constant, and the smallest defect
-# cutoff n
+# the exponents k with a log-power constant, and the smallest and the
+# default defect cutoff n
 LOG_POWER_K_MAX = 8
 LOG_POWER_N_MIN = 1000
+LOG_POWER_N_DEFAULT = 100_000
 
 # li's series needs more terms as x grows, and from x = 9.77e75 on it
 # does not settle within the 500 it allows; li is declared on

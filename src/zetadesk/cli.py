@@ -65,12 +65,12 @@ from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import (LI_X_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, MAX_LIMIT,
-                     MERTENS_CONSTANT_N_MIN, SCAN_START, TREND_LIMIT_MIN,
-                     ZERO_SCAN_STEP_MAX, ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX,
-                     _check_exp_arg, _check_exp_pair, _check_exponent,
-                     _check_half_plane, _check_not_degenerate,
-                     _require_in_box, _require_regular)
+from .bounds import (LI_X_MAX, LOG_POWER_K_MAX, LOG_POWER_N_DEFAULT,
+                     LOG_POWER_N_MIN, MAX_LIMIT, MERTENS_CONSTANT_N_MIN,
+                     SCAN_START, TREND_LIMIT_MIN, ZERO_SCAN_STEP_MAX,
+                     ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX, _check_exp_arg,
+                     _check_exp_pair, _check_exponent, _check_half_plane,
+                     _check_not_degenerate, _require_in_box, _require_regular)
 from .constants import li
 from .reports import (KERNEL_ROWS, Table, csv_blocks, geometric_grid,
                       json_blocks, render_csv, render_json)
@@ -685,7 +685,7 @@ COMMANDS = {
         (Flag("--k", NumberRange(int, 1, LOG_POWER_K_MAX),
               default=LOG_POWER_K_MAX),
          Flag("--n", NumberRange(int, LOG_POWER_N_MIN, 2_000_000),
-              default=100_000),
+              default=LOG_POWER_N_DEFAULT),
          Flag("--accelerate", default=True))),
     "theta": Command(
         _cmd_theta, "Chebyshev theta deviation (theta(n)-n)/n^s",

@@ -101,7 +101,7 @@ def one_minus_g_stream(table: ArithTable) -> CoefficientStream:
     weight with 2C head (arith.prime_power_weight): the Mobius
     convolution image of the corrected divisor stream (checked in tests
     and the CLI)."""
-    weight = prime_power_weight(table, table.limit)
+    weight = prime_power_weight(table)
     return CoefficientStream("one_minus_g", table.limit,
                              lambda lo, hi: 1.0 - weight(lo, hi))
 

@@ -24,8 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 # the validated box (RE_MIN, RE_MAX, IM_MAX) stays importable from here
-from .bounds import (IM_MAX, LOG_POWER_K_MAX, LOG_POWER_N_MIN, RE_MAX, RE_MIN,
-                     ZERO_SCAN_STEP_MAX, ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX,
+from .bounds import (IM_MAX, LOG_POWER_K_MAX, LOG_POWER_N_DEFAULT,
+                     LOG_POWER_N_MIN, RE_MAX, RE_MIN, ZERO_SCAN_STEP_MAX,
+                     ZERO_SCAN_STEP_MIN, ZERO_SCAN_T_MAX,
                      _require_in_box, _require_regular)
 from .constants import BERNOULLI_OVER_FACTORIAL, euler_constant
 from .exact import exact_sum
@@ -583,7 +584,8 @@ class LogPowerConstant(NamedTuple):
 
 
 @cache
-def log_power_constant(k: int, n: int = 100_000, accelerate: bool = True,
+def log_power_constant(k: int, n: int = LOG_POWER_N_DEFAULT,
+                       accelerate: bool = True,
                        k_top: int = LOG_POWER_K_MAX) -> LogPowerConstant:
     """The constant for exponent k at cutoff n. Its defect sum comes
     from one walk shared by every exponent 1..k_top at this n, made on
@@ -677,7 +679,7 @@ class ZetaOriginConstants(NamedTuple):
 
 
 def origin_constants(k_max: int = LOG_POWER_K_MAX,
-                     n: int = 100_000) -> ZetaOriginConstants:
+                     n: int = LOG_POWER_N_DEFAULT) -> ZetaOriginConstants:
     if k_max < 1 or k_max > LOG_POWER_K_MAX:
         raise ValueError(f"k_max must be in 1..{LOG_POWER_K_MAX}")
     ks = tuple(range(1, k_max + 1))

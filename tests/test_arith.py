@@ -19,9 +19,11 @@ from zetadesk.arith import (CACHE_PIECE, CHUNK, MAX_LIMIT, ArithTable,
                             mertens_quotients, mertens_ratio_window,
                             mertens_segments, mobius_segment,
                             prime_power_weight, save_cache, squarefree_count)
-from zetadesk.asymptotics import psi_decomposition_check
+from zetadesk.asymptotics import divisor_ratio_scan, psi_decomposition_check
+from zetadesk.cli import acquire_table
 from zetadesk.constants import euler_constant
-from zetadesk.dirichlet import mobius_stream, prefix_ratio_scan
+from zetadesk.dirichlet import (divisor_corrected_stream, mobius_stream,
+                                prefix_ratio_scan)
 
 from .oracles import trial_divisor_count, trial_is_prime, trial_mobius
 
@@ -41,7 +43,19 @@ def test_lazy_mobius_matches_trial_division():
     for limit in [*range(1, 201), *edges]:
         table = build_tables(limit)
         assert "mu" not in vars(table)
+        assert "primes" not in vars(table)
         assert np.array_equal(table.mu, reference[: limit + 1]), limit
+
+
+def test_divisor_readers_sieve_no_primes():
+    # the d(n) readers read neither mu nor the primes, built or acquired
+    for table in (build_tables(70_000), acquire_table(70_000, None)):
+        divisor_ratio_scan(table)
+        prefix_ratio_scan(divisor_corrected_stream(table), 0.5)
+        assert "primes" not in vars(table) and "mu" not in vars(table)
+    for limit in (0, MAX_LIMIT + 1):
+        with pytest.raises(ValueError):
+            ArithTable(limit)
 
 
 def test_cached_table_makes_each_array_on_first_read(table4, tmp_path):
@@ -393,8 +407,10 @@ def test_chebyshev_theta_is_prime_log_sum(table4):
 
 
 def test_mangoldt_weight_cases(table4):
+    chunk = prime_power_weight(table4)
+
     def weight(n):
-        return prime_power_weight(table4, n)(n, n + 1)[0]
+        return chunk(n, n + 1)[0]
 
     c = euler_constant()
     assert weight(1) == 2.0 * c
@@ -405,6 +421,13 @@ def test_mangoldt_weight_cases(table4):
                 assert abs(got - math.log(p)) < 1e-15
     for n in (6, 10, 12, 100, 9999):
         assert weight(n) == 0.0
+    # a range past the table raises, though 101 is prime
+    with pytest.raises(ValueError):
+        prime_power_weight(build_tables(100))(101, 111)
+    # the last cell of a table ending at a prime and at a prime power
+    for limit, p in ((65537, 65537), (125, 5)):
+        assert prime_power_weight(build_tables(limit))(limit - 9, limit + 1)[
+            -1] == math.log(p)
 
 
 def test_squarefree_count_matches_trial(table4):

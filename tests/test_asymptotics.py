@@ -62,7 +62,7 @@ def test_mangoldt_prefix_matches_direct_sum(table4):
 def test_psi_decomposition_left_side_is_one_cumsum(table6, ns):
     # the walked left sides against one cumsum of the whole weight, bit
     # for bit, on both sides of the first chunk edge and at 10^6
-    weight = prime_power_weight(table6, ns[-1])
+    weight = prime_power_weight(table6)
     whole = np.cumsum(np.concatenate(
         [weight(lo, hi) for lo, hi in chunk_bounds(ns[-1])]))
     got = np.array([dec.lhs for dec in psi_decomposition_check(table6, ns)])
